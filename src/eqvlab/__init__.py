@@ -37,6 +37,7 @@ from .expressions import (
     as_atom,
     as_expression,
     collect,
+    collect_numerators,
     dependency_closure,
     exp,
     expr_prod,
@@ -46,6 +47,7 @@ from .expressions import (
     from_terms,
     func,
     jet,
+    jet_split,
     log,
     normalize,
     param,

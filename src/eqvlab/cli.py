@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from .errors import EqvError, ParseError
-from .expressions import Expression, Var, as_expression, collect, dependency_closure, partial
+from .expressions import (
+    Expression, Var, as_expression, collect_numerators, dependency_closure, partial)
 from .families import EQUIVALENCE, EquationFamily, catalog, check_equivalence, theorem_instance_check
 from .hyperbolic import HyperbolicEquation
 from .oracle import DEFAULT_SEED, check_identity
@@ -145,9 +146,10 @@ def _lead_normalize(e: Expression, dep: str) -> Expression:
     if not jets:
         return e
     lead = as_expression(jets[-1])
-    coeffs, _residual = collect(e, [lead])
-    c = coeffs[lead]
-    return e if c.is_zero() else e / c
+    nums, _residual, _den = collect_numerators(e, [lead])
+    n = nums[lead]
+    # e / (n/den) is e.numerator() / n with the denominator cancelled
+    return e if n.is_zero() else e.numerator() / n
 
 
 def _dispatch(args):

@@ -66,6 +66,8 @@ __all__ = [
     "substitute",
     "substitute_functions",
     "collect",
+    "collect_numerators",
+    "jet_split",
     "dependency_closure",
     "polynomial_jets",
     "closure_jets",
@@ -1133,20 +1135,48 @@ def _monomial_of(e: Expression) -> Monomial:
     raise ValueError(f"{e.text} is not a coefficient-one monomial")
 
 
-def collect(e: ExpressionLike, monomials: Sequence[ExpressionLike]) -> tuple[dict, Expression]:
-    """Split ``e`` into coefficients of the given jet monomials plus a residual.
+def jet_split(e: ExpressionLike, deps: Iterable[str]) -> dict[Monomial, Expression]:
+    """The numerator of ``e`` grouped by its jet content.
+
+    Maps each monomial in the jet variables of the dependent variables
+    ``deps`` that occurs in the numerator (the constant monomial for the
+    jet-free terms) to the polynomial multiplying it, which is free of those
+    jets.  The denominator is ignored.
+    """
+    e = as_expression(e)
+    deps = frozenset(deps)
+    groups: dict[Monomial, dict] = {}
+    for m, c in e._num.items():
+        jp, rest = [], []
+        for ap in m.atoms:
+            a = ap[0]
+            (jp if isinstance(a, Jet) and a.dep in deps else rest).append(ap)
+        # m is jp * rest, so no two numerator terms land on the same pair
+        jm = Monomial._raw(tuple(jp), None)
+        groups.setdefault(jm, {})[Monomial._raw(tuple(rest), m.exparg)] = c
+    return {jp: _expr_raw(g, {_ONE_M: Fraction(1)}) for jp, g in groups.items()}
+
+
+def collect_numerators(
+    e: ExpressionLike, monomials: Sequence[ExpressionLike],
+) -> tuple[dict, Expression, Expression]:
+    """:func:`collect` before the division by the shared denominator.
 
     Each entry of ``monomials`` must be a coefficient-one monomial whose atoms
     are all jet variables of one dependent variable; the constant monomial
-    ``1`` is allowed and collects the jet-free part.  Coefficients are free of
-    every jet variable of the collected dependent variables.  Attribution is
-    exact: the coefficient of a listed monomial is the sum of numerator terms
-    whose jet content equals that monomial, divided by the denominator, and
-    ``e == sum(coeff[m] * m) + residual`` holds identically.
+    ``1`` is allowed and collects the jet-free part.  Returns ``(numerators,
+    residual, denominator)``, all polynomials, with ``e == (sum(numerators[m]
+    * m) + residual) / denominator`` identically; the numerator of a listed
+    monomial is the sum of the terms whose jet content equals it, so the
+    numerators and the denominator are free of every collected jet variable.
+
+    The normal form cancels only monomial factors, so the quotient of two
+    coefficients ``N_j/D`` and ``N_L/D`` keeps ``D`` above and below;
+    dividing ``N_j`` by ``N_L`` gives the same value without it.
 
     If the denominator itself contains jet variables of a collected dependent
-    variable no attribution is possible; every coefficient is then zero and
-    the whole of ``e`` is returned as the residual.
+    variable no attribution is possible; every numerator is then zero and the
+    residual is the numerator of ``e``.
     """
     e = as_expression(e)
     given = [as_expression(m) for m in monomials]
@@ -1164,35 +1194,27 @@ def collect(e: ExpressionLike, monomials: Sequence[ExpressionLike]) -> tuple[dic
             raise ValueError(f"duplicate monomial {ge.text}")
         targets[m] = ge
 
-    def jet_part(m: Monomial) -> Monomial:
-        return Monomial(
-            tuple((a, k) for a, k in m.atoms if isinstance(a, Jet) and a.dep in deps))
-
-    if any(not jet_part(m).is_one() for m in e._den):
-        return {ge: ZERO for ge in given}, e
-
-    buckets: dict[Monomial, dict] = {m: {} for m in targets}
-    residual: dict = {}
-    for m, c in e._num.items():
-        jp = jet_part(m)
-        if jp in buckets:
-            rest = Monomial(
-                tuple((a, k) for a, k in m.atoms
-                      if not (isinstance(a, Jet) and a.dep in deps)),
-                m.exparg,
-            )
-            buckets[jp][rest] = buckets[jp].get(rest, Fraction(0)) + c
-        else:
-            residual[m] = residual.get(m, Fraction(0)) + c
-
     den = e.denominator()
-    coeffs = {}
-    for jm, ge in targets.items():
-        b = {m: c for m, c in buckets[jm].items() if c}
-        coeffs[ge] = _expr_raw(b, {_ONE_M: Fraction(1)}) / den if b else ZERO
-    res = {m: c for m, c in residual.items() if c}
-    res_e = _expr_raw(res, {_ONE_M: Fraction(1)}) / den if res else ZERO
-    return coeffs, res_e
+    if any(j.dep in deps for j in polynomial_jets(den)):
+        return {ge: ZERO for ge in given}, e.numerator(), den
+    groups = jet_split(e, deps)
+    nums = {ge: groups.pop(m, ZERO) for m, ge in targets.items()}
+    residual = _expr_raw(
+        {jp * m: c for jp, g in groups.items() for m, c in g._num.items()},
+        {_ONE_M: Fraction(1)})
+    return nums, residual, den
+
+
+def collect(e: ExpressionLike, monomials: Sequence[ExpressionLike]) -> tuple[dict, Expression]:
+    """Split ``e`` into coefficients of the given jet monomials plus a residual.
+
+    The coefficients and the residual are those of :func:`collect_numerators`
+    divided by the denominator, so ``e == sum(coeff[m] * m) + residual`` holds
+    identically; when the denominator contains collected jets every
+    coefficient is zero and the residual is ``e``.
+    """
+    nums, residual, den = collect_numerators(e, monomials)
+    return {ge: n / den for ge, n in nums.items()}, residual / den
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ generic member under a point transformation, which is exactly the question
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -27,17 +26,18 @@ from .expressions import (
     Monomial,
     Var,
     as_expression,
-    collect,
+    collect_numerators,
     dependency_closure,
     expr_sum,
     from_monomial,
-    from_terms,
     func,
     jet,
+    jet_split,
+    partial,
     polynomial_jets,
     sign_canonical,
 )
-from .prolongation import PointTransformation, transform_derivatives
+from .prolongation import PointTransformation, ProlongedMap, transform_derivatives
 
 __all__ = [
     "EQUIVALENCE",
@@ -288,43 +288,11 @@ class MatchReport:
         }
 
 
-def _jet_coefficient_failures(
-    e: Expression, dep: str, kind: str, *, include_constant: bool = False,
-) -> list[MatchFailure]:
-    """One failure per jet monomial of ``e``, with sign-canonical coefficient.
-
-    The jet-free part only becomes a failure of its own (monomial ``1``) when
-    ``include_constant`` is set; vanishing conditions read off a denominator
-    constrain the jet coefficients alone.
-    """
-    parts: dict[Monomial, dict] = {}
-    for c, m in e.num_terms():
-        jp = Monomial(tuple((a, k) for a, k in m.atoms if isinstance(a, Jet) and a.dep == dep))
-        if jp.is_one() and not include_constant:
-            continue
-        rest = Monomial(
-            tuple((a, k) for a, k in m.atoms if not (isinstance(a, Jet) and a.dep == dep)),
-            m.exparg)
-        bucket = parts.setdefault(jp, {})
-        bucket[rest] = bucket.get(rest, Fraction(0)) + c
-    den = e.denominator()
-    out = []
-    for jp in sorted(parts, key=Monomial.order_key):
-        mono_e = from_monomial(jp)
-        coeff = from_terms(parts[jp])
-        out.append(MatchFailure(kind, mono_e, sign_canonical(coeff / den)))
-    return out
-
-
-def _split_residual(residual: Expression, dep: str) -> tuple[Expression, Expression]:
-    """Split into the terms carrying jet variables of ``dep`` and the rest."""
-    jp: dict = {}
-    fp: dict = {}
-    for c, m in residual.num_terms():
-        has = any(isinstance(a, Jet) and a.dep == dep for a, _ in m.atoms)
-        (jp if has else fp)[m] = c
-    den = residual.denominator()
-    return from_terms(jp) / den, from_terms(fp) / den
+def _jet_failures(groups: dict, divisor: Expression, kind: str) -> list[MatchFailure]:
+    """One failure per jet monomial of a :func:`jet_split`, its coefficient
+    divided by ``divisor`` and made sign-canonical."""
+    return [MatchFailure(kind, from_monomial(jp), sign_canonical(groups[jp] / divisor))
+            for jp in sorted(groups, key=Monomial.order_key)]
 
 
 def match(
@@ -336,14 +304,18 @@ def match(
 ) -> MatchReport:
     """Decide membership of ``e`` in ``family`` and extract the coefficient map.
 
-    The expression is collected over the lead and slot monomials.  The lead
-    coefficient must be present; every other coefficient is divided by it.
+    The expression is collected over the lead and slot monomials, as
+    numerators ``N_j`` over the shared denominator ``D``.  The lead numerator
+    ``N_L`` must be present; each slot coefficient is ``N_j / N_L``, so ``D``
+    never enters it, while the report's ``lead_coefficient`` is ``N_L / D``.
     The part of the leftover free of dependent-variable jets is absorbed
     into the unique slot whose monomial is the bare dependent variable and
     whose argument list contains it, when such a slot exists; jet-bearing
-    leftovers are reported as unmatched terms.  Finally each coefficient's
-    dependency closure must stay inside its slot's argument list; function
-    base names and parameters are never constrained.
+    leftovers are reported as unmatched terms.  Finally each coefficient
+    must depend on nothing outside its slot's argument list; function base
+    names and parameters are never constrained.  An atom the dependency
+    closure shows but the coefficient's partial derivative in it cancels is
+    not a dependency, except for a variable in the index of a jet that is.
 
     When the denominator of ``e`` contains jet variables of the dependent
     variable no form of this shape exists; the report then carries one
@@ -355,77 +327,73 @@ def match(
     dep = family.dep
     base_assumptions = tuple(assumptions)
 
-    if polynomial_jets(e.denominator(), dep):
-        evidence = denominator_evidence if denominator_evidence is not None else e.denominator()
-        return MatchReport(
-            verdict=NOT_EQUIVALENCE,
-            family=family,
-            expression=e,
-            lead_coefficient=ZERO,
-            failures=_jet_coefficient_failures(evidence, dep, "denominator-jets"),
-            assumptions=base_assumptions,
-            residual=e,
-        )
-
     monos = [family.lead] + [s.monomial for s in family.slots]
-    coeffs, residual = collect(e, monos)
-    lead_c = coeffs[family.lead]
-    if lead_c.is_zero():
+    nums, residual, den = collect_numerators(e, monos)
+    lead_n = nums[family.lead]
+    if lead_n.is_zero():
+        # nothing is attributed when the denominator carries jets
+        if polynomial_jets(den, dep):
+            evidence = denominator_evidence if denominator_evidence is not None else den
+            groups = jet_split(evidence, (dep,))
+            groups.pop(Monomial(), None)
+            failures = _jet_failures(groups, evidence.denominator(), "denominator-jets")
+        else:
+            failures = [MatchFailure("missing-lead", family.lead, ZERO)]
         return MatchReport(
             verdict=NOT_EQUIVALENCE,
             family=family,
             expression=e,
             lead_coefficient=ZERO,
-            failures=[MatchFailure("missing-lead", family.lead, ZERO)],
+            failures=failures,
             assumptions=base_assumptions,
             residual=e,
         )
 
-    B = {s.name: coeffs[s.monomial] / lead_c for s in family.slots}
-    failures: list[MatchFailure] = []
+    lead_c = lead_n / den
+    B = {s.name: nums[s.monomial] / lead_n for s in family.slots}
+    # only the part free of dep jets can legally ride in a bare-dep slot
+    # (divided by the dependent variable); jet-bearing leftovers never can
+    groups = jet_split(residual, (dep,))
+    free = groups.pop(Monomial(), ZERO)
+    failures = _jet_failures(groups, lead_n, "unmatched-term")
     absorbed = None
-    left = ZERO
-    if not residual.is_zero():
+    if not free.is_zero():
         bare = Jet(dep, ())
-        # only the part free of dep jets can legally ride in a bare-dep slot
-        # (divided by the dependent variable); jet-bearing leftovers never can
-        jet_part, free_part = _split_residual(residual, dep)
-        if not jet_part.is_zero():
-            failures.extend(_jet_coefficient_failures(
-                jet_part / lead_c, dep, "unmatched-term"))
-            left = jet_part
-        if not free_part.is_zero():
-            candidates = [
-                s for s in family.slots
-                if _jet_monomial(s.monomial, dep).atoms == ((bare, 1),) and bare in s.args
-            ]
-            if len(candidates) == 1:
-                s = candidates[0]
-                B[s.name] = B[s.name] + free_part / (lead_c * as_expression(bare))
-                absorbed = s.name
-            else:
-                failures.extend(_jet_coefficient_failures(
-                    free_part / lead_c, dep, "unmatched-term", include_constant=True))
-                left = left + free_part
+        candidates = [
+            s for s in family.slots
+            if _jet_monomial(s.monomial, dep).atoms == ((bare, 1),) and bare in s.args
+        ]
+        if len(candidates) == 1:
+            s = candidates[0]
+            B[s.name] = B[s.name] + free / (lead_n * as_expression(bare))
+            absorbed = s.name
+            residual = residual - free
+        else:
+            failures.extend(_jet_failures({Monomial(): free}, lead_n, "unmatched-term"))
 
     for s in family.slots:
         b = B[s.name]
         d = dependency_closure(b)
         okv = s.allowed_variables()
         okj = s.allowed_jets()
-        if not d.within(okv, okj):
-            offending = sorted(d.variables - okv) + sorted(
-                j.text for j in d.jets if j not in okj)
+        if d.within(okv, okj):
+            continue
+        # the closure is syntactic: keep only what b really varies with
+        jets = [j for j in d.jets - okj if not partial(b, j).is_zero()]
+        carried = {v for j in jets for v in j.index}
+        names = [v for v in d.variables - okv
+                 if v in carried or not partial(b, Var(v)).is_zero()]
+        if names or jets:
             failures.append(MatchFailure(
-                "forbidden-dependency", s.monomial, b,
-                slot=s.name, forbidden=tuple(offending)))
+                "forbidden-dependency", s.monomial, b, slot=s.name,
+                forbidden=tuple(sorted(names) + sorted(j.text for j in jets))))
 
     verdict = EQUIVALENCE if not failures else NOT_EQUIVALENCE
     all_assumptions = []
     if not lead_c.is_constant():
         all_assumptions.append(lead_c)
     all_assumptions.extend(base_assumptions)
-    report = MatchReport(
+    return MatchReport(
         verdict=verdict,
         family=family,
         expression=e,
@@ -435,9 +403,8 @@ def match(
         failures=failures,
         assumptions=tuple(all_assumptions),
         absorbed_slot=absorbed,
-        residual=left,
+        residual=residual / den,
     )
-    return report
 
 
 def check_equivalence(family: EquationFamily, tr: PointTransformation) -> MatchReport:
@@ -450,9 +417,13 @@ def check_equivalence(family: EquationFamily, tr: PointTransformation) -> MatchR
     prolongation denominator's jet coefficients: those must vanish for any
     transformation of this shape to stay pointwise.
     """
-    fam_src = family.rename(tr.old_vars, tr.old_dep)
-    pm = transform_derivatives(tr, fam_src.jet_order())
-    te = pm.apply(fam_src.member())
+    return _check_prolonged(family, transform_derivatives(tr, family.jet_order()))
+
+
+def _check_prolonged(family: EquationFamily, pm: ProlongedMap) -> MatchReport:
+    """:func:`check_equivalence` for a map already prolonged to the family's order."""
+    tr = pm.transformation
+    te = pm.apply(family.rename(tr.old_vars, tr.old_dep).member())
     fam_tgt = family.rename(tr.new_vars, tr.new_dep)
     evidence = pm.det if polynomial_jets(pm.det, tr.new_dep) else None
     return match(
@@ -523,12 +494,14 @@ def theorem_instance_check(
     ``famA``-membership precondition, with the failing report attached.
     """
     _validate_enlargement(famA, famB)
-    rep_a = check_equivalence(famA, tr)
+    # famB differs from famA only in argument lists, so one prolongation serves both
+    pm = transform_derivatives(tr, famA.jet_order())
+    rep_a = _check_prolonged(famA, pm)
     if rep_a.verdict != EQUIVALENCE:
         raise TheoremPreconditionError(
             f"transformation is not an equivalence transformation of {famA.name}",
             report=rep_a)
-    rep_b = check_equivalence(famB, tr)
+    rep_b = _check_prolonged(famB, pm)
     return TheoremCheckResult(
         holds=rep_b.verdict == EQUIVALENCE,
         source_report=rep_a,

@@ -35,7 +35,7 @@ from .expressions import (
     Var,
     antiderivative,
     as_expression,
-    collect,
+    collect_numerators,
     dependency_closure,
     exp,
     jet,
@@ -174,21 +174,22 @@ class HyperbolicEquation:
         """Read coefficients off an expression of the right shape.
 
         Returns the equation together with the lead coefficient that was
-        divided out.
+        divided out; the coefficients themselves are collected numerators
+        over the lead numerator, free of the shared denominator.
         """
         e = as_expression(e)
         lead = jet(u, t, x)
         monos = [lead, jet(u, t), jet(u, x), jet(u)]
-        coeffs, residual = collect(e, monos)
-        c = coeffs[lead]
-        if c.is_zero():
+        nums, residual, den = collect_numerators(e, monos)
+        n = nums[lead]
+        if n.is_zero():
             raise VariableMismatchError(
                 f"no {lead.text} term; expression is not of the hyperbolic shape")
         if not residual.is_zero():
             raise VariableMismatchError(
-                f"terms outside the hyperbolic template: {residual.text}")
-        eq = cls(coeffs[monos[1]] / c, coeffs[monos[2]] / c, coeffs[monos[3]] / c, t, x, u)
-        return eq, c
+                f"terms outside the hyperbolic template: {(residual / den).text}")
+        eq = cls(nums[monos[1]] / n, nums[monos[2]] / n, nums[monos[3]] / n, t, x, u)
+        return eq, n / den
 
     def expression(self) -> Expression:
         return (jet(self.u, self.t, self.x)
@@ -256,13 +257,13 @@ class HyperbolicEquation:
         te = transform_equation(self.expression(), tr, 2)
         lead = jet(new_dep, y, z)
         monos = [lead, jet(new_dep, y), jet(new_dep, z), jet(new_dep)]
-        coeffs, residual = collect(te, monos)
-        c = coeffs[lead]
-        if c.is_zero() or not residual.is_zero():
+        nums, residual, _den = collect_numerators(te, monos)
+        n = nums[lead]
+        if n.is_zero() or not residual.is_zero():
             raise EqvError("reduction produced an unexpected shape")
-        if not (coeffs[monos[1]] / c).is_zero() or not (coeffs[monos[2]] / c).is_zero():
+        if not nums[monos[1]].is_zero() or not nums[monos[2]].is_zero():
             raise EqvError("first-order terms survived the reduction")
-        b = coeffs[monos[3]] / c
+        b = nums[monos[3]] / n
         b_closed = substitute(self.a3, {Var(self.t): var(y), Var(self.x): var(z)}) - a1_z * a2_y
         if not (b - b_closed).is_zero():
             raise EqvError("reduced coefficient disagrees with its closed form")

@@ -288,21 +288,19 @@ def _det(M: list[list[Expression]]) -> Expression:
     return expr_sum(terms)
 
 
-def _solve_linear(M, rhs, det):
-    """Cramer's rule against the precomputed determinant.
+def _cramer(M, rhs, i, det):
+    """Component ``i`` of the solution of ``M x = rhs``, by Cramer's rule
+    against the precomputed determinant.
 
     The systems here are tiny (one row per independent variable), and every
     cofactor term contains exactly one right-hand-side entry, so all the
-    terms of one numerator share a denominator and the only division is by
+    terms of the numerator share a denominator and the only division is by
     ``det`` itself.  That keeps intermediate swell down on higher-order
     solves, where the right-hand sides already carry determinant powers.
     """
     n = len(M)
-    xs: list[Expression] = []
-    for i in range(n):
-        Mi = [[rhs[r] if c == i else M[r][c] for c in range(n)] for r in range(n)]
-        xs.append(_det(Mi) / det)
-    return xs
+    Mi = [[rhs[r] if c == i else M[r][c] for c in range(n)] for r in range(n)]
+    return _det(Mi) / det
 
 
 def transform_derivatives(tr: PointTransformation, order: int) -> ProlongedMap:
@@ -329,11 +327,11 @@ def transform_derivatives(tr: PointTransformation, order: int) -> ProlongedMap:
         next_level: dict[tuple, Expression] = {}
         for J in sorted(level):
             rhs = [total_derivative(level[J], zk, dep) for zk in tr.new_vars]
-            vec = _solve_linear(M, rhs, det)
             for i, xi in enumerate(tr.old_vars):
+                # a jet an earlier J already reached is not solved for again
                 K = tuple(sorted(J + (xi,)))
                 if K not in next_level:
-                    next_level[K] = vec[i]
+                    next_level[K] = _cramer(M, rhs, i, det)
         for K, v in next_level.items():
             entries[Jet(tr.old_dep, K)] = v
         level = next_level

@@ -15,6 +15,7 @@ from eqvlab import (
     as_expression,
     check_identity,
     collect,
+    collect_numerators,
     exp,
     expr_sum,
     fraction,
@@ -107,6 +108,10 @@ def test_collect_round_trips_bulk():
         coeffs, residual = collect(e, [as_expression(j) for j in monos])
         back = expr_sum(coeffs[as_expression(j)] * as_expression(j) for j in monos) + residual
         assert (back - e).is_zero()
+        nums, rnum, den = collect_numerators(e, [as_expression(j) for j in monos])
+        assert all(coeffs[m] == n / den for m, n in nums.items())
+        assert residual == rnum / den
+        assert (expr_sum(n * m for m, n in nums.items()) + rnum) / den == e
 
 
 def test_collect_separates_coefficients():

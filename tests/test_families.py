@@ -2,6 +2,7 @@
 
 import pytest
 
+import eqvlab.families as families
 from eqvlab import (
     EQUIVALENCE,
     NOT_EQUIVALENCE,
@@ -176,6 +177,25 @@ def test_forbidden_variable_dependency():
     j = bad[0].to_json()
     assert j["slot"] == "a1" and j["forbidden"] == ["t"]
 
+    # t shows in a1's normal form, which has no gcd, but a1 equals x
+    a1 = (x * t - x) / (t - 1)
+    assert "t" in a1.text
+    e2 = jet("u", "t", "x") + a1 * jet("u", "t") + func("g", t) * jet("u", "x") \
+        + func("h", t, x) * jet("u")
+    assert match(e2, hx).verdict == EQUIVALENCE
+
+
+def test_slot_coefficients_divide_numerators():
+    # a non-monomial denominator must not end up in the slot coefficients
+    den = t * x + t + 1
+    n_lead, n_1 = t + x * x, x * t - 1
+    e = (n_lead * jet("u", "t", "x") + n_1 * jet("u", "t")) / den
+    rep = match(e, catalog("hyper"))
+    assert rep.verdict == EQUIVALENCE
+    assert rep.coefficients["a1"] == n_1 / n_lead
+    assert rep.lead_coefficient == n_lead / den
+    assert (rep.reconstruction() - e).is_zero()
+
 
 def test_dependent_argument_separates_the_enlarged_family():
     e = catalog("hyperu").member()
@@ -217,12 +237,18 @@ def test_composition_of_equivalence_maps_is_one():
     assert check_equivalence(g, both).verdict == EQUIVALENCE
 
 
-def test_theorem_instance_holds_for_a_member_map():
+def test_theorem_instance_holds_for_a_member_map(monkeypatch):
+    calls = []
+    prolong = families.transform_derivatives
+    monkeypatch.setattr(families, "transform_derivatives",
+                        lambda *a: calls.append(a) or prolong(*a))
     tr = PointTransformation(
         ("t", "x"), "u", ("y", "z"), "w",
         {"t": y ** 3 + y, "x": 2 * z + 1}, (1 + y * y) * jet("w"))
     res = theorem_instance_check(catalog("hyper"), catalog("hyperu"), tr)
     assert res.holds
+    # both families share one prolongation of the map
+    assert len(calls) == 1
     assert res.source_report.verdict == EQUIVALENCE
     assert res.target_report.verdict == EQUIVALENCE
 
