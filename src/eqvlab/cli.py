@@ -3,8 +3,9 @@
 JSON goes to standard output, commentary to standard error, and the exit code
 states the verdict: 0 when the result is positive (equivalence holds, the
 identity checks out), 1 when it is negative, 2 on any error.  Each symbolic
-command leaves behind a state file of check pairs; ``oracle`` replays those
-numerically.
+command leaves behind a state file of check pairs, written as the expression
+trees of :meth:`Expression.to_tree`; ``oracle`` reads them back with
+:meth:`Expression.from_tree` and replays them numerically.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from pathlib import Path
 
-from .errors import EqvError, ParseError
+from .errors import EqvError
 from .expressions import (
     Expression, Var, as_expression, collect_numerators, dependency_closure, partial)
 from .families import EQUIVALENCE, EquationFamily, catalog, check_equivalence, theorem_instance_check
@@ -36,10 +38,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result, positive = _dispatch(args)
-    except (EqvError, ParseError, OSError, ValueError, KeyError) as exc:
+    except Exception as exc:
+        # any failure, expected or not, is an error report and never a verdict
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         _emit(err, args)
         print(f"error: {exc}", file=sys.stderr)
+        if not isinstance(exc, (EqvError, OSError, ValueError, KeyError)):
+            traceback.print_exc()  # not a failure this package reports on purpose
         return 2
     _emit(result, args)
     return 0 if positive else 1
@@ -131,11 +136,11 @@ def _resolve_transform(name: str, session: Session):
 def _write_state(args, command: str, checks, assumptions, dep_vars):
     state = {
         "command": command,
-        "checks": [[l.text, r.text] for l, r in checks],
-        "assumptions": [a.text for a in assumptions],
+        "checks": [[l.to_tree(), r.to_tree()] for l, r in checks],
+        "assumptions": [a.to_tree() for a in assumptions],
         "dep_vars": {k: list(v) for k, v in dep_vars.items()},
     }
-    Path(args.state).write_text(json.dumps(state, indent=2) + "\n", encoding="utf-8")
+    Path(args.state).write_text(json.dumps(state) + "\n", encoding="utf-8")
 
 
 def _lead_normalize(e: Expression, dep: str) -> Expression:
@@ -292,19 +297,9 @@ def _cmd_invariants(args, session):
 def _cmd_reduce(args, session):
     eq = _hyperbolic_input(args, session)
     red = eq.reduce_to_canonical()
-    y, z = red.transformation.new_vars
-    closed = (
-        _subst_vars(eq.a3, {eq.t: y, eq.x: z})
-        - _subst_vars(eq.a1, {eq.x: z}) * _subst_vars(eq.a2, {eq.t: y}))
-    _write_state(args, "reduce", [(red.b, closed)], (), {})
+    _write_state(args, "reduce", [(red.b, red.b_closed)], (), {})
     print(f"reduced; wave equation: {red.wave}", file=sys.stderr)
     return {"command": "reduce", **red.to_json()}, True
-
-
-def _subst_vars(e, mapping):
-    from .expressions import substitute, var
-
-    return substitute(e, {Var(old): var(new) for old, new in mapping.items()})
 
 
 def _cmd_oracle(args):
@@ -314,14 +309,12 @@ def _cmd_oracle(args):
         raise FileNotFoundError(f"no state file at {path}; run a symbolic command first")
     state = json.loads(path.read_text(encoding="utf-8"))
     dep_vars = {k: tuple(v) for k, v in state.get("dep_vars", {}).items()}
-    assumptions = [parse_expression(t, lenient=True) for t in state.get("assumptions", [])]
+    assumptions = [Expression.from_tree(t) for t in state.get("assumptions", [])]
     results = []
     all_ok = True
-    for lhs_text, rhs_text in state.get("checks", []):
-        lhs = parse_expression(lhs_text, lenient=True)
-        rhs = parse_expression(rhs_text, lenient=True)
+    for lhs, rhs in state.get("checks", []):
         r = check_identity(
-            lhs, rhs, dep_vars,
+            Expression.from_tree(lhs), Expression.from_tree(rhs), dep_vars,
             seed=cfg["seed"], points=cfg["points"], tol=cfg["tol"],
             assumptions=assumptions)
         results.append({"ok": r.ok, "max_error": r.max_error, "points": r.points})

@@ -550,8 +550,22 @@ class Expression:
         return self.text
 
     def to_tree(self):
-        """A JSON-ready tree of the normal form, stable across runs."""
-        return {"num": _poly_tree(self._num), "den": _poly_tree(self._den)}
+        """A JSON-ready tree of the normal form, stable across runs.
+
+        Repeated atoms share one subtree object; treat the tree as read-only.
+        """
+        return _expr_tree(self, {})
+
+    @classmethod
+    def from_tree(cls, tree) -> "Expression":
+        """The expression a :meth:`to_tree` tree describes; its exact inverse.
+
+        Raises ``ValueError`` on a tree that does not describe an expression.
+        """
+        try:
+            return _tree_expr(tree)
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"unreadable expression tree: {exc!r}") from None
 
     # -- identity
 
@@ -821,38 +835,87 @@ def _poly_text(p: dict) -> str:
     return " ".join(parts)
 
 
-def _atom_tree(a: Atom):
+def _expr_tree(e: "Expression", memo: dict):
+    return {"num": _poly_tree(e._num, memo), "den": _poly_tree(e._den, memo)}
+
+
+def _atom_tree(a: Atom, memo: dict):
+    # an atom recurs throughout the expressions that mention it (a1(R(y),S(z))
+    # in every term), so each distinct atom is converted once per tree
+    got = memo.get(a)
+    if got is not None:
+        return got
     if isinstance(a, Var):
-        return {"kind": "var", "name": a.name}
-    if isinstance(a, Param):
-        return {"kind": "param", "name": a.name}
-    if isinstance(a, Jet):
-        return {"kind": "jet", "dep": a.dep, "index": list(a.index)}
-    if isinstance(a, Func):
-        return {
+        got = {"kind": "var", "name": a.name}
+    elif isinstance(a, Param):
+        got = {"kind": "param", "name": a.name}
+    elif isinstance(a, Jet):
+        got = {"kind": "jet", "dep": a.dep, "index": list(a.index)}
+    elif isinstance(a, Func):
+        got = {
             "kind": "func",
             "name": a.name,
             "d": list(a.dindex),
-            "args": [x.to_tree() for x in a.args],
+            "args": [_expr_tree(x, memo) for x in a.args],
         }
-    if isinstance(a, Antideriv):
-        return {"kind": "int", "var": a.var, "integrand": a.integrand.to_tree()}
-    if isinstance(a, Log):
-        return {"kind": "log", "arg": a.arg.to_tree()}
-    raise UnsupportedAtomError(f"unknown atom {a!r}")
+    elif isinstance(a, Antideriv):
+        got = {"kind": "int", "var": a.var, "integrand": _expr_tree(a.integrand, memo)}
+    elif isinstance(a, Log):
+        got = {"kind": "log", "arg": _expr_tree(a.arg, memo)}
+    else:
+        raise UnsupportedAtomError(f"unknown atom {a!r}")
+    memo[a] = got
+    return got
 
 
-def _poly_tree(p: dict):
+def _poly_tree(p: dict, memo: dict):
     out = []
     for m in sorted(p, key=Monomial.order_key, reverse=True):
         term = {
             "coeff": _coeff_text(p[m]),
-            "factors": [[_atom_tree(a), k] for a, k in m.atoms],
+            "factors": [[_atom_tree(a, memo), k] for a, k in m.atoms],
         }
         if m.exparg is not None:
-            term["exp"] = m.exparg.to_tree()
+            term["exp"] = _expr_tree(m.exparg, memo)
         out.append(term)
     return out
+
+
+def _tree_expr(tree) -> Expression:
+    return Expression(_tree_poly(tree["num"]), _tree_poly(tree["den"]))
+
+
+def _tree_poly(terms) -> dict:
+    out: dict = {}
+    for term in terms:
+        powers: dict = {}
+        for a, k in term["factors"]:
+            if type(k) is not int:
+                raise ValueError(f"power {k!r} is not an integer")
+            a = _tree_atom(a)
+            powers[a] = powers.get(a, 0) + k
+        m = Monomial(powers.items(), _tree_expr(term["exp"]) if "exp" in term else None)
+        out[m] = out.get(m, 0) + Fraction(term["coeff"])
+    return {m: c for m, c in out.items() if c}
+
+
+def _tree_atom(t) -> Atom:
+    kind = t["kind"]
+    if kind == "var":
+        return Var(t["name"])
+    if kind == "param":
+        return Param(t["name"])
+    if kind == "jet":
+        if not isinstance(t["index"], list):
+            raise ValueError(f"jet index {t['index']!r} is not a list")
+        return Jet(t["dep"], t["index"])
+    if kind == "func":
+        return Func(t["name"], [_tree_expr(x) for x in t["args"]], t["d"])
+    if kind == "int":
+        return Antideriv(_tree_expr(t["integrand"]), t["var"])
+    if kind == "log":
+        return Log(_tree_expr(t["arg"]))
+    raise ValueError(f"unknown atom kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -938,36 +1001,30 @@ def partial(e: ExpressionLike, x) -> Expression:
 class _SubstState:
     """Shared caches for one substitution pass.
 
-    ``hits`` decides whether an atom is affected at all; unaffected parts of
-    the tree are reused as-is instead of being rebuilt.
+    ``hit_fn`` decides whether an atom is affected at all; unaffected parts of
+    the tree are reused as-is instead of being rebuilt.  ``rewrite(atom,
+    state)`` returns the replacement of an affected atom, or None to rebuild
+    the atom from its rewritten children.
     """
 
-    __slots__ = ("binds", "atom_values", "atom_hit", "expr_hit", "hit_fn")
+    __slots__ = ("hit_fn", "rewrite", "atom_values", "atom_hit", "expr_hit")
 
-    def __init__(self, binds, hit_fn):
-        self.binds = binds
+    def __init__(self, hit_fn, rewrite):
+        self.hit_fn = hit_fn
+        self.rewrite = rewrite
         self.atom_values: dict[Atom, Expression] = {}
         self.atom_hit: dict[Atom, bool] = {}
         self.expr_hit: dict[Expression, bool] = {}
-        self.hit_fn = hit_fn
 
     def expr_mentions(self, e: Expression) -> bool:
         got = self.expr_hit.get(e)
-        if got is not None:
-            return got
-        self.expr_hit[e] = False  # cycle-safe default; trees are acyclic anyway
-        out = False
-        for m in chain(e._num, e._den):
-            for a, _ in m.atoms:
-                if self.atom_mentions(a):
-                    out = True
-                    break
-            if not out and m.exparg is not None and self.expr_mentions(m.exparg):
-                out = True
-            if out:
-                break
-        self.expr_hit[e] = out
-        return out
+        if got is None:
+            got = self.expr_hit[e] = any(self.monomial_mentions(m) for m in chain(e._num, e._den))
+        return got
+
+    def monomial_mentions(self, m: Monomial) -> bool:
+        return any(self.atom_mentions(a) for a, _ in m.atoms) or (
+            m.exparg is not None and self.expr_mentions(m.exparg))
 
     def atom_mentions(self, a: Atom) -> bool:
         got = self.atom_hit.get(a)
@@ -990,61 +1047,17 @@ def substitute(e: ExpressionLike, bindings: Mapping) -> Expression:
     binds = {as_atom(k): as_expression(v) for k, v in bindings.items()}
     if not binds:
         return e
-    state = _SubstState(binds, lambda a: a in binds)
-    return _subst_expr(e, state)
 
-
-def _subst_atom(a: Atom, state: _SubstState) -> Expression:
-    got = state.atom_values.get(a)
-    if got is not None:
-        return got
-    hit = state.binds.get(a)
-    if hit is not None:
-        out = hit
-    elif not state.atom_mentions(a):
-        out = as_expression(a)
-    else:
-        if isinstance(a, Antideriv) and Var(a.var) in state.binds:
+    def rewrite(a: Atom, state: _SubstState) -> Expression | None:
+        hit = binds.get(a)
+        if hit is None and isinstance(a, Antideriv) and Var(a.var) in binds:
             # rebinding the integration variable is a change of variables,
             # which plain substitution must not pretend to perform
             raise UnsupportedAtomError(
                 f"cannot substitute for integration variable {a.var!r}")
-        out = as_expression(a.rebuilt([_subst_expr(k, state) for k in a.children()]))
-    state.atom_values[a] = out
-    return out
+        return hit
 
-
-def _subst_expr(e: Expression, state: _SubstState) -> Expression:
-    if not state.expr_mentions(e):
-        return e
-    num = _subst_poly(e._num, state)
-    if len(e._den) == 1 and _plead(e._den).is_one():
-        return num
-    den = _subst_poly(e._den, state)
-    if den.is_zero():
-        raise ZeroDenominatorError("substitution sent a denominator to zero")
-    return num / den
-
-
-def _subst_poly(p: dict, state: _SubstState) -> Expression:
-    plain: dict = {}
-    terms = []
-    for m, c in p.items():
-        touched = any(state.atom_mentions(a) for a, _ in m.atoms) or (
-            m.exparg is not None and state.expr_mentions(m.exparg))
-        if not touched:
-            plain[m] = plain.get(m, Fraction(0)) + c
-            continue
-        factors = [as_expression(c)]
-        for a, k in m.atoms:
-            factors.append(_subst_atom(a, state) ** k)
-        if m.exparg is not None:
-            factors.append(exp(_subst_expr(m.exparg, state)))
-        terms.append(expr_prod(factors))
-    plain = {m: c for m, c in plain.items() if c}
-    if plain:
-        terms.append(_expr_raw(plain, {_ONE_M: Fraction(1)}))
-    return expr_sum(terms)
+    return _subst_expr(e, _SubstState(lambda a: a in binds, rewrite))
 
 
 def substitute_functions(e: ExpressionLike, bindings: Mapping[str, tuple[Sequence[str], ExpressionLike]]) -> Expression:
@@ -1065,57 +1078,63 @@ def substitute_functions(e: ExpressionLike, bindings: Mapping[str, tuple[Sequenc
         if extra:
             raise ValueError(
                 f"body for {name!r} uses variables {sorted(extra)} outside its slots")
-    state = _SubstState(binds, lambda a: isinstance(a, Func) and a.name in binds)
-    return _subst_funcs_expr(e, state)
 
+    def bound(a: Atom) -> bool:
+        return isinstance(a, Func) and a.name in binds
 
-def _subst_funcs_expr(e: Expression, state: _SubstState) -> Expression:
-    if not state.expr_mentions(e):
-        return e
-    num = _subst_funcs_poly(e._num, state)
-    if len(e._den) == 1 and _plead(e._den).is_one():
-        return num
-    den = _subst_funcs_poly(e._den, state)
-    if den.is_zero():
-        raise ZeroDenominatorError("function instantiation sent a denominator to zero")
-    return num / den
-
-
-def _subst_funcs_atom(a: Atom, state: _SubstState) -> Expression:
-    got = state.atom_values.get(a)
-    if got is not None:
-        return got
-    if isinstance(a, Func) and a.name in state.binds:
-        slots, body = state.binds[a.name]
+    def rewrite(a: Atom, state: _SubstState) -> Expression | None:
+        if not bound(a):
+            return None
+        slots, body = binds[a.name]
         if len(slots) != a.arity:
             raise ValueError(
                 f"binding for {a.name!r} has {len(slots)} slots, atom has arity {a.arity}")
         for s in reversed(a.dindex):
             body = partial(body, Var(slots[s - 1]))
-        args = [_subst_funcs_expr(x, state) for x in a.args]
-        out = substitute(body, {Var(n): v for n, v in zip(slots, args)})
-    elif not state.atom_mentions(a):
+        args = [_subst_expr(x, state) for x in a.args]
+        return substitute(body, {Var(n): v for n, v in zip(slots, args)})
+
+    return _subst_expr(e, _SubstState(bound, rewrite))
+
+
+def _subst_atom(a: Atom, state: _SubstState) -> Expression:
+    got = state.atom_values.get(a)
+    if got is not None:
+        return got
+    if not state.atom_mentions(a):
         out = as_expression(a)
     else:
-        out = as_expression(a.rebuilt([_subst_funcs_expr(k, state) for k in a.children()]))
+        out = state.rewrite(a, state)
+        if out is None:
+            out = as_expression(a.rebuilt([_subst_expr(k, state) for k in a.children()]))
     state.atom_values[a] = out
     return out
 
 
-def _subst_funcs_poly(p: dict, state: _SubstState) -> Expression:
+def _subst_expr(e: Expression, state: _SubstState) -> Expression:
+    if not state.expr_mentions(e):
+        return e
+    num = _subst_poly(e._num, state)
+    if len(e._den) == 1 and _plead(e._den).is_one():
+        return num
+    den = _subst_poly(e._den, state)
+    if den.is_zero():
+        raise ZeroDenominatorError("substitution sent a denominator to zero")
+    return num / den
+
+
+def _subst_poly(p: dict, state: _SubstState) -> Expression:
     plain: dict = {}
     terms = []
     for m, c in p.items():
-        touched = any(state.atom_mentions(a) for a, _ in m.atoms) or (
-            m.exparg is not None and state.expr_mentions(m.exparg))
-        if not touched:
+        if not state.monomial_mentions(m):
             plain[m] = plain.get(m, Fraction(0)) + c
             continue
         factors = [as_expression(c)]
         for a, k in m.atoms:
-            factors.append(_subst_funcs_atom(a, state) ** k)
+            factors.append(_subst_atom(a, state) ** k)
         if m.exparg is not None:
-            factors.append(exp(_subst_funcs_expr(m.exparg, state)))
+            factors.append(exp(_subst_expr(m.exparg, state)))
         terms.append(expr_prod(factors))
     plain = {m: c for m, c in plain.items() if c}
     if plain:

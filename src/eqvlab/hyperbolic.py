@@ -106,6 +106,8 @@ class Reduction:
     b: Expression
     reduced: Expression
     wave: bool
+    # b in closed form, a3 - a1*a2 in the new variables; equal to b
+    b_closed: Expression
 
     def to_json(self):
         tr = self.transformation
@@ -272,6 +274,7 @@ class HyperbolicEquation:
             b=b,
             reduced=as_expression(lead) + b * jet(new_dep),
             wave=b.is_zero(),
+            b_closed=b_closed,
         )
 
     def contact_invariance_check(

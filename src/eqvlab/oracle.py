@@ -323,14 +323,8 @@ class Instantiation:
                 if prev != len(a.args):
                     raise EvaluationError(
                         f"function {a.name} used with {prev} and {len(a.args)} arguments")
-                for arg in a.args:
-                    walk_expr(arg)
-            elif isinstance(a, Antideriv):
-                walk_expr(a.integrand)
-            elif isinstance(a, Log):
-                walk_expr(a.arg)
-            elif isinstance(a, Var) and a.name in dep_vars:
-                deps.add(a.name)
+            for child in a.children():
+                walk_expr(child)
 
         for e in exprs:
             walk_expr(as_expression(e))
@@ -413,12 +407,7 @@ class _Eval:
 
     def _atom_value(self, a: Atom):
         if isinstance(a, Var):
-            if a.name in self.inst.dependents:
-                return self._dependent_value(a.name, ())
-            try:
-                return self.point[a.name]
-            except KeyError:
-                raise EvaluationError(f"no value for variable {a.name!r}") from None
+            return self._slot_value(a.name)
         if isinstance(a, Jet):
             return self._dependent_value(a.dep, a.index)
         if isinstance(a, Param):
@@ -496,7 +485,7 @@ def required_point_names(
                 names |= set(inst.dependents[j.dep][0])
     for slots, _poly in inst.dependents.values():
         names |= set(slots)
-    return tuple(sorted(names - set(inst.dependents)))
+    return tuple(sorted(names))
 
 
 def draw_point(rng: Random, names: Sequence[str]) -> dict[str, Fraction]:

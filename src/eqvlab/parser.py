@@ -130,11 +130,10 @@ class Session:
 
 
 class _Parser:
-    def __init__(self, text: str, session: Session | None = None, lenient: bool = False):
+    def __init__(self, text: str, session: Session | None = None):
         self.toks = _tokenize(text)
         self.pos = 0
         self.session = session if session is not None else Session()
-        self.lenient = lenient
 
     # ---- token plumbing
 
@@ -454,7 +453,7 @@ class _Parser:
             body = self.expression()
             self.expect("sym", ",")
             v = self.expect("ident")
-            if not self.lenient and self.session.kind_of(v.value) != "indep":
+            if self.session.kind_of(v.value) != "indep":
                 self.fail(f"{v.value!r} is not an independent variable", v)
             self.expect("sym", ")")
             return antiderivative(body, v.value)
@@ -478,17 +477,16 @@ class _Parser:
             items.append(self.next())
         self.expect("sym", "]")
         kind = self.session.kind_of(head.value)
-        if all(i.kind == "int" for i in items) and items and (
-                kind == "func" or (self.lenient and self.at_sym("("))):
+        if all(i.kind == "int" for i in items) and items and kind == "func":
             slots = tuple(int(i.value) for i in items)
             args = self.call_args(head, slots=slots)
             return func(head.value, *args, d=slots)
-        if kind == "dep" or (self.lenient and kind is None):
+        if kind == "dep":
             index = []
             for i in items:
                 if i.kind != "ident":
                     self.fail("jet indices are variable names", i)
-                if not self.lenient and self.session.kind_of(i.value) != "indep":
+                if self.session.kind_of(i.value) != "indep":
                     self.fail(f"{i.value!r} is not an independent variable", i)
                 index.append(i.value)
             return jet(head.value, *index)
@@ -504,19 +502,19 @@ class _Parser:
                 f"{name_tok.value!r} names different coefficients in different "
                 "families; declare it with a func statement to use it here", name_tok)
         declared = self.session.funcs.get(name_tok.value)
-        if declared is None and not self.lenient:
+        if declared is None:
             self.fail(f"{name_tok.value!r} is not a declared function", name_tok)
         self.expect("sym", "(")
         args = [self.expression()]
         while self.eat_sym(","):
             args.append(self.expression())
         self.expect("sym", ")")
-        if declared is not None and len(args) != len(declared):
+        if len(args) != len(declared):
             self.fail(
                 f"{name_tok.value!r} takes {len(declared)} arguments, got {len(args)}",
                 name_tok)
         for s in slots:
-            if declared is not None and not 1 <= s <= len(declared):
+            if not 1 <= s <= len(declared):
                 self.fail(f"{name_tok.value!r} has no slot {s}", name_tok)
         return args
 
@@ -536,8 +534,6 @@ class _Parser:
             return param(t.value)
         if kind == "func":
             self.fail(f"function {t.value!r} needs an argument list", t)
-        if self.lenient:
-            return var(t.value)
         self.fail(f"{t.value!r} is not declared", t)
 
 
@@ -561,16 +557,9 @@ def parse(text: str) -> Session:
     return _Parser(text).parse_session()
 
 
-def parse_expression(text: str, session: Session | None = None,
-                     lenient: bool = False) -> Expression:
-    """Parse a single expression against a session's declarations.
-
-    With ``lenient`` set, undeclared names are inferred from use: applied
-    names become function symbols, ``D[...]`` heads become dependent
-    variables, bare names become independent variables.  That mode exists for
-    machine-written texts whose symbols are known to be used consistently.
-    """
-    p = _Parser(text, session, lenient)
+def parse_expression(text: str, session: Session | None = None) -> Expression:
+    """Parse a single expression against a session's declarations."""
+    p = _Parser(text, session)
     e = p.expression()
     if p.peek().kind != "eof":
         p.fail("trailing input after the expression")

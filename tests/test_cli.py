@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from eqvlab import Session, parse, parse_expression
+from eqvlab import Expression, Param, Session, parse, parse_expression
 from eqvlab.cli import main
 
 from conftest import CORPUS
@@ -18,6 +18,10 @@ def run(capsys, *argv):
 
 def session_args(name, tmp_path):
     return ["--session", CORPUS / name, "--state", tmp_path / "state.json"]
+
+
+def laplace_session():
+    return parse((CORPUS / "laplace.eqv").read_text(encoding="utf-8"))
 
 
 def test_check_positive_then_oracle(capsys, tmp_path):
@@ -145,7 +149,7 @@ def test_invariants_for_separated_family(capsys, tmp_path):
     code, out = run(capsys, "invariants", *session_args("laplace.eqv", tmp_path),
                     "--family", "F")
     assert code == 0
-    p = parse_expression(out["P"], lenient=True)
+    p = parse_expression(out["P"], laplace_session())
     assert (p - 1).is_zero()
     assert out["Q"] is not None
 
@@ -184,7 +188,8 @@ def test_catalog_reference_without_session(capsys, tmp_path):
     code, out = run(capsys, "invariants", "--state", tmp_path / "state.json",
                     "--family", "hyperxp")
     assert code == 0
-    assert (parse_expression(out["P"], lenient=True) - 1).is_zero()
+    # catalog(hyperxp) uses the names that laplace.eqv declares
+    assert (parse_expression(out["P"], laplace_session()) - 1).is_zero()
 
 
 def test_unknown_names_exit_2(capsys, tmp_path):
@@ -198,6 +203,38 @@ def test_unknown_names_exit_2(capsys, tmp_path):
     code, out = run(capsys, "oracle", "--state", tmp_path / "nope.json")
     assert code == 2
     assert "no state file" in out["error"]["message"]
+
+
+def test_state_file_keeps_parameters_typed(capsys, tmp_path):
+    code, _out = run(capsys, "check", *session_args("ode_const.eqv", tmp_path),
+                     "--family", "F", "--transform", "Tconst")
+    assert code == 0
+    state = json.loads((tmp_path / "state.json").read_text())
+    atoms = set()
+    for pair in state["checks"]:
+        for tree in pair:
+            e = Expression.from_tree(tree)
+            for _c, m in e.num_terms() + e.den_terms():
+                atoms |= {a for a, _k in m.atoms}
+    assert Param("k1") in atoms
+
+
+def test_unexpected_exceptions_exit_2_with_json(capsys, tmp_path):
+    deep = tmp_path / "deep.eqv"
+    deep.write_text("indep t x; dep u;\nequation E: D[u,t,x] + "
+                    + "(" * 1500 + "x" + ")" * 1500 + "*u = 0;\n")
+    code, out = run(capsys, "invariants", "--session", deep,
+                    "--state", tmp_path / "state.json", "--equation", "E")
+    assert code == 2
+    assert out["error"]["type"] == "RecursionError" and out["error"]["message"]
+
+
+def test_malformed_state_file_exits_2_with_json(capsys, tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"checks": [[{"num": 5}, 1]]}))
+    code, out = run(capsys, "oracle", "--state", state)
+    assert code == 2
+    assert set(out["error"]) == {"type", "message"}
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

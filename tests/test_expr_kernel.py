@@ -1,5 +1,6 @@
 """Kernel laws: arithmetic, canonical form, derivatives, substitution, collect."""
 
+import json
 from fractions import Fraction
 from random import Random
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from eqvlab import (
     ONE,
     ZERO,
+    Expression,
+    UnsupportedAtomError,
     Var,
     antiderivative,
     as_expression,
@@ -27,6 +30,7 @@ from eqvlab import (
     partial,
     polynomial_jets,
     substitute,
+    substitute_functions,
     var,
 )
 
@@ -112,6 +116,42 @@ def test_collect_round_trips_bulk():
         assert all(coeffs[m] == n / den for m, n in nums.items())
         assert residual == rnum / den
         assert (expr_sum(n * m for m, n in nums.items()) + rnum) / den == e
+
+
+def test_tree_round_trip_is_exact_bulk():
+    # the cases carry parameters, the bare dependent w, slot derivatives of F,
+    # antiderivatives, logarithms and exponentials
+    for _, e in seeded_cases(505, 300):
+        for x in (e, partial(e, Var("y"))):
+            assert Expression.from_tree(json.loads(json.dumps(x.to_tree()))) == x
+
+
+@pytest.mark.parametrize("tree", [
+    None, [], {"num": 5}, {"num": [], "den": []},
+    {"num": [{"coeff": "x", "factors": []}], "den": [{"coeff": "1", "factors": []}]},
+    {"num": [{"coeff": "1/0", "factors": []}], "den": [{"coeff": "1", "factors": []}]},
+    {"num": [{"coeff": "1", "factors": [[{"kind": "var", "name": "y"}, 1.5]]}],
+     "den": [{"coeff": "1", "factors": []}]},
+    {"num": [{"coeff": "1", "factors": [[{"kind": "jet", "dep": "w", "index": "yz"}, 1]]}],
+     "den": [{"coeff": "1", "factors": []}]},
+    {"num": [{"coeff": "1", "factors": [[{"kind": "cos", "name": "y"}, 1]]}],
+     "den": [{"coeff": "1", "factors": []}]},
+])
+def test_unreadable_trees_raise_value_error(tree):
+    with pytest.raises(ValueError):
+        Expression.from_tree(tree)
+
+
+def test_substitute_functions_differentiates_and_recurses():
+    e = func("F", y, func("F", z, y), d=[2]) + func("G", y)
+    got = substitute_functions(e, {"F": (("a", "b"), var("a") * var("b") ** 2)})
+    inner = z * y * y
+    assert got == 2 * y * inner + func("G", y)
+
+
+def test_substitution_refuses_to_rebind_an_integration_variable():
+    with pytest.raises(UnsupportedAtomError, match="integration variable"):
+        substitute(antiderivative(func("F", y, z), "y"), {Var("y"): z + 1})
 
 
 def test_collect_separates_coefficients():
