@@ -1,7 +1,7 @@
 """Exact symbolic expressions for differential-algebra work.
 
 An :class:`Expression` is a quotient of two multivariate polynomials with
-rational coefficients.  The polynomial generators ("atoms") are independent
+integer coefficients.  The polynomial generators ("atoms") are independent
 variables, parameters, jet variables (a dependent variable together with a
 multi-index of differentiations), applied function symbols with slot-indexed
 derivative markers, unevaluated antiderivatives, and logarithms.  Each
@@ -9,14 +9,25 @@ monomial additionally carries one exponential factor ``exp(argument)``.
 
 Every expression is kept in a normal form:
 
-* numerator and denominator are expanded polynomials over the atoms,
+* numerator and denominator are expanded polynomials over the atoms with
+  integer coefficients,
 * monomial factors common to all monomials of numerator and denominator are
   cancelled (no polynomial gcd beyond that is attempted),
 * when the denominator is a single monomial its exponential factor is moved
   into the numerator, so quotients like ``exp(f+g)*g1(z)/exp(f+g)`` collapse,
-* the denominator is scaled so its leading monomial has coefficient one,
+* the content, the gcd of all numerator and denominator coefficients, is
+  divided out, and the leading denominator coefficient ``lc`` is positive,
 * ``exp(a)*exp(b)`` merges to ``exp(a+b)`` and ``exp(0)`` disappears; no other
   transcendental rewriting happens.
+
+Arithmetic therefore multiplies and adds only integers.  Rationals appear at
+the boundaries: the constructors accept :class:`~fractions.Fraction`
+coefficients, and what an expression shows of itself (``text``,
+:meth:`Expression.num_terms` and :meth:`Expression.den_terms`,
+:meth:`Expression.numerator` and :meth:`Expression.denominator`,
+:meth:`Expression.to_tree`) is the monic view, both polynomials divided by
+``lc`` so that the denominator leads with coefficient one.
+:meth:`Expression.integer_form` hands out the stored integer polynomials.
 
 Equality (``==``) is structural identity of normal forms.  Semantic equality
 of two expressions is decided by subtracting them and asking
@@ -32,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import UnsupportedAtomError, ZeroDenominatorError
@@ -406,7 +418,7 @@ _ONE_M = None  # set after Expression exists; Monomial((), None) needs ZERO
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers.  A polynomial is a dict {Monomial: Fraction} with no
+# Polynomial helpers.  A polynomial is a dict {Monomial: int} with no
 # zero coefficients.  The dicts are private to Expression and never mutated
 # after construction.
 
@@ -430,7 +442,7 @@ def _pneg(a: dict) -> dict:
     return {m: -c for m, c in a.items()}
 
 
-def _pscale(a: dict, c: Fraction) -> dict:
+def _pscale(a: dict, c: int) -> dict:
     if c == 1:
         return a
     return {m: v * c for m, v in a.items()}
@@ -466,12 +478,19 @@ def _ppow(a: dict, k: int) -> dict:
         if k:
             sq = _pmul(sq, sq)
     if result is None:
-        return {_ONE_M: Fraction(1)}
+        return _ONE_P
     return result
 
 
 def _plead(a: dict) -> Monomial:
     return max(a, key=Monomial.order_key)
+
+
+def _monic(p: dict, lc: int) -> dict:
+    """``p`` divided by ``lc``, with Fraction coefficients when ``lc != 1``."""
+    if lc == 1:
+        return p
+    return {m: Fraction(c, lc) for m, c in p.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +502,14 @@ class Expression:
 
     Construct values through the factory functions (:func:`var`, :func:`jet`,
     :func:`func`, ...) and arithmetic operators; the constructor itself is an
-    internal entry point that normalizes a raw numerator/denominator pair.
+    internal entry point that normalizes a raw numerator/denominator pair of
+    integer polynomials.
     """
 
-    __slots__ = ("_num", "_den", "_hash", "_text", "_deps")
+    __slots__ = ("_num", "_den", "_lc", "_hash", "_text", "_deps")
 
     def __init__(self, num: dict, den: dict):
-        num, den = _canonical(num, den)
-        self._num = num
-        self._den = den
+        self._num, self._den, self._lc = _canonical(num, den)
         self._hash = None
         self._text = None
         self._deps = None
@@ -505,42 +523,47 @@ class Expression:
         return self._num == self._den
 
     def is_constant(self) -> bool:
-        return (not self._num or (len(self._num) == 1 and _plead(self._num).is_one())) \
-            and len(self._den) == 1 and _plead(self._den).is_one()
+        return (not self._num or (len(self._num) == 1 and _ONE_M in self._num)) \
+            and _constant_den(self)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("expression is not a rational constant")
         if not self._num:
             return Fraction(0)
-        return next(iter(self._num.values()))
+        return Fraction(self._num[_ONE_M], self._lc)
 
     def num_terms(self) -> tuple[tuple[Fraction, Monomial], ...]:
-        """Numerator terms, leading monomial first."""
-        return tuple(
-            (self._num[m], m)
-            for m in sorted(self._num, key=Monomial.order_key, reverse=True)
-        )
+        """Numerator terms of the monic view, leading monomial first."""
+        return _terms(self._num, self._lc)
 
     def den_terms(self) -> tuple[tuple[Fraction, Monomial], ...]:
-        return tuple(
-            (self._den[m], m)
-            for m in sorted(self._den, key=Monomial.order_key, reverse=True)
-        )
+        """Denominator terms of the monic view; the first has coefficient one."""
+        return _terms(self._den, self._lc)
 
     def numerator(self) -> "Expression":
-        return Expression(self._num, {_ONE_M: Fraction(1)})
+        """The numerator of the monic view, as a polynomial."""
+        return Expression(self._num, {_ONE_M: self._lc})
 
     def denominator(self) -> "Expression":
-        return Expression(self._den, {_ONE_M: Fraction(1)})
+        """The denominator of the monic view, as a polynomial."""
+        return Expression(self._den, {_ONE_M: self._lc})
+
+    def integer_form(self) -> tuple[dict, dict, int]:
+        """``(num, den, lc)``: the stored polynomials ``{Monomial: int}`` and
+        the leading denominator coefficient.  The expression is ``num/den``
+        and the monic view divides both by ``lc``.  Do not mutate the dicts.
+        """
+        return self._num, self._den, self._lc
 
     @property
     def text(self) -> str:
         if self._text is None:
-            if len(self._den) == 1 and _plead(self._den).is_one():
-                self._text = _poly_text(self._num)
+            num = _poly_text(_monic(self._num, self._lc))
+            if _constant_den(self):
+                self._text = num
             else:
-                self._text = "(%s)/(%s)" % (_poly_text(self._num), _poly_text(self._den))
+                self._text = "(%s)/(%s)" % (num, _poly_text(_monic(self._den, self._lc)))
         return self._text
 
     def __repr__(self):
@@ -598,12 +621,17 @@ class Expression:
             return other
         if other.is_zero():
             return self
-        if self._den == other._den:
-            return Expression(_padd(self._num, other._num), self._den)
-        return Expression(
-            _padd(_pmul(self._num, other._den), _pmul(other._num, self._den)),
-            _pmul(self._den, other._den),
-        )
+        a, b = self._den, other._den
+        if a == b:
+            return Expression(_padd(self._num, other._num), a)
+        la, lb = self._lc, other._lc
+        if len(a) == len(b) and all(lb * c == la * b.get(m, 0) for m, c in a.items()):
+            # proportional denominators, a*lb == b*la: one of them serves both
+            g = gcd(la, lb)
+            sa, sb = lb // g, la // g
+            return Expression(
+                _padd(_pscale(self._num, sa), _pscale(other._num, sb)), _pscale(a, sa))
+        return Expression(_padd(_pmul(self._num, b), _pmul(other._num, a)), _pmul(a, b))
 
     __radd__ = __add__
 
@@ -647,21 +675,22 @@ class Expression:
         return Expression(_ppow(self._num, k), _ppow(self._den, k))
 
 
-def _canonical(num: dict, den: dict) -> tuple[dict, dict]:
-    """Normalize a raw numerator/denominator pair.  See the module docstring."""
+def _canonical(num: dict, den: dict) -> tuple[dict, dict, int]:
+    """Normalize a raw numerator/denominator pair and return it with the
+    leading denominator coefficient.  See the module docstring."""
     if not den:
         raise ZeroDenominatorError("denominator normalizes to zero")
     if not num:
-        return {}, {_ONE_M: Fraction(1)}
+        return {}, _ONE_P, 1
 
-    # cancel atom powers present in every monomial of both polynomials
+    # cancel atom powers present in every monomial of both polynomials; the
+    # denominator goes first because it is most often the constant 1
     common: dict | None = None
-    for m in chain(num, den):
+    for m in chain(den, num):
         if common is None:
             common = dict(m.atoms)
         else:
-            here = dict(m.atoms)
-            common = {a: min(p, here[a]) for a, p in common.items() if a in here}
+            common = {a: min(p, common[a]) for a, p in m.atoms if a in common}
         if not common:
             break
     if common:
@@ -684,24 +713,47 @@ def _canonical(num: dict, den: dict) -> tuple[dict, dict]:
             num = {m.shifted_exp(delta): c for m, c in num.items()}
             den = {m.shifted_exp(delta): c for m, c in den.items()}
 
-    # scale so the leading denominator monomial has coefficient one
-    lc = den[_plead(den)]
+    # divide out the content, signed so the leading denominator coefficient
+    # ends up positive; a coefficient of one leaves nothing to divide
+    lc = den[_plead(den)] if len(den) > 1 else next(iter(den.values()))
     if lc != 1:
-        inv = 1 / lc
-        num = {m: c * inv for m, c in num.items()}
-        den = {m: c * inv for m, c in den.items()}
-    return num, den
+        g = gcd(*num.values(), *den.values())
+        if lc < 0:
+            g = -g
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den = {m: c // g for m, c in den.items()}
+            lc //= g
+    return num, den, lc
 
 
-def _expr_raw(num: dict, den: dict) -> Expression:
-    return Expression(num, den)
+def _constant_den(e: Expression) -> bool:
+    return len(e._den) == 1 and _ONE_M in e._den
+
+
+def _over(e: Expression, k: int) -> Expression:
+    """``e / k`` for a nonzero integer ``k``."""
+    return e if k == 1 else Expression(e._num, _pscale(e._den, k))
+
+
+def _terms(p: dict, lc: int) -> tuple:
+    return tuple(
+        (Fraction(p[m], lc), m) for m in sorted(p, key=Monomial.order_key, reverse=True))
+
+
+def _from_rational(num: dict, den: dict) -> Expression:
+    """``num/den`` for polynomials with Fraction coefficients."""
+    k = lcm(*(c.denominator for c in chain(num.values(), den.values())))
+    return Expression({m: c.numerator * (k // c.denominator) for m, c in num.items()},
+                      {m: c.numerator * (k // c.denominator) for m, c in den.items()})
 
 
 # the constant monomial must exist before ZERO/ONE below
 _ONE_M = Monomial((), None)
+_ONE_P = {_ONE_M: 1}  # the polynomial 1; shared, never mutated
 
-ZERO = Expression({}, {_ONE_M: Fraction(1)})
-ONE = Expression({_ONE_M: Fraction(1)}, {_ONE_M: Fraction(1)})
+ZERO = Expression({}, _ONE_P)
+ONE = Expression(_ONE_P, _ONE_P)
 
 
 # ---------------------------------------------------------------------------
@@ -712,12 +764,11 @@ def as_expression(x: ExpressionLike) -> Expression:
     if isinstance(x, Expression):
         return x
     if isinstance(x, Atom):
-        return Expression({Monomial(((x, 1),)): Fraction(1)}, {_ONE_M: Fraction(1)})
-    if isinstance(x, (int, Fraction)):
-        c = Fraction(x)
-        if not c:
-            return ZERO
-        return Expression({_ONE_M: c}, {_ONE_M: Fraction(1)})
+        return Expression({Monomial(((x, 1),)): 1}, _ONE_P)
+    if isinstance(x, int):
+        return Expression({_ONE_M: x}, _ONE_P) if x else ZERO
+    if isinstance(x, Fraction):
+        return Expression({_ONE_M: x.numerator}, {_ONE_M: x.denominator}) if x else ZERO
     raise UnsupportedAtomError(f"cannot interpret {x!r} as an expression")
 
 
@@ -726,7 +777,7 @@ def as_atom(x) -> Atom:
     if isinstance(x, Atom):
         return x
     if isinstance(x, Expression):
-        if len(x._num) == 1 and len(x._den) == 1 and _plead(x._den).is_one():
+        if len(x._num) == 1 and x._lc == 1 and _constant_den(x):
             (m, c), = x._num.items()
             if c == 1 and m.exparg is None and len(m.atoms) == 1 and m.atoms[0][1] == 1:
                 return m.atoms[0][0]
@@ -764,7 +815,7 @@ def exp(arg: ExpressionLike) -> Expression:
     arg = as_expression(arg)
     if arg.is_zero():
         return ONE
-    return Expression({Monomial((), arg): Fraction(1)}, {_ONE_M: Fraction(1)})
+    return Expression({Monomial((), arg): 1}, _ONE_P)
 
 
 def fraction(p: int, q: int = 1) -> Expression:
@@ -776,7 +827,7 @@ def from_monomial(m: Monomial, coeff: int | Fraction = 1) -> Expression:
     c = Fraction(coeff)
     if not c:
         return ZERO
-    return Expression({m: c}, {_ONE_M: Fraction(1)})
+    return Expression({m: c.numerator}, {_ONE_M: c.denominator})
 
 
 def from_terms(terms: Mapping[Monomial, Fraction]) -> Expression:
@@ -784,7 +835,7 @@ def from_terms(terms: Mapping[Monomial, Fraction]) -> Expression:
     clean = {m: Fraction(c) for m, c in terms.items() if c}
     if not clean:
         return ZERO
-    return Expression(clean, {_ONE_M: Fraction(1)})
+    return _from_rational(clean, {_ONE_M: Fraction(1)})
 
 
 def expr_sum(terms: Iterable[ExpressionLike]) -> Expression:
@@ -836,7 +887,8 @@ def _poly_text(p: dict) -> str:
 
 
 def _expr_tree(e: "Expression", memo: dict):
-    return {"num": _poly_tree(e._num, memo), "den": _poly_tree(e._den, memo)}
+    return {"num": _poly_tree(_monic(e._num, e._lc), memo),
+            "den": _poly_tree(_monic(e._den, e._lc), memo)}
 
 
 def _atom_tree(a: Atom, memo: dict):
@@ -882,7 +934,7 @@ def _poly_tree(p: dict, memo: dict):
 
 
 def _tree_expr(tree) -> Expression:
-    return Expression(_tree_poly(tree["num"]), _tree_poly(tree["den"]))
+    return _from_rational(_tree_poly(tree["num"]), _tree_poly(tree["den"]))
 
 
 def _tree_poly(terms) -> dict:
@@ -952,7 +1004,6 @@ def _poly_partial(p: dict, x: Atom) -> Expression:
     terms = []
     cache: dict[Atom, Expression] = {}
     for m, c in p.items():
-        base = as_expression(c)
         for i, (a, k) in enumerate(m.atoms):
             da = cache.get(a)
             if da is None:
@@ -963,11 +1014,11 @@ def _poly_partial(p: dict, x: Atom) -> Expression:
                 tuple((b, q) if j != i else (b, q - 1) for j, (b, q) in enumerate(m.atoms)),
                 m.exparg,
             )
-            terms.append(base * k * da * _expr_raw({rest: Fraction(1)}, {_ONE_M: Fraction(1)}))
+            terms.append(da * Expression({rest: c * k}, _ONE_P))
         if m.exparg is not None:
             de = partial(m.exparg, x)
             if not de.is_zero():
-                terms.append(base * de * _expr_raw({m: Fraction(1)}, {_ONE_M: Fraction(1)}))
+                terms.append(de * Expression({m: c}, _ONE_P))
     return expr_sum(terms)
 
 
@@ -985,12 +1036,13 @@ def partial(e: ExpressionLike, x) -> Expression:
     if not isinstance(x, (Var, Jet, Param)):
         raise UnsupportedAtomError(f"cannot differentiate with respect to {x!r}")
     dn = _poly_partial(e._num, x)
-    if len(e._den) == 1 and _plead(e._den).is_one():
-        return dn
-    den = e.denominator()
+    if _constant_den(e):
+        return _over(dn, e._lc)
+    # quotient rule on the integer polynomials, assembled to keep one shared
+    # denominator
+    num = Expression(e._num, _ONE_P)
+    den = Expression(e._den, _ONE_P)
     dd = _poly_partial(e._den, x)
-    num = e.numerator()
-    # quotient rule, assembled to keep one shared denominator
     return (dn * den - num * dd) / (den * den)
 
 
@@ -1115,8 +1167,8 @@ def _subst_expr(e: Expression, state: _SubstState) -> Expression:
     if not state.expr_mentions(e):
         return e
     num = _subst_poly(e._num, state)
-    if len(e._den) == 1 and _plead(e._den).is_one():
-        return num
+    if _constant_den(e):
+        return _over(num, e._lc)
     den = _subst_poly(e._den, state)
     if den.is_zero():
         raise ZeroDenominatorError("substitution sent a denominator to zero")
@@ -1128,7 +1180,7 @@ def _subst_poly(p: dict, state: _SubstState) -> Expression:
     terms = []
     for m, c in p.items():
         if not state.monomial_mentions(m):
-            plain[m] = plain.get(m, Fraction(0)) + c
+            plain[m] = plain.get(m, 0) + c
             continue
         factors = [as_expression(c)]
         for a, k in m.atoms:
@@ -1138,7 +1190,7 @@ def _subst_poly(p: dict, state: _SubstState) -> Expression:
         terms.append(expr_prod(factors))
     plain = {m: c for m, c in plain.items() if c}
     if plain:
-        terms.append(_expr_raw(plain, {_ONE_M: Fraction(1)}))
+        terms.append(Expression(plain, _ONE_P))
     return expr_sum(terms)
 
 
@@ -1147,11 +1199,26 @@ def _subst_poly(p: dict, state: _SubstState) -> Expression:
 
 
 def _monomial_of(e: Expression) -> Monomial:
-    if len(e._num) == 1 and len(e._den) == 1 and _plead(e._den).is_one():
+    if len(e._num) == 1 and e._lc == 1 and _constant_den(e):
         (m, c), = e._num.items()
         if c == 1:
             return m
     raise ValueError(f"{e.text} is not a coefficient-one monomial")
+
+
+def _jet_groups(p: dict, deps: frozenset) -> dict[Monomial, dict]:
+    """The terms of ``p`` grouped by their jet content: jet monomial ->
+    {rest monomial: coefficient}."""
+    groups: dict[Monomial, dict] = {}
+    for m, c in p.items():
+        jp, rest = [], []
+        for ap in m.atoms:
+            a = ap[0]
+            (jp if isinstance(a, Jet) and a.dep in deps else rest).append(ap)
+        # m is jp * rest, so no two terms land on the same pair
+        jm = Monomial._raw(tuple(jp), None)
+        groups.setdefault(jm, {})[Monomial._raw(tuple(rest), m.exparg)] = c
+    return groups
 
 
 def jet_split(e: ExpressionLike, deps: Iterable[str]) -> dict[Monomial, Expression]:
@@ -1160,20 +1227,12 @@ def jet_split(e: ExpressionLike, deps: Iterable[str]) -> dict[Monomial, Expressi
     Maps each monomial in the jet variables of the dependent variables
     ``deps`` that occurs in the numerator (the constant monomial for the
     jet-free terms) to the polynomial multiplying it, which is free of those
-    jets.  The denominator is ignored.
+    jets.  The numerator is that of the monic view, :meth:`Expression.numerator`;
+    the denominator is ignored.
     """
     e = as_expression(e)
-    deps = frozenset(deps)
-    groups: dict[Monomial, dict] = {}
-    for m, c in e._num.items():
-        jp, rest = [], []
-        for ap in m.atoms:
-            a = ap[0]
-            (jp if isinstance(a, Jet) and a.dep in deps else rest).append(ap)
-        # m is jp * rest, so no two numerator terms land on the same pair
-        jm = Monomial._raw(tuple(jp), None)
-        groups.setdefault(jm, {})[Monomial._raw(tuple(rest), m.exparg)] = c
-    return {jp: _expr_raw(g, {_ONE_M: Fraction(1)}) for jp, g in groups.items()}
+    lc = {_ONE_M: e._lc}
+    return {jp: Expression(g, lc) for jp, g in _jet_groups(e._num, frozenset(deps)).items()}
 
 
 def collect_numerators(
@@ -1216,11 +1275,10 @@ def collect_numerators(
     den = e.denominator()
     if any(j.dep in deps for j in polynomial_jets(den)):
         return {ge: ZERO for ge in given}, e.numerator(), den
-    groups = jet_split(e, deps)
-    nums = {ge: groups.pop(m, ZERO) for m, ge in targets.items()}
-    residual = _expr_raw(
-        {jp * m: c for jp, g in groups.items() for m, c in g._num.items()},
-        {_ONE_M: Fraction(1)})
+    lc = {_ONE_M: e._lc}
+    groups = _jet_groups(e._num, frozenset(deps))
+    nums = {ge: Expression(groups.pop(m, {}), lc) for m, ge in targets.items()}
+    residual = Expression({jp * m: c for jp, g in groups.items() for m, c in g.items()}, lc)
     return nums, residual, den
 
 

@@ -306,7 +306,8 @@ class Instantiation:
             if id(e) in seen:
                 return
             seen.add(id(e))
-            for p in (e._num, e._den):
+            num, den, _lc = e.integer_form()
+            for p in (num, den):
                 for m in p:
                     for a, _k in m.atoms:
                         walk_atom(a)
@@ -363,10 +364,12 @@ class _Eval:
         hit = self.expr_cache.get(e)
         if hit is not None:
             return hit
-        num = self.poly(e._num)
-        den = self.poly(e._den)
+        num_p, den_p, lc = e.integer_form()
+        num = self.poly(num_p)
+        den = self.poly(den_p)
         den_c = den.constant() if isinstance(den, UPoly) else den
-        if isinstance(den_c, (int, float, Fraction)) and abs(den_c) < ASSUMPTION_FLOOR:
+        # the floor applies to the monic denominator, den/lc
+        if isinstance(den_c, (int, float, Fraction)) and abs(den_c) < ASSUMPTION_FLOOR * lc:
             raise AssumptionViolationError("denominator within the magnitude floor")
         val = num / den
         self.expr_cache[e] = val

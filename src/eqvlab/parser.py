@@ -23,13 +23,14 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError, UnknownFamilyError
+from .errors import ParseError, UnknownFamilyError, UnsupportedAtomError
 from .expressions import (
     Expression,
     Func,
     Jet,
     Var,
     antiderivative,
+    as_atom,
     as_expression,
     exp,
     from_monomial,
@@ -286,13 +287,13 @@ class _Parser:
         self.session.families[fam.name] = fam
 
     def _family_from_expression(self, name_tok: Token, e: Expression) -> EquationFamily:
-        if len(e._den) != 1 or not next(iter(e._den)).is_one():
+        if not e.denominator().is_one():
             self.fail("a family template must be polynomial", name_tok)
         lead = None
         slots = []
         used: set[str] = set()
         deps: set[str] = set()
-        for m, c in sorted(e._num.items(), key=lambda kv: kv[0].order_key()):
+        for c, m in reversed(e.num_terms()):
             if m.exparg is not None:
                 self.fail("exponential factors cannot appear in a family template", name_tok)
             fn = [a for a, _k in m.atoms if isinstance(a, Func)]
@@ -539,17 +540,11 @@ class _Parser:
 
 def _single_atom(e: Expression):
     """The atom when ``e`` is a bare variable or jet, else None."""
-    if len(e._den) != 1 or not next(iter(e._den)).is_one():
+    try:
+        a = as_atom(e)
+    except UnsupportedAtomError:
         return None
-    if len(e._num) != 1:
-        return None
-    (m, c), = e._num.items()
-    if c != 1 or m.exparg is not None or len(m.atoms) != 1:
-        return None
-    a, k = m.atoms[0]
-    if k != 1 or not isinstance(a, (Jet, Var)):
-        return None
-    return a
+    return a if isinstance(a, (Jet, Var)) else None
 
 
 def parse(text: str) -> Session:

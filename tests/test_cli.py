@@ -1,10 +1,11 @@
 """Command-line behavior: exit codes, JSON output, state files, oracle replay."""
 
 import json
+import re
 
 import pytest
 
-from eqvlab import Expression, Param, Session, parse, parse_expression
+from eqvlab import Expression, Param, ParseError, Session, parse, parse_expression
 from eqvlab.cli import main
 
 from conftest import CORPUS
@@ -250,6 +251,15 @@ def test_config_file_with_flag_override(capsys, tmp_path):
                     "--config", cfg, "--points", 5)
     assert code == 0
     assert out["points"] == 5 and out["seed"] == 9
+
+
+@pytest.mark.parametrize("template, message", [
+    ("1/2*D[u,t,x] + a1(t,x)*D[u,t] = 0", "the lead monomial must have coefficient 1"),
+    ("D[u,t,x] + 1/3*a1(t,x)*D[u,t] = 0", "slot 'a1' must have coefficient 1"),
+])
+def test_family_template_terms_need_coefficient_one(template, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse(f"indep t x; dep u; func a1(t,x); family F: {template};")
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.eqv")))

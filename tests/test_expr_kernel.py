@@ -1,6 +1,7 @@
 """Kernel laws: arithmetic, canonical form, derivatives, substitution, collect."""
 
 import json
+import math
 from fractions import Fraction
 from random import Random
 
@@ -22,8 +23,10 @@ from eqvlab import (
     exp,
     expr_sum,
     fraction,
+    from_monomial,
     func,
     jet,
+    jet_split,
     log,
     normalize,
     param,
@@ -116,6 +119,8 @@ def test_collect_round_trips_bulk():
         assert all(coeffs[m] == n / den for m, n in nums.items())
         assert residual == rnum / den
         assert (expr_sum(n * m for m, n in nums.items()) + rnum) / den == e
+        groups = jet_split(e, ["w"])
+        assert expr_sum(g * from_monomial(jp) for jp, g in groups.items()) / den == e
 
 
 def test_tree_round_trip_is_exact_bulk():
@@ -124,6 +129,18 @@ def test_tree_round_trip_is_exact_bulk():
     for _, e in seeded_cases(505, 300):
         for x in (e, partial(e, Var("y"))):
             assert Expression.from_tree(json.loads(json.dumps(x.to_tree()))) == x
+
+
+def test_integer_normal_form_bulk():
+    # the printed forms of these cases are pinned in tests/golden/corpus.json
+    for _, e in seeded_cases(505, 300):
+        for x in (e, partial(e, Var("y"))):
+            num, den, lc = x.integer_form()
+            coeffs = [*num.values(), *den.values()]
+            assert all(type(c) is int for c in coeffs)
+            assert math.gcd(*coeffs) == 1
+            (one, lead), *_ = x.den_terms()
+            assert lc > 0 and den[lead] == lc and one == 1
 
 
 @pytest.mark.parametrize("tree", [
@@ -183,6 +200,12 @@ def test_constructed_equal_pairs_normalize_identically():
     assert (q - (y + z)).is_zero()
     r = a * (y + 2) / (y + 2)
     assert r != a and (r - a).is_zero()
+
+
+def test_proportional_denominators_add_over_one_denominator():
+    # 2*y + 2 and y + 1 differ by a constant factor, so the sum keeps one of
+    # them instead of the product (2*y + 2)*(y + 1)
+    assert (var("x") / (2 * y + 2) + z / (y + 1)).text == "(z + 1/2*x)/(y + 1)"
 
 
 def test_numeric_companion_backs_the_normal_form():

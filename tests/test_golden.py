@@ -1,0 +1,115 @@
+"""Golden corpus outputs: every corpus command, its state file and its oracle
+replay are byte-identical to the recorded ones.
+
+``tests/golden/corpus.json`` holds, per command, the exit code, the sha256 and
+byte length of stdout, the sha256 of the state file and the exit code and
+stdout sha256 of ``oracle --seed 1729`` replaying that state.  Hashes stand in
+for the outputs because ``transform Tgen`` alone prints about 1.3 MB.  It also
+holds the sha256 of the printed normal forms of ``seeded_cases(505, 300)`` and
+their ``y``-partials.
+
+Regenerate the file, only when an output change is intended, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from eqvlab import Var, partial
+from eqvlab.cli import main
+
+from conftest import CORPUS, seeded_cases
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus.json"
+ORACLE_SEED = "1729"
+
+# (session, argv after --session/--state): the README commands and the rest of
+# the corpus, as the benchmark's corpus-cli workload runs them
+COMMANDS = (
+    ("ode_scale", ("check", "--family", "F", "--transform", "Tscale")),
+    ("ode_shift", ("check", "--family", "B", "--transform", "Tshift")),
+    ("ode_shift", ("check", "--family", "A", "--transform", "Tshift")),
+    ("ode_shift", ("theorem-check", "--family-a", "A", "--family-b", "B",
+                   "--transform", "Tscale")),
+    ("ode_const", ("check", "--family", "F", "--transform", "Tconst")),
+    ("hyperbolic_scale", ("check", "--family", "F", "--transform", "Tscale")),
+    ("hyperbolic_scale", ("induced-action", "--family", "F", "--transform", "Tshift")),
+    ("hyperbolic_general", ("transform", "--family", "F", "--transform", "Tgen")),
+    ("hyperbolic_general", ("check", "--family", "F", "--transform", "Tgen")),
+    ("hyperbolic_mixed", ("check", "--family", "F", "--transform", "Tmixed")),
+    ("hyperbolic_tlinear", ("check", "--family", "F", "--transform", "Tsep")),
+    ("hyperbolic_separable", ("induced-action", "--family", "F", "--transform", "Texp")),
+    ("hyperbolic_translation", ("check", "--family", "F", "--transform", "Taff")),
+    ("laplace", ("invariants", "--family", "F")),
+    ("laplace", ("invariants", "--equation", "E")),
+    ("laplace", ("reduce", "--family", "F", "--a3", "a1(x)*a2(t)")),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue().encode("utf-8")
+
+
+def corpus_record(session: str, argv, workdir: Path) -> dict:
+    """Run one corpus command and its oracle replay inside ``workdir``."""
+    state = workdir / "state.json"
+    code, out = _run([argv[0], "--session", str(CORPUS / f"{session}.eqv"),
+                      "--state", str(state), *argv[1:]])
+    state_bytes = state.read_bytes()
+    ocode, oout = _run(["oracle", "--state", str(state), "--seed", ORACLE_SEED])
+    return {
+        "session": session,
+        "argv": list(argv),
+        "exit": code,
+        "stdout_sha256": _sha(out),
+        "stdout_bytes": len(out),
+        "state_sha256": _sha(state_bytes),
+        "oracle_exit": ocode,
+        "oracle_stdout_sha256": _sha(oout),
+    }
+
+
+def kernel_text_digest() -> str:
+    """sha256 of the printed normal forms of the bulk kernel cases, one per line."""
+    texts = []
+    for _, e in seeded_cases(505, 300):
+        texts.append(e.text)
+        texts.append(partial(e, Var("y")).text)
+    return _sha("\n".join(texts).encode("utf-8"))
+
+
+def test_corpus_outputs_are_byte_identical(tmp_path, monkeypatch):
+    # the working directory holds no eqvlab.json, so only built-in defaults apply
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [(g["session"], tuple(g["argv"])) for g in golden["commands"]] == list(COMMANDS)
+    for want in golden["commands"]:
+        assert corpus_record(want["session"], want["argv"], tmp_path) == want
+
+
+def test_kernel_text_digest():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert kernel_text_digest() == golden["kernel_text_sha256"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        commands = [corpus_record(s, argv, Path(tmp)) for s, argv in COMMANDS]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(
+        {"commands": commands, "kernel_text_sha256": kernel_text_digest()}, indent=1) + "\n",
+        encoding="utf-8")

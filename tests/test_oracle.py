@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from eqvlab import (
+    AssumptionViolationError,
     EvaluationError,
     Instantiation,
     PolyFunc,
@@ -152,6 +153,13 @@ def test_check_identity_respects_assumptions():
     res = check_identity((y * y - 1) / (y - 1) * (y - 1), y * y - 1, DEP,
                          seed=5, assumptions=[y - 1])
     assert res.ok
+
+
+def test_assumption_floor_applies_to_the_monic_denominator():
+    # x - 1/3 is 5e-7 at this point, below the floor; 3*x - 1 would be 1.5e-6
+    x = var("x")
+    with pytest.raises(AssumptionViolationError):
+        evaluate(1 / (3 * x - 1), Instantiation(), {"x": Fraction(1, 3) + Fraction(1, 2 * 10**6)})
 
 
 def test_required_point_names_tracks_variables():
