@@ -34,9 +34,17 @@ DEFAULT_CONFIG = "eqvlab.json"
 _CATALOG_REF = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\((\d+)\))?$")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # raise instead of exiting, so usage errors keep the JSON exit-2 contract
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
         result, positive = _dispatch(args)
     except Exception as exc:
         # any failure, expected or not, is an error report and never a verdict
@@ -51,7 +59,7 @@ def main(argv=None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="eqvlab",
         description="Equivalence transformations and invariants of equation families.")
     sub = p.add_subparsers(dest="command", required=True)

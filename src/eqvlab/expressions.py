@@ -109,7 +109,7 @@ class Atom:
     faithful identity; it doubles as the deterministic ordering key.
     """
 
-    __slots__ = ("_text", "_hash", "_skey")
+    __slots__ = ("_text", "_hash", "_skey", "_deps")
     rank = -1
 
     def _seal(self):
@@ -117,6 +117,7 @@ class Atom:
         # key that monomial merging and sorting read straight off the slot
         self._hash = hash((self.rank, self._text))
         self._skey = (self.rank, self._text)
+        self._deps = None  # dependency closure, cached for composite atoms only
 
     @property
     def text(self) -> str:
@@ -1311,13 +1312,6 @@ class DependencySet:
     jets: frozenset = field(default_factory=frozenset)
     functions: frozenset = field(default_factory=frozenset)
 
-    def union(self, other: "DependencySet") -> "DependencySet":
-        return DependencySet(
-            self.variables | other.variables,
-            self.jets | other.jets,
-            self.functions | other.functions,
-        )
-
     def within(self, variables: Iterable[str], jets: Iterable[Jet]) -> bool:
         """True when variables and jets both fall inside the allowed sets."""
         return self.variables <= frozenset(variables) and self.jets <= frozenset(jets)
@@ -1327,47 +1321,50 @@ class DependencySet:
         return ", ".join(names) if names else "(constants only)"
 
 
-_EMPTY_DEPS = DependencySet()
-
-
 def _atom_deps(a: Atom) -> DependencySet:
-    if isinstance(a, Var):
-        return DependencySet(variables=frozenset((a.name,)))
-    if isinstance(a, Param):
-        return _EMPTY_DEPS
-    if isinstance(a, Jet):
-        return DependencySet(
-            variables=frozenset(a.index), jets=frozenset((a,)))
-    if isinstance(a, Func):
-        out = DependencySet(functions=frozenset((a.name,)))
-        for x in a.args:
-            out = out.union(dependency_closure(x))
-        return out
-    if isinstance(a, Antideriv):
-        return dependency_closure(a.integrand).union(
-            DependencySet(variables=frozenset((a.var,))))
-    if isinstance(a, Log):
-        return dependency_closure(a.arg)
-    raise UnsupportedAtomError(f"unknown atom {a!r}")
+    # composite atoms only: a jet's closure holds the jet, so caching leaf
+    # atoms would make reference cycles
+    if a._deps is None:
+        if not isinstance(a, (Func, Antideriv, Log)):
+            raise UnsupportedAtomError(f"unknown atom {a!r}")
+        a._deps = _closure((), a.children(), {a.var} if isinstance(a, Antideriv) else set(),
+                           {a.name} if isinstance(a, Func) else set())
+    return a._deps
+
+
+def _closure(atoms, exprs, vs: set, fs: set) -> DependencySet:
+    # one DependencySet over distinct atoms and inner expressions
+    js = set()
+    parts = [dependency_closure(x) for x in exprs]
+    for a in atoms:
+        if isinstance(a, Var):
+            vs.add(a.name)
+        elif isinstance(a, Jet):
+            vs.update(a.index)
+            js.add(a)
+        elif not isinstance(a, Param):
+            parts.append(_atom_deps(a))
+    for d in parts:
+        vs |= d.variables
+        js |= d.jets
+        fs |= d.functions
+    return DependencySet(frozenset(vs), frozenset(js), frozenset(fs))
 
 
 def dependency_closure(e: ExpressionLike) -> DependencySet:
     """The closed dependency set of the normal form of ``e``.
 
     Cancellation is honored because the walk happens over the normal form;
-    composed function atoms contribute the closures of their arguments.
+    composed function atoms contribute the closures of their arguments.  Each
+    distinct atom and exponential argument is visited once; function,
+    antiderivative and log atoms cache their closures.
     """
     e = as_expression(e)
-    if e._deps is not None:
-        return e._deps
-    out = _EMPTY_DEPS
-    for m in chain(e._num, e._den):
-        for a, _ in m.atoms:
-            out = out.union(_atom_deps(a))
-        if m.exparg is not None:
-            out = out.union(dependency_closure(m.exparg))
-    e._deps = out
-    return out
+    if e._deps is None:
+        ms = list(chain(e._num, e._den))
+        e._deps = _closure({a for m in ms for a, _ in m.atoms},
+                           {m.exparg for m in ms if m.exparg is not None}, set(), set())
+    return e._deps
 
 
 def polynomial_jets(e: ExpressionLike, dep: str | None = None) -> frozenset:

@@ -545,8 +545,14 @@ def check_identity(
     Every point gets a fresh instantiation.  A draw is discarded when an
     assumption or an internal denominator lands within the magnitude floor;
     after ``max_attempts`` discards in a row the check errors out.  The error
-    measure is ``|L - R| / (1 + max(|L|, |R|))``.
+    measure is ``|L - R| / (1 + max(|L|, |R|))``.  ``points`` must be at
+    least 1 and ``tol`` finite and non-negative, so a pass means something
+    was compared.
     """
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     lhs = as_expression(lhs)
     rhs = as_expression(rhs)
     assumptions = tuple(as_expression(a) for a in assumptions)

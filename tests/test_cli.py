@@ -253,6 +253,46 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert out["points"] == 5 and out["seed"] == 9
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--points", 0], None),
+    (["--tol", "nan"], None),
+    (["--tol", "inf"], None),
+    ([], {"points": 0}),
+])
+def test_oracle_refuses_settings_that_check_nothing(capsys, tmp_path, flags, config):
+    run(capsys, "check", *session_args("ode_scale.eqv", tmp_path),
+        "--family", "F", "--transform", "Tscale")
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = ["--config", cfg]
+    code, out = run(capsys, "oracle", "--state", tmp_path / "state.json", *flags)
+    assert code == 2
+    assert out["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "F"],
+    ["check", "--family", "F", "--transform", "T", "--bogus"],
+    ["oracle", "--points", "abc"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_exit_2_with_json(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["type"] == "ValueError"
+    assert "usage: eqvlab" in captured.err and "Traceback" not in captured.err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--help"])
+    assert exc.value.code == 0
+    assert "--points" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("template, message", [
     ("1/2*D[u,t,x] + a1(t,x)*D[u,t] = 0", "the lead monomial must have coefficient 1"),
     ("D[u,t,x] + 1/3*a1(t,x)*D[u,t] = 0", "slot 'a1' must have coefficient 1"),

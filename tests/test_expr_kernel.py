@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from eqvlab import (
     ONE,
     ZERO,
+    Antideriv,
     Expression,
+    Func,
+    Jet,
     UnsupportedAtomError,
     Var,
     antiderivative,
@@ -20,6 +23,7 @@ from eqvlab import (
     check_identity,
     collect,
     collect_numerators,
+    dependency_closure,
     exp,
     expr_sum,
     fraction,
@@ -37,6 +41,7 @@ from eqvlab import (
     var,
 )
 
+import eqvlab.expressions as expressions
 from conftest import random_expression, seeded_cases
 
 y, z = var("y"), var("z")
@@ -267,6 +272,74 @@ def test_chain_rule_through_unspecified_functions():
     dd = partial(d, Var("z"))
     expect = func("G", y * z, d=[1]) + y * z * func("G", y * z, d=[1, 1])
     assert (dd - expect).is_zero()
+
+
+def closure_sets(e):
+    d = dependency_closure(e)
+    return d.variables, d.jets, d.functions
+
+
+@pytest.mark.parametrize("e, variables, jets, functions", [
+    (func("F", y, jet("w", "z")), {"y", "z"}, {Jet("w", ("z",))}, {"F"}),
+    (antiderivative(func("F", y), "z"), {"y", "z"}, set(), {"F"}),
+    (log(1 + y * y) * jet("w"), {"y"}, {Jet("w")}, set()),
+    (exp(z) * param("c1"), {"z"}, set(), set()),
+    (param("c1") + 3, set(), set(), set()),
+    (y - y, set(), set(), set()),
+    (func("F", y) * z - z * func("F", y) + jet("w", "y") / z * z,
+     {"y"}, {Jet("w", ("y",))}, set()),
+])
+def test_dependency_closure_per_atom_kind(e, variables, jets, functions):
+    assert closure_sets(e) == (variables, jets, functions)
+
+
+def reference_closure(e):
+    # every occurrence walked, straight from the definition
+    vs, js, fs = set(), set(), set()
+
+    def walk(x):
+        for _c, m in x.num_terms() + x.den_terms():
+            if m.exparg is not None:
+                walk(m.exparg)
+            for a, _k in m.atoms:
+                if isinstance(a, Var):
+                    vs.add(a.name)
+                elif isinstance(a, Jet):
+                    vs.update(a.index)
+                    js.add(a)
+                elif isinstance(a, Func):
+                    fs.add(a.name)
+                elif isinstance(a, Antideriv):
+                    vs.add(a.var)
+                for c in a.children():
+                    walk(c)
+
+    walk(e)
+    return vs, js, fs
+
+
+def test_dependency_closure_matches_reference_walk_bulk():
+    for _, e in seeded_cases(505, 300):
+        for x in (e, partial(e, Var("y"))):
+            assert closure_sets(x) == reference_closure(x)
+
+
+def test_dependency_closure_walks_a_shared_atom_once(monkeypatch):
+    calls = []
+    real = expressions._atom_deps
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(expressions, "_atom_deps", counting)
+    g = func("Shared", y, jet("w", "y"))
+    e = expr_sum(g * z ** k + jet("w") ** k for k in range(1, 40))
+    assert closure_sets(e) == ({"y", "z"}, {Jet("w"), Jet("w", ("y",))}, {"Shared"})
+    assert [a.text for a in calls] == ["Shared(y,D[w,y])"]
+    # leaf atoms keep no cached closure: a jet's would hold the jet itself
+    assert all(a._deps is None for _c, m in e.num_terms() for a, _k in m.atoms
+               if not isinstance(a, Func))
 
 
 def test_parameters_are_constants():

@@ -145,6 +145,24 @@ def test_check_identity_rejects_near_misses():
     assert not bool(res)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"points": 0},
+    {"points": -3},
+    {"tol": float("nan")},
+    {"tol": float("inf")},
+    {"tol": -1e-6},
+])
+def test_check_identity_refuses_settings_that_check_nothing(kwargs):
+    # a false identity must never pass because no point was compared
+    with pytest.raises(ValueError):
+        check_identity(y, y + 1, DEP, seed=1, **kwargs)
+
+
+def test_check_identity_allows_zero_tolerance():
+    assert check_identity((y + z) ** 2, y * y + 2 * y * z + z * z, DEP, seed=1, tol=0).ok
+    assert not check_identity(y, y + 1, DEP, seed=1, tol=0).ok
+
+
 def test_check_identity_respects_assumptions():
     # an assumption that can never clear the floor must exhaust the attempts
     with pytest.raises(EvaluationError, match="no admissible point"):
