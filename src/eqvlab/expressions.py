@@ -339,8 +339,12 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         a, b = self.atoms, other.atoms
         if not a:
+            if self.exparg is None:
+                return other
             merged = b
         elif not b:
+            if other.exparg is None:
+                return self
             merged = a
         else:
             # both sides are sorted by the atom identity key; merge them
@@ -421,7 +425,11 @@ _ONE_M = None  # set after Expression exists; Monomial((), None) needs ZERO
 # ---------------------------------------------------------------------------
 # Polynomial helpers.  A polynomial is a dict {Monomial: int} with no
 # zero coefficients.  The dicts are private to Expression and never mutated
-# after construction.
+# after construction, so ``_pscale``, ``_pmul`` and ``_ppow`` may return an
+# input dict itself.  A product with a constant side skips the double loop
+# (``_pmul`` scales, ``Monomial.__mul__`` returns the other factor); the
+# shortcut is exact and gives the same keys in the same insertion order,
+# which fixes the structure of later sums.
 
 
 def _padd(a: dict, b: dict) -> dict:
@@ -452,6 +460,10 @@ def _pscale(a: dict, c: int) -> dict:
 def _pmul(a: dict, b: dict) -> dict:
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        (m, c), = a.items()
+        if m.is_one():
+            return _pscale(b, c)
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -521,6 +533,12 @@ class Expression:
         return not self._num
 
     def is_one(self) -> bool:
+        """True when the stored numerator equals the stored denominator.
+
+        This tests ``num == den``, which is weaker than ``== ONE``: the normal
+        form cancels only monomial factors, so an unreduced ``p/p`` such as
+        ``(x+1)/(x+1)`` is one here while ``== ONE`` rejects it.
+        """
         return self._num == self._den
 
     def is_constant(self) -> bool:
@@ -673,6 +691,8 @@ class Expression:
             if self.is_zero():
                 raise ZeroDenominatorError("negative power of zero")
             return Expression(_ppow(self._den, -k), _ppow(self._num, -k))
+        if k == 1:
+            return self
         return Expression(_ppow(self._num, k), _ppow(self._den, k))
 
 
@@ -683,9 +703,29 @@ def _canonical(num: dict, den: dict) -> tuple[dict, dict, int]:
         raise ZeroDenominatorError("denominator normalizes to zero")
     if not num:
         return {}, _ONE_P, 1
+    # a constant denominator, the common case, has no atom power or
+    # exponential factor to share with the numerator; only the content goes
+    if len(den) > 1 or not next(iter(den)).is_one():
+        num, den = _cancel_factors(num, den)
 
-    # cancel atom powers present in every monomial of both polynomials; the
-    # denominator goes first because it is most often the constant 1
+    # divide out the content, signed so the leading denominator coefficient
+    # ends up positive; a coefficient of one leaves nothing to divide
+    lc = den[_plead(den)] if len(den) > 1 else next(iter(den.values()))
+    if lc != 1:
+        g = gcd(*num.values(), *den.values())
+        if lc < 0:
+            g = -g
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den = {m: c // g for m, c in den.items()}
+            lc //= g
+    return num, den, lc
+
+
+def _cancel_factors(num: dict, den: dict) -> tuple[dict, dict]:
+    """Cancel the monomial and exponential factors shared by a nonzero
+    numerator/denominator pair."""
+    # cancel atom powers present in every monomial of both polynomials
     common: dict | None = None
     for m in chain(den, num):
         if common is None:
@@ -713,19 +753,7 @@ def _canonical(num: dict, den: dict) -> tuple[dict, dict, int]:
         if not delta.is_zero():
             num = {m.shifted_exp(delta): c for m, c in num.items()}
             den = {m.shifted_exp(delta): c for m, c in den.items()}
-
-    # divide out the content, signed so the leading denominator coefficient
-    # ends up positive; a coefficient of one leaves nothing to divide
-    lc = den[_plead(den)] if len(den) > 1 else next(iter(den.values()))
-    if lc != 1:
-        g = gcd(*num.values(), *den.values())
-        if lc < 0:
-            g = -g
-        if g != 1:
-            num = {m: c // g for m, c in num.items()}
-            den = {m: c // g for m, c in den.items()}
-            lc //= g
-    return num, den, lc
+    return num, den
 
 
 def _constant_den(e: Expression) -> bool:
@@ -1060,12 +1088,13 @@ class _SubstState:
     the atom from its rewritten children.
     """
 
-    __slots__ = ("hit_fn", "rewrite", "atom_values", "atom_hit", "expr_hit")
+    __slots__ = ("hit_fn", "rewrite", "atom_values", "atom_powers", "atom_hit", "expr_hit")
 
     def __init__(self, hit_fn, rewrite):
         self.hit_fn = hit_fn
         self.rewrite = rewrite
         self.atom_values: dict[Atom, Expression] = {}
+        self.atom_powers: dict[tuple[Atom, int], Expression] = {}
         self.atom_hit: dict[Atom, bool] = {}
         self.expr_hit: dict[Expression, bool] = {}
 
@@ -1184,8 +1213,12 @@ def _subst_poly(p: dict, state: _SubstState) -> Expression:
             plain[m] = plain.get(m, 0) + c
             continue
         factors = [as_expression(c)]
-        for a, k in m.atoms:
-            factors.append(_subst_atom(a, state) ** k)
+        for ak in m.atoms:
+            # powers repeat across the monomials of one pass
+            power = state.atom_powers.get(ak)
+            if power is None:
+                power = state.atom_powers[ak] = _subst_atom(ak[0], state) ** ak[1]
+            factors.append(power)
         if m.exparg is not None:
             factors.append(exp(_subst_expr(m.exparg, state)))
         terms.append(expr_prod(factors))

@@ -130,10 +130,17 @@ class Session:
         return {tr.old_dep: tuple(tr.old_vars), tr.new_dep: tuple(tr.new_vars)}
 
 
+# how deeply brackets, function arguments and exp/log/int bodies may nest; each
+# level costs a few Python frames, so this keeps parsing well inside the
+# interpreter's recursion limit
+_MAX_DEPTH = 150
+
+
 class _Parser:
     def __init__(self, text: str, session: Session | None = None):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.session = session if session is not None else Session()
 
     # ---- token plumbing
@@ -397,6 +404,10 @@ class _Parser:
     # ---- expressions
 
     def expression(self) -> Expression:
+        # every nesting level passes through here; depth counts those around it
+        if self.depth > _MAX_DEPTH:
+            self.fail(f"expression nested deeper than {_MAX_DEPTH} levels")
+        self.depth += 1
         e = self.term()
         while True:
             if self.eat_sym("+"):
@@ -404,6 +415,7 @@ class _Parser:
             elif self.eat_sym("-"):
                 e = e - self.term()
             else:
+                self.depth -= 1
                 return e
 
     def term(self) -> Expression:
@@ -421,19 +433,21 @@ class _Parser:
                 return e
 
     def unary(self) -> Expression:
-        if self.eat_sym("-"):
-            return -self.unary()
-        if self.eat_sym("+"):
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Expression:
+        # prefix signs bind looser than powers: -x^2 is -(x^2).  Signs and
+        # powers loop rather than recurse, so a long run of signs costs no
+        # stack and a nesting level costs one frame less
+        negate = False
+        while True:
+            if self.eat_sym("-"):
+                negate = not negate
+            elif not self.eat_sym("+"):
+                break
         e = self.base()
         while self.at_sym("^"):
             self.next()
             t = self.expect("int")
             e = e ** int(t.value)
-        return e
+        return -e if negate else e
 
     def base(self) -> Expression:
         t = self.peek()

@@ -166,55 +166,6 @@ class PointTransformation:
             conv(self.dep_map),
         )
 
-    def invert(self) -> "PointTransformation":
-        """The inverse map, for transformations solvable coordinate by coordinate.
-
-        Each independent-variable map must be affine in exactly one target
-        variable with constant coefficients, and the dependent map affine in
-        the target dependent variable with constant coefficients.  Anything
-        richer needs symbolic inversion of arbitrary maps, which this package
-        does not attempt.
-        """
-        new_set = set(self.new_vars) | {self.new_dep}
-        inv_indep: dict[str, Expression] = {}
-        used = []
-        for xi in self.old_vars:
-            e = self.indep_map[xi]
-            cand = [z for z in self.new_vars if z in dependency_closure(e).variables]
-            if len(cand) != 1:
-                raise DegenerateTransformationError(
-                    f"map for {xi!r} does not involve exactly one target variable")
-            z = cand[0]
-            a = partial(e, Var(z))
-            b = e - a * var(z)
-            for part, how in ((a, "coefficient"), (b, "offset")):
-                pd = dependency_closure(part)
-                if pd.variables & new_set or pd.jets:
-                    raise DegenerateTransformationError(
-                        f"{how} of {xi!r} is not constant; cannot invert")
-            if a.is_zero():
-                raise DegenerateTransformationError(f"map for {xi!r} is constant in {z!r}")
-            inv_indep[z] = (var(xi) - b) / a
-            used.append(z)
-        if set(used) != set(self.new_vars):
-            raise DegenerateTransformationError("target variables are not each hit exactly once")
-        wj = Jet(self.new_dep, ())
-        c = partial(self.dep_map, wj)
-        d = self.dep_map - c * as_expression(wj)
-        for part, how in ((c, "coefficient"), (d, "offset")):
-            pd = dependency_closure(part)
-            if pd.variables & new_set or pd.jets:
-                raise DegenerateTransformationError(
-                    f"dependent-variable {how} is not constant; cannot invert")
-        if c.is_zero():
-            raise DegenerateTransformationError("dependent map does not involve the target")
-        inv_dep = (jet(self.old_dep) - d) / c
-        return PointTransformation(
-            self.new_vars, self.new_dep,
-            self.old_vars, self.old_dep,
-            inv_indep, inv_dep,
-        )
-
 
 def identity_transformation(
     old_vars: Sequence[str], old_dep: str,

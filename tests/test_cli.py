@@ -6,6 +6,7 @@ import re
 import pytest
 
 from eqvlab import Expression, Param, ParseError, Session, parse, parse_expression
+from eqvlab import cli
 from eqvlab.cli import main
 
 from conftest import CORPUS
@@ -220,14 +221,49 @@ def test_state_file_keeps_parameters_typed(capsys, tmp_path):
     assert Param("k1") in atoms
 
 
-def test_unexpected_exceptions_exit_2_with_json(capsys, tmp_path):
-    deep = tmp_path / "deep.eqv"
-    deep.write_text("indep t x; dep u;\nequation E: D[u,t,x] + "
-                    + "(" * 1500 + "x" + ")" * 1500 + "*u = 0;\n")
-    code, out = run(capsys, "invariants", "--session", deep,
-                    "--state", tmp_path / "state.json", "--equation", "E")
+def test_unexpected_exceptions_exit_2_with_json(capsys, tmp_path, monkeypatch):
+    def broken(args, session):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(cli, "_cmd_invariants", broken)
+    code = main([str(a) for a in ("invariants", *session_args("laplace.eqv", tmp_path),
+                                  "--family", "F")])
+    captured = capsys.readouterr()
     assert code == 2
-    assert out["error"]["type"] == "RecursionError" and out["error"]["message"]
+    assert json.loads(captured.out)["error"] == {
+        "type": "RuntimeError", "message": "handler broke"}
+    assert "Traceback" in captured.err
+
+
+def test_deep_nesting_exits_2_with_a_parse_error(capsys, tmp_path):
+    deep = "(" * 300 + "x" + ")" * 300
+    code = main([str(a) for a in ("reduce", *session_args("laplace.eqv", tmp_path),
+                                  "--family", "F", "--a3", deep)])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ParseError"
+    assert "nested deeper than 150 levels" in error["message"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("shape", ["({})", "f({})", "D[f,1]({})", "exp({})", "int({},t)"])
+def test_parser_accepts_150_levels_and_refuses_151(shape):
+    session = Session(indep_vars=("t", "x"), funcs={"f": ("x",)})
+    text = "x"
+    for _ in range(150):
+        text = shape.format(text)
+    e = parse_expression(text, session)
+    assert parse_expression(e.text, session) == e
+    with pytest.raises(ParseError, match="nested deeper than 150 levels"):
+        parse_expression(shape.format(text), session)
+
+
+def test_long_sign_runs_parse_without_recursion():
+    session = Session(indep_vars=("x",))
+    x = parse_expression("x", session)
+    assert parse_expression("-" * 3001 + "x^2", session) == -(x ** 2)
+    assert parse_expression("+-" * 3000 + "x", session) == x
 
 
 def test_malformed_state_file_exits_2_with_json(capsys, tmp_path):

@@ -16,6 +16,7 @@ from eqvlab import (
     Expression,
     Func,
     Jet,
+    Monomial,
     UnsupportedAtomError,
     Var,
     antiderivative,
@@ -361,3 +362,101 @@ def test_power_expansion_matches_repeated_product():
     assert e ** 0 == ONE
     with pytest.raises((ValueError, ZeroDivisionError)):
         ZERO ** -1
+
+
+# -- fast paths for trivial operands, against the general loops they skip
+
+def reference_monomial_product(ma, mb):
+    powers = dict(ma.atoms)
+    for a, p in mb.atoms:
+        powers[a] = powers.get(a, 0) + p
+    if ma.exparg is None or mb.exparg is None:
+        ea = mb.exparg if ma.exparg is None else ma.exparg
+    else:
+        ea = ma.exparg + mb.exparg
+    return Monomial(powers.items(), ea)
+
+
+def reference_pmul(a, b):
+    # the double loop with no constant shortcut; it fixes the insertion order
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = reference_monomial_product(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+            if not out[m]:
+                del out[m]
+    return out
+
+
+def reference_canonical(num, den):
+    # the general normalization, common-factor scan and exponential shift
+    # included, for a nonzero numerator
+    common = None
+    for m in list(den) + list(num):
+        common = dict(m.atoms) if common is None else {
+            a: min(p, common[a]) for a, p in m.atoms if a in common}
+        if not common:
+            break
+    if common:
+        num = {m.without(common): c for m, c in num.items()}
+        den = {m.without(common): c for m, c in den.items()}
+    if any(m.exparg is not None for m in den):
+        delta = expr_sum(m.exparg for m in den if m.exparg is not None) / -len(den)
+        if not delta.is_zero():
+            num = {m.shifted_exp(delta): c for m, c in num.items()}
+            den = {m.shifted_exp(delta): c for m, c in den.items()}
+    lc = den[expressions._plead(den)]
+    g = math.gcd(*num.values(), *den.values()) * (1 if lc > 0 else -1)
+    return ({m: c // g for m, c in num.items()}, {m: c // g for m, c in den.items()},
+            lc // g)
+
+
+def kernel_polynomials():
+    for _, e in seeded_cases(505, 300):
+        for x in (e, partial(e, Var("y"))):
+            num, den, _lc = x.integer_form()
+            yield num
+            if len(den) > 1:
+                yield den
+
+
+def test_pmul_fast_paths_match_the_double_loop_bulk():
+    polys = list(kernel_polynomials())
+    # Monomial() is a constant monomial built apart from the kernel's own
+    constants = [{Monomial(): c} for c in (1, -1, 6, -35)]
+    for i, p in enumerate(polys):
+        q = polys[(7 * i + 3) % len(polys)]
+        pairs = [(c, p) for c in constants] + [(p, c) for c in constants] + [(p, q)]
+        for a, b in pairs:
+            assert list(expressions._pmul(a, b).items()) == list(reference_pmul(a, b).items())
+
+
+def test_canonical_fast_path_matches_the_general_branch_bulk():
+    for i, num in enumerate(kernel_polynomials()):
+        k = (1, 2, 6)[i % 3]
+        scaled = {m: c * k for m, c in num.items()}
+        for d in (1, -1, 4, -6, 12):
+            got = expressions._canonical(scaled, {Monomial(): d})
+            want = reference_canonical(scaled, {Monomial(): d})
+            assert [list(got[0].items()), list(got[1].items()), got[2]] == \
+                [list(want[0].items()), list(want[1].items()), want[2]]
+
+
+def test_trivial_factors_return_the_other_operand():
+    m = Monomial(((Var("y"), 2), (Jet("w", ("z",)), 1)), z)
+    assert m * Monomial() is m
+    assert Monomial() * m is m
+    e = (y + jet("w")) / (z - 1)
+    assert e ** 1 is e
+
+
+def test_is_one_compares_numerator_and_denominator():
+    # the normal form cancels only monomial factors, so p/p stays unreduced
+    e = (y + 1) / (y + 1)
+    assert e.is_one()
+    assert e != ONE
+    assert (e - ONE).is_zero()
+    assert ONE.is_one() and not (y / (y + 1)).is_one()
