@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import EqvError
 from .expressions import (
-    Expression, Var, as_expression, collect_numerators, dependency_closure, partial)
+    Expression, Var, as_expression, closure_jets, collect_numerators, partial)
 from .families import EQUIVALENCE, EquationFamily, catalog, check_equivalence, theorem_instance_check
 from .hyperbolic import HyperbolicEquation
 from .oracle import DEFAULT_SEED, check_identity
@@ -153,9 +153,7 @@ def _write_state(args, command: str, checks, assumptions, dep_vars):
 
 def _lead_normalize(e: Expression, dep: str) -> Expression:
     """Divide by the coefficient of the highest-order jet monomial present."""
-    jets = sorted(
-        {j for j in dependency_closure(e).jets if j.dep == dep},
-        key=lambda j: (len(j.index), j.text))
+    jets = sorted(closure_jets(e, dep), key=lambda j: (len(j.index), j.text))
     if not jets:
         return e
     lead = as_expression(jets[-1])

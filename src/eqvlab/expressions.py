@@ -29,6 +29,10 @@ coefficients, and what an expression shows of itself (``text``,
 ``lc`` so that the denominator leads with coefficient one.
 :meth:`Expression.integer_form` hands out the stored integer polynomials.
 
+Dependency closures and substitution's test for untouched parts read the
+atoms an expression reaches (inside function arguments, integrands, log and
+exp arguments) from one iterative walk; composite atoms cache their insides.
+
 Equality (``==``) is structural identity of normal forms.  Semantic equality
 of two expressions is decided by subtracting them and asking
 :meth:`Expression.is_zero`; the subtraction cross-multiplies, so it is an
@@ -109,7 +113,7 @@ class Atom:
     faithful identity; it doubles as the deterministic ordering key.
     """
 
-    __slots__ = ("_text", "_hash", "_skey", "_deps")
+    __slots__ = ("_text", "_hash", "_skey", "_below")
     rank = -1
 
     def _seal(self):
@@ -117,7 +121,7 @@ class Atom:
         # key that monomial merging and sorting read straight off the slot
         self._hash = hash((self.rank, self._text))
         self._skey = (self.rank, self._text)
-        self._deps = None  # dependency closure, cached for composite atoms only
+        self._below = None  # atoms inside, cached for composite atoms only
 
     @property
     def text(self) -> str:
@@ -1000,6 +1004,49 @@ def _tree_atom(t) -> Atom:
 
 
 # ---------------------------------------------------------------------------
+# Reachable atoms: one iterative walk, so nesting depth costs no Python stack
+
+
+def _atoms_of(exprs):
+    """Yield the atoms of the monomials of ``exprs`` and of their exponential
+    arguments, without looking inside atoms; repeats are yielded again."""
+    todo = list(exprs)
+    seen = set()
+    while todo:
+        x = todo.pop()
+        for m in chain(x._num, x._den):
+            for a, _ in m.atoms:
+                yield a
+            if m.exparg is not None and m.exparg not in seen:
+                seen.add(m.exparg)
+                todo.append(m.exparg)
+
+
+def _below(a: Atom) -> tuple:
+    """The distinct atoms inside ``a`` at any depth, cached on composite atoms
+    (filled children first from an explicit stack); ``()`` for a leaf atom."""
+    if a._below is None and a.children():
+        stack = [a]
+        while stack:
+            b = stack[-1]
+            if b._below is None:
+                inner = set(_atoms_of(b.children()))
+                todo = [c for c in inner if c._below is None and c.children()]
+                if todo:
+                    stack += todo
+                    continue
+                b._below = tuple(inner.union(*(c._below for c in inner if c._below)))
+            stack.pop()
+    return a._below or ()
+
+
+def _reach(e: Expression) -> set:
+    """Every distinct atom ``e`` reaches, inside atoms and exponentials too."""
+    out = set(_atoms_of((e,)))
+    return out.union(*map(_below, out))
+
+
+# ---------------------------------------------------------------------------
 # Differentiation
 
 
@@ -1098,23 +1145,19 @@ class _SubstState:
         self.atom_hit: dict[Atom, bool] = {}
         self.expr_hit: dict[Expression, bool] = {}
 
-    def expr_mentions(self, e: Expression) -> bool:
-        got = self.expr_hit.get(e)
+    def hits(self, a: Atom) -> bool:
+        """Whether ``a`` or an atom inside it is affected."""
+        got = self.atom_hit.get(a)
         if got is None:
-            got = self.expr_hit[e] = any(self.monomial_mentions(m) for m in chain(e._num, e._den))
+            got = self.atom_hit[a] = self.hit_fn(a) or any(map(self.hit_fn, _below(a)))
         return got
 
-    def monomial_mentions(self, m: Monomial) -> bool:
-        return any(self.atom_mentions(a) for a, _ in m.atoms) or (
-            m.exparg is not None and self.expr_mentions(m.exparg))
-
-    def atom_mentions(self, a: Atom) -> bool:
-        got = self.atom_hit.get(a)
-        if got is not None:
-            return got
-        out = self.hit_fn(a) or any(self.expr_mentions(k) for k in a.children())
-        self.atom_hit[a] = out
-        return out
+    def mentions(self, e: Expression) -> bool:
+        """Whether ``e`` reaches an affected atom."""
+        got = self.expr_hit.get(e)
+        if got is None:
+            got = self.expr_hit[e] = any(map(self.hits, _atoms_of((e,))))
+        return got
 
 
 def substitute(e: ExpressionLike, bindings: Mapping) -> Expression:
@@ -1183,7 +1226,7 @@ def _subst_atom(a: Atom, state: _SubstState) -> Expression:
     got = state.atom_values.get(a)
     if got is not None:
         return got
-    if not state.atom_mentions(a):
+    if not state.hits(a):
         out = as_expression(a)
     else:
         out = state.rewrite(a, state)
@@ -1194,7 +1237,7 @@ def _subst_atom(a: Atom, state: _SubstState) -> Expression:
 
 
 def _subst_expr(e: Expression, state: _SubstState) -> Expression:
-    if not state.expr_mentions(e):
+    if not state.mentions(e):
         return e
     num = _subst_poly(e._num, state)
     if _constant_den(e):
@@ -1209,7 +1252,8 @@ def _subst_poly(p: dict, state: _SubstState) -> Expression:
     plain: dict = {}
     terms = []
     for m, c in p.items():
-        if not state.monomial_mentions(m):
+        if not (any(state.hits(a) for a, _ in m.atoms)
+                or m.exparg is not None and state.mentions(m.exparg)):
             plain[m] = plain.get(m, 0) + c
             continue
         factors = [as_expression(c)]
@@ -1354,49 +1398,27 @@ class DependencySet:
         return ", ".join(names) if names else "(constants only)"
 
 
-def _atom_deps(a: Atom) -> DependencySet:
-    # composite atoms only: a jet's closure holds the jet, so caching leaf
-    # atoms would make reference cycles
-    if a._deps is None:
-        if not isinstance(a, (Func, Antideriv, Log)):
-            raise UnsupportedAtomError(f"unknown atom {a!r}")
-        a._deps = _closure((), a.children(), {a.var} if isinstance(a, Antideriv) else set(),
-                           {a.name} if isinstance(a, Func) else set())
-    return a._deps
-
-
-def _closure(atoms, exprs, vs: set, fs: set) -> DependencySet:
-    # one DependencySet over distinct atoms and inner expressions
-    js = set()
-    parts = [dependency_closure(x) for x in exprs]
-    for a in atoms:
-        if isinstance(a, Var):
-            vs.add(a.name)
-        elif isinstance(a, Jet):
-            vs.update(a.index)
-            js.add(a)
-        elif not isinstance(a, Param):
-            parts.append(_atom_deps(a))
-    for d in parts:
-        vs |= d.variables
-        js |= d.jets
-        fs |= d.functions
-    return DependencySet(frozenset(vs), frozenset(js), frozenset(fs))
-
-
 def dependency_closure(e: ExpressionLike) -> DependencySet:
     """The closed dependency set of the normal form of ``e``.
 
     Cancellation is honored because the walk happens over the normal form;
-    composed function atoms contribute the closures of their arguments.  Each
-    distinct atom and exponential argument is visited once; function,
-    antiderivative and log atoms cache their closures.
+    composed function atoms contribute the closures of their arguments.  The
+    set is read off the distinct atoms ``e`` reaches and cached on ``e``.
     """
     e = as_expression(e)
     if e._deps is None:
-        ms = list(chain(e._num, e._den))
-        e._deps = _closure({a for m in ms for a, _ in m.atoms},
-                           {m.exparg for m in ms if m.exparg is not None}, set(), set())
+        vs, js, fs = set(), set(), set()
+        for a in _reach(e):
+            if isinstance(a, Var):
+                vs.add(a.name)
+            elif isinstance(a, Jet):
+                vs.update(a.index)
+                js.add(a)
+            elif isinstance(a, Func):
+                fs.add(a.name)
+            elif isinstance(a, Antideriv):
+                vs.add(a.var)
+        e._deps = DependencySet(frozenset(vs), frozenset(js), frozenset(fs))
     return e._deps
 
 

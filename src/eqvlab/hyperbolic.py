@@ -257,22 +257,20 @@ class HyperbolicEquation:
             (self.t, self.x), self.u, (y, z), new_dep,
             {self.t: var(y), self.x: var(z)}, exp(f + g) * jet(new_dep))
         te = transform_equation(self.expression(), tr, 2)
-        lead = jet(new_dep, y, z)
-        monos = [lead, jet(new_dep, y), jet(new_dep, z), jet(new_dep)]
-        nums, residual, _den = collect_numerators(te, monos)
-        n = nums[lead]
-        if n.is_zero() or not residual.is_zero():
-            raise EqvError("reduction produced an unexpected shape")
-        if not nums[monos[1]].is_zero() or not nums[monos[2]].is_zero():
+        try:
+            reduced, _ = HyperbolicEquation.from_expression(te, y, z, new_dep)
+        except VariableMismatchError:
+            raise EqvError("reduction produced an unexpected shape") from None
+        if not reduced.a1.is_zero() or not reduced.a2.is_zero():
             raise EqvError("first-order terms survived the reduction")
-        b = nums[monos[3]] / n
+        b = reduced.a3
         b_closed = substitute(self.a3, {Var(self.t): var(y), Var(self.x): var(z)}) - a1_z * a2_y
         if not (b - b_closed).is_zero():
             raise EqvError("reduced coefficient disagrees with its closed form")
         return Reduction(
             transformation=tr,
             b=b,
-            reduced=as_expression(lead) + b * jet(new_dep),
+            reduced=reduced.expression(),
             wave=b.is_zero(),
             b_closed=b_closed,
         )

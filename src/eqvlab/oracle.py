@@ -38,6 +38,7 @@ from .expressions import (
     Log,
     Param,
     Var,
+    _reach,
     as_expression,
     dependency_closure,
     expr_sum,
@@ -297,42 +298,25 @@ class Instantiation:
         ``dep_vars`` names the independent variables of each dependent
         variable; any jet whose name is missing from it is an error.
         """
-        funcs: dict[str, int] = {}
+        reached = set().union(*(_reach(as_expression(e)) for e in exprs))
+        arities: dict[str, set[int]] = {}
         params: set[str] = set()
         deps: set[str] = set()
-        seen: set[int] = set()
-
-        def walk_expr(e: Expression):
-            if id(e) in seen:
-                return
-            seen.add(id(e))
-            num, den, _lc = e.integer_form()
-            for p in (num, den):
-                for m in p:
-                    for a, _k in m.atoms:
-                        walk_atom(a)
-                    if m.exparg is not None:
-                        walk_expr(m.exparg)
-
-        def walk_atom(a: Atom):
+        for a in reached:
             if isinstance(a, Jet):
                 deps.add(a.dep)
             elif isinstance(a, Param):
                 params.add(a.name)
             elif isinstance(a, Func):
-                prev = funcs.setdefault(a.name, len(a.args))
-                if prev != len(a.args):
-                    raise EvaluationError(
-                        f"function {a.name} used with {prev} and {len(a.args)} arguments")
-            for child in a.children():
-                walk_expr(child)
-
-        for e in exprs:
-            walk_expr(as_expression(e))
+                arities.setdefault(a.name, set()).add(a.arity)
+        for name, ns in sorted(arities.items()):
+            if len(ns) > 1:
+                raise EvaluationError(
+                    f"function {name} used with {' and '.join(map(str, sorted(ns)))} arguments")
 
         inst = cls()
-        for name in sorted(funcs):
-            arity = funcs[name]
+        for name in sorted(arities):
+            (arity,) = arities[name]
             inst.functions[name] = PolyFunc.random(
                 rng, arity, degree, require=range(1, arity + 1))
         for name in sorted(params):
@@ -481,11 +465,7 @@ def required_point_names(
     """Variables a point must assign: free variables plus every dependent's slots."""
     names: set[str] = set()
     for e in exprs:
-        deps = dependency_closure(as_expression(e))
-        names |= deps.variables
-        for j in deps.jets:
-            if j.dep in inst.dependents:
-                names |= set(inst.dependents[j.dep][0])
+        names |= dependency_closure(as_expression(e)).variables
     for slots, _poly in inst.dependents.values():
         names |= set(slots)
     return tuple(sorted(names))

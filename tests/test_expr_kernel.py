@@ -15,11 +15,13 @@ from eqvlab import (
     Antideriv,
     Expression,
     Func,
+    Instantiation,
     Jet,
     Monomial,
     UnsupportedAtomError,
     Var,
     antiderivative,
+    as_atom,
     as_expression,
     check_identity,
     collect,
@@ -326,21 +328,42 @@ def test_dependency_closure_matches_reference_walk_bulk():
 
 
 def test_dependency_closure_walks_a_shared_atom_once(monkeypatch):
-    calls = []
-    real = expressions._atom_deps
+    walked = []
+    real = expressions._atoms_of
 
-    def counting(a):
-        calls.append(a)
-        return real(a)
+    def counting(exprs):
+        exprs = tuple(exprs)
+        walked.append(exprs)
+        return real(exprs)
 
-    monkeypatch.setattr(expressions, "_atom_deps", counting)
+    monkeypatch.setattr(expressions, "_atoms_of", counting)
     g = func("Shared", y, jet("w", "y"))
     e = expr_sum(g * z ** k + jet("w") ** k for k in range(1, 40))
     assert closure_sets(e) == ({"y", "z"}, {Jet("w"), Jet("w", ("y",))}, {"Shared"})
-    assert [a.text for a in calls] == ["Shared(y,D[w,y])"]
-    # leaf atoms keep no cached closure: a jet's would hold the jet itself
-    assert all(a._deps is None for _c, m in e.num_terms() for a, _k in m.atoms
+    # one pass over the monomials of e, one over the shared atom's arguments
+    assert walked == [(e,), as_atom(g).children()]
+    assert {a.text for a in as_atom(g)._below} == {"y", "D[w,y]"}
+    # leaf atoms keep no cached atom set: a jet's would hold the jet itself
+    assert all(a._below is None for _c, m in e.num_terms() for a, _k in m.atoms
                if not isinstance(a, Func))
+
+
+def nested(depth):
+    e = var("x")
+    for _ in range(depth):
+        e = func("a1", e)
+    return e
+
+
+def test_deep_nesting_costs_no_stack_per_level():
+    # the parser admits 150 levels; substitution's rebuild still recurses a
+    # few frames per level, the atom walk none
+    shifted = substitute(nested(150), {Var("x"): y + 1})
+    assert closure_sets(shifted) == ({"y"}, set(), {"a1"})
+    deep = nested(1000)
+    assert closure_sets(deep) == ({"x"}, set(), {"a1"})
+    inst = Instantiation.for_expressions([deep * param("c")], Random(1), {})
+    assert (list(inst.functions), list(inst.params), inst.dependents) == (["a1"], ["c"], {})
 
 
 def test_parameters_are_constants():

@@ -8,7 +8,10 @@ import pytest
 from eqvlab import (
     AssumptionViolationError,
     EvaluationError,
+    Func,
     Instantiation,
+    Jet,
+    Param,
     PolyFunc,
     UPoly,
     antiderivative,
@@ -21,9 +24,11 @@ from eqvlab import (
     jet,
     log,
     param,
+    partial,
     required_point_names,
     var,
 )
+from conftest import seeded_cases
 
 y, z = var("y"), var("z")
 DEP = {"w": ("y", "z")}
@@ -202,3 +207,56 @@ def test_inconsistent_function_arity_is_an_error():
     e = func("F", y) + func("F", y, z)
     with pytest.raises(EvaluationError, match="arguments"):
         Instantiation.for_expressions([e], rng, DEP)
+
+
+def reference_inventory(exprs):
+    # every occurrence walked recursively, as the oracle once did
+    funcs, params, deps = {}, set(), set()
+
+    def walk_expr(e):
+        for _c, m in e.num_terms() + e.den_terms():
+            for a, _k in m.atoms:
+                walk_atom(a)
+            if m.exparg is not None:
+                walk_expr(m.exparg)
+
+    def walk_atom(a):
+        if isinstance(a, Jet):
+            deps.add(a.dep)
+        elif isinstance(a, Param):
+            params.add(a.name)
+        elif isinstance(a, Func):
+            assert funcs.setdefault(a.name, a.arity) == a.arity
+        for child in a.children():
+            walk_expr(child)
+
+    for e in exprs:
+        walk_expr(e)
+    return funcs, params, deps
+
+
+def reference_draw(exprs, rng, dep_vars, degree=2):
+    funcs, params, deps = reference_inventory(exprs)
+    functions = {name: PolyFunc.random(rng, funcs[name], degree,
+                                       require=range(1, funcs[name] + 1))
+                 for name in sorted(funcs)}
+    values = {name: Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for name in sorted(params)}
+    dependents = {name: (tuple(dep_vars[name]),
+                         PolyFunc.random(rng, len(dep_vars[name]), max(degree, 2),
+                                         require=range(1, len(dep_vars[name]) + 1)))
+                  for name in sorted(deps)}
+    return functions, values, dependents
+
+
+def stand_ins(functions, params, dependents):
+    return ({n: (f.arity, f.coeffs) for n, f in functions.items()}, params,
+            {n: (slots, f.arity, f.coeffs) for n, (slots, f) in dependents.items()})
+
+
+def test_instantiation_matches_reference_walk_bulk():
+    for i, e in seeded_cases(505, 300):
+        for x in (e, partial(e, var("y"))):
+            exprs = [x, x * func("G", x, param("k"))]
+            inst = Instantiation.for_expressions(exprs, Random(i), DEP)
+            want = reference_draw(exprs, Random(i), DEP)
+            assert stand_ins(inst.functions, inst.params, inst.dependents) == stand_ins(*want)
