@@ -343,7 +343,7 @@ def test_dependency_closure_walks_a_shared_atom_once(monkeypatch):
     # one pass over the monomials of e, one over the shared atom's arguments
     assert walked == [(e,), as_atom(g).children()]
     assert {a.text for a in as_atom(g)._below} == {"y", "D[w,y]"}
-    # leaf atoms keep no cached atom set: a jet's would hold the jet itself
+    # leaf atoms cache nothing
     assert all(a._below is None for _c, m in e.num_terms() for a, _k in m.atoms
                if not isinstance(a, Func))
 

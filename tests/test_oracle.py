@@ -205,7 +205,7 @@ def test_undeclared_dependent_is_an_error():
 def test_inconsistent_function_arity_is_an_error():
     rng = Random(8)
     e = func("F", y) + func("F", y, z)
-    with pytest.raises(EvaluationError, match="arguments"):
+    with pytest.raises(EvaluationError, match="F used with 1 and 2 arguments"):
         Instantiation.for_expressions([e], rng, DEP)
 
 
