@@ -44,7 +44,6 @@ from .expressions import (
     expr_sum,
     fraction,
     from_monomial,
-    from_terms,
     func,
     jet,
     jet_split,

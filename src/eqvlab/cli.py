@@ -3,9 +3,9 @@
 JSON goes to standard output, commentary to standard error, and the exit code
 states the verdict: 0 when the result is positive (equivalence holds, the
 identity checks out), 1 when it is negative, 2 on any error.  Each symbolic
-command leaves behind a state file of check pairs, written as the expression
-trees of :meth:`Expression.to_tree`; ``oracle`` reads them back with
-:meth:`Expression.from_tree` and replays them numerically.
+command leaves behind a state file of check pairs, written as the atom tables
+of :meth:`Expression.to_tree`; ``oracle`` checks the file's fields, reads the
+tables back with :meth:`Expression.from_tree` and replays them numerically.
 """
 
 from __future__ import annotations
@@ -313,12 +313,12 @@ def _cmd_oracle(args):
     path = Path(args.state)
     if not path.exists():
         raise FileNotFoundError(f"no state file at {path}; run a symbolic command first")
-    state = json.loads(path.read_text(encoding="utf-8"))
-    dep_vars = {k: tuple(v) for k, v in state.get("dep_vars", {}).items()}
-    assumptions = [Expression.from_tree(t) for t in state.get("assumptions", [])]
+    state = _read_state(path)
+    dep_vars = {k: tuple(v) for k, v in state["dep_vars"].items()}
+    assumptions = [Expression.from_tree(t) for t in state["assumptions"]]
     results = []
     all_ok = True
-    for lhs, rhs in state.get("checks", []):
+    for lhs, rhs in state["checks"]:
         r = check_identity(
             Expression.from_tree(lhs), Expression.from_tree(rhs), dep_vars,
             seed=cfg["seed"], points=cfg["points"], tol=cfg["tol"],
@@ -336,6 +336,23 @@ def _cmd_oracle(args):
         "tol": cfg["tol"],
         "points": cfg["points"],
     }, all_ok
+
+
+def _read_state(path: Path) -> dict:
+    """The state file's object, its top-level fields checked (absent ones empty)."""
+    state = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(state, dict):
+        raise ValueError(f"state file {path} does not hold a JSON object")
+    checks = state.setdefault("checks", [])
+    if not isinstance(checks, list) or any(type(c) is not list or len(c) != 2 for c in checks):
+        raise ValueError("state field 'checks' is not a list of [lhs, rhs] pairs")
+    if not isinstance(state.setdefault("assumptions", []), list):
+        raise ValueError("state field 'assumptions' is not a list")
+    deps = state.setdefault("dep_vars", {})
+    if not isinstance(deps, dict) or any(
+            type(v) is not list or not all(isinstance(n, str) for n in v) for v in deps.values()):
+        raise ValueError("state field 'dep_vars' is not an object of name lists")
+    return state
 
 
 def _config(args):

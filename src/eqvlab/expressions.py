@@ -76,7 +76,6 @@ __all__ = [
     "exp",
     "fraction",
     "from_monomial",
-    "from_terms",
     "normalize",
     "partial",
     "substitute",
@@ -549,13 +548,6 @@ class Expression:
         return (not self._num or (len(self._num) == 1 and _ONE_M in self._num)) \
             and _constant_den(self)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("expression is not a rational constant")
-        if not self._num:
-            return Fraction(0)
-        return Fraction(self._num[_ONE_M], self._lc)
-
     def num_terms(self) -> tuple[tuple[Fraction, Monomial], ...]:
         """Numerator terms of the monic view, leading monomial first."""
         return _terms(self._num, self._lc)
@@ -596,20 +588,30 @@ class Expression:
         return self.text
 
     def to_tree(self):
-        """A JSON-ready tree of the normal form, stable across runs.
+        """A JSON-ready atom table of the normal form, stable across runs.
 
-        Repeated atoms share one subtree object; treat the tree as read-only.
+        ``"atoms"`` lists each distinct atom once, inner atoms first.  ``"num"``
+        and ``"den"`` are term lists of the monic view with factors ``[atom
+        index, power]``; function, integral and log arguments (in the table)
+        and exponential arguments (inline) are ``{"num", "den"}`` pairs.
         """
-        return _expr_tree(self, {})
+        # _below strictly grows outward, so inner atoms sort first; text breaks ties
+        table = sorted(_reach(self), key=lambda a: (len(_below(a)), a._skey))
+        index = {a: i for i, a in enumerate(table)}
+        return {"atoms": [_atom_tree(a, index) for a in table], **_expr_tree(self, index)}
 
     @classmethod
     def from_tree(cls, tree) -> "Expression":
-        """The expression a :meth:`to_tree` tree describes; its exact inverse.
+        """The expression a :meth:`to_tree` table describes; its exact inverse.
 
-        Raises ``ValueError`` on a tree that does not describe an expression.
+        An atom entry may name only entries listed before it.  Raises
+        ``ValueError`` on a table that does not describe an expression.
         """
         try:
-            return _tree_expr(tree)
+            table = []
+            for t in tree["atoms"]:
+                table.append(_tree_atom(t, table))
+            return _tree_expr(tree, table)
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"unreadable expression tree: {exc!r}") from None
 
@@ -863,14 +865,6 @@ def from_monomial(m: Monomial, coeff: int | Fraction = 1) -> Expression:
     return Expression({m: c.numerator}, {_ONE_M: c.denominator})
 
 
-def from_terms(terms: Mapping[Monomial, Fraction]) -> Expression:
-    """The polynomial with the given monomial coefficients."""
-    clean = {m: Fraction(c) for m, c in terms.items() if c}
-    if not clean:
-        return ZERO
-    return _from_rational(clean, {_ONE_M: Fraction(1)})
-
-
 def expr_sum(terms: Iterable[ExpressionLike]) -> Expression:
     """Sum with balanced pairing; kinder than a linear fold for long lists."""
     items = [as_expression(t) for t in terms if not as_expression(t).is_zero()]
@@ -919,72 +913,58 @@ def _poly_text(p: dict) -> str:
     return " ".join(parts)
 
 
-def _expr_tree(e: "Expression", memo: dict):
-    return {"num": _poly_tree(_monic(e._num, e._lc), memo),
-            "den": _poly_tree(_monic(e._den, e._lc), memo)}
+def _expr_tree(e: "Expression", index: dict):
+    return {"num": _poly_tree(_monic(e._num, e._lc), index),
+            "den": _poly_tree(_monic(e._den, e._lc), index)}
 
 
-def _atom_tree(a: Atom, memo: dict):
-    # an atom recurs throughout the expressions that mention it (a1(R(y),S(z))
-    # in every term), so each distinct atom is converted once per tree
-    got = memo.get(a)
-    if got is not None:
-        return got
+def _atom_tree(a: Atom, index: dict):
     if isinstance(a, Var):
-        got = {"kind": "var", "name": a.name}
-    elif isinstance(a, Param):
-        got = {"kind": "param", "name": a.name}
-    elif isinstance(a, Jet):
-        got = {"kind": "jet", "dep": a.dep, "index": list(a.index)}
-    elif isinstance(a, Func):
-        got = {
-            "kind": "func",
-            "name": a.name,
-            "d": list(a.dindex),
-            "args": [_expr_tree(x, memo) for x in a.args],
-        }
-    elif isinstance(a, Antideriv):
-        got = {"kind": "int", "var": a.var, "integrand": _expr_tree(a.integrand, memo)}
-    elif isinstance(a, Log):
-        got = {"kind": "log", "arg": _expr_tree(a.arg, memo)}
-    else:
-        raise UnsupportedAtomError(f"unknown atom {a!r}")
-    memo[a] = got
-    return got
+        return {"kind": "var", "name": a.name}
+    if isinstance(a, Param):
+        return {"kind": "param", "name": a.name}
+    if isinstance(a, Jet):
+        return {"kind": "jet", "dep": a.dep, "index": list(a.index)}
+    if isinstance(a, Func):
+        return {"kind": "func", "name": a.name, "d": list(a.dindex),
+                "args": [_expr_tree(x, index) for x in a.args]}
+    if isinstance(a, Antideriv):
+        return {"kind": "int", "var": a.var, "integrand": _expr_tree(a.integrand, index)}
+    if isinstance(a, Log):
+        return {"kind": "log", "arg": _expr_tree(a.arg, index)}
+    raise UnsupportedAtomError(f"unknown atom {a!r}")
 
 
-def _poly_tree(p: dict, memo: dict):
+def _poly_tree(p: dict, index: dict):
     out = []
     for m in sorted(p, key=Monomial.order_key, reverse=True):
-        term = {
-            "coeff": _coeff_text(p[m]),
-            "factors": [[_atom_tree(a, memo), k] for a, k in m.atoms],
-        }
+        term = {"coeff": _coeff_text(p[m]), "factors": [[index[a], k] for a, k in m.atoms]}
         if m.exparg is not None:
-            term["exp"] = _expr_tree(m.exparg, memo)
+            term["exp"] = _expr_tree(m.exparg, index)
         out.append(term)
     return out
 
 
-def _tree_expr(tree) -> Expression:
-    return _from_rational(_tree_poly(tree["num"]), _tree_poly(tree["den"]))
+def _tree_expr(tree, table: list) -> Expression:
+    return _from_rational(_tree_poly(tree["num"], table), _tree_poly(tree["den"], table))
 
 
-def _tree_poly(terms) -> dict:
+def _tree_poly(terms, table: list) -> dict:
     out: dict = {}
     for term in terms:
         powers: dict = {}
-        for a, k in term["factors"]:
+        for i, k in term["factors"]:
+            if type(i) is not int or not 0 <= i < len(table):
+                raise ValueError(f"atom index {i!r} names no earlier atom")
             if type(k) is not int:
                 raise ValueError(f"power {k!r} is not an integer")
-            a = _tree_atom(a)
-            powers[a] = powers.get(a, 0) + k
-        m = Monomial(powers.items(), _tree_expr(term["exp"]) if "exp" in term else None)
+            powers[table[i]] = powers.get(table[i], 0) + k
+        m = Monomial(powers.items(), _tree_expr(term["exp"], table) if "exp" in term else None)
         out[m] = out.get(m, 0) + Fraction(term["coeff"])
     return {m: c for m, c in out.items() if c}
 
 
-def _tree_atom(t) -> Atom:
+def _tree_atom(t, table: list) -> Atom:
     kind = t["kind"]
     if kind == "var":
         return Var(t["name"])
@@ -995,11 +975,11 @@ def _tree_atom(t) -> Atom:
             raise ValueError(f"jet index {t['index']!r} is not a list")
         return Jet(t["dep"], t["index"])
     if kind == "func":
-        return Func(t["name"], [_tree_expr(x) for x in t["args"]], t["d"])
+        return Func(t["name"], [_tree_expr(x, table) for x in t["args"]], t["d"])
     if kind == "int":
-        return Antideriv(_tree_expr(t["integrand"]), t["var"])
+        return Antideriv(_tree_expr(t["integrand"], table), t["var"])
     if kind == "log":
-        return Log(_tree_expr(t["arg"]))
+        return Log(_tree_expr(t["arg"], table))
     raise ValueError(f"unknown atom kind {kind!r}")
 
 
@@ -1392,10 +1372,6 @@ class DependencySet:
     def within(self, variables: Iterable[str], jets: Iterable[Jet]) -> bool:
         """True when variables and jets both fall inside the allowed sets."""
         return self.variables <= frozenset(variables) and self.jets <= frozenset(jets)
-
-    def describe(self) -> str:
-        names = sorted(self.variables) + sorted(j.text for j in self.jets)
-        return ", ".join(names) if names else "(constants only)"
 
 
 def dependency_closure(e: ExpressionLike) -> DependencySet:

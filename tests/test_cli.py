@@ -274,6 +274,37 @@ def test_malformed_state_file_exits_2_with_json(capsys, tmp_path):
     assert set(out["error"]) == {"type", "message"}
 
 
+@pytest.mark.parametrize("state, field", [
+    ([], "object"),
+    ({"checks": 5}, "checks"),
+    ({"checks": [[1]]}, "checks"),
+    ({"assumptions": 5}, "assumptions"),
+    ({"dep_vars": 5}, "dep_vars"),
+    ({"dep_vars": {"w": 5}}, "dep_vars"),
+])
+def test_malformed_state_fields_exit_2_with_a_value_error(capsys, tmp_path, state, field):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    code = main(["oracle", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ValueError" and field in error["message"]
+    assert "Traceback" not in captured.err
+
+
+def test_reduce_at_the_parser_depth_limit_writes_a_readable_state(capsys, tmp_path):
+    deep = "x"
+    for _ in range(150):
+        deep = f"a1({deep})"
+    code, _out = run(capsys, "reduce", *session_args("laplace.eqv", tmp_path),
+                     "--family", "F", "--a3", deep)
+    assert code == 0
+    state = json.loads((tmp_path / "state.json").read_text())
+    (lhs, rhs), = state["checks"]
+    assert Expression.from_tree(lhs) == Expression.from_tree(rhs)
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     run(capsys, "check", *session_args("ode_scale.eqv", tmp_path),
         "--family", "F", "--transform", "Tscale")

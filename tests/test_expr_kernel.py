@@ -131,12 +131,27 @@ def test_collect_round_trips_bulk():
         assert expr_sum(g * from_monomial(jp) for jp, g in groups.items()) / den == e
 
 
+def table_indices(entry):
+    """The atom indices an atom-table entry's argument term lists name."""
+    todo = [*entry.get("args", ()), *(entry[k] for k in ("integrand", "arg") if k in entry)]
+    while todo:
+        x = todo.pop()
+        for term in x["num"] + x["den"]:
+            yield from (i for i, _k in term["factors"])
+            if "exp" in term:
+                todo.append(term["exp"])
+
+
 def test_tree_round_trip_is_exact_bulk():
     # the cases carry parameters, the bare dependent w, slot derivatives of F,
     # antiderivatives, logarithms and exponentials
     for _, e in seeded_cases(505, 300):
         for x in (e, partial(e, Var("y"))):
-            assert Expression.from_tree(json.loads(json.dumps(x.to_tree()))) == x
+            tree = x.to_tree()
+            assert Expression.from_tree(json.loads(json.dumps(tree))) == x
+            atoms = tree["atoms"]
+            assert len({json.dumps(a) for a in atoms}) == len(atoms)
+            assert all(i < pos for pos, a in enumerate(atoms) for i in table_indices(a))
 
 
 def test_integer_normal_form_bulk():
@@ -151,19 +166,54 @@ def test_integer_normal_form_bulk():
             assert lc > 0 and den[lead] == lc and one == 1
 
 
-@pytest.mark.parametrize("tree", [
-    None, [], {"num": 5}, {"num": [], "den": []},
-    {"num": [{"coeff": "x", "factors": []}], "den": [{"coeff": "1", "factors": []}]},
-    {"num": [{"coeff": "1/0", "factors": []}], "den": [{"coeff": "1", "factors": []}]},
-    {"num": [{"coeff": "1", "factors": [[{"kind": "var", "name": "y"}, 1.5]]}],
-     "den": [{"coeff": "1", "factors": []}]},
-    {"num": [{"coeff": "1", "factors": [[{"kind": "jet", "dep": "w", "index": "yz"}, 1]]}],
-     "den": [{"coeff": "1", "factors": []}]},
-    {"num": [{"coeff": "1", "factors": [[{"kind": "cos", "name": "y"}, 1]]}],
-     "den": [{"coeff": "1", "factors": []}]},
-])
-def test_unreadable_trees_raise_value_error(tree):
-    with pytest.raises(ValueError):
+ONE_TERMS = [{"coeff": "1", "factors": []}]
+VAR_Y = {"kind": "var", "name": "y"}
+
+
+def table(factors, atoms=(), coeff="1"):
+    return {"atoms": list(atoms), "num": [{"coeff": coeff, "factors": factors}],
+            "den": ONE_TERMS}
+
+
+def f_of(i):
+    """A table entry for ``f`` applied to the atom at index ``i``."""
+    return {"kind": "func", "name": "f", "d": [],
+            "args": [{"num": [{"coeff": "1", "factors": [[i, 1]]}], "den": ONE_TERMS}]}
+
+
+def test_hand_written_tables_read_back():
+    # the well-formed neighbours of the unreadable tables below
+    assert Expression.from_tree(table([[0, 2]], [VAR_Y], "3/2")) == fraction(3, 2) * y ** 2
+    assert Expression.from_tree(table([[1, 1]], [VAR_Y, f_of(0)])) == func("f", y)
+
+
+UNREADABLE = [
+    (None, "TypeError"),
+    ([], "TypeError"),
+    ({"atoms": [], "num": 5, "den": ONE_TERMS}, "not iterable"),
+    ({"atoms": [], "num": [], "den": []}, "denominator normalizes to zero"),
+    (table([], coeff="x"), "Invalid literal for Fraction"),
+    (table([], coeff="1/0"), "ZeroDivisionError"),
+    (table([[0, 1.5]], [VAR_Y]), r"power 1\.5 is not an integer"),
+    (table([[0, 1]], [{"kind": "jet", "dep": "w", "index": "yz"}]), "jet index 'yz' is not a list"),
+    (table([[0, 1]], [{"kind": "cos", "name": "y"}]), "unknown atom kind 'cos'"),
+    ({"num": ONE_TERMS, "den": ONE_TERMS}, r"KeyError\('atoms'\)"),
+    ({"atoms": [], "den": ONE_TERMS}, r"KeyError\('num'\)"),
+    (table([[0, 1]], [{"kind": "var"}]), r"KeyError\('name'\)"),
+    (table([[1.5, 1]], [VAR_Y]), r"atom index 1\.5 names no earlier atom"),
+    (table([[True, 1]], [VAR_Y]), "atom index True names no earlier atom"),
+    (table([[-1, 1]], [VAR_Y]), "atom index -1 names no earlier atom"),
+    (table([[1, 1]], [VAR_Y]), "atom index 1 names no earlier atom"),
+    (table([[0, 1]], [f_of(0)]), "atom index 0 names no earlier atom"),
+    (table([[0, 1]], [f_of(1), VAR_Y]), "atom index 1 names no earlier atom"),
+]
+
+
+# the ids keep the names the first nine cases have had since they were written
+@pytest.mark.parametrize("tree, message", UNREADABLE,
+                         ids=["None", *(f"tree{i}" for i in range(1, len(UNREADABLE)))])
+def test_unreadable_trees_raise_value_error(tree, message):
+    with pytest.raises(ValueError, match=message):
         Expression.from_tree(tree)
 
 
@@ -357,11 +407,12 @@ def nested(depth):
 
 def test_deep_nesting_costs_no_stack_per_level():
     # the parser admits 150 levels; substitution's rebuild still recurses a
-    # few frames per level, the atom walk none
+    # few frames per level, the atom walk and the atom-table codec none
     shifted = substitute(nested(150), {Var("x"): y + 1})
     assert closure_sets(shifted) == ({"y"}, set(), {"a1"})
     deep = nested(1000)
     assert closure_sets(deep) == ({"x"}, set(), {"a1"})
+    assert Expression.from_tree(json.loads(json.dumps(deep.to_tree()))) == deep
     inst = Instantiation.for_expressions([deep * param("c")], Random(1), {})
     assert (list(inst.functions), list(inst.params), inst.dependents) == (["a1"], ["c"], {})
 

@@ -6,11 +6,14 @@ byte length of stdout, the sha256 of the state file and the exit code and
 stdout sha256 of ``oracle --seed 1729`` replaying that state.  Hashes stand in
 for the outputs because ``transform Tgen`` alone prints about 1.3 MB.  It also
 holds the sha256 of the printed normal forms of ``seeded_cases(505, 300)`` and
-their ``y``-partials.
+their ``y``-partials, and the sha256 of the same 600 expressions' ``to_tree``
+JSON, which pins the state file's atom-table order.
 
 Regenerate the file, only when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each entry and field that differs from the file it replaces.
 """
 
 import contextlib
@@ -82,13 +85,33 @@ def corpus_record(session: str, argv, workdir: Path) -> dict:
     }
 
 
+def _bulk_cases():
+    for _, e in seeded_cases(505, 300):
+        yield e
+        yield partial(e, Var("y"))
+
+
 def kernel_text_digest() -> str:
     """sha256 of the printed normal forms of the bulk kernel cases, one per line."""
-    texts = []
-    for _, e in seeded_cases(505, 300):
-        texts.append(e.text)
-        texts.append(partial(e, Var("y")).text)
-    return _sha("\n".join(texts).encode("utf-8"))
+    return _sha("\n".join(x.text for x in _bulk_cases()).encode("utf-8"))
+
+
+def tree_digest() -> str:
+    """sha256 of the ``to_tree`` JSON of the bulk kernel cases, one per line."""
+    return _sha("\n".join(json.dumps(x.to_tree()) for x in _bulk_cases()).encode("utf-8"))
+
+
+def changed_fields(old: dict, new: dict):
+    """One line per corpus entry field or digest that differs from ``old``."""
+    before = {(g["session"], tuple(g["argv"])): g for g in old.get("commands", [])}
+    for rec in new["commands"]:
+        was = before.get((rec["session"], tuple(rec["argv"])), {})
+        for key, value in rec.items():
+            if was.get(key) != value:
+                yield f"{rec['session']} {' '.join(rec['argv'])}: {key} {was.get(key)} -> {value}"
+    for key, value in new.items():
+        if key != "commands" and old.get(key) != value:
+            yield f"{key}: {old.get(key)} -> {value}"
 
 
 def test_corpus_outputs_are_byte_identical(tmp_path, monkeypatch):
@@ -105,11 +128,19 @@ def test_kernel_text_digest():
     assert kernel_text_digest() == golden["kernel_text_sha256"]
 
 
+def test_tree_digest():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert tree_digest() == golden["tree_sha256"]
+
+
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         commands = [corpus_record(s, argv, Path(tmp)) for s, argv in COMMANDS]
+    new = {"commands": commands, "kernel_text_sha256": kernel_text_digest(),
+           "tree_sha256": tree_digest()}
+    for line in changed_fields(old, new):
+        print(line)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(
-        {"commands": commands, "kernel_text_sha256": kernel_text_digest()}, indent=1) + "\n",
-        encoding="utf-8")
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
