@@ -340,7 +340,11 @@ def _cmd_oracle(args):
 
 def _read_state(path: Path) -> dict:
     """The state file's object, its top-level fields checked (absent ones empty)."""
-    state = json.loads(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    try:
+        state = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"state file {path} is nested too deeply to read") from None
     if not isinstance(state, dict):
         raise ValueError(f"state file {path} does not hold a JSON object")
     checks = state.setdefault("checks", [])

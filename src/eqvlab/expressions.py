@@ -12,7 +12,10 @@ Every expression is kept in a normal form:
 * numerator and denominator are expanded polynomials over the atoms with
   integer coefficients,
 * monomial factors common to all monomials of numerator and denominator are
-  cancelled (no polynomial gcd beyond that is attempted),
+  cancelled, and a numerator proportional to its denominator (``p/p``)
+  collapses to a constant; no polynomial gcd beyond that is attempted,
+* a sum whose one denominator divides the other exactly is kept over the
+  larger denominator; other sums cross-multiply,
 * when the denominator is a single monomial its exponential factor is moved
   into the numerator, so quotients like ``exp(f+g)*g1(z)/exp(f+g)`` collapse,
 * the content, the gcd of all numerator and denominator coefficients, is
@@ -35,8 +38,9 @@ exp arguments) from one iterative walk; composite atoms cache their insides.
 
 Equality (``==``) is structural identity of normal forms.  Semantic equality
 of two expressions is decided by subtracting them and asking
-:meth:`Expression.is_zero`; the subtraction cross-multiplies, so it is an
-exact zero test in the field of fractions freely generated by the atoms.
+:meth:`Expression.is_zero`; the subtraction brings both sides over one
+denominator exactly, so it is an exact zero test in the field of fractions
+freely generated by the atoms.
 
 Expressions and atoms are immutable and hashable; all operations return new
 objects and are safe to share between threads.
@@ -318,6 +322,7 @@ class Monomial:
         return m
 
     def order_key(self):
+        # a print order, not a monomial order: x*z < y^2 but x^2*z > x*y^2
         if self._key is None:
             ek = "" if self.exparg is None else self.exparg.text
             self._key = (tuple((a.rank, a.text, p) for a, p in self.atoms), ek)
@@ -502,6 +507,84 @@ def _plead(a: dict) -> Monomial:
     return max(a, key=Monomial.order_key)
 
 
+def _pdiv_exact(b: dict, a: dict) -> tuple[dict, int] | None:
+    """``(q, k)`` with ``a*q == k*b``, ``q`` an integer polynomial and ``k`` a
+    positive int, when ``a`` divides ``b`` exactly; otherwise ``None``.
+
+    The division runs in graded lex order over the atoms ranked by ``_skey``.
+    Each monomial is packed into one int: its total degree in the top field,
+    then one field per atom of ``b``, the first atom most significant, and a
+    guard bit above every field.  Int order is then the monomial order, a
+    product of monomials is a sum, and a quotient is a difference whose guard
+    bits all survive.  Polynomials with exponential factors are not divided.
+    """
+    atoms: dict = {}  # _skey -> atom; keys hash in C, atoms through Atom.__hash__
+    deg_b = 0
+    for m in b:
+        if m.exparg is not None:
+            return None
+        d = 0
+        for x, p in m.atoms:
+            atoms[x._skey] = x
+            d += p
+        deg_b = max(deg_b, d)
+    for m in a:
+        if m.exparg is not None:
+            return None
+        d = 0
+        for x, p in m.atoms:
+            if x._skey not in atoms:
+                return None
+            d += p
+        if d > deg_b:
+            return None
+    # no exponent or degree met in the division exceeds deg_b, so fields hold
+    width = deg_b.bit_length() + 1
+    order = sorted(atoms)
+    n = len(order)
+    shift = {key: width * (n - 1 - i) for i, key in enumerate(order)}
+    deg_shift = width * n
+    guards = sum(1 << (width * i + width - 1) for i in range(n + 1))
+
+    def pack(m):
+        t = 0
+        for x, p in m.atoms:
+            t += (p << shift[x._skey]) + (p << deg_shift)
+        return t
+
+    r = {pack(m): c for m, c in b.items()}
+    rest = sorted(((pack(m), c) for m, c in a.items()), reverse=True)
+    lead, la = rest.pop(0)
+    q: dict = {}
+    k = 1
+    while r:
+        top = max(r)
+        c = r.pop(top)
+        t = (top | guards) - lead
+        if t & guards != guards:
+            return None
+        if c % la:
+            s = abs(la) // gcd(c, la)
+            r = {m: v * s for m, v in r.items()}
+            q = {m: v * s for m, v in q.items()}
+            k *= s
+            c *= s
+        t ^= guards
+        tc = c // la
+        q[t] = tc
+        for u, cu in rest:
+            u += t
+            v = r.get(u, 0) - tc * cu
+            if v:
+                r[u] = v
+            else:
+                del r[u]
+    mask = (1 << width) - 1
+    return {Monomial._raw(tuple((atoms[key], p) for key in order
+                                if (p := t >> shift[key] & mask)), None): c
+            for t, c in q.items()}, k
+
+
 def _monic(p: dict, lc: int) -> dict:
     """``p`` divided by ``lc``, with Fraction coefficients when ``lc != 1``."""
     if lc == 1:
@@ -536,11 +619,10 @@ class Expression:
         return not self._num
 
     def is_one(self) -> bool:
-        """True when the stored numerator equals the stored denominator.
+        """True when the expression is one.
 
-        This tests ``num == den``, which is weaker than ``== ONE``: the normal
-        form cancels only monomial factors, so an unreduced ``p/p`` such as
-        ``(x+1)/(x+1)`` is one here while ``== ONE`` rejects it.
+        The normal form collapses a numerator proportional to its denominator
+        to a constant, so ``num == den`` holds exactly when ``== ONE`` does.
         """
         return self._num == self._den
 
@@ -656,6 +738,17 @@ class Expression:
             sa, sb = lb // g, la // g
             return Expression(
                 _padd(_pscale(self._num, sa), _pscale(other._num, sb)), _pscale(a, sa))
+        # one denominator divides the other, a*q == k*b: the larger serves both.
+        # Over a constant denominator this is what cross-multiplying gives.
+        if not (_constant_den(self) or _constant_den(other)):
+            if len(a) <= len(b) and (got := _pdiv_exact(b, a)):
+                q, k = got
+                return Expression(
+                    _padd(_pmul(self._num, q), _pscale(other._num, k)), _pscale(b, k))
+            if len(b) <= len(a) and (got := _pdiv_exact(a, b)):
+                q, k = got
+                return Expression(
+                    _padd(_pscale(self._num, k), _pmul(other._num, q)), _pscale(a, k))
         return Expression(_padd(_pmul(self._num, b), _pmul(other._num, a)), _pmul(a, b))
 
     __radd__ = __add__
@@ -713,6 +806,12 @@ def _canonical(num: dict, den: dict) -> tuple[dict, dict, int]:
     # exponential factor to share with the numerator; only the content goes
     if len(den) > 1 or not next(iter(den)).is_one():
         num, den = _cancel_factors(num, den)
+        if len(num) == len(den):
+            # p/p: a numerator proportional to the denominator is a constant
+            m0, d0 = next(iter(den.items()))
+            c0 = num.get(m0)
+            if c0 is not None and all(num.get(m, 0) * d0 == c0 * d for m, d in den.items()):
+                num, den = {_ONE_M: c0}, {_ONE_M: d0}
 
     # divide out the content, signed so the leading denominator coefficient
     # ends up positive; a coefficient of one leaves nothing to divide

@@ -293,6 +293,17 @@ def test_malformed_state_fields_exit_2_with_a_value_error(capsys, tmp_path, stat
     assert "Traceback" not in captured.err
 
 
+def test_deeply_nested_state_exits_2_with_a_value_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["oracle", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ValueError" and "nested too deeply" in error["message"]
+    assert "Traceback" not in captured.err
+
+
 def test_reduce_at_the_parser_depth_limit_writes_a_readable_state(capsys, tmp_path):
     deep = "x"
     for _ in range(150):

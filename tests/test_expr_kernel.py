@@ -28,6 +28,7 @@ from eqvlab import (
     collect_numerators,
     dependency_closure,
     exp,
+    expr_prod,
     expr_sum,
     fraction,
     from_monomial,
@@ -528,9 +529,99 @@ def test_trivial_factors_return_the_other_operand():
 
 
 def test_is_one_compares_numerator_and_denominator():
-    # the normal form cancels only monomial factors, so p/p stays unreduced
+    # a numerator proportional to its denominator collapses to a constant
     e = (y + 1) / (y + 1)
     assert e.is_one()
-    assert e != ONE
-    assert (e - ONE).is_zero()
+    assert e == ONE
+    assert (2 * y + 2) / (y + 1) == 2
+    assert (y + 1) / (-3 * y - 3) == fraction(-1, 3)
     assert ONE.is_one() and not (y / (y + 1)).is_one()
+
+
+def pdiv_checked(b, a):
+    """``_pdiv_exact(b, a)``, with ``a*q == k*b`` asserted when it divides."""
+    got = expressions._pdiv_exact(b, a)
+    if got is not None:
+        q, k = got
+        assert k > 0 and all(type(c) is int for c in q.values())
+        assert expressions._pmul(a, q) == expressions._pscale(b, k)
+    return got
+
+
+def test_exact_division_of_products_bulk():
+    polys = [p for p in kernel_polynomials() if p]
+    plain = [p for p in polys if all(m.exparg is None for m in p)]
+    with_exp = [p for p in polys if any(m.exparg is not None for m in p)]
+    assert len(plain) > 300 and len(with_exp) > 30
+    one = {Monomial(): 1}
+    for i, a in enumerate(plain):
+        b = plain[(7 * i + 3) % len(plain)]
+        ab = expressions._pmul(a, b)
+        assert pdiv_checked(ab, a) is not None
+        if not (len(a) == 1 and Monomial() in a):
+            assert pdiv_checked(expressions._padd(ab, one), a) is None
+    for i, p in enumerate(with_exp):
+        a = plain[i % len(plain)]
+        assert pdiv_checked(expressions._pmul(p, a), a) is None
+        assert pdiv_checked(expressions._pmul(p, a), p) is None
+
+
+def test_exact_division_uses_a_monomial_order():
+    # order_key ranks x*z below y^2 but x^2*z above x*y^2: it is no monomial order
+    x = var("x")
+    p = (x * z + y ** 2).integer_form()[0]
+    b = ((x * z + y ** 2) * (x + y)).integer_form()[0]
+    q, k = pdiv_checked(b, p)
+    assert Expression(q, {Monomial(): k}) == x + y
+
+
+def test_exact_division_rejects_early():
+    x = var("x")
+
+    def num(e):
+        return e.integer_form()[0]
+
+    assert pdiv_checked(num(y ** 2 + 1), num(x + 1)) is None      # atom b lacks
+    assert pdiv_checked(num(y + 1), num(y ** 2 + 1)) is None      # degree
+    assert pdiv_checked(num(y ** 2 + z), num(y + z)) is None      # lead term
+    assert pdiv_checked(num(6 * y ** 2 - 6), num(4 * y + 4)) == (num(3 * y - 3), 2)
+
+
+def test_sum_uses_the_denominator_the_other_divides():
+    x = var("x")
+    d = 2 + y ** 2
+    e = x / d + z / d ** 2
+    assert e.denominator() == d ** 2
+    assert (e - (x * d + z) / d ** 2).is_zero()
+    assert (z / d ** 2 + x / d).denominator() == d ** 2
+
+
+def test_exact_division_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = Random(41)
+    names = ("x", "y", "z")
+    syms = sympy.symbols(names)
+
+    def draw(terms, deg):
+        return expr_sum(rng.randint(-5, 5) * expr_prod(
+            var(n) ** rng.randint(0, deg) for n in names) for _ in range(terms))
+
+    def to_sympy(p):
+        return sum(c * sympy.Mul(*(sympy.Symbol(a.text) ** k for a, k in m.atoms))
+                   for m, c in p.items())
+
+    divisible = 0
+    for i in range(100):
+        a = draw(rng.randint(1, 3), 2)
+        b = a * draw(rng.randint(1, 3), 2) if i % 2 else draw(rng.randint(2, 5), 3)
+        if a.is_zero() or b.is_zero() or a.is_constant():
+            continue
+        pa, pb = a.integer_form()[0], b.integer_form()[0]
+        quot, rem = sympy.div(to_sympy(pb), to_sympy(pa), *syms, domain="QQ")
+        got = pdiv_checked(pb, pa)
+        assert (got is not None) == (rem == 0), (a, b)
+        if got is not None:
+            divisible += 1
+            q, k = got
+            assert sympy.expand(to_sympy(q) - k * quot) == 0
+    assert divisible >= 40

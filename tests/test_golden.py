@@ -4,7 +4,7 @@ replay are byte-identical to the recorded ones.
 ``tests/golden/corpus.json`` holds, per command, the exit code, the sha256 and
 byte length of stdout, the sha256 of the state file and the exit code and
 stdout sha256 of ``oracle --seed 1729`` replaying that state.  Hashes stand in
-for the outputs because ``transform Tgen`` alone prints about 1.3 MB.  It also
+for the outputs because ``transform Tgen`` alone prints about 150 KB.  It also
 holds the sha256 of the printed normal forms of ``seeded_cases(505, 300)`` and
 their ``y``-partials, and the sha256 of the same 600 expressions' ``to_tree``
 JSON, which pins the state file's atom-table order.

@@ -20,12 +20,15 @@ from eqvlab import (
     func,
     identity_transformation,
     jet,
+    parse,
     required_point_names,
     total_derivative,
     transform_derivatives,
     transform_equation,
     var,
 )
+
+from conftest import CORPUS
 
 y, z = var("y"), var("z")
 
@@ -171,3 +174,14 @@ def test_dependent_variable_in_independent_map():
     assert (pm[("t",)] * (1 + wy) - wy).is_zero()
     det = pm.det
     assert (det - (1 + wy)).is_zero()
+
+
+def test_general_hyperbolic_image_keeps_the_jacobian_cubed():
+    # order-2 entries carry J^3, order-1 entries J: the sum stays over J^3
+    session = parse((CORPUS / "hyperbolic_general.eqv").read_text(encoding="utf-8"))
+    tr = session.transforms["Tgen"]
+    fam = session.families["F"].rename(tr.old_vars, tr.old_dep)
+    pm = transform_derivatives(tr, fam.jet_order())
+    image = pm.apply(fam.member())
+    assert len(image.den_terms()) == 54
+    assert (image.denominator() / pm.det ** 3).is_constant()
