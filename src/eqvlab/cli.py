@@ -364,11 +364,19 @@ def _config(args):
     path = args.config or (DEFAULT_CONFIG if Path(DEFAULT_CONFIG).exists() else None)
     if path:
         loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {path} does not hold a JSON object")
         for key in cfg:
             if key in loaded:
-                cfg[key] = loaded[key]
+                val = loaded[key]
+                kinds = (int, float) if key == "tol" else (int,)
+                if type(val) not in kinds:
+                    raise ValueError(f"config key {key!r} must be "
+                                     f"{' or '.join(k.__name__ for k in kinds)}, "
+                                     f"not {type(val).__name__}")
+                cfg[key] = val
     for key in cfg:
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     return cfg

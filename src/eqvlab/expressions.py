@@ -35,6 +35,9 @@ coefficients, and what an expression shows of itself (``text``,
 Dependency closures and substitution's test for untouched parts read the
 atoms an expression reaches (inside function arguments, integrands, log and
 exp arguments) from one iterative walk; composite atoms cache their insides.
+Substitution multiplies each term's substituted powers out as raw integer
+polynomials and adds the terms that share a denominator before normalizing;
+only the per-denominator sums meet in :class:`Expression` arithmetic.
 
 Equality (``==``) is structural identity of normal forms.  Semantic equality
 of two expressions is decided by subtracting them and asking
@@ -731,13 +734,6 @@ class Expression:
         a, b = self._den, other._den
         if a == b:
             return Expression(_padd(self._num, other._num), a)
-        la, lb = self._lc, other._lc
-        if len(a) == len(b) and all(lb * c == la * b.get(m, 0) for m, c in a.items()):
-            # proportional denominators, a*lb == b*la: one of them serves both
-            g = gcd(la, lb)
-            sa, sb = lb // g, la // g
-            return Expression(
-                _padd(_pscale(self._num, sa), _pscale(other._num, sb)), _pscale(a, sa))
         # one denominator divides the other, a*q == k*b: the larger serves both.
         # Over a constant denominator this is what cross-multiplying gives.
         if not (_constant_den(self) or _constant_den(other)):
@@ -1159,17 +1155,13 @@ def _poly_partial(p: dict, x: Atom) -> Expression:
     terms = []
     cache: dict[Atom, Expression] = {}
     for m, c in p.items():
-        for i, (a, k) in enumerate(m.atoms):
+        for a, k in m.atoms:
             da = cache.get(a)
             if da is None:
                 da = cache[a] = _atom_derivative(a, x)
             if da.is_zero():
                 continue
-            rest = Monomial(
-                tuple((b, q) if j != i else (b, q - 1) for j, (b, q) in enumerate(m.atoms)),
-                m.exparg,
-            )
-            terms.append(da * Expression({rest: c * k}, _ONE_P))
+            terms.append(da * Expression({m.without({a: 1}): c * k}, _ONE_P))
         if m.exparg is not None:
             de = partial(m.exparg, x)
             if not de.is_zero():
@@ -1328,27 +1320,26 @@ def _subst_expr(e: Expression, state: _SubstState) -> Expression:
 
 
 def _subst_poly(p: dict, state: _SubstState) -> Expression:
-    plain: dict = {}
-    terms = []
+    # each monomial becomes a raw num/den pair of integer polynomials; pairs
+    # over the same denominator add raw, and the groups meet in expr_sum
+    groups: dict = {}
     for m, c in p.items():
-        if not (any(state.hits(a) for a, _ in m.atoms)
+        num, den = {m: c}, _ONE_P
+        if (any(state.hits(a) for a, _ in m.atoms)
                 or m.exparg is not None and state.mentions(m.exparg)):
-            plain[m] = plain.get(m, 0) + c
-            continue
-        factors = [as_expression(c)]
-        for ak in m.atoms:
-            # powers repeat across the monomials of one pass
-            power = state.atom_powers.get(ak)
-            if power is None:
-                power = state.atom_powers[ak] = _subst_atom(ak[0], state) ** ak[1]
-            factors.append(power)
-        if m.exparg is not None:
-            factors.append(exp(_subst_expr(m.exparg, state)))
-        terms.append(expr_prod(factors))
-    plain = {m: c for m, c in plain.items() if c}
-    if plain:
-        terms.append(Expression(plain, _ONE_P))
-    return expr_sum(terms)
+            num = {_ONE_M: c}
+            for ak in m.atoms:
+                # powers repeat across the monomials of one pass
+                power = state.atom_powers.get(ak)
+                if power is None:
+                    power = state.atom_powers[ak] = _subst_atom(ak[0], state) ** ak[1]
+                num, den = _pmul(num, power._num), _pmul(den, power._den)
+            if m.exparg is not None:
+                num = _pmul(num, exp(_subst_expr(m.exparg, state))._num)
+        key = frozenset(den.items())
+        got = groups.get(key)
+        groups[key] = (num, den) if got is None else (_padd(got[0], num), den)
+    return expr_sum(Expression(num, den) for num, den in groups.values() if num)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .expressions import (
     Expression,
     ExpressionLike,
     Jet,
-    Param,
     Var,
     as_expression,
     closure_jets,
@@ -36,7 +35,6 @@ from .expressions import (
     jet,
     partial,
     substitute,
-    substitute_functions,
     var,
 )
 
@@ -141,29 +139,6 @@ class PointTransformation:
             other.new_dep,
             {n: substitute(self.indep_map[n], binds) for n in self.old_vars},
             substitute(self.dep_map, binds),
-        )
-
-    def instantiated(
-        self,
-        functions: Mapping[str, tuple[Sequence[str], ExpressionLike]] | None = None,
-        params: Mapping[str, ExpressionLike] | None = None,
-    ) -> "PointTransformation":
-        """This transformation with function symbols and parameters made concrete."""
-
-        def conv(e: Expression) -> Expression:
-            if functions:
-                e = substitute_functions(e, functions)
-            if params:
-                e = substitute(e, {Param(k): v for k, v in params.items()})
-            return e
-
-        return PointTransformation(
-            self.old_vars,
-            self.old_dep,
-            self.new_vars,
-            self.new_dep,
-            {n: conv(self.indep_map[n]) for n in self.old_vars},
-            conv(self.dep_map),
         )
 
 

@@ -349,6 +349,28 @@ def test_oracle_refuses_settings_that_check_nothing(capsys, tmp_path, flags, con
     assert out["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"tol": "1e-6"}, "'tol'"),
+    ({"points": "3"}, "'points'"),
+    ({"points": 2.5}, "'points'"),
+    ({"points": True}, "'points'"),
+    ({"seed": "abc"}, "'seed'"),
+    ({"tol": False}, "'tol'"),
+    ([1, 2], "JSON object"),
+])
+def test_oracle_config_values_are_typed(capsys, tmp_path, config, named):
+    run(capsys, "check", *session_args("ode_scale.eqv", tmp_path),
+        "--family", "F", "--transform", "Tscale")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["oracle", "--state", str(tmp_path / "state.json"), "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ValueError" and named in error["message"]
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--family", "F"],
     ["check", "--family", "F", "--transform", "T", "--bogus"],

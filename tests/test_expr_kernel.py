@@ -230,6 +230,56 @@ def test_substitution_refuses_to_rebind_an_integration_variable():
         substitute(antiderivative(func("F", y, z), "y"), {Var("y"): z + 1})
 
 
+def per_term_subst_poly(p, state):
+    # the earlier assembly: every hit monomial an expr_prod of Expressions,
+    # untouched monomials summed apart, then one expr_sum over all of them
+    plain, terms = {}, []
+    for m, c in p.items():
+        if not (any(state.hits(a) for a, _ in m.atoms)
+                or m.exparg is not None and state.mentions(m.exparg)):
+            plain[m] = plain.get(m, 0) + c
+            continue
+        factors = [as_expression(c)]
+        for ak in m.atoms:
+            power = state.atom_powers.get(ak)
+            if power is None:
+                power = state.atom_powers[ak] = expressions._subst_atom(ak[0], state) ** ak[1]
+            factors.append(power)
+        if m.exparg is not None:
+            factors.append(exp(expressions._subst_expr(m.exparg, state)))
+        terms.append(expr_prod(factors))
+    plain = {m: c for m, c in plain.items() if c}
+    if plain:
+        terms.append(Expression(plain, expressions._ONE_P))
+    return expr_sum(terms)
+
+
+def test_substitution_matches_per_term_assembly_bulk(monkeypatch):
+    s, t, w = var("s"), var("t"), jet("w")
+    runs = [lambda e, b=b: substitute(e, b) for b in (
+        {y: 1 + z ** 2},
+        {y: (z + 1) / 3},
+        {y: z / (1 + z ** 2)},
+        {z: y + 1},
+        {w: func("F", y, z) / (2 + y ** 2)},
+        {y: z, z: y},
+    )] + [lambda e: substitute_functions(e, {"F": (("s", "t"), s * t + 1)})]
+
+    def outcome(run, e):
+        try:
+            return run(e)
+        except (UnsupportedAtomError, ZeroDivisionError) as exc:
+            return type(exc)
+
+    cases = [e for _, e in seeded_cases(505, 300)]
+    got = [outcome(run, e) for e in cases for run in runs]
+    monkeypatch.setattr(expressions, "_subst_poly", per_term_subst_poly)
+    want = [outcome(run, e) for e in cases for run in runs]
+    assert got == want
+    assert [g.text for g in got if isinstance(g, Expression)] == \
+        [w.text for w in want if isinstance(w, Expression)]
+
+
 def test_collect_separates_coefficients():
     e = (y + 1) * jet("w", "y") + z * z * jet("w") + y * z
     wy, w = jet("w", "y"), jet("w")
@@ -262,9 +312,19 @@ def test_constructed_equal_pairs_normalize_identically():
 
 
 def test_proportional_denominators_add_over_one_denominator():
-    # 2*y + 2 and y + 1 differ by a constant factor, so the sum keeps one of
-    # them instead of the product (2*y + 2)*(y + 1)
-    assert (var("x") / (2 * y + 2) + z / (y + 1)).text == "(z + 1/2*x)/(y + 1)"
+    x, F = var("x"), func("F", y, z)
+    cases = [
+        # 2*y + 2 and y + 1 differ by a constant factor, so the sum keeps one
+        # of them instead of the product (2*y + 2)*(y + 1)
+        (x / (2 * y + 2) + z / (y + 1), "(z + 1/2*x)/(y + 1)", 2),
+        (fraction(1, 2) + fraction(1, 3), "5/6", 6),
+        (x / (-2 * y - 2) + z / (3 * y + 3), "(1/3*z - 1/2*x)/(y + 1)", 6),
+        (x / (2 * y + 2) - x / (y + 1), "(-1/2*x)/(y + 1)", 2),
+        (x / (6 * F + 3) + 1 / (2 * F + 1), "(1/6*x + 1/2)/(F(y,z) + 1/2)", 6),
+        ((x + 1) / 3 + (x - 1) / (-6), "1/6*x + 1/2", 6),
+    ]
+    for e, text, lc in cases:
+        assert (e.text, e.integer_form()[2]) == (text, lc)
 
 
 def test_numeric_companion_backs_the_normal_form():
