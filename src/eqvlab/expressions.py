@@ -36,8 +36,7 @@ Dependency closures and substitution's test for untouched parts read the
 atoms an expression reaches (inside function arguments, integrands, log and
 exp arguments) from one iterative walk; composite atoms cache their insides.
 Substitution multiplies each term's substituted powers out as raw integer
-polynomials and adds the terms that share a denominator before normalizing;
-only the per-denominator sums meet in :class:`Expression` arithmetic.
+polynomials and normalizes once per term, not once per partial product.
 
 Equality (``==``) is structural identity of normal forms.  Semantic equality
 of two expressions is decided by subtracting them and asking
@@ -519,8 +518,16 @@ def _pdiv_exact(b: dict, a: dict) -> tuple[dict, int] | None:
     then one field per atom of ``b``, the first atom most significant, and a
     guard bit above every field.  Int order is then the monomial order, a
     product of monomials is a sum, and a quotient is a difference whose guard
-    bits all survive.  Polynomials with exponential factors are not divided.
+    bits all survive.  Polynomials with exponential factors are divided only
+    when they are proportional, which the first check finds.
     """
+    if len(a) == len(b):
+        # proportional, a*cb == b*ca: a constant quotient, exponentials or not
+        m0, ca = next(iter(a.items()))
+        cb = b.get(m0, 0)
+        if cb and all(ca * b.get(m, 0) == cb * c for m, c in a.items()):
+            g = gcd(ca, cb) if ca > 0 else -gcd(ca, cb)
+            return {_ONE_M: cb // g}, ca // g
     atoms: dict = {}  # _skey -> atom; keys hash in C, atoms through Atom.__hash__
     deg_b = 0
     for m in b:
@@ -1320,26 +1327,30 @@ def _subst_expr(e: Expression, state: _SubstState) -> Expression:
 
 
 def _subst_poly(p: dict, state: _SubstState) -> Expression:
-    # each monomial becomes a raw num/den pair of integer polynomials; pairs
-    # over the same denominator add raw, and the groups meet in expr_sum
-    groups: dict = {}
+    # a hit monomial multiplies its substituted powers out as raw integer
+    # polynomials into one term; untouched monomials form one last term.  The
+    # terms are not grouped by denominator first: sums over exponential
+    # denominators depend on the order expr_sum pairs them in.
+    plain: dict = {}
+    terms = []
     for m, c in p.items():
-        num, den = {m: c}, _ONE_P
-        if (any(state.hits(a) for a, _ in m.atoms)
+        if not (any(state.hits(a) for a, _ in m.atoms)
                 or m.exparg is not None and state.mentions(m.exparg)):
-            num = {_ONE_M: c}
-            for ak in m.atoms:
-                # powers repeat across the monomials of one pass
-                power = state.atom_powers.get(ak)
-                if power is None:
-                    power = state.atom_powers[ak] = _subst_atom(ak[0], state) ** ak[1]
-                num, den = _pmul(num, power._num), _pmul(den, power._den)
-            if m.exparg is not None:
-                num = _pmul(num, exp(_subst_expr(m.exparg, state))._num)
-        key = frozenset(den.items())
-        got = groups.get(key)
-        groups[key] = (num, den) if got is None else (_padd(got[0], num), den)
-    return expr_sum(Expression(num, den) for num, den in groups.values() if num)
+            plain[m] = c
+            continue
+        num, den = {_ONE_M: c}, _ONE_P
+        for ak in m.atoms:
+            # powers repeat across the monomials of one pass
+            power = state.atom_powers.get(ak)
+            if power is None:
+                power = state.atom_powers[ak] = _subst_atom(ak[0], state) ** ak[1]
+            num, den = _pmul(num, power._num), _pmul(den, power._den)
+        if m.exparg is not None:
+            num = _pmul(num, exp(_subst_expr(m.exparg, state))._num)
+        terms.append(Expression(num, den))
+    if plain:
+        terms.append(Expression(plain, _ONE_P))
+    return expr_sum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,33 @@ def per_term_subst_poly(p, state):
     return expr_sum(terms)
 
 
+def add_with_proportional_branch(self, other):
+    # the earlier Expression.__add__: proportional denominators had their own
+    # branch ahead of exact division
+    padd, pmul, pscale = expressions._padd, expressions._pmul, expressions._pscale
+    other = as_expression(other)
+    if self.is_zero():
+        return other
+    if other.is_zero():
+        return self
+    a, b = self._den, other._den
+    if a == b:
+        return Expression(padd(self._num, other._num), a)
+    la, lb = self._lc, other._lc
+    if len(a) == len(b) and all(lb * c == la * b.get(m, 0) for m, c in a.items()):
+        g = math.gcd(la, lb)
+        sa, sb = lb // g, la // g
+        return Expression(padd(pscale(self._num, sa), pscale(other._num, sb)), pscale(a, sa))
+    if not (expressions._constant_den(self) or expressions._constant_den(other)):
+        if len(a) <= len(b) and (got := expressions._pdiv_exact(b, a)):
+            q, k = got
+            return Expression(padd(pmul(self._num, q), pscale(other._num, k)), pscale(b, k))
+        if len(b) <= len(a) and (got := expressions._pdiv_exact(a, b)):
+            q, k = got
+            return Expression(padd(pscale(self._num, k), pmul(other._num, q)), pscale(a, k))
+    return Expression(padd(pmul(self._num, b), pmul(other._num, a)), pmul(a, b))
+
+
 def test_substitution_matches_per_term_assembly_bulk(monkeypatch):
     s, t, w = var("s"), var("t"), jet("w")
     runs = [lambda e, b=b: substitute(e, b) for b in (
@@ -263,6 +290,7 @@ def test_substitution_matches_per_term_assembly_bulk(monkeypatch):
         {z: y + 1},
         {w: func("F", y, z) / (2 + y ** 2)},
         {y: z, z: y},
+        {y: 1 / (2 * exp(z) + 2), w: 1 / (exp(z) + 1)},
     )] + [lambda e: substitute_functions(e, {"F": (("s", "t"), s * t + 1)})]
 
     def outcome(run, e):
@@ -274,6 +302,8 @@ def test_substitution_matches_per_term_assembly_bulk(monkeypatch):
     cases = [e for _, e in seeded_cases(505, 300)]
     got = [outcome(run, e) for e in cases for run in runs]
     monkeypatch.setattr(expressions, "_subst_poly", per_term_subst_poly)
+    monkeypatch.setattr(Expression, "__add__", add_with_proportional_branch)
+    monkeypatch.setattr(Expression, "__radd__", add_with_proportional_branch)
     want = [outcome(run, e) for e in cases for run in runs]
     assert got == want
     assert [g.text for g in got if isinstance(g, Expression)] == \
@@ -322,9 +352,15 @@ def test_proportional_denominators_add_over_one_denominator():
         (x / (2 * y + 2) - x / (y + 1), "(-1/2*x)/(y + 1)", 2),
         (x / (6 * F + 3) + 1 / (2 * F + 1), "(1/6*x + 1/2)/(F(y,z) + 1/2)", 6),
         ((x + 1) / 3 + (x - 1) / (-6), "1/6*x + 1/2", 6),
+        # exponential factors: still one denominator, the literal's normal form
+        (x / (2 * exp(y) + 2) + z / (exp(y) + 1),
+         "(z*exp(-1/2*y) + 1/2*x*exp(-1/2*y))/(exp(1/2*y) + exp(-1/2*y))", 2),
+        (1 / (2 * exp(y) + 2) + 1 / (exp(y) + 1),
+         "(3/2*exp(-1/2*y))/(exp(1/2*y) + exp(-1/2*y))", 2),
     ]
     for e, text, lc in cases:
         assert (e.text, e.integer_form()[2]) == (text, lc)
+    assert 1 / (2 * exp(y) + 2) + 1 / (exp(y) + 1) == 3 / (2 * exp(y) + 2)
 
 
 def test_numeric_companion_backs_the_normal_form():
@@ -623,7 +659,9 @@ def test_exact_division_of_products_bulk():
     for i, p in enumerate(with_exp):
         a = plain[i % len(plain)]
         assert pdiv_checked(expressions._pmul(p, a), a) is None
-        assert pdiv_checked(expressions._pmul(p, a), p) is None
+        # exponential factors block the division unless the quotient is a constant
+        want = (a, 1) if set(a) == {Monomial()} else None
+        assert pdiv_checked(expressions._pmul(p, a), p) == want
 
 
 def test_exact_division_uses_a_monomial_order():
