@@ -1,29 +1,49 @@
-"""Numeric cross-validation of symbolic identities.
+"""Randomized cross-validation of symbolic identities.
 
-Expressions are evaluated at random rational points after instantiating every
-function symbol with a random polynomial, every parameter with a random
-rational, and every dependent variable with a random polynomial in its
-independent variables.  Jet symbols take the induced values: ``D[w, y, z]``
-evaluates as the mixed partial of the polynomial standing in for ``w``.  That
-keeps jets consistent with the dependent variable, which is what total
-derivatives and prolongation formulas assume.
+Expressions are evaluated at random points after instantiating every function
+symbol with a random polynomial, every parameter with a random constant, and
+every dependent variable with a random polynomial in its independent
+variables.  Jet symbols take the induced values: ``D[w, y, z]`` evaluates as
+the mixed partial of the polynomial standing in for ``w``.  That keeps jets
+consistent with the dependent variable, which is what total derivatives and
+prolongation formulas assume.
 
-Arithmetic stays in :class:`fractions.Fraction` wherever possible, so purely
-rational identities check to error zero; ``exp`` and ``log`` drop to floats.
-Antiderivative symbols are evaluated by building the integrand as a univariate
-polynomial in the integration variable and integrating it with constant term
-zero.  The choice of constant never matters for the identities checked here
-because both sides share the antiderivative atom itself.
+One evaluator serves two arithmetics, chosen per check from the atoms its
+expressions reach.
 
-Denominators, explicit assumptions, and ``log`` arguments are guarded by a
-magnitude floor; a point that violates the floor is discarded and redrawn.
+* With no ``exp`` and no ``log``, the check runs in GF(p), p = 2^61 - 1
+  (:data:`MODULUS`).  Stand-ins are dense polynomials of the given degree,
+  and their coefficients, the parameters and the point coordinates are
+  uniform mod p.  A draw on which a denominator or an assumption is 0 mod p
+  is redrawn.  The check passes only if both sides are equal at every point;
+  ``tol`` plays no part.  What a pass means: if the two sides differ as
+  rational functions of the drawn values, all ``points`` points agree with
+  probability at most ``miss_bound`` (Schwartz, J. ACM 1980; Zippel, EUROSAM
+  1979).  :func:`_miss_bound` says how the degree behind it is bounded.  The
+  statement is about stand-ins of the given degree: a difference that only
+  shows for functions of higher degree is outside it.
+* With ``exp`` or ``log``, the check runs in exact :class:`fractions.Fraction`
+  arithmetic, with floats from those atoms on, at rational points in
+  [-2, 2] and with sparse small-rational stand-ins.  A point fails when
+  ``|L - R| / (1 + max(|L|, |R|))`` exceeds ``tol``.  Denominators,
+  assumptions and ``log`` arguments are guarded by a magnitude floor; a draw
+  that violates it is redrawn.  There is no miss bound.
+
+Antiderivative symbols are evaluated by building the integrand as a
+univariate polynomial in the integration variable, over the check's
+arithmetic, and integrating it with constant term zero.  The choice of
+constant never matters for the identities checked here because both sides
+share the antiderivative atom itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
@@ -38,9 +58,9 @@ from .expressions import (
     Log,
     Param,
     Var,
+    _below,
     _reach,
     as_expression,
-    dependency_closure,
     expr_sum,
     var,
 )
@@ -48,6 +68,9 @@ from .expressions import (
 __all__ = [
     "DEFAULT_SEED",
     "ASSUMPTION_FLOOR",
+    "MODULUS",
+    "RATIONALS",
+    "MODULAR",
     "PolyFunc",
     "UPoly",
     "Instantiation",
@@ -63,68 +86,241 @@ __all__ = [
 DEFAULT_SEED = 1729
 ASSUMPTION_FLOOR = Fraction(1, 10**6)
 FD_STEP = Fraction(1, 10**5)
+MODULUS = 2**61 - 1  # a Mersenne prime
 
-Number = Fraction | float
+Number = Fraction | float | int
+
+
+# ---------------------------------------------------------------------------
+# Arithmetics: what evaluation computes with, and how it draws
+
+
+class _Arithmetic:
+    """The operations evaluation needs over one kind of value.
+
+    Each arithmetic has ``zero`` and ``one`` and the operations ``add``,
+    ``mul``, ``power`` (by a non-negative int) and ``div`` (unchecked);
+    ``vanishes`` says when a denominator or assumption rules a point out, and
+    ``exp``/``log`` give those atoms' values.  The two base arithmetics also
+    take an int or ``Fraction`` in (``scalar``) and draw stand-in
+    coefficients, parameters and coordinates.
+    """
+
+    def lincomb(self, items, value):
+        """``sum(c * value(m) for m, c in items)``, added up in that order."""
+        add, mul = self.add, self.mul
+        total = self.zero
+        for m, c in items:
+            total = add(total, mul(c, value(m)))
+        return total
+
+
+class _Rationals(_Arithmetic):
+    """Exact ``Fraction`` arithmetic; ``exp`` and ``log`` values are floats."""
+
+    zero, one = Fraction(0), Fraction(1)
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    power = staticmethod(operator.pow)
+    div = staticmethod(operator.truediv)
+    scalar = staticmethod(Fraction)
+
+    @staticmethod
+    def vanishes(v, scale=1) -> bool:
+        # ``scale`` is a denominator's leading coefficient: the floor is on den/lc
+        return abs(v) < ASSUMPTION_FLOOR * scale
+
+    @staticmethod
+    def exp(v):
+        if v == 0:
+            return Fraction(1)
+        try:
+            return math.exp(float(v))
+        except OverflowError:
+            raise AssumptionViolationError("exponential overflow at this point") from None
+
+    @staticmethod
+    def log(v):
+        if v < ASSUMPTION_FLOOR:
+            raise AssumptionViolationError("logarithm argument within the floor")
+        return math.log(float(v))
+
+    @staticmethod
+    def coefficient(rng: Random):
+        """A sparse stand-in's coefficient: 0 with probability 0.4."""
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+
+    @staticmethod
+    def constant(rng: Random):
+        return Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+
+    @staticmethod
+    def coordinate(rng: Random):
+        return Fraction(rng.randint(-200, 200), 100)
+
+
+class _Modular(_Arithmetic):
+    """GF(p) for p = :data:`MODULUS`: values are ints in [0, p).  Every draw
+    is uniform, so stand-ins are dense."""
+
+    zero, one = 0, 1
+
+    @staticmethod
+    def add(a, b):
+        return (a + b) % MODULUS
+
+    @staticmethod
+    def mul(a, b):
+        return a * b % MODULUS
+
+    @staticmethod
+    def power(a, k):
+        return pow(a, k, MODULUS)
+
+    @staticmethod
+    def div(a, b):
+        return a * pow(b, -1, MODULUS) % MODULUS
+
+    @staticmethod
+    def scalar(c):
+        if type(c) is int:
+            return c % MODULUS
+        c = Fraction(c)
+        return c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
+
+    def lincomb(self, items, value):
+        total = 0
+        for m, c in items:
+            total += c * value(m)
+        return total % MODULUS
+
+    @staticmethod
+    def vanishes(v, scale=1) -> bool:
+        return v % MODULUS == 0
+
+    @staticmethod
+    def exp(v):
+        raise EvaluationError("exp has no value in GF(p)")
+
+    @staticmethod
+    def log(v):
+        raise EvaluationError("log has no value in GF(p)")
+
+    @staticmethod
+    def coefficient(rng: Random):
+        return rng.randrange(MODULUS)
+
+    constant = coordinate = coefficient
+
+
+class _Polynomials(_Arithmetic):
+    """Univariate polynomials over ``base``, as :class:`UPoly` values: an
+    integrand's values, in its integration variable.  Values of ``base`` enter
+    as constant polynomials."""
+
+    def __init__(self, base: _Arithmetic):
+        self.base = base
+        self.zero = UPoly((base.zero,), base)
+        self.one = UPoly((base.one,), base)
+        self.indeterminate = UPoly((base.zero, base.one), base)
+
+    def lift(self, v) -> "UPoly":
+        return v if isinstance(v, UPoly) and v.ar is self.base else UPoly((v,), self.base)
+
+    def add(self, a, b):
+        return self.lift(a) + self.lift(b)
+
+    def mul(self, a, b):
+        return self.lift(a) * self.lift(b)
+
+    def power(self, a, k):
+        return self.lift(a) ** k
+
+    def div(self, a, b):
+        return self.lift(a) / self.lift(b)
+
+    def vanishes(self, v, scale=1) -> bool:
+        return self.base.vanishes(self.lift(v).constant(), scale)
+
+    def exp(self, v):
+        return self.lift(self.base.exp(self.lift(v).constant()))
+
+    def log(self, v):
+        return self.lift(self.base.log(self.lift(v).constant()))
+
+
+RATIONALS = _Rationals()
+MODULAR = _Modular()
+
+
+# ---------------------------------------------------------------------------
+# Stand-ins
 
 
 class UPoly:
-    """Univariate polynomial with rational or float coefficients.
+    """Univariate polynomial with coefficients in an arithmetic (rationals,
+    with floats, by default).
 
-    Used as a duck-typed value during evaluation so that an integrand can be
-    assembled as a polynomial in the integration variable.  Division is exact
-    and only by constants.
+    Used as a value during evaluation so that an integrand can be assembled
+    as a polynomial in the integration variable.  Division is exact and only
+    by constants.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "ar")
 
-    def __init__(self, coeffs: Sequence[Number]):
+    def __init__(self, coeffs: Sequence, arith: _Arithmetic | None = None):
+        self.ar = RATIONALS if arith is None else arith
         cs = list(coeffs)
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs) if cs else (Fraction(0),)
+        self.coeffs = tuple(cs) if cs else (self.ar.zero,)
 
     @classmethod
-    def indeterminate(cls) -> "UPoly":
-        return cls((Fraction(0), Fraction(1)))
+    def indeterminate(cls, arith: _Arithmetic | None = None) -> "UPoly":
+        ar = RATIONALS if arith is None else arith
+        return cls((ar.zero, ar.one), ar)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def constant(self) -> Number:
+    def constant(self):
         if self.degree > 0:
             raise EvaluationError("polynomial value where a number was required")
         return self.coeffs[0]
 
-    def __call__(self, x: Number) -> Number:
-        acc: Number = Fraction(0)
+    def __call__(self, x):
+        ar = self.ar
+        acc = ar.zero
         for c in reversed(self.coeffs):
-            acc = acc * x + c
+            acc = ar.add(ar.mul(acc, x), c)
         return acc
 
     def antiderivative(self) -> "UPoly":
-        return UPoly((Fraction(0), *(c / (i + 1) for i, c in enumerate(self.coeffs))))
+        ar = self.ar
+        return UPoly((ar.zero, *(ar.div(c, i + 1) for i, c in enumerate(self.coeffs))), ar)
 
     def _coerce(self, other) -> "UPoly | None":
         if isinstance(other, UPoly):
-            return other
+            return other if other.ar is self.ar else None
         if isinstance(other, (int, float, Fraction)):
-            return UPoly((other,))
+            return UPoly((other,), self.ar)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
+        add, zero = self.ar.add, self.ar.zero
+        a, b = self.coeffs, o.coeffs
         return UPoly(tuple(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (o.coeffs[i] if i < len(o.coeffs) else 0) for i in range(n)))
+            add(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)
+            for i in range(max(len(a), len(b)))), self.ar)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UPoly(tuple(-c for c in self.coeffs))
+        return UPoly(tuple(self.ar.mul(c, -1) for c in self.coeffs), self.ar)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -139,32 +335,32 @@ class UPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        ar = self.ar
+        out = [ar.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return UPoly(out)
+                out[i + j] = ar.add(out[i + j], ar.mul(a, b))
+        return UPoly(out, ar)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, UPoly):
-            other = other.constant()
-        if isinstance(other, (int, float, Fraction)):
-            if abs(other) < ASSUMPTION_FLOOR:
-                raise AssumptionViolationError("division by a near-zero constant")
-            return UPoly(tuple(c / other for c in self.coeffs))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return other / self.constant()
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = o.constant()
+        if self.ar.vanishes(d):
+            raise AssumptionViolationError("division by a constant that vanishes here")
+        return UPoly(tuple(self.ar.div(c, d) for c in self.coeffs), self.ar)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = UPoly((Fraction(1),))
+        if self.degree == 0:
+            return UPoly((self.ar.power(self.coeffs[0], k),), self.ar)
+        out = UPoly((self.ar.one,), self.ar)
         for _ in range(k):
             out = out * self
         return out
@@ -186,31 +382,37 @@ class UPoly:
 class PolyFunc:
     """Polynomial in several slots, standing in for an arbitrary function.
 
-    Coefficients are keyed by exponent tuples.  Partial derivatives stay in
-    the class, so slot-derivative symbols evaluate exactly.
+    Coefficients are values of an arithmetic (rationals by default), keyed by
+    exponent tuples.  Partial derivatives stay in the class, so
+    slot-derivative symbols evaluate exactly.
     """
 
-    __slots__ = ("arity", "coeffs")
+    __slots__ = ("arity", "coeffs", "ar")
 
-    def __init__(self, arity: int, coeffs: Mapping[tuple[int, ...], Fraction]):
+    def __init__(self, arity: int, coeffs: Mapping[tuple[int, ...], Number],
+                 arith: _Arithmetic | None = None):
         self.arity = arity
+        self.ar = RATIONALS if arith is None else arith
         self.coeffs = {
-            tuple(e): Fraction(c) for e, c in coeffs.items() if c != 0}
+            tuple(e): self.ar.scalar(c) for e, c in coeffs.items() if c != 0}
         for e in self.coeffs:
             if len(e) != arity:
                 raise ValueError(f"exponent tuple {e} does not match arity {arity}")
 
-    def evaluate(self, args: Sequence) -> Number:
+    def evaluate(self, args: Sequence, arith: _Arithmetic | None = None):
+        """Value at ``args``, computed in ``arith`` (default: the coefficients')."""
         if len(args) != self.arity:
             raise EvaluationError(
                 f"function of {self.arity} slots called with {len(args)} arguments")
-        total = Fraction(0)
+        ar = self.ar if arith is None else arith
+        add, mul = ar.add, ar.mul
+        total = ar.zero
         for expo, c in self.coeffs.items():
             term = c
             for a, k in zip(args, expo):
                 for _ in range(k):
-                    term = term * a
-            total = total + term
+                    term = mul(term, a)
+            total = add(total, term)
         return total
 
     def partial(self, slot: int) -> "PolyFunc":
@@ -218,13 +420,14 @@ class PolyFunc:
         i = slot - 1
         if not 0 <= i < self.arity:
             raise EvaluationError(f"no slot {slot} in a function of {self.arity} slots")
-        out: dict[tuple[int, ...], Fraction] = {}
+        ar = self.ar
+        out: dict[tuple[int, ...], Number] = {}
         for expo, c in self.coeffs.items():
             if expo[i] == 0:
                 continue
             dexpo = expo[:i] + (expo[i] - 1,) + expo[i + 1:]
-            out[dexpo] = out.get(dexpo, Fraction(0)) + c * expo[i]
-        return PolyFunc(self.arity, out)
+            out[dexpo] = ar.add(out.get(dexpo, ar.zero), ar.mul(c, expo[i]))
+        return PolyFunc(self.arity, out, ar)
 
     def to_expression(self, names: Sequence[str]) -> Expression:
         """The polynomial as a symbolic expression in the given variable names."""
@@ -242,34 +445,83 @@ class PolyFunc:
 
     @classmethod
     def random(cls, rng: Random, arity: int, degree: int = 2,
-               require: Iterable[int] = ()) -> "PolyFunc":
-        """Random polynomial of bounded total degree.
+               require: Iterable[int] = (), arith: _Arithmetic | None = None) -> "PolyFunc":
+        """Random polynomial of bounded total degree, its coefficients drawn
+        by ``arith`` (sparse small rationals by default, dense in GF(p)).
 
         Slots listed in ``require`` (1-based) are guaranteed to appear, so the
         corresponding partials do not vanish identically.
         """
-        coeffs: dict[tuple[int, ...], Fraction] = {}
+        ar = RATIONALS if arith is None else arith
+        coeffs: dict[tuple[int, ...], Number] = {}
         for expo in _exponents(arity, degree):
-            if rng.random() < 0.6:
-                c = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-                if c != 0:
-                    coeffs[expo] = c
+            c = ar.coefficient(rng)
+            if c != 0:
+                coeffs[expo] = c
         if not coeffs:
-            coeffs[(0,) * arity] = Fraction(rng.randint(1, 5))
+            coeffs[(0,) * arity] = ar.scalar(rng.randint(1, 5))
         for slot in require:
             if not any(e[slot - 1] > 0 for e in coeffs):
                 expo = tuple(1 if j == slot - 1 else 0 for j in range(arity))
-                coeffs[expo] = Fraction(rng.randint(1, 4))
-        return cls(arity, coeffs)
+                coeffs[expo] = ar.scalar(rng.randint(1, 4))
+        return cls(arity, coeffs, ar)
 
 
-def _exponents(arity: int, degree: int):
+@functools.cache
+def _exponents(arity: int, degree: int) -> tuple[tuple[int, ...], ...]:
     if arity == 0:
-        yield ()
-        return
-    for head in range(degree + 1):
-        for tail in _exponents(arity - 1, degree - head):
-            yield (head, *tail)
+        return ((),)
+    return tuple((head, *tail) for head in range(degree + 1)
+                 for tail in _exponents(arity - 1, degree - head))
+
+
+class _Inventory:
+    """What a set of expressions reaches, read off one atom walk: the atoms,
+    each function's arity, the parameters and dependents (sorted), the
+    variables (free ones, jet indices, integration variables), and whether an
+    exp or log is reached."""
+
+    __slots__ = ("atoms", "functions", "params", "deps", "variables", "transcendental")
+
+    def __init__(self, exprs: Iterable[ExpressionLike]):
+        exprs = [as_expression(e) for e in exprs]
+        self.atoms = set().union(*map(_reach, exprs))
+        arities: dict[str, set[int]] = {}
+        params, deps, variables = set(), set(), set()
+        transcendental = False
+        for a in self.atoms:
+            if isinstance(a, Var):
+                variables.add(a.name)
+            elif isinstance(a, Jet):
+                deps.add(a.dep)
+                variables.update(a.index)
+            elif isinstance(a, Param):
+                params.add(a.name)
+            elif isinstance(a, Func):
+                arities.setdefault(a.name, set()).add(a.arity)
+            elif isinstance(a, Antideriv):
+                variables.add(a.var)
+            elif isinstance(a, Log):
+                transcendental = True
+        for name, ns in sorted(arities.items()):
+            if len(ns) > 1:
+                raise EvaluationError(
+                    f"function {name} used with {' and '.join(map(str, sorted(ns)))} arguments")
+        if not transcendental:
+            # an exponential sits in a monomial of some expression the walk passed
+            inner = (x for a in self.atoms for x in a.children())
+            transcendental = any(
+                m.exparg is not None
+                for x in chain(exprs, inner) for m in chain(*x.integer_form()[:2]))
+        self.functions = {n: ns.pop() for n, ns in sorted(arities.items())}
+        self.params = sorted(params)
+        self.deps = sorted(deps)
+        self.variables = variables
+        self.transcendental = transcendental
+
+    def point_names(self, slots: Iterable[Sequence[str]]) -> tuple[str, ...]:
+        """Variables a point must assign: ``variables`` plus the dependents' ``slots``."""
+        return tuple(sorted(self.variables.union(*slots)))
 
 
 @dataclass
@@ -278,12 +530,13 @@ class Instantiation:
 
     ``dependents`` maps a dependent variable name to its independent-variable
     names and the polynomial giving its value; jets evaluate as partials of
-    that polynomial.
+    that polynomial.  Values live in ``arith``.
     """
 
     functions: dict[str, PolyFunc] = field(default_factory=dict)
-    params: dict[str, Fraction] = field(default_factory=dict)
+    params: dict[str, Number] = field(default_factory=dict)
     dependents: dict[str, tuple[tuple[str, ...], PolyFunc]] = field(default_factory=dict)
+    arith: _Arithmetic = RATIONALS
 
     @classmethod
     def for_expressions(
@@ -292,36 +545,26 @@ class Instantiation:
         rng: Random,
         dep_vars: Mapping[str, Sequence[str]],
         degree: int = 2,
+        *,
+        arith: _Arithmetic | None = None,
+        inventory: _Inventory | None = None,
     ) -> "Instantiation":
         """Draw random stand-ins for every symbol appearing in ``exprs``.
 
         ``dep_vars`` names the independent variables of each dependent
         variable; any jet whose name is missing from it is an error.
+        ``arith`` draws the values (rationals by default).  ``inventory``,
+        when given, must be ``exprs``' own, and saves walking them again.
         """
-        reached = set().union(*(_reach(as_expression(e)) for e in exprs))
-        arities: dict[str, set[int]] = {}
-        params: set[str] = set()
-        deps: set[str] = set()
-        for a in reached:
-            if isinstance(a, Jet):
-                deps.add(a.dep)
-            elif isinstance(a, Param):
-                params.add(a.name)
-            elif isinstance(a, Func):
-                arities.setdefault(a.name, set()).add(a.arity)
-        for name, ns in sorted(arities.items()):
-            if len(ns) > 1:
-                raise EvaluationError(
-                    f"function {name} used with {' and '.join(map(str, sorted(ns)))} arguments")
-
-        inst = cls()
-        for name in sorted(arities):
-            (arity,) = arities[name]
+        ar = RATIONALS if arith is None else arith
+        inv = _Inventory(exprs) if inventory is None else inventory
+        inst = cls(arith=ar)
+        for name, arity in inv.functions.items():
             inst.functions[name] = PolyFunc.random(
-                rng, arity, degree, require=range(1, arity + 1))
-        for name in sorted(params):
-            inst.params[name] = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
-        for name in sorted(deps):
+                rng, arity, degree, require=range(1, arity + 1), arith=ar)
+        for name in inv.params:
+            inst.params[name] = ar.constant(rng)
+        for name in inv.deps:
             if name not in dep_vars:
                 raise EvaluationError(
                     f"dependent variable {name!r} has no declared independent variables")
@@ -329,18 +572,25 @@ class Instantiation:
             inst.dependents[name] = (
                 slots,
                 PolyFunc.random(rng, len(slots), max(degree, 2),
-                                require=range(1, len(slots) + 1)))
+                                require=range(1, len(slots) + 1), arith=ar))
         return inst
 
 
 class _Eval:
-    """One evaluation pass: a point plus caches."""
+    """One evaluation pass: a point, the arithmetic of its values, and caches.
 
-    __slots__ = ("inst", "point", "expr_cache", "atom_cache")
+    ``bound`` holds the variables that are indeterminates here (inside
+    antiderivatives).
+    """
 
-    def __init__(self, inst: Instantiation, point: Mapping[str, Number]):
+    __slots__ = ("inst", "point", "ar", "bound", "expr_cache", "atom_cache")
+
+    def __init__(self, inst: Instantiation, point: Mapping[str, object],
+                 ar: _Arithmetic | None = None, bound: frozenset = frozenset()):
         self.inst = inst
         self.point = point
+        self.ar = inst.arith if ar is None else ar
+        self.bound = bound
         self.expr_cache: dict[Expression, object] = {}
         self.atom_cache: dict[Atom, object] = {}
 
@@ -348,78 +598,55 @@ class _Eval:
         hit = self.expr_cache.get(e)
         if hit is not None:
             return hit
+        ar = self.ar
         num_p, den_p, lc = e.integer_form()
-        num = self.poly(num_p)
-        den = self.poly(den_p)
-        den_c = den.constant() if isinstance(den, UPoly) else den
-        # the floor applies to the monic denominator, den/lc
-        if isinstance(den_c, (int, float, Fraction)) and abs(den_c) < ASSUMPTION_FLOOR * lc:
-            raise AssumptionViolationError("denominator within the magnitude floor")
-        val = num / den
+        num = ar.lincomb(num_p.items(), self.monomial)
+        den = ar.lincomb(den_p.items(), self.monomial)
+        if ar.vanishes(den, lc):
+            raise AssumptionViolationError("denominator vanishes at this point")
+        val = ar.div(num, den)
         self.expr_cache[e] = val
         return val
 
-    def poly(self, p: dict):
-        total = Fraction(0)
-        for m, c in p.items():
-            term = c * self.monomial(m)
-            total = total + term
-        return total
-
     def monomial(self, m):
-        val: object = Fraction(1)
+        ar = self.ar
+        val = ar.one
         for a, k in m.atoms:
-            val = val * self.atom(a) ** k
+            x = self.atom(a)
+            val = ar.mul(val, x if k == 1 else ar.power(x, k))
         if m.exparg is not None:
-            val = val * self.exp_value(self.expr(m.exparg))
+            val = ar.mul(val, ar.exp(self.expr(m.exparg)))
         return val
-
-    def exp_value(self, v):
-        if isinstance(v, UPoly):
-            v = v.constant()
-        if v == 0:
-            return Fraction(1)
-        try:
-            return math.exp(float(v))
-        except OverflowError:
-            raise AssumptionViolationError("exponential overflow at this point") from None
 
     def atom(self, a: Atom):
-        hit = self.atom_cache.get(a)
-        if hit is not None:
-            return hit
-        val = self._atom_value(a)
-        self.atom_cache[a] = val
-        return val
-
-    def _atom_value(self, a: Atom):
+        val = self.atom_cache.get(a)
+        if val is not None:
+            return val
         if isinstance(a, Var):
-            return self._slot_value(a.name)
-        if isinstance(a, Jet):
-            return self._dependent_value(a.dep, a.index)
-        if isinstance(a, Param):
+            val = self._slot_value(a.name)
+        elif isinstance(a, Jet):
+            val = self._dependent_value(a.dep, a.index)
+        elif isinstance(a, Param):
             try:
-                return self.inst.params[a.name]
+                val = self.inst.params[a.name]
             except KeyError:
                 raise EvaluationError(f"no value for parameter {a.name!r}") from None
-        if isinstance(a, Func):
+        elif isinstance(a, Func):
             try:
                 poly = self.inst.functions[a.name]
             except KeyError:
                 raise EvaluationError(f"no stand-in for function {a.name!r}") from None
             for slot in a.dindex:
                 poly = poly.partial(slot)
-            return poly.evaluate([self.expr(arg) for arg in a.args])
-        if isinstance(a, Antideriv):
-            return self._antiderivative_value(a)
-        if isinstance(a, Log):
-            v = self.expr(a.arg)
-            if isinstance(v, UPoly):
-                v = v.constant()
-            if v < ASSUMPTION_FLOOR:
-                raise AssumptionViolationError("logarithm argument within the floor")
-            return math.log(float(v))
-        raise EvaluationError(f"cannot evaluate atom {a.text}")
+            val = poly.evaluate(list(map(self.expr, a.args)), self.ar)
+        elif isinstance(a, Antideriv):
+            val = self._antiderivative_value(a)
+        elif isinstance(a, Log):
+            val = self.ar.log(self.expr(a.arg))
+        else:
+            raise EvaluationError(f"cannot evaluate atom {a.text}")
+        self.atom_cache[a] = val
+        return val
 
     def _dependent_value(self, dep: str, index: tuple[str, ...]):
         try:
@@ -432,7 +659,7 @@ class _Eval:
             except ValueError:
                 raise EvaluationError(
                     f"jet of {dep!r} along {name!r}, which is not one of its variables") from None
-        return poly.evaluate([self._slot_value(n) for n in slots])
+        return poly.evaluate([self._slot_value(n) for n in slots], self.ar)
 
     def _slot_value(self, name: str):
         try:
@@ -441,39 +668,34 @@ class _Eval:
             raise EvaluationError(f"no value for variable {name!r}") from None
 
     def _antiderivative_value(self, a: Antideriv):
-        inner = _Eval(self.inst, {**self.point, a.var: UPoly.indeterminate()})
-        body = inner.expr(a.integrand)
-        if not isinstance(body, UPoly):
-            body = UPoly((body,))
-        x = self._slot_value(a.var)
-        if isinstance(x, UPoly):
+        if a.var in self.bound:
             raise EvaluationError("nested antiderivatives in the same variable")
-        return body.antiderivative()(x)
+        ring = _Polynomials(self.ar)
+        point = {n: ring.lift(v) for n, v in self.point.items()}
+        point[a.var] = ring.indeterminate
+        body = _Eval(self.inst, point, ring, self.bound | {a.var}).expr(a.integrand)
+        return ring.lift(body).antiderivative()(self._slot_value(a.var))
 
 
 def evaluate(e: ExpressionLike, inst: Instantiation, point: Mapping[str, Number]) -> Number:
-    """Value of ``e`` at ``point`` under ``inst``; exact when no exp or log occurs."""
-    val = _Eval(inst, point).expr(as_expression(e))
-    if isinstance(val, UPoly):
-        val = val.constant()
-    return val
+    """Value of ``e`` at ``point`` in ``inst``'s arithmetic; with rationals it
+    is exact when no exp or log occurs."""
+    return _Eval(inst, point).expr(as_expression(e))
 
 
 def required_point_names(
     exprs: Iterable[ExpressionLike], inst: Instantiation,
 ) -> tuple[str, ...]:
     """Variables a point must assign: free variables plus every dependent's slots."""
-    names: set[str] = set()
-    for e in exprs:
-        names |= dependency_closure(as_expression(e)).variables
-    for slots, _poly in inst.dependents.values():
-        names |= set(slots)
-    return tuple(sorted(names))
+    return _Inventory(exprs).point_names(slots for slots, _poly in inst.dependents.values())
 
 
-def draw_point(rng: Random, names: Sequence[str]) -> dict[str, Fraction]:
-    """Random rational point with coordinates in [-2, 2] at resolution 1/100."""
-    return {n: Fraction(rng.randint(-200, 200), 100) for n in names}
+def draw_point(rng: Random, names: Sequence[str],
+               arith: _Arithmetic | None = None) -> dict[str, Number]:
+    """Random point: by default rational coordinates in [-2, 2] at resolution
+    1/100; uniform mod p with :data:`MODULAR`."""
+    ar = RATIONALS if arith is None else arith
+    return {n: ar.coordinate(rng) for n in names}
 
 
 def fd_total(
@@ -498,13 +720,24 @@ def fd_total(
 
 @dataclass
 class CheckResult:
+    """``max_error`` is the largest relative error on the float path, and the
+    share of disagreeing points in GF(p); ``worst_point`` is the point of the
+    largest error, or the first disagreeing one.  ``miss_bound`` is ``None``
+    on the float path."""
+
     ok: bool
     points: int
     max_error: float
-    worst_point: dict[str, Fraction] | None = None
+    worst_point: dict[str, Number] | None = None
+    miss_bound: float | None = None
 
     def __bool__(self):
         return self.ok
+
+
+def _arithmetic(inv: _Inventory) -> _Arithmetic:
+    """GF(p) unless an exp or log needs real values."""
+    return RATIONALS if inv.transcendental else MODULAR
 
 
 def check_identity(
@@ -520,14 +753,14 @@ def check_identity(
     assumptions: Sequence[ExpressionLike] = (),
     max_attempts: int = 100,
 ) -> CheckResult:
-    """Compare two expressions numerically at random admissible points.
+    """Compare two expressions at random admissible points.
 
     Every point gets a fresh instantiation.  A draw is discarded when an
-    assumption or an internal denominator lands within the magnitude floor;
-    after ``max_attempts`` discards in a row the check errors out.  The error
-    measure is ``|L - R| / (1 + max(|L|, |R|))``.  ``points`` must be at
-    least 1 and ``tol`` finite and non-negative, so a pass means something
-    was compared.
+    assumption or an internal denominator vanishes there (is 0 mod p, or lies
+    within the magnitude floor on the float path); after ``max_attempts``
+    discards in a row the check errors out.  ``points`` must be at least 1 and
+    ``tol`` finite and non-negative, so a pass means something was compared;
+    ``tol`` decides only on the float path.  See the module docstring.
     """
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points!r}")
@@ -539,19 +772,24 @@ def check_identity(
     if rng is None:
         rng = Random(DEFAULT_SEED if seed is None else seed)
     everything = (lhs, rhs, *assumptions)
-    ok = True
+    inv = _Inventory(everything)
+    ar = _arithmetic(inv)
+    names = inv.point_names(tuple(dep_vars[d]) for d in inv.deps if d in dep_vars)
+    failed = 0
     max_err = 0.0
     worst = None
     for _ in range(points):
-        for attempt in range(max_attempts):
-            inst = Instantiation.for_expressions(everything, rng, dep_vars, degree)
-            pt = draw_point(rng, required_point_names(everything, inst))
+        for _attempt in range(max_attempts):
+            inst = Instantiation.for_expressions(
+                everything, rng, dep_vars, degree, arith=ar, inventory=inv)
+            pt = draw_point(rng, names, ar)
+            ev = _Eval(inst, pt)
             try:
                 for a in assumptions:
-                    if abs(evaluate(a, inst, pt)) < ASSUMPTION_FLOOR:
-                        raise AssumptionViolationError("assumption within the floor")
-                v1 = evaluate(lhs, inst, pt)
-                v2 = evaluate(rhs, inst, pt)
+                    if ar.vanishes(ev.expr(a)):
+                        raise AssumptionViolationError("assumption vanishes at this point")
+                v1 = ev.expr(lhs)
+                v2 = ev.expr(rhs)
             except AssumptionViolationError:
                 continue
             except ZeroDivisionError:
@@ -560,13 +798,113 @@ def check_identity(
         else:
             raise EvaluationError(
                 f"no admissible point found in {max_attempts} attempts")
+        if ar is MODULAR:
+            if v1 != v2:
+                failed += 1
+                if worst is None:
+                    worst = pt
+            continue
         err = abs(v1 - v2) / (1 + max(abs(v1), abs(v2)))
         if err > max_err:
             max_err = float(err)
             worst = pt
         if err > tol:
-            ok = False
-    return CheckResult(ok=ok, points=points, max_error=max_err, worst_point=worst)
+            failed += 1
+    if ar is not MODULAR:
+        return CheckResult(ok=not failed, points=points, max_error=max_err, worst_point=worst)
+    return CheckResult(ok=not failed, points=points, max_error=failed / points,
+                       worst_point=worst,
+                       miss_bound=_miss_bound(lhs, rhs, assumptions, inv.atoms, degree, points))
+
+
+def _miss_bound(lhs: Expression, rhs: Expression, assumptions: Sequence[Expression],
+                atoms: Iterable[Atom], degree: int, points: int) -> float:
+    """Upper bound on the chance that ``points`` GF(p) points all agree
+    although ``lhs - rhs`` is not zero, rounded up to a float.
+
+    Every value the evaluator forms is a quotient N/D of polynomials in the
+    drawn values: stand-in coefficients, parameters and coordinates.  One pass
+    over the atoms, inner atoms first, bounds (deg N, deg D) for each value,
+    for the quotient the evaluator actually forms:
+
+    * a variable or a parameter is (1, 0); a jet of order r of a dependent
+      whose stand-in has degree D is a coefficient times coordinates,
+      (D + 1 - r, 0), and (0, 0) once r > D;
+    * a function's stand-in after r slot derivatives has degree g = degree - r
+      in its arguments n_i/d_i.  Over the common denominator prod d_i^g a term
+      c_e * prod (n_i/d_i)^e_i has degree at most 1 + g*sum_i(d_i) +
+      g*max(0, max_i(n_i - d_i)), over g*sum_i(d_i);
+    * an antiderivative adds 1 to its integrand's numerator degree: the
+      integrand's denominator is free of the integration variable, or its
+      evaluation fails;
+    * a polynomial in atoms with highest powers K_a has the denominator
+      prod d_a^K_a, of degree sum K_a d_a; a monomial prod a^k_a adds
+      sum k_a (n_a - d_a) to that in the numerator.  An expression num/den is
+      (n_num + d_den, d_num + n_den).
+
+    If L = N_L/D_L and R = N_R/D_R differ, N_L*D_R - N_R*D_L is a nonzero
+    polynomial of degree at most d = max(n_L + d_R, n_R + d_L), and at a point
+    where no D vanishes the sides agree only where it does.  By Schwartz-Zippel
+    a uniform point finds that with probability at most d/p.  A point is
+    redrawn where the numerator of some expression's denominator, or of an
+    assumption, vanishes: polynomials whose degrees sum to at most e, so an
+    admissible point is at most d/p / (1 - e/p) = d/(p - e) likely to miss.
+    The points are independent, so the bound is that to the power ``points``.
+    """
+    dep_degree = max(degree, 2)
+    atom_deg: dict[Atom, tuple[int, int]] = {}
+    expr_deg: dict[Expression, tuple[int, int]] = {}
+    rejected = 0
+
+    def poly_degree(p) -> tuple[int, int]:
+        powers: dict[Atom, int] = {}
+        for m in p:
+            for a, k in m.atoms:
+                if k > powers.get(a, 0):
+                    powers[a] = k
+        den = sum(k * atom_deg[a][1] for a, k in powers.items())
+        lift = max((sum(k * (atom_deg[a][0] - atom_deg[a][1]) for a, k in m.atoms)
+                    for m in p), default=0)
+        return den + lift, den
+
+    def of(x: Expression) -> tuple[int, int]:
+        nonlocal rejected
+        hit = expr_deg.get(x)
+        if hit is None:
+            num, den, _lc = x.integer_form()
+            (nn, nd), (dn, dd) = poly_degree(num), poly_degree(den)
+            rejected += dn
+            hit = expr_deg[x] = (nn + dd, nd + dn)
+        return hit
+
+    for a in sorted(atoms, key=lambda a: len(_below(a))):
+        if isinstance(a, (Var, Param)):
+            atom_deg[a] = (1, 0)
+        elif isinstance(a, Jet):
+            r = len(a.index)
+            atom_deg[a] = (dep_degree + 1 - r, 0) if r <= dep_degree else (0, 0)
+        elif isinstance(a, Func):
+            args = [of(x) for x in a.args]
+            g = degree - len(a.dindex)
+            if g < 0:
+                atom_deg[a] = (0, 0)
+            else:
+                dsum = sum(d for _n, d in args)
+                atom_deg[a] = (1 + g * dsum + g * max(0, *(n - d for n, d in args)), g * dsum)
+        elif isinstance(a, Antideriv):
+            n, d = of(a.integrand)
+            atom_deg[a] = (n + 1, d)
+        else:
+            raise EvaluationError(f"no degree bound for atom {a.text}")
+    (nl, dl), (nr, dr) = of(lhs), of(rhs)
+    for x in assumptions:
+        rejected += of(x)[0]
+    d = max(nl + dr, nr + dl)
+    if d + rejected >= MODULUS:
+        return 1.0
+    bound = Fraction(d, MODULUS - rejected) ** points
+    rounded = float(bound)
+    return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)
 
 
 def check_zero(

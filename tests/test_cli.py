@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -314,6 +315,62 @@ def test_reduce_at_the_parser_depth_limit_writes_a_readable_state(capsys, tmp_pa
     state = json.loads((tmp_path / "state.json").read_text())
     (lhs, rhs), = state["checks"]
     assert Expression.from_tree(lhs) == Expression.from_tree(rhs)
+
+
+def test_nested_replay_cost_stays_flat(capsys, tmp_path):
+    # each degree-2 stand-in squares its argument's size in rationals; GF(p)
+    # values stay one word, so 20 nested levels replay at once
+    deep = "x"
+    for _ in range(20):
+        deep = f"a1({deep})"
+    code, _out = run(capsys, "reduce", *session_args("laplace.eqv", tmp_path),
+                     "--family", "F", "--a3", deep)
+    assert code == 0
+    started = time.perf_counter()
+    code, out = run(capsys, "oracle", "--state", tmp_path / "state.json")
+    assert time.perf_counter() - started < 10
+    assert code == 0 and out["ok"] is True
+    assert [(c["ok"], c["max_error"]) for c in out["checks"]] == [(True, 0.0)]
+    assert 0 < out["checks"][0]["miss_bound"] < 1
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    # the parser is built on the first call and reused; a usage error and
+    # --help in between leave it as a fresh one would be
+    calls = [
+        ["check", *session_args("ode_scale.eqv", tmp_path), "--family", "F",
+         "--transform", "Tscale"],
+        ["check", "--family", "F"],
+        ["oracle", "--state", tmp_path / "state.json", "--seed", 5],
+        ["oracle", "--help"],
+        ["check", *session_args("ode_shift.eqv", tmp_path), "--family", "A",
+         "--transform", "Tshift"],
+        ["oracle", "--points", "abc"],
+        ["invariants", *session_args("laplace.eqv", tmp_path), "--equation", "E"],
+        ["oracle", "--state", tmp_path / "state.json"],
+    ]
+
+    def replay(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main([str(a) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, "usage: eqvlab" in captured.err))
+        return seen
+
+    cli._parser.cache_clear()
+    shared = replay(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert shared == replay(fresh=True)
+    assert [code for code, _out, _usage in shared] == [0, 2, 0, 0, 1, 2, 0, 0]
+    assert [usage for _code, _out, usage in shared] == [
+        False, True, False, False, False, True, False, False]
+    assert "--points" in shared[3][1]
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

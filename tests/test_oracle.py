@@ -1,10 +1,13 @@
 """The numeric side: polynomial stand-ins, evaluation, identity checking."""
 
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from eqvlab import oracle
+from eqvlab.oracle import MODULUS, RATIONALS
 from eqvlab import (
     AssumptionViolationError,
     EvaluationError,
@@ -260,3 +263,89 @@ def test_instantiation_matches_reference_walk_bulk():
             inst = Instantiation.for_expressions(exprs, Random(i), DEP)
             want = reference_draw(exprs, Random(i), DEP)
             assert stand_ins(inst.functions, inst.params, inst.dependents) == stand_ins(*want)
+
+
+def on_both_paths(monkeypatch, lhs, rhs, dep_vars=DEP, **kwargs):
+    """``check_identity`` as routed (GF(p) here), then forced onto the float path;
+    an evaluation error stands in for the verdict."""
+    out = []
+    for forced in (False, True):
+        with monkeypatch.context() as m:
+            if forced:
+                m.setattr(oracle, "_arithmetic", lambda inv: RATIONALS)
+            try:
+                out.append(check_identity(lhs, rhs, dep_vars, **kwargs))
+            except EvaluationError as exc:
+                out.append(f"EvaluationError: {exc}")
+    return out
+
+
+def test_modular_and_rational_paths_agree_bulk(monkeypatch):
+    # every seeded expression without exp or log: true identities pass on both
+    # paths, a scaled side fails on both, and what one path cannot evaluate
+    # (a nested antiderivative in one variable, a denominator in the
+    # integration variable) fails the same way on the other
+    f = jet("w", "y") + z
+    compared = 0
+    for i, e in seeded_cases(505, 300):
+        if oracle._Inventory([e]).transcendental or e.is_zero():
+            continue
+        compared += 1
+        for lhs, rhs, want in (
+                ((e * f) / f, e, True),
+                (partial(partial(e, y), z), partial(partial(e, z), y), True),
+                (e * Fraction(1001, 1000), e, False)):
+            modular, rational = on_both_paths(monkeypatch, lhs, rhs, seed=i, points=4)
+            if isinstance(modular, str):
+                assert modular == rational, (i, e.text)
+                continue
+            assert modular.miss_bound is not None and rational.miss_bound is None
+            assert (modular.ok, rational.ok) == (want, want), (i, e.text)
+    assert compared > 100
+
+
+def test_modular_path_rejects_a_near_miss_the_tol_path_accepts(monkeypatch):
+    e = (y + z) ** 2
+    near = y * y + 2 * y * z + z * z + y / 10 ** 12
+    modular, rational = on_both_paths(monkeypatch, e, near, seed=3)
+    assert rational.ok and 0 < rational.max_error <= 1e-6
+    assert not modular.ok
+    assert modular.max_error == 1.0 and modular.worst_point is not None
+    assert all(isinstance(v, int) and 0 <= v < MODULUS for v in modular.worst_point.values())
+
+
+def test_miss_bound_is_reported_only_on_the_modular_path():
+    f = func("F", y, z)
+    res = check_identity(f * (y + 1), f * y + f, DEP, seed=2)
+    assert res.ok and isinstance(res.miss_bound, float) and 0 < res.miss_bound < 1
+    for transcendental in (exp(y) * f, log(1 + z * z) * f):
+        res = check_identity(transcendental, transcendental, DEP, seed=2)
+        assert res.ok and res.miss_bound is None
+
+
+def test_miss_bound_follows_the_stated_degree_bound():
+    # y*z against z*y: each side is (2, 0), so d = 2 and nothing is redrawn
+    res = check_identity(y * z, z * y, {}, seed=1, points=3)
+    assert res.miss_bound >= Fraction(2, MODULUS) ** 3
+    assert res.miss_bound == pytest.approx(float(Fraction(2, MODULUS) ** 3), rel=1e-15)
+    # 1/(1 + y^2) is (0, 2): d = 2, and the denominator's numerator (degree 2)
+    # is what a redraw rejects on, so one point misses at most 2/(p - 2)
+    q = 1 / (1 + y * y)
+    assert check_identity(q, q, {}, seed=1, points=1).miss_bound == pytest.approx(
+        2 / (MODULUS - 2), rel=1e-15)
+    # F(y/(1 + z^2)) with a degree-2 stand-in: the argument is (1, 2), so the
+    # value is (1 + 2*2 + 2*0, 2*2) = (5, 4) and the cleared difference has degree 9
+    g = func("F", y / (1 + z * z))
+    assert check_identity(g, g, {}, seed=1, points=1).miss_bound == pytest.approx(
+        9 / (MODULUS - 2), rel=1e-15)
+    # a bound too small for a float is rounded up, never printed as zero
+    tiny = check_identity(y * z, z * y, {}, seed=1, points=40).miss_bound
+    assert tiny == math.nextafter(0.0, 1.0)
+
+
+def test_antiderivatives_integrate_in_gf_p():
+    res = check_identity(antiderivative(y * z, "y"), y * y * z / 2, {}, seed=4)
+    assert res.ok and res.miss_bound is not None
+    nested = antiderivative(antiderivative(y * z, "y"), "z")
+    assert check_identity(nested, y * y * z * z / 4, {}, seed=4).ok
+    assert not check_identity(nested, y * y * z * z / 3, {}, seed=4).ok
