@@ -329,8 +329,9 @@ def _cmd_oracle(args):
         results.append({"ok": r.ok, "max_error": r.max_error, "points": r.points,
                         "miss_bound": r.miss_bound})
         if r.miss_bound is None:
-            print(f"oracle: check {i} has no miss bound: it reaches exp or log, so it "
-                  f"was evaluated in floating point and judged by tol", file=sys.stderr)
+            print(f"oracle: check {i} has no miss bound: it reaches exp or log, or an "
+                  f"integer coefficient divisible by p, so it was evaluated in rationals "
+                  f"and floating point and judged by tol", file=sys.stderr)
         all_ok = all_ok and r.ok
     print(f"oracle: {sum(1 for r in results if r['ok'])}/{len(results)} checks passed",
           file=sys.stderr)

@@ -11,19 +11,22 @@ prolongation formulas assume.
 One evaluator serves two arithmetics, chosen per check from the atoms its
 expressions reach.
 
-* With no ``exp`` and no ``log``, the check runs in GF(p), p = 2^61 - 1
-  (:data:`MODULUS`).  Stand-ins are dense polynomials of the given degree,
-  and their coefficients, the parameters and the point coordinates are
-  uniform mod p.  A draw on which a denominator or an assumption is 0 mod p
-  is redrawn.  The check passes only if both sides are equal at every point;
-  ``tol`` plays no part.  What a pass means: if the two sides differ as
-  rational functions of the drawn values, all ``points`` points agree with
-  probability at most ``miss_bound`` (Schwartz, J. ACM 1980; Zippel, EUROSAM
-  1979).  :func:`_miss_bound` says how the degree behind it is bounded.  The
-  statement is about stand-ins of the given degree: a difference that only
-  shows for functions of higher degree is outside it.
-* With ``exp`` or ``log``, the check runs in exact :class:`fractions.Fraction`
-  arithmetic, with floats from those atoms on, at rational points in
+* With no ``exp``, no ``log`` and no integer coefficient that is a multiple
+  of p, the check runs in GF(p), p = 2^61 - 1 (:data:`MODULUS`).  Stand-ins
+  are dense polynomials of the given degree, and their coefficients, the
+  parameters and the point coordinates are uniform mod p.  A draw on which
+  a denominator or an assumption is 0 mod p is redrawn.  The check passes
+  only if both sides are equal at every point; ``tol`` plays no part.  What
+  a pass means: if the two sides differ as rational functions of the drawn
+  values, all ``points`` points agree with probability at most
+  ``miss_bound`` (Schwartz, J. ACM 1980; Zippel, EUROSAM 1979).
+  :func:`_miss_bound` says how the degree behind it is bounded and what it
+  assumes; a check whose degree bound reaches p, so that a pass would
+  certify nothing, errors out instead.  The statement is about stand-ins of
+  the given degree: a difference that only shows for functions of higher
+  degree is outside it.
+* Otherwise the check runs in exact :class:`fractions.Fraction`
+  arithmetic, with floats from any exp or log on, at rational points in
   [-2, 2] and with sparse small-rational stand-ins.  A point fails when
   ``|L - R| / (1 + max(|L|, |R|))`` exceeds ``tol``.  Denominators,
   assumptions and ``log`` arguments are guarded by a magnitude floor; a draw
@@ -70,7 +73,6 @@ __all__ = [
     "ASSUMPTION_FLOOR",
     "MODULUS",
     "RATIONALS",
-    "MODULAR",
     "PolyFunc",
     "UPoly",
     "Instantiation",
@@ -222,7 +224,7 @@ class _Polynomials(_Arithmetic):
         self.base = base
         self.zero = UPoly((base.zero,), base)
         self.one = UPoly((base.one,), base)
-        self.indeterminate = UPoly((base.zero, base.one), base)
+        self.indeterminate = UPoly.indeterminate(base)
 
     def lift(self, v) -> "UPoly":
         return v if isinstance(v, UPoly) and v.ar is self.base else UPoly((v,), self.base)
@@ -478,17 +480,18 @@ def _exponents(arity: int, degree: int) -> tuple[tuple[int, ...], ...]:
 class _Inventory:
     """What a set of expressions reaches, read off one atom walk: the atoms,
     each function's arity, the parameters and dependents (sorted), the
-    variables (free ones, jet indices, integration variables), and whether an
-    exp or log is reached."""
+    variables (free ones, jet indices, integration variables), and whether
+    GF(p) evaluates them faithfully (``modular``): no exp, no log, and no
+    integer coefficient that is a multiple of p."""
 
-    __slots__ = ("atoms", "functions", "params", "deps", "variables", "transcendental")
+    __slots__ = ("atoms", "functions", "params", "deps", "variables", "modular")
 
     def __init__(self, exprs: Iterable[ExpressionLike]):
         exprs = [as_expression(e) for e in exprs]
         self.atoms = set().union(*map(_reach, exprs))
         arities: dict[str, set[int]] = {}
         params, deps, variables = set(), set(), set()
-        transcendental = False
+        modular = True
         for a in self.atoms:
             if isinstance(a, Var):
                 variables.add(a.name)
@@ -502,22 +505,24 @@ class _Inventory:
             elif isinstance(a, Antideriv):
                 variables.add(a.var)
             elif isinstance(a, Log):
-                transcendental = True
+                modular = False
         for name, ns in sorted(arities.items()):
             if len(ns) > 1:
                 raise EvaluationError(
                     f"function {name} used with {' and '.join(map(str, sorted(ns)))} arguments")
-        if not transcendental:
-            # an exponential sits in a monomial of some expression the walk passed
+        if modular:
+            # every expression evaluated is one of exprs or an atom's child;
+            # an exponential sits in one of their monomials
             inner = (x for a in self.atoms for x in a.children())
-            transcendental = any(
-                m.exparg is not None
-                for x in chain(exprs, inner) for m in chain(*x.integer_form()[:2]))
+            modular = all(
+                m.exparg is None and c % MODULUS
+                for x in chain(exprs, inner) for p in x.integer_form()[:2]
+                for m, c in p.items())
         self.functions = {n: ns.pop() for n, ns in sorted(arities.items())}
         self.params = sorted(params)
         self.deps = sorted(deps)
         self.variables = variables
-        self.transcendental = transcendental
+        self.modular = modular
 
     def point_names(self, slots: Iterable[Sequence[str]]) -> tuple[str, ...]:
         """Variables a point must assign: ``variables`` plus the dependents' ``slots``."""
@@ -541,23 +546,23 @@ class Instantiation:
     @classmethod
     def for_expressions(
         cls,
-        exprs: Iterable[ExpressionLike],
+        exprs: "Iterable[ExpressionLike] | _Inventory",
         rng: Random,
         dep_vars: Mapping[str, Sequence[str]],
         degree: int = 2,
         *,
         arith: _Arithmetic | None = None,
-        inventory: _Inventory | None = None,
     ) -> "Instantiation":
         """Draw random stand-ins for every symbol appearing in ``exprs``.
 
         ``dep_vars`` names the independent variables of each dependent
         variable; any jet whose name is missing from it is an error.
-        ``arith`` draws the values (rationals by default).  ``inventory``,
-        when given, must be ``exprs``' own, and saves walking them again.
+        ``arith`` draws the values (rationals by default).  ``exprs`` may
+        also be their walked inventory, which is how :func:`check_identity`
+        draws once per attempt without walking them again.
         """
         ar = RATIONALS if arith is None else arith
-        inv = _Inventory(exprs) if inventory is None else inventory
+        inv = exprs if isinstance(exprs, _Inventory) else _Inventory(exprs)
         inst = cls(arith=ar)
         for name, arity in inv.functions.items():
             inst.functions[name] = PolyFunc.random(
@@ -693,7 +698,7 @@ def required_point_names(
 def draw_point(rng: Random, names: Sequence[str],
                arith: _Arithmetic | None = None) -> dict[str, Number]:
     """Random point: by default rational coordinates in [-2, 2] at resolution
-    1/100; uniform mod p with :data:`MODULAR`."""
+    1/100; uniform mod p with the GF(p) arithmetic."""
     ar = RATIONALS if arith is None else arith
     return {n: ar.coordinate(rng) for n in names}
 
@@ -736,8 +741,8 @@ class CheckResult:
 
 
 def _arithmetic(inv: _Inventory) -> _Arithmetic:
-    """GF(p) unless an exp or log needs real values."""
-    return RATIONALS if inv.transcendental else MODULAR
+    """GF(p) unless an exp or log needs real values or a coefficient is 0 mod p."""
+    return MODULAR if inv.modular else RATIONALS
 
 
 def check_identity(
@@ -760,7 +765,8 @@ def check_identity(
     within the magnitude floor on the float path); after ``max_attempts``
     discards in a row the check errors out.  ``points`` must be at least 1 and
     ``tol`` finite and non-negative, so a pass means something was compared;
-    ``tol`` decides only on the float path.  See the module docstring.
+    ``tol`` decides only on the float path.  A GF(p) check whose degree bound
+    reaches p errors out before drawing.  See the module docstring.
     """
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points!r}")
@@ -771,17 +777,18 @@ def check_identity(
     assumptions = tuple(as_expression(a) for a in assumptions)
     if rng is None:
         rng = Random(DEFAULT_SEED if seed is None else seed)
-    everything = (lhs, rhs, *assumptions)
-    inv = _Inventory(everything)
+    inv = _Inventory((lhs, rhs, *assumptions))
     ar = _arithmetic(inv)
+    bound = None
+    if ar is MODULAR:
+        bound = _miss_bound(lhs, rhs, assumptions, inv.atoms, degree, points)
     names = inv.point_names(tuple(dep_vars[d]) for d in inv.deps if d in dep_vars)
     failed = 0
     max_err = 0.0
     worst = None
     for _ in range(points):
         for _attempt in range(max_attempts):
-            inst = Instantiation.for_expressions(
-                everything, rng, dep_vars, degree, arith=ar, inventory=inv)
+            inst = Instantiation.for_expressions(inv, rng, dep_vars, degree, arith=ar)
             pt = draw_point(rng, names, ar)
             ev = _Eval(inst, pt)
             try:
@@ -810,17 +817,17 @@ def check_identity(
             worst = pt
         if err > tol:
             failed += 1
-    if ar is not MODULAR:
-        return CheckResult(ok=not failed, points=points, max_error=max_err, worst_point=worst)
-    return CheckResult(ok=not failed, points=points, max_error=failed / points,
-                       worst_point=worst,
-                       miss_bound=_miss_bound(lhs, rhs, assumptions, inv.atoms, degree, points))
+    if ar is MODULAR:
+        max_err = failed / points
+    return CheckResult(ok=not failed, points=points, max_error=max_err, worst_point=worst,
+                       miss_bound=bound)
 
 
 def _miss_bound(lhs: Expression, rhs: Expression, assumptions: Sequence[Expression],
                 atoms: Iterable[Atom], degree: int, points: int) -> float:
     """Upper bound on the chance that ``points`` GF(p) points all agree
-    although ``lhs - rhs`` is not zero, rounded up to a float.
+    although ``lhs - rhs`` is not zero, rounded up to a float; an
+    :class:`EvaluationError` when the degree bound reaches p.
 
     Every value the evaluator forms is a quotient N/D of polynomials in the
     drawn values: stand-in coefficients, parameters and coordinates.  One pass
@@ -844,11 +851,17 @@ def _miss_bound(lhs: Expression, rhs: Expression, assumptions: Sequence[Expressi
 
     If L = N_L/D_L and R = N_R/D_R differ, N_L*D_R - N_R*D_L is a nonzero
     polynomial of degree at most d = max(n_L + d_R, n_R + d_L), and at a point
-    where no D vanishes the sides agree only where it does.  By Schwartz-Zippel
-    a uniform point finds that with probability at most d/p.  A point is
-    redrawn where the numerator of some expression's denominator, or of an
-    assumption, vanishes: polynomials whose degrees sum to at most e, so an
-    admissible point is at most d/p / (1 - e/p) = d/(p - e) likely to miss.
+    where no D vanishes the sides agree only where it does.  Cleared to
+    integer coefficients, it stays nonzero mod p unless p divides every one of
+    them; the bound assumes it does not.  A check with an integer coefficient
+    that is a multiple of p goes to the float path for that reason; a
+    difference that vanishes mod p only through a sum of coefficients, as
+    ``y`` against ``(1 - p)*y``, is outside the bound.  By Schwartz-Zippel a
+    uniform point finds a zero of a nonzero polynomial mod p with probability
+    at most d/p.  A point is redrawn where the numerator of some expression's
+    denominator, or of an assumption, vanishes: polynomials whose degrees sum
+    to at most e, so an admissible point is at most d/p / (1 - e/p) =
+    d/(p - e) likely to miss.
     The points are independent, so the bound is that to the power ``points``.
     """
     dep_degree = max(degree, 2)
@@ -901,7 +914,9 @@ def _miss_bound(lhs: Expression, rhs: Expression, assumptions: Sequence[Expressi
         rejected += of(x)[0]
     d = max(nl + dr, nr + dl)
     if d + rejected >= MODULUS:
-        return 1.0
+        raise EvaluationError(
+            f"the degree bound of this check ({d}, and {rejected} on redraws) reaches "
+            f"p = 2^61 - 1, so a GF(p) pass would certify nothing")
     bound = Fraction(d, MODULUS - rejected) ** points
     rounded = float(bound)
     return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)

@@ -334,6 +334,24 @@ def test_nested_replay_cost_stays_flat(capsys, tmp_path):
     assert 0 < out["checks"][0]["miss_bound"] < 1
 
 
+def test_replay_past_the_degree_bound_exits_2(capsys, tmp_path):
+    # at 60 nested levels the GF(p) degree bound reaches p: a pass would
+    # certify nothing, so the replay is an error report and not "ok"
+    deep = "x"
+    for _ in range(60):
+        deep = f"a1({deep})"
+    code, _out = run(capsys, "reduce", *session_args("laplace.eqv", tmp_path),
+                     "--family", "F", "--a3", deep)
+    assert code == 0
+    code = main(["oracle", "--state", str(tmp_path / "state.json")])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 2
+    assert out["error"]["type"] == "EvaluationError"
+    assert "certify nothing" in out["error"]["message"]
+    assert "Traceback" not in captured.err
+
+
 def test_one_parser_serves_every_call(capsys, tmp_path):
     # the parser is built on the first call and reused; a usage error and
     # --help in between leave it as a fresh one would be

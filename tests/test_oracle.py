@@ -260,9 +260,11 @@ def test_instantiation_matches_reference_walk_bulk():
     for i, e in seeded_cases(505, 300):
         for x in (e, partial(e, var("y"))):
             exprs = [x, x * func("G", x, param("k"))]
-            inst = Instantiation.for_expressions(exprs, Random(i), DEP)
-            want = reference_draw(exprs, Random(i), DEP)
-            assert stand_ins(inst.functions, inst.params, inst.dependents) == stand_ins(*want)
+            want = stand_ins(*reference_draw(exprs, Random(i), DEP))
+            # drawn from the expressions, or from their walked inventory
+            for source in (exprs, oracle._Inventory(exprs)):
+                inst = Instantiation.for_expressions(source, Random(i), DEP)
+                assert stand_ins(inst.functions, inst.params, inst.dependents) == want
 
 
 def on_both_paths(monkeypatch, lhs, rhs, dep_vars=DEP, **kwargs):
@@ -288,7 +290,7 @@ def test_modular_and_rational_paths_agree_bulk(monkeypatch):
     f = jet("w", "y") + z
     compared = 0
     for i, e in seeded_cases(505, 300):
-        if oracle._Inventory([e]).transcendental or e.is_zero():
+        if not oracle._Inventory([e]).modular or e.is_zero():
             continue
         compared += 1
         for lhs, rhs, want in (
@@ -349,3 +351,30 @@ def test_antiderivatives_integrate_in_gf_p():
     nested = antiderivative(antiderivative(y * z, "y"), "z")
     assert check_identity(nested, y * y * z * z / 4, {}, seed=4).ok
     assert not check_identity(nested, y * y * z * z / 3, {}, seed=4).ok
+
+
+def test_coefficients_divisible_by_p_take_the_float_path():
+    # y/p keeps the integer denominator p, which is 0 mod p, and p*y the
+    # numerator coefficient p: in GF(p) the first would reject every draw and
+    # the second would pass against 0
+    y = var("y")
+    q = y / MODULUS
+    res = check_identity(q, q, {}, seed=1)
+    assert res.ok and res.miss_bound is None
+    res = check_zero(MODULUS * y, {}, seed=1)
+    assert not res.ok and res.miss_bound is None
+    res = check_zero((MODULUS + 1) * y - y - MODULUS * y, {}, seed=1)
+    assert res.ok
+    assert check_identity(y / (MODULUS + 1), y / (MODULUS + 1), {}, seed=1).miss_bound
+
+
+def test_a_degree_bound_at_p_is_an_error_not_a_pass():
+    # each nested degree-2 stand-in doubles the degree bound: 59 levels still
+    # certify something, 60 reach p and are refused before any draw
+    e = var("x")
+    for _ in range(59):
+        e = func("a1", e)
+    assert 0 < check_identity(e, e, {}, seed=1).miss_bound < 1e-3
+    e = func("a1", e)
+    with pytest.raises(EvaluationError, match="certify nothing"):
+        check_identity(e, e, {}, seed=1)
