@@ -72,7 +72,6 @@ from .families import (
     NOT_EQUIVALENCE,
     CoefficientSlot,
     EquationFamily,
-    InducedAction,
     MatchFailure,
     MatchReport,
     TheoremCheckResult,
@@ -94,7 +93,6 @@ from .oracle import (
     CheckResult,
     Instantiation,
     PolyFunc,
-    UPoly,
     check_identity,
     check_zero,
     draw_point,

@@ -226,13 +226,9 @@ def _cmd_check(args, session):
                  session.dep_slots(tr))
     out = report.to_json()
     if args.command == "induced-action":
-        out = {
-            "verdict": report.verdict,
-            "induced_action": out.get("induced_action"),
-            "assumptions": out.get("assumptions", []),
-        }
+        failures = out.pop("failures")
         if not ok:
-            out["failures"] = report.to_json().get("failures", [])
+            out["failures"] = failures
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return out, ok
 

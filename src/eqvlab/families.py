@@ -46,7 +46,6 @@ __all__ = [
     "EquationFamily",
     "MatchFailure",
     "MatchReport",
-    "InducedAction",
     "TheoremCheckResult",
     "match",
     "check_equivalence",
@@ -243,29 +242,19 @@ class MatchFailure:
 
 
 @dataclass
-class InducedAction:
-    """The transformed coefficient functions, one expression per slot."""
-
-    family: EquationFamily
-    mapping: dict
-
-    def __getitem__(self, slot: str) -> Expression:
-        return self.mapping[slot]
-
-    def to_json(self):
-        return {name: e.text for name, e in self.mapping.items()}
-
-
-@dataclass
 class MatchReport:
-    """The result of matching an expression against a family."""
+    """The result of matching an expression against a family.
+
+    ``action`` is the induced action of an equivalence, the transformed
+    coefficient function of each slot by name; ``None`` otherwise.
+    """
 
     verdict: str
     family: EquationFamily
     expression: Expression
     lead_coefficient: Expression
     coefficients: dict = field(default_factory=dict)
-    action: InducedAction | None = None
+    action: dict[str, Expression] | None = None
     failures: list = field(default_factory=list)
     assumptions: tuple = ()
     absorbed_slot: str | None = None
@@ -282,7 +271,7 @@ class MatchReport:
     def to_json(self):
         return {
             "verdict": self.verdict,
-            "induced_action": self.action.to_json() if self.action else {},
+            "induced_action": {name: e.text for name, e in (self.action or {}).items()},
             "assumptions": [a.text for a in self.assumptions],
             "failures": [f.to_json() for f in self.failures],
         }
@@ -399,7 +388,7 @@ def match(
         expression=e,
         lead_coefficient=lead_c,
         coefficients=B,
-        action=InducedAction(family, dict(B)) if verdict == EQUIVALENCE else None,
+        action=dict(B) if verdict == EQUIVALENCE else None,
         failures=failures,
         assumptions=tuple(all_assumptions),
         absorbed_slot=absorbed,

@@ -8,33 +8,39 @@ the mixed partial of the polynomial standing in for ``w``.  That keeps jets
 consistent with the dependent variable, which is what total derivatives and
 prolongation formulas assume.
 
-One evaluator serves two arithmetics, chosen per check from the atoms its
-expressions reach.
+Each check walks what its expressions reach once, inner atoms first
+(``_Inventory``).  That one pass classifies the atoms, decides every
+stand-in's degree (``degree`` for functions, at least 2 for dependents; the
+rule is stated there and nowhere else), picks one of two arithmetics for the
+evaluator, and bounds the degree of every value the evaluator will form.
 
 * With no ``exp``, no ``log`` and no integer coefficient that is a multiple
   of p, the check runs in GF(p), p = 2^61 - 1 (:data:`MODULUS`).  Stand-ins
-  are dense polynomials of the given degree, and their coefficients, the
+  are dense polynomials of the decided degrees, and their coefficients, the
   parameters and the point coordinates are uniform mod p.  A draw on which
   a denominator or an assumption is 0 mod p is redrawn.  The check passes
   only if both sides are equal at every point; ``tol`` plays no part.  What
   a pass means: if the two sides differ as rational functions of the drawn
   values, all ``points`` points agree with probability at most
   ``miss_bound`` (Schwartz, J. ACM 1980; Zippel, EUROSAM 1979).
-  :func:`_miss_bound` says how the degree behind it is bounded and what it
-  assumes; a check whose degree bound reaches p, so that a pass would
+  ``_Inventory.miss_bound`` says how the degree behind it is bounded and
+  what it assumes; a check whose degree bound reaches p, so that a pass would
   certify nothing, errors out instead.  The statement is about stand-ins of
-  the given degree: a difference that only shows for functions of higher
-  degree is outside it.
+  those degrees: a difference that only shows for functions of higher degree
+  is outside it.
 * Otherwise the check runs in exact :class:`fractions.Fraction`
   arithmetic, with floats from any exp or log on, at rational points in
   [-2, 2] and with sparse small-rational stand-ins.  A point fails when
   ``|L - R| / (1 + max(|L|, |R|))`` exceeds ``tol``.  Denominators,
   assumptions and ``log`` arguments are guarded by a magnitude floor; a draw
-  that violates it is redrawn.  There is no miss bound.
+  that violates it is redrawn.  Values beyond the range of floating point
+  are an error.  There is no miss bound.
 
 Antiderivative symbols are evaluated by building the integrand as a
 univariate polynomial in the integration variable, over the check's
-arithmetic, and integrating it with constant term zero.  The choice of
+arithmetic (``_Polynomials``, the one place polynomial arithmetic lives), and
+integrating it with constant term zero; an integrand that is not a
+polynomial in that variable cannot be evaluated.  The choice of
 constant never matters for the identities checked here because both sides
 share the antiderivative atom itself.
 """
@@ -46,7 +52,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
@@ -74,7 +79,6 @@ __all__ = [
     "MODULUS",
     "RATIONALS",
     "PolyFunc",
-    "UPoly",
     "Instantiation",
     "evaluate",
     "required_point_names",
@@ -216,39 +220,70 @@ class _Modular(_Arithmetic):
 
 
 class _Polynomials(_Arithmetic):
-    """Univariate polynomials over ``base``, as :class:`UPoly` values: an
-    integrand's values, in its integration variable.  Values of ``base`` enter
-    as constant polynomials."""
+    """Univariate polynomials over ``base`` in the integration variable of the
+    antiderivative ``atom``: its integrand's values, as :class:`_UPoly`
+    values.  Values of ``base`` enter as constant polynomials; division is
+    exact and only by constants."""
 
-    def __init__(self, base: _Arithmetic):
+    def __init__(self, base: _Arithmetic, atom: Antideriv):
         self.base = base
-        self.zero = UPoly((base.zero,), base)
-        self.one = UPoly((base.one,), base)
-        self.indeterminate = UPoly.indeterminate(base)
+        self.atom = atom
+        self.zero = _UPoly((base.zero,), base)
+        self.one = _UPoly((base.one,), base)
+        self.indeterminate = _UPoly((base.zero, base.one), base)
 
-    def lift(self, v) -> "UPoly":
-        return v if isinstance(v, UPoly) and v.ar is self.base else UPoly((v,), self.base)
+    def _coeffs(self, v) -> tuple:
+        return v.coeffs if isinstance(v, _UPoly) and v.ar is self.base else (v,)
+
+    def _constant(self, v):
+        cs = self._coeffs(v)
+        if len(cs) > 1:
+            raise EvaluationError(
+                f"cannot evaluate {self.atom.text}: its integrand is not a polynomial "
+                f"in {self.atom.var}")
+        return cs[0]
 
     def add(self, a, b):
-        return self.lift(a) + self.lift(b)
+        add, zero = self.base.add, self.base.zero
+        a, b = self._coeffs(a), self._coeffs(b)
+        return _UPoly(tuple(
+            add(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)
+            for i in range(max(len(a), len(b)))), self.base)
 
     def mul(self, a, b):
-        return self.lift(a) * self.lift(b)
+        ar = self.base
+        a, b = self._coeffs(a), self._coeffs(b)
+        out = [ar.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j, y in enumerate(b):
+                out[i + j] = ar.add(out[i + j], ar.mul(x, y))
+        return _UPoly(out, ar)
 
     def power(self, a, k):
-        return self.lift(a) ** k
+        cs = self._coeffs(a)
+        if len(cs) == 1:
+            return _UPoly((self.base.power(cs[0], k),), self.base)
+        out = self.one
+        for _ in range(k):
+            out = self.mul(out, a)
+        return out
 
     def div(self, a, b):
-        return self.lift(a) / self.lift(b)
+        d = self._constant(b)
+        if self.base.vanishes(d):
+            raise AssumptionViolationError("division by a constant that vanishes here")
+        return _UPoly(tuple(self.base.div(c, d) for c in self._coeffs(a)), self.base)
 
     def vanishes(self, v, scale=1) -> bool:
-        return self.base.vanishes(self.lift(v).constant(), scale)
+        return self.base.vanishes(self._constant(v), scale)
 
     def exp(self, v):
-        return self.lift(self.base.exp(self.lift(v).constant()))
+        return self.base.exp(self._constant(v))
 
     def log(self, v):
-        return self.lift(self.base.log(self.lift(v).constant()))
+        return self.base.log(self._constant(v))
 
 
 RATIONALS = _Rationals()
@@ -259,37 +294,18 @@ MODULAR = _Modular()
 # Stand-ins
 
 
-class UPoly:
-    """Univariate polynomial with coefficients in an arithmetic (rationals,
-    with floats, by default).
-
-    Used as a value during evaluation so that an integrand can be assembled
-    as a polynomial in the integration variable.  Division is exact and only
-    by constants.
-    """
+class _UPoly:
+    """A value of :class:`_Polynomials`: univariate coefficients in the
+    arithmetic ``ar``, lowest degree first, trailing zeros trimmed."""
 
     __slots__ = ("coeffs", "ar")
 
-    def __init__(self, coeffs: Sequence, arith: _Arithmetic | None = None):
-        self.ar = RATIONALS if arith is None else arith
+    def __init__(self, coeffs: Sequence, ar: _Arithmetic):
+        self.ar = ar
         cs = list(coeffs)
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs) if cs else (self.ar.zero,)
-
-    @classmethod
-    def indeterminate(cls, arith: _Arithmetic | None = None) -> "UPoly":
-        ar = RATIONALS if arith is None else arith
-        return cls((ar.zero, ar.one), ar)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def constant(self):
-        if self.degree > 0:
-            raise EvaluationError("polynomial value where a number was required")
-        return self.coeffs[0]
+        self.coeffs = tuple(cs) if cs else (ar.zero,)
 
     def __call__(self, x):
         ar = self.ar
@@ -298,87 +314,19 @@ class UPoly:
             acc = ar.add(ar.mul(acc, x), c)
         return acc
 
-    def antiderivative(self) -> "UPoly":
+    def antiderivative(self) -> "_UPoly":
         ar = self.ar
-        return UPoly((ar.zero, *(ar.div(c, i + 1) for i, c in enumerate(self.coeffs))), ar)
-
-    def _coerce(self, other) -> "UPoly | None":
-        if isinstance(other, UPoly):
-            return other if other.ar is self.ar else None
-        if isinstance(other, (int, float, Fraction)):
-            return UPoly((other,), self.ar)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        add, zero = self.ar.add, self.ar.zero
-        a, b = self.coeffs, o.coeffs
-        return UPoly(tuple(
-            add(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)
-            for i in range(max(len(a), len(b)))), self.ar)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UPoly(tuple(self.ar.mul(c, -1) for c in self.coeffs), self.ar)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        ar = self.ar
-        out = [ar.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = ar.add(out[i + j], ar.mul(a, b))
-        return UPoly(out, ar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.constant()
-        if self.ar.vanishes(d):
-            raise AssumptionViolationError("division by a constant that vanishes here")
-        return UPoly(tuple(self.ar.div(c, d) for c in self.coeffs), self.ar)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        if self.degree == 0:
-            return UPoly((self.ar.power(self.coeffs[0], k),), self.ar)
-        out = UPoly((self.ar.one,), self.ar)
-        for _ in range(k):
-            out = out * self
-        return out
+        return _UPoly((ar.zero, *(ar.div(c, i + 1) for i, c in enumerate(self.coeffs))), ar)
 
     def __eq__(self, other):
-        if isinstance(other, UPoly):
+        if isinstance(other, _UPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, float, Fraction)):
-            return self.degree == 0 and self.coeffs[0] == other
+            return len(self.coeffs) == 1 and self.coeffs[0] == other
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
-        return f"UPoly({list(self.coeffs)})"
+        return f"_UPoly({list(self.coeffs)})"
 
 
 class PolyFunc:
@@ -478,55 +426,154 @@ def _exponents(arity: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 class _Inventory:
-    """What a set of expressions reaches, read off one atom walk: the atoms,
-    each function's arity, the parameters and dependents (sorted), the
-    variables (free ones, jet indices, integration variables), and whether
-    GF(p) evaluates them faithfully (``modular``): no exp, no log, and no
-    integer coefficient that is a multiple of p."""
+    """What a set of expressions reaches, read off one pass over its atoms,
+    inner atoms first.
 
-    __slots__ = ("atoms", "functions", "params", "deps", "variables", "modular")
+    The pass records each function's arity and stand-in degree
+    (``functions``), the parameters (``params``, sorted), each dependent's
+    stand-in degree (``deps``), the variables (free ones, jet indices,
+    integration variables), and whether GF(p) evaluates the expressions
+    faithfully (``modular``): no exp, no log, and no integer coefficient that
+    is a multiple of p.  While that holds, the same pass bounds the degrees of
+    every value the evaluator forms, for :meth:`miss_bound`.
+    """
 
-    def __init__(self, exprs: Iterable[ExpressionLike]):
+    __slots__ = ("functions", "params", "deps", "variables", "modular", "degrees", "rejected")
+
+    def __init__(self, exprs: Iterable[ExpressionLike], degree: int = 2):
         exprs = [as_expression(e) for e in exprs]
-        self.atoms = set().union(*map(_reach, exprs))
+        # the stand-ins' degrees, decided here only: ``degree`` for functions,
+        # at least 2 for dependents
+        fdeg, ddeg = degree, max(degree, 2)
         arities: dict[str, set[int]] = {}
         params, deps, variables = set(), set(), set()
-        modular = True
-        for a in self.atoms:
+        atom_deg: dict[Atom, tuple[int, int]] = {}
+        self.degrees: dict[Expression, tuple[int, int]] = {}
+        self.rejected = 0
+        self.modular = True
+
+        def poly(p) -> tuple[int, int]:
+            powers: dict[Atom, int] = {}
+            lifts = []
+            for m, c in p.items():
+                if m.exparg is not None or not c % MODULUS:
+                    self.modular = False
+                lift = 0
+                for a, k in m.atoms:
+                    n, d = atom_deg[a]
+                    lift += k * (n - d)
+                    if k > powers.get(a, 0):
+                        powers[a] = k
+                lifts.append(lift)
+            den = sum(k * atom_deg[a][1] for a, k in powers.items())
+            return den + max(lifts, default=0), den
+
+        def of(x: Expression) -> tuple[int, int]:
+            hit = self.degrees.get(x)
+            if hit is None:
+                if not self.modular:
+                    return 0, 0
+                num, den, _lc = x.integer_form()
+                (nn, nd), (dn, dd) = poly(num), poly(den)
+                self.rejected += dn
+                hit = self.degrees[x] = (nn + dd, nd + dn)
+            return hit
+
+        atoms = set().union(*map(_reach, exprs))
+        for a in sorted(atoms, key=lambda a: len(_below(a))):
             if isinstance(a, Var):
                 variables.add(a.name)
+                atom_deg[a] = (1, 0)
+            elif isinstance(a, Param):
+                params.add(a.name)
+                atom_deg[a] = (1, 0)
             elif isinstance(a, Jet):
                 deps.add(a.dep)
                 variables.update(a.index)
-            elif isinstance(a, Param):
-                params.add(a.name)
+                r = len(a.index)
+                atom_deg[a] = (ddeg + 1 - r, 0) if r <= ddeg else (0, 0)
             elif isinstance(a, Func):
                 arities.setdefault(a.name, set()).add(a.arity)
+                args = [of(x) for x in a.args]
+                g = fdeg - len(a.dindex)
+                dsum = sum(d for _n, d in args)
+                atom_deg[a] = (0, 0) if g < 0 else (
+                    1 + g * dsum + g * max(0, *(n - d for n, d in args)), g * dsum)
             elif isinstance(a, Antideriv):
                 variables.add(a.var)
+                n, d = of(a.integrand)
+                atom_deg[a] = (n + 1, d)
             elif isinstance(a, Log):
-                modular = False
+                self.modular = False
         for name, ns in sorted(arities.items()):
             if len(ns) > 1:
                 raise EvaluationError(
                     f"function {name} used with {' and '.join(map(str, sorted(ns)))} arguments")
-        if modular:
-            # every expression evaluated is one of exprs or an atom's child;
-            # an exponential sits in one of their monomials
-            inner = (x for a in self.atoms for x in a.children())
-            modular = all(
-                m.exparg is None and c % MODULUS
-                for x in chain(exprs, inner) for p in x.integer_form()[:2]
-                for m, c in p.items())
-        self.functions = {n: ns.pop() for n, ns in sorted(arities.items())}
+        for x in exprs:
+            of(x)
+        self.functions = {n: (ns.pop(), fdeg) for n, ns in sorted(arities.items())}
         self.params = sorted(params)
-        self.deps = sorted(deps)
+        self.deps = {name: ddeg for name in sorted(deps)}
         self.variables = variables
-        self.modular = modular
 
     def point_names(self, slots: Iterable[Sequence[str]]) -> tuple[str, ...]:
         """Variables a point must assign: ``variables`` plus the dependents' ``slots``."""
         return tuple(sorted(self.variables.union(*slots)))
+
+    def miss_bound(self, lhs: Expression, rhs: Expression,
+                   assumptions: Sequence[Expression], points: int) -> float:
+        """Upper bound on the chance that ``points`` GF(p) points all agree
+        although ``lhs - rhs`` is not zero, rounded up to a float; an
+        :class:`EvaluationError` when the degree bound reaches p.  The sides
+        and assumptions must be among the inventory's expressions.
+
+        Every value the evaluator forms is a quotient N/D of polynomials in the
+        drawn values: stand-in coefficients, parameters and coordinates.  The
+        inventory's pass, inner atoms first, bounds (deg N, deg D) for each
+        value, for the quotient the evaluator actually forms:
+
+        * a variable or a parameter is (1, 0); a jet of order r of a dependent
+          whose stand-in has degree D is a coefficient times coordinates,
+          (D + 1 - r, 0), and (0, 0) once r > D;
+        * a function's stand-in after r slot derivatives has degree g = G - r
+          in its arguments n_i/d_i, where G is the stand-in's degree.  Over
+          the common denominator prod d_i^g a term c_e * prod (n_i/d_i)^e_i
+          has degree at most 1 + g*sum_i(d_i) + g*max(0, max_i(n_i - d_i)),
+          over g*sum_i(d_i);
+        * an antiderivative adds 1 to its integrand's numerator degree: the
+          integrand's denominator is free of the integration variable, or its
+          evaluation fails;
+        * a polynomial in atoms with highest powers K_a has the denominator
+          prod d_a^K_a, of degree sum K_a d_a; a monomial prod a^k_a adds
+          sum k_a (n_a - d_a) to that in the numerator.  An expression
+          num/den is (n_num + d_den, d_num + n_den).
+
+        If L = N_L/D_L and R = N_R/D_R differ, N_L*D_R - N_R*D_L is a nonzero
+        polynomial of degree at most d = max(n_L + d_R, n_R + d_L), and at a
+        point where no D vanishes the sides agree only where it does.  Cleared
+        to integer coefficients, it stays nonzero mod p unless p divides every
+        one of them; the bound assumes it does not.  A check with an integer
+        coefficient that is a multiple of p goes to the float path for that
+        reason; a difference that vanishes mod p only through a sum of
+        coefficients, as ``y`` against ``(1 - p)*y``, is outside the bound.
+        By Schwartz-Zippel a uniform point finds a zero of a nonzero
+        polynomial mod p with probability at most d/p.  A point is redrawn
+        where the numerator of some expression's denominator, or of an
+        assumption, vanishes: polynomials whose degrees sum to at most e, so
+        an admissible point is at most d/p / (1 - e/p) = d/(p - e) likely to
+        miss.  The points are independent, so the bound is that to the power
+        ``points``.
+        """
+        (nl, dl), (nr, dr) = self.degrees[lhs], self.degrees[rhs]
+        rejected = self.rejected + sum(self.degrees[x][0] for x in assumptions)
+        d = max(nl + dr, nr + dl)
+        if d + rejected >= MODULUS:
+            raise EvaluationError(
+                f"the degree bound of this check ({d}, and {rejected} on redraws) reaches "
+                f"p = 2^61 - 1, so a GF(p) pass would certify nothing")
+        bound = Fraction(d, MODULUS - rejected) ** points
+        rounded = float(bound)
+        return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)
 
 
 @dataclass
@@ -553,31 +600,31 @@ class Instantiation:
         *,
         arith: _Arithmetic | None = None,
     ) -> "Instantiation":
-        """Draw random stand-ins for every symbol appearing in ``exprs``.
+        """Draw random stand-ins for every symbol appearing in ``exprs``, of
+        the degrees their inventory decides from ``degree``.
 
         ``dep_vars`` names the independent variables of each dependent
         variable; any jet whose name is missing from it is an error.
         ``arith`` draws the values (rationals by default).  ``exprs`` may
-        also be their walked inventory, which is how :func:`check_identity`
-        draws once per attempt without walking them again.
+        also be their walked inventory, which carries its own degrees; that
+        is how :func:`check_identity` draws once per attempt without walking
+        them again.
         """
         ar = RATIONALS if arith is None else arith
-        inv = exprs if isinstance(exprs, _Inventory) else _Inventory(exprs)
+        inv = exprs if isinstance(exprs, _Inventory) else _Inventory(exprs, degree)
         inst = cls(arith=ar)
-        for name, arity in inv.functions.items():
+        for name, (arity, deg) in inv.functions.items():
             inst.functions[name] = PolyFunc.random(
-                rng, arity, degree, require=range(1, arity + 1), arith=ar)
+                rng, arity, deg, require=range(1, arity + 1), arith=ar)
         for name in inv.params:
             inst.params[name] = ar.constant(rng)
-        for name in inv.deps:
+        for name, deg in inv.deps.items():
             if name not in dep_vars:
                 raise EvaluationError(
                     f"dependent variable {name!r} has no declared independent variables")
             slots = tuple(dep_vars[name])
-            inst.dependents[name] = (
-                slots,
-                PolyFunc.random(rng, len(slots), max(degree, 2),
-                                require=range(1, len(slots) + 1), arith=ar))
+            inst.dependents[name] = (slots, PolyFunc.random(
+                rng, len(slots), deg, require=range(1, len(slots) + 1), arith=ar))
         return inst
 
 
@@ -675,11 +722,10 @@ class _Eval:
     def _antiderivative_value(self, a: Antideriv):
         if a.var in self.bound:
             raise EvaluationError("nested antiderivatives in the same variable")
-        ring = _Polynomials(self.ar)
-        point = {n: ring.lift(v) for n, v in self.point.items()}
-        point[a.var] = ring.indeterminate
+        ring = _Polynomials(self.ar, a)
+        point = {**self.point, a.var: ring.indeterminate}
         body = _Eval(self.inst, point, ring, self.bound | {a.var}).expr(a.integrand)
-        return ring.lift(body).antiderivative()(self._slot_value(a.var))
+        return body.antiderivative()(self._slot_value(a.var))
 
 
 def evaluate(e: ExpressionLike, inst: Instantiation, point: Mapping[str, Number]) -> Number:
@@ -751,10 +797,8 @@ def check_identity(
     dep_vars: Mapping[str, Sequence[str]],
     *,
     seed: int | None = None,
-    rng: Random | None = None,
     points: int = 10,
     tol: float = 1e-6,
-    degree: int = 2,
     assumptions: Sequence[ExpressionLike] = (),
     max_attempts: int = 100,
 ) -> CheckResult:
@@ -766,7 +810,8 @@ def check_identity(
     discards in a row the check errors out.  ``points`` must be at least 1 and
     ``tol`` finite and non-negative, so a pass means something was compared;
     ``tol`` decides only on the float path.  A GF(p) check whose degree bound
-    reaches p errors out before drawing.  See the module docstring.
+    reaches p, and a float-path check whose values exceed floating point,
+    error out.  See the module docstring.
     """
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points!r}")
@@ -775,20 +820,17 @@ def check_identity(
     lhs = as_expression(lhs)
     rhs = as_expression(rhs)
     assumptions = tuple(as_expression(a) for a in assumptions)
-    if rng is None:
-        rng = Random(DEFAULT_SEED if seed is None else seed)
+    rng = Random(DEFAULT_SEED if seed is None else seed)
     inv = _Inventory((lhs, rhs, *assumptions))
     ar = _arithmetic(inv)
-    bound = None
-    if ar is MODULAR:
-        bound = _miss_bound(lhs, rhs, assumptions, inv.atoms, degree, points)
+    bound = inv.miss_bound(lhs, rhs, assumptions, points) if ar is MODULAR else None
     names = inv.point_names(tuple(dep_vars[d]) for d in inv.deps if d in dep_vars)
     failed = 0
     max_err = 0.0
     worst = None
     for _ in range(points):
         for _attempt in range(max_attempts):
-            inst = Instantiation.for_expressions(inv, rng, dep_vars, degree, arith=ar)
+            inst = Instantiation.for_expressions(inv, rng, dep_vars, arith=ar)
             pt = draw_point(rng, names, ar)
             ev = _Eval(inst, pt)
             try:
@@ -797,10 +839,13 @@ def check_identity(
                         raise AssumptionViolationError("assumption vanishes at this point")
                 v1 = ev.expr(lhs)
                 v2 = ev.expr(rhs)
-            except AssumptionViolationError:
+                if ar is not MODULAR:
+                    err = abs(v1 - v2) / (1 + max(abs(v1), abs(v2)))
+            except (AssumptionViolationError, ZeroDivisionError):
                 continue
-            except ZeroDivisionError:
-                continue
+            except OverflowError:
+                raise EvaluationError(
+                    "the values of this check exceed the range of floating point") from None
             break
         else:
             raise EvaluationError(
@@ -811,7 +856,6 @@ def check_identity(
                 if worst is None:
                     worst = pt
             continue
-        err = abs(v1 - v2) / (1 + max(abs(v1), abs(v2)))
         if err > max_err:
             max_err = float(err)
             worst = pt
@@ -821,105 +865,6 @@ def check_identity(
         max_err = failed / points
     return CheckResult(ok=not failed, points=points, max_error=max_err, worst_point=worst,
                        miss_bound=bound)
-
-
-def _miss_bound(lhs: Expression, rhs: Expression, assumptions: Sequence[Expression],
-                atoms: Iterable[Atom], degree: int, points: int) -> float:
-    """Upper bound on the chance that ``points`` GF(p) points all agree
-    although ``lhs - rhs`` is not zero, rounded up to a float; an
-    :class:`EvaluationError` when the degree bound reaches p.
-
-    Every value the evaluator forms is a quotient N/D of polynomials in the
-    drawn values: stand-in coefficients, parameters and coordinates.  One pass
-    over the atoms, inner atoms first, bounds (deg N, deg D) for each value,
-    for the quotient the evaluator actually forms:
-
-    * a variable or a parameter is (1, 0); a jet of order r of a dependent
-      whose stand-in has degree D is a coefficient times coordinates,
-      (D + 1 - r, 0), and (0, 0) once r > D;
-    * a function's stand-in after r slot derivatives has degree g = degree - r
-      in its arguments n_i/d_i.  Over the common denominator prod d_i^g a term
-      c_e * prod (n_i/d_i)^e_i has degree at most 1 + g*sum_i(d_i) +
-      g*max(0, max_i(n_i - d_i)), over g*sum_i(d_i);
-    * an antiderivative adds 1 to its integrand's numerator degree: the
-      integrand's denominator is free of the integration variable, or its
-      evaluation fails;
-    * a polynomial in atoms with highest powers K_a has the denominator
-      prod d_a^K_a, of degree sum K_a d_a; a monomial prod a^k_a adds
-      sum k_a (n_a - d_a) to that in the numerator.  An expression num/den is
-      (n_num + d_den, d_num + n_den).
-
-    If L = N_L/D_L and R = N_R/D_R differ, N_L*D_R - N_R*D_L is a nonzero
-    polynomial of degree at most d = max(n_L + d_R, n_R + d_L), and at a point
-    where no D vanishes the sides agree only where it does.  Cleared to
-    integer coefficients, it stays nonzero mod p unless p divides every one of
-    them; the bound assumes it does not.  A check with an integer coefficient
-    that is a multiple of p goes to the float path for that reason; a
-    difference that vanishes mod p only through a sum of coefficients, as
-    ``y`` against ``(1 - p)*y``, is outside the bound.  By Schwartz-Zippel a
-    uniform point finds a zero of a nonzero polynomial mod p with probability
-    at most d/p.  A point is redrawn where the numerator of some expression's
-    denominator, or of an assumption, vanishes: polynomials whose degrees sum
-    to at most e, so an admissible point is at most d/p / (1 - e/p) =
-    d/(p - e) likely to miss.
-    The points are independent, so the bound is that to the power ``points``.
-    """
-    dep_degree = max(degree, 2)
-    atom_deg: dict[Atom, tuple[int, int]] = {}
-    expr_deg: dict[Expression, tuple[int, int]] = {}
-    rejected = 0
-
-    def poly_degree(p) -> tuple[int, int]:
-        powers: dict[Atom, int] = {}
-        for m in p:
-            for a, k in m.atoms:
-                if k > powers.get(a, 0):
-                    powers[a] = k
-        den = sum(k * atom_deg[a][1] for a, k in powers.items())
-        lift = max((sum(k * (atom_deg[a][0] - atom_deg[a][1]) for a, k in m.atoms)
-                    for m in p), default=0)
-        return den + lift, den
-
-    def of(x: Expression) -> tuple[int, int]:
-        nonlocal rejected
-        hit = expr_deg.get(x)
-        if hit is None:
-            num, den, _lc = x.integer_form()
-            (nn, nd), (dn, dd) = poly_degree(num), poly_degree(den)
-            rejected += dn
-            hit = expr_deg[x] = (nn + dd, nd + dn)
-        return hit
-
-    for a in sorted(atoms, key=lambda a: len(_below(a))):
-        if isinstance(a, (Var, Param)):
-            atom_deg[a] = (1, 0)
-        elif isinstance(a, Jet):
-            r = len(a.index)
-            atom_deg[a] = (dep_degree + 1 - r, 0) if r <= dep_degree else (0, 0)
-        elif isinstance(a, Func):
-            args = [of(x) for x in a.args]
-            g = degree - len(a.dindex)
-            if g < 0:
-                atom_deg[a] = (0, 0)
-            else:
-                dsum = sum(d for _n, d in args)
-                atom_deg[a] = (1 + g * dsum + g * max(0, *(n - d for n, d in args)), g * dsum)
-        elif isinstance(a, Antideriv):
-            n, d = of(a.integrand)
-            atom_deg[a] = (n + 1, d)
-        else:
-            raise EvaluationError(f"no degree bound for atom {a.text}")
-    (nl, dl), (nr, dr) = of(lhs), of(rhs)
-    for x in assumptions:
-        rejected += of(x)[0]
-    d = max(nl + dr, nr + dl)
-    if d + rejected >= MODULUS:
-        raise EvaluationError(
-            f"the degree bound of this check ({d}, and {rejected} on redraws) reaches "
-            f"p = 2^61 - 1, so a GF(p) pass would certify nothing")
-    bound = Fraction(d, MODULUS - rejected) ** points
-    rounded = float(bound)
-    return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)
 
 
 def check_zero(

@@ -352,6 +352,29 @@ def test_replay_past_the_degree_bound_exits_2(capsys, tmp_path):
     assert "Traceback" not in captured.err
 
 
+def test_float_replay_beyond_floating_point_exits_2(capsys, tmp_path):
+    # exp(x) puts the check on the float path; each nested degree-2 stand-in
+    # squares the size of its argument's rational value, and at 8 levels the
+    # product with exp(x) no longer fits a float
+    for levels, want in ((6, 0), (8, 2)):
+        deep = "x"
+        for _ in range(levels):
+            deep = f"a1({deep})"
+        code, _out = run(capsys, "invariants", *session_args("laplace.eqv", tmp_path),
+                         "--family", "F", "--a1", "exp(x)", "--a3", deep)
+        assert code == 0
+        code = main(["oracle", "--state", str(tmp_path / "state.json")])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert code == want, levels
+        assert "Traceback" not in captured.err
+        if want == 0:
+            assert out["ok"] is True
+        else:
+            assert out["error"]["type"] == "EvaluationError"
+            assert "exceed the range of floating point" in out["error"]["message"]
+
+
 def test_one_parser_serves_every_call(capsys, tmp_path):
     # the parser is built on the first call and reused; a usage error and
     # --help in between leave it as a fresh one would be

@@ -2,21 +2,25 @@
 
 import math
 from fractions import Fraction
+from itertools import chain
 from random import Random
 
 import pytest
 
 from eqvlab import oracle
-from eqvlab.oracle import MODULUS, RATIONALS
+from eqvlab.expressions import _below, _reach
+from eqvlab.oracle import MODULAR, MODULUS, RATIONALS
 from eqvlab import (
+    Antideriv,
     AssumptionViolationError,
     EvaluationError,
     Func,
     Instantiation,
     Jet,
+    Log,
     Param,
     PolyFunc,
-    UPoly,
+    Var,
     antiderivative,
     check_identity,
     check_zero,
@@ -38,26 +42,31 @@ DEP = {"w": ("y", "z")}
 
 
 def test_upoly_arithmetic():
-    t = UPoly.indeterminate()
-    p = 3 * t ** 2 + t - 5
-    assert p.degree == 2
+    ring = oracle._Polynomials(RATIONALS, Antideriv(y, "y"))
+    add, mul, power, div = ring.add, ring.mul, ring.power, ring.div
+    t = ring.indeterminate
+    p = add(add(mul(3, power(t, 2)), t), -5)
+    assert len(p.coeffs) == 3
     assert p(Fraction(2)) == Fraction(9)
-    q = p * p
-    assert q.degree == 4
+    q = mul(p, p)
+    assert len(q.coeffs) == 5
     assert q(3) == p(3) ** 2
-    assert (p - p).degree == 0 and (p - p)(7) == 0
-    assert (p + 1)(0) == -4
-    assert (p / 2)(4) == p(4) / 2
-    assert p ** 3 == p * p * p
-    assert 2 - p == -(p - 2)
+    zero = add(p, mul(-1, p))
+    assert len(zero.coeffs) == 1 and zero(7) == 0
+    assert add(p, 1)(0) == -4
+    assert div(p, 2)(4) == p(4) / 2
+    assert power(p, 3) == mul(mul(p, p), p)
+    assert add(2, mul(-1, p)) == mul(-1, add(p, -2))
     with pytest.raises(EvaluationError):
-        p / t
+        div(p, t)
     with pytest.raises(EvaluationError):
-        p.constant()
+        ring.vanishes(p)
 
 
 def test_upoly_antiderivative():
-    p = 6 * UPoly.indeterminate() ** 2 - 4 * UPoly.indeterminate() + 1
+    ring = oracle._Polynomials(RATIONALS, Antideriv(y, "y"))
+    t = ring.indeterminate
+    p = ring.add(ring.add(ring.mul(6, ring.power(t, 2)), ring.mul(-4, t)), 1)
     a = p.antiderivative()
     assert a.coeffs[0] == 0
     # differentiating the antiderivative recovers the coefficients exactly
@@ -378,3 +387,126 @@ def test_a_degree_bound_at_p_is_an_error_not_a_pass():
     e = func("a1", e)
     with pytest.raises(EvaluationError, match="certify nothing"):
         check_identity(e, e, {}, seed=1)
+
+
+def reference_modular(exprs):
+    # the routing rule as a separate walk: no log, and no exponential or
+    # coefficient divisible by p in any expression evaluated
+    atoms = set().union(*map(_reach, exprs))
+    if any(isinstance(a, Log) for a in atoms):
+        return False
+    inner = (x for a in atoms for x in a.children())
+    return all(m.exparg is None and c % MODULUS
+               for x in chain(exprs, inner) for p in x.integer_form()[:2]
+               for m, c in p.items())
+
+
+def reference_miss_bound(lhs, rhs, assumptions, degree, points):
+    # the degree rules as a second walk of their own, with the stand-in
+    # degrees written out again: `degree` for functions, max(degree, 2) for
+    # dependents
+    dep_degree = max(degree, 2)
+    atom_deg, expr_deg = {}, {}
+    rejected = 0
+
+    def poly_degree(p):
+        powers = {}
+        for m in p:
+            for a, k in m.atoms:
+                if k > powers.get(a, 0):
+                    powers[a] = k
+        den = sum(k * atom_deg[a][1] for a, k in powers.items())
+        lift = max((sum(k * (atom_deg[a][0] - atom_deg[a][1]) for a, k in m.atoms)
+                    for m in p), default=0)
+        return den + lift, den
+
+    def of(x):
+        nonlocal rejected
+        if x not in expr_deg:
+            num, den, _lc = x.integer_form()
+            (nn, nd), (dn, dd) = poly_degree(num), poly_degree(den)
+            rejected += dn
+            expr_deg[x] = (nn + dd, nd + dn)
+        return expr_deg[x]
+
+    atoms = set().union(*map(_reach, (lhs, rhs, *assumptions)))
+    for a in sorted(atoms, key=lambda a: (len(_below(a)), a.text)):
+        if isinstance(a, (Var, Param)):
+            atom_deg[a] = (1, 0)
+        elif isinstance(a, Jet):
+            r = len(a.index)
+            atom_deg[a] = (dep_degree + 1 - r, 0) if r <= dep_degree else (0, 0)
+        elif isinstance(a, Func):
+            args = [of(x) for x in a.args]
+            g = degree - len(a.dindex)
+            dsum = sum(d for _n, d in args)
+            atom_deg[a] = (0, 0) if g < 0 else (
+                1 + g * dsum + g * max(0, *(n - d for n, d in args)), g * dsum)
+        else:
+            n, d = of(a.integrand)
+            atom_deg[a] = (n + 1, d)
+    (nl, dl), (nr, dr) = of(lhs), of(rhs)
+    rejected += sum(of(x)[0] for x in assumptions)
+    d = max(nl + dr, nr + dl)
+    if d + rejected >= MODULUS:
+        return None
+    bound = Fraction(d, MODULUS - rejected) ** points
+    rounded = float(bound)
+    return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)
+
+
+def stand_in_degree(f):
+    return max(map(sum, f.coeffs))
+
+
+def test_one_walk_matches_the_reference_rules_bulk():
+    # the inventory's routing, bound and drawn stand-in degrees against a
+    # separate walk per rule; degrees 1 and 3 tell the function rule from
+    # the dependent rule, so changing either in one place fails here
+    f = jet("w", "y") + z
+    cases = []
+    for i, e in seeded_cases(505, 300):
+        for x in (e, partial(e, y)):
+            cases.append((x, x * func("G", x, param("k")), (f,), (1, 2, 3)))
+    chain_e = var("x")
+    for _ in range(59):
+        chain_e = func("a1", chain_e)
+        cases.append((chain_e, chain_e, (), (2,)))
+    nested = antiderivative(antiderivative(y * z, "y"), "z")
+    for lhs, rhs in ((antiderivative(y * z, "y"), y * y * z / 2),
+                     (nested, y * y * z * z / 4), (nested, y * y * z * z / 3)):
+        cases.append((lhs, rhs, (), (1, 2, 3)))
+    modular = 0
+    for n, (lhs, rhs, assumptions, degrees) in enumerate(cases):
+        exprs = (lhs, rhs, *assumptions)
+        for degree in degrees:
+            inv = oracle._Inventory(exprs, degree)
+            assert inv.modular == reference_modular(exprs), lhs.text
+            if not inv.modular:
+                continue
+            modular += 1
+            want = reference_miss_bound(lhs, rhs, assumptions, degree, 4)
+            if want is None:
+                with pytest.raises(EvaluationError, match="certify nothing"):
+                    inv.miss_bound(lhs, rhs, assumptions, 4)
+            else:
+                assert inv.miss_bound(lhs, rhs, assumptions, 4) == want, lhs.text
+            inst = Instantiation.for_expressions(inv, Random(n), DEP, arith=MODULAR)
+            assert all(stand_in_degree(g) == degree for g in inst.functions.values())
+            assert all(stand_in_degree(g) == max(degree, 2)
+                       for _slots, g in inst.dependents.values())
+    assert modular > 300
+    # check_identity reports the same bound
+    assert check_identity(chain_e, chain_e, {}, seed=1).miss_bound == reference_miss_bound(
+        chain_e, chain_e, (), 2, 10)
+
+
+def test_antiderivative_that_is_not_a_polynomial_says_why():
+    w_z = jet("w", "z")
+    cases = (antiderivative(y * y * w_z / (y * y + 2), "y"), antiderivative(exp(y), "y"))
+    for a in cases:
+        with pytest.raises(EvaluationError) as err:
+            check_identity(a, a, DEP, seed=1)
+        assert str(err.value) == (
+            f"cannot evaluate {a.text}: its integrand is not a polynomial in y")
+    assert [a.text for a in cases] == ["int((y^2*D[w,z])/(y^2 + 2),y)", "int(exp(y),y)"]
