@@ -39,6 +39,7 @@ from .expressions import (
     collect,
     collect_numerators,
     dependency_closure,
+    derive,
     exp,
     expr_prod,
     expr_sum,

@@ -191,26 +191,37 @@ def _cmd_transform(args, session):
     else:
         e = session.equations[args.equation]
         order = args.order
-    te = transform_equation(e, tr, order)
+    if order is None:
+        order = max((j.order for j in closure_jets(e, tr.old_dep)), default=0)
+    # one prolongation serves the image and the first-order chain-rule checks;
+    # at order 0 the image comes first, so jets are refused before prolonging
+    te = transform_equation(e, tr, 0) if order == 0 else None
+    pm = transform_derivatives(tr, order or 1)
+    if te is None:
+        te = pm.apply(e)
+    # the checks read only the first-order entries; the higher orders are
+    # most of the command's peak memory, so they are let go here
+    assumptions = pm.assumptions
+    first = {v: pm[(v,)] for v in tr.old_vars}
+    del pm
     normalized = _lead_normalize(te, tr.new_dep)
-    pm = transform_derivatives(tr, 1)
     # chain-rule recurrences D_k(psi) = sum_i D_k(phi_i) * (entry for d/dx_i):
     # exact identities the numeric oracle can replay point-wise
     checks = []
     for k in tr.new_vars:
         lhs = total_derivative(tr.dep_map, k, tr.new_dep)
         rhs = sum(
-            (total_derivative(tr.indep_map[v], k, tr.new_dep) * pm[(v,)]
+            (total_derivative(tr.indep_map[v], k, tr.new_dep) * first[v]
              for v in tr.old_vars),
             start=as_expression(0))
         checks.append((lhs, rhs))
-    _write_state(args, "transform", checks, pm.assumptions, session.dep_slots(tr))
+    _write_state(args, "transform", checks, assumptions, session.dep_slots(tr))
     print(f"transformed and normalized on lead of {tr.new_dep}", file=sys.stderr)
     return {
         "command": "transform",
         "transformed": te.text,
         "lead_normalized": normalized.text,
-        "assumptions": [a.text for a in pm.assumptions],
+        "assumptions": [a.text for a in assumptions],
     }, True
 
 

@@ -35,8 +35,10 @@ coefficients, and what an expression shows of itself (``text``,
 Dependency closures and substitution's test for untouched parts read the
 atoms an expression reaches (inside function arguments, integrands, log and
 exp arguments) from one iterative walk; composite atoms cache their insides.
-Substitution multiplies each term's substituted powers out as raw integer
-polynomials and normalizes once per term, not once per partial product.
+Substitution and differentiation build their terms as raw integer
+polynomials; terms over integer denominators are added raw and normalized
+once per sum, other terms once each.  A total derivative is one derivation,
+:func:`derive`, with one quotient rule.
 
 Equality (``==``) is structural identity of normal forms.  Semantic equality
 of two expressions is decided by subtracting them and asking
@@ -50,6 +52,7 @@ objects and are safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -83,6 +86,7 @@ __all__ = [
     "fraction",
     "from_monomial",
     "normalize",
+    "derive",
     "partial",
     "substitute",
     "substitute_functions",
@@ -967,17 +971,21 @@ def from_monomial(m: Monomial, coeff: int | Fraction = 1) -> Expression:
     return Expression({m: c.numerator}, {_ONE_M: c.denominator})
 
 
-def expr_sum(terms: Iterable[ExpressionLike]) -> Expression:
-    """Sum with balanced pairing; kinder than a linear fold for long lists."""
-    items = [as_expression(t) for t in terms if not as_expression(t).is_zero()]
-    if not items:
-        return ZERO
+def _pairwise(items: list, add):
+    """``add`` over a nonempty list in balanced pairs: neighbours first, an
+    odd last item passed up a level."""
     while len(items) > 1:
         items = [
-            items[i] + items[i + 1] if i + 1 < len(items) else items[i]
+            add(items[i], items[i + 1]) if i + 1 < len(items) else items[i]
             for i in range(0, len(items), 2)
         ]
     return items[0]
+
+
+def expr_sum(terms: Iterable[ExpressionLike]) -> Expression:
+    """Sum with balanced pairing; kinder than a linear fold for long lists."""
+    items = [t for t in map(as_expression, terms) if not t.is_zero()]
+    return _pairwise(items, operator.add) if items else ZERO
 
 
 def expr_prod(factors: Iterable[ExpressionLike]) -> Expression:
@@ -1132,48 +1140,103 @@ def _reach(e: Expression) -> set:
 # Differentiation
 
 
-def _atom_derivative(a: Atom, x: Atom) -> Expression:
-    """d(atom)/d(x) where x is a Var, Jet, or Param atom."""
-    if a == x:
-        return ONE
+def _atom_derivative(a: Atom, d: dict) -> Expression:
+    """The derivation ``d`` (Var, Jet or Param atom -> coefficient) applied
+    to one atom."""
     if isinstance(a, (Var, Jet, Param)):
-        return ZERO
+        return d.get(a, ZERO)
     if isinstance(a, Func):
         terms = []
         for s, arg in enumerate(a.args, start=1):
-            da = partial(arg, x)
+            da = _derive(arg, d)
             if not da.is_zero():
                 terms.append(da * as_expression(a.slot_derivative(s)))
         return expr_sum(terms)
     if isinstance(a, Antideriv):
-        if isinstance(x, Var) and x.name == a.var:
-            return a.integrand
-        inner = partial(a.integrand, x)
-        return antiderivative(inner, a.var)
+        # the integral sign commutes with each partial, not with coefficients
+        # that may depend on the integration variable
+        v = Var(a.var)
+        terms = []
+        for x, c in d.items():
+            t = a.integrand if x == v else antiderivative(_derive(a.integrand, {x: ONE}), a.var)
+            terms.append(c * t)
+        return expr_sum(terms)
     if isinstance(a, Log):
-        da = partial(a.arg, x)
+        da = _derive(a.arg, d)
         if da.is_zero():
             return ZERO
         return da / a.arg
     raise UnsupportedAtomError(f"cannot differentiate atom {a!r}")
 
 
-def _poly_partial(p: dict, x: Atom) -> Expression:
+def _poly_partial(p: dict, d: dict, cache: dict) -> Expression:
+    """The derivation ``d`` applied to the polynomial ``p``; ``cache`` holds
+    the derivatives of the atoms met so far in one derivation."""
     terms = []
-    cache: dict[Atom, Expression] = {}
     for m, c in p.items():
         for a, k in m.atoms:
             da = cache.get(a)
             if da is None:
-                da = cache[a] = _atom_derivative(a, x)
-            if da.is_zero():
-                continue
-            terms.append(da * Expression({m.without({a: 1}): c * k}, _ONE_P))
+                da = cache[a] = _atom_derivative(a, d)
+            if da._num:
+                terms.append((_pmul(da._num, {m.without({a: 1}): c * k}), da._den))
         if m.exparg is not None:
-            de = partial(m.exparg, x)
-            if not de.is_zero():
-                terms.append(de * Expression({m: c}, _ONE_P))
-    return expr_sum(terms)
+            de = _derive(m.exparg, d)
+            if de._num:
+                terms.append((_pmul(de._num, {m: c}), de._den))
+    return _sum_terms(terms)
+
+
+def _sum_terms(terms: list) -> Expression:
+    """The sum of raw ``(num, den)`` terms, each nonzero.
+
+    Over integer denominators the numerators are scaled to their lcm and
+    paired as :func:`expr_sum` pairs, so the keys and their order are those
+    of ``expr_sum`` over the normalized terms, which is built only once.
+    Other denominators take ``expr_sum``: sums over exponential-bearing
+    denominators depend on the order it pairs them in.
+    """
+    if not terms:
+        return ZERO
+    ks = [next(iter(den.values())) if len(den) == 1 and _ONE_M in den else 0
+          for _, den in terms]
+    if not all(ks):
+        return expr_sum(Expression(num, den) for num, den in terms)
+    k = lcm(*ks)
+    return Expression(_pairwise([_pscale(num, k // d) for (num, _), d in zip(terms, ks)], _padd),
+                      {_ONE_M: k})
+
+
+def _derive(e: Expression, d: dict) -> Expression:
+    # the quotient rule, once; a denominator d leaves unchanged is not squared
+    cache: dict[Atom, Expression] = {}
+    dn = _poly_partial(e._num, d, cache)
+    if _constant_den(e):
+        return _over(dn, e._lc)
+    dd = _poly_partial(e._den, d, cache)
+    den = Expression(e._den, _ONE_P)
+    if dd.is_zero():
+        return dn / den
+    num = Expression(e._num, _ONE_P)
+    return (dn * den - num * dd) / (den * den)
+
+
+def derive(e: ExpressionLike, derivation: Mapping) -> Expression:
+    """The derivation ``sum_a c_a d/da`` applied to ``e``.
+
+    ``derivation`` maps variables, jets or parameters (atoms or bare-atom
+    expressions) to their coefficients ``c_a``.  Numerator and denominator
+    are each differentiated once and meet in one quotient rule, so a total
+    derivative costs one rule instead of one per atom it differentiates by.
+    """
+    e = as_expression(e)
+    d = {}
+    for x, c in derivation.items():
+        x = as_atom(x)
+        if not isinstance(x, (Var, Jet, Param)):
+            raise UnsupportedAtomError(f"cannot differentiate with respect to {x!r}")
+        d[x] = as_expression(c)
+    return _derive(e, d)
 
 
 def partial(e: ExpressionLike, x) -> Expression:
@@ -1183,21 +1246,10 @@ def partial(e: ExpressionLike, x) -> Expression:
     jet treats every other jet (any other multi-index, any other dependent
     variable) as constant.  Function symbols follow the chain rule and pick
     up slot-derivative markers; antiderivatives differentiate back to their
-    integrand on the integration variable.
+    integrand on the integration variable.  This is :func:`derive` with the
+    one coefficient ``1``.
     """
-    e = as_expression(e)
-    x = as_atom(x)
-    if not isinstance(x, (Var, Jet, Param)):
-        raise UnsupportedAtomError(f"cannot differentiate with respect to {x!r}")
-    dn = _poly_partial(e._num, x)
-    if _constant_den(e):
-        return _over(dn, e._lc)
-    # quotient rule on the integer polynomials, assembled to keep one shared
-    # denominator
-    num = Expression(e._num, _ONE_P)
-    den = Expression(e._den, _ONE_P)
-    dd = _poly_partial(e._den, x)
-    return (dn * den - num * dd) / (den * den)
+    return derive(e, {x: ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -1213,13 +1265,16 @@ class _SubstState:
     the atom from its rewritten children.
     """
 
-    __slots__ = ("hit_fn", "rewrite", "atom_values", "atom_powers", "atom_hit", "expr_hit")
+    __slots__ = ("hit_fn", "rewrite", "atom_values", "atom_powers", "hit_products",
+                 "atom_hit", "expr_hit")
 
     def __init__(self, hit_fn, rewrite):
         self.hit_fn = hit_fn
         self.rewrite = rewrite
         self.atom_values: dict[Atom, Expression] = {}
         self.atom_powers: dict[tuple[Atom, int], Expression] = {}
+        # hit (atom, power) pairs of a monomial -> raw (num, den) of their product
+        self.hit_products: dict[tuple, tuple[dict, dict]] = {}
         self.atom_hit: dict[Atom, bool] = {}
         self.expr_hit: dict[Expression, bool] = {}
 
@@ -1328,29 +1383,41 @@ def _subst_expr(e: Expression, state: _SubstState) -> Expression:
 
 def _subst_poly(p: dict, state: _SubstState) -> Expression:
     # a hit monomial multiplies its substituted powers out as raw integer
-    # polynomials into one term; untouched monomials form one last term.  The
-    # terms are not grouped by denominator first: sums over exponential
-    # denominators depend on the order expr_sum pairs them in.
+    # polynomials, one product per prefix of its hit atoms, kept for the pass;
+    # its untouched atoms and exponential then join as one monomial.  Each
+    # factor is a monomial, so the keys come out in the order that
+    # multiplying atom by atom gives.  Untouched monomials form one last term.
     plain: dict = {}
     terms = []
+    products = state.hit_products
     for m, c in p.items():
-        if not (any(state.hits(a) for a, _ in m.atoms)
-                or m.exparg is not None and state.mentions(m.exparg)):
+        hit, rest = [], []
+        for ak in m.atoms:
+            (hit if state.hits(ak[0]) else rest).append(ak)
+        ea = m.exparg
+        if not hit and (ea is None or not state.mentions(ea)):
             plain[m] = c
             continue
-        num, den = {_ONE_M: c}, _ONE_P
-        for ak in m.atoms:
+        hit = tuple(hit)
+        i = len(hit)
+        while i and (got := products.get(hit[:i])) is None:
+            i -= 1
+        num, den = got if i else (_ONE_P, _ONE_P)
+        for j in range(i, len(hit)):
+            ak = hit[j]
             # powers repeat across the monomials of one pass
             power = state.atom_powers.get(ak)
             if power is None:
                 power = state.atom_powers[ak] = _subst_atom(ak[0], state) ** ak[1]
-            num, den = _pmul(num, power._num), _pmul(den, power._den)
-        if m.exparg is not None:
-            num = _pmul(num, exp(_subst_expr(m.exparg, state))._num)
-        terms.append(Expression(num, den))
+            num, den = products[hit[:j + 1]] = _pmul(num, power._num), _pmul(den, power._den)
+        if ea is not None:
+            ea = _subst_expr(ea, state)
+            if ea.is_zero():
+                ea = None
+        terms.append((_pmul(num, {Monomial._raw(tuple(rest), ea): c}), den))
     if plain:
-        terms.append(Expression(plain, _ONE_P))
-    return expr_sum(terms)
+        terms.append((plain, _ONE_P))
+    return _sum_terms(terms)
 
 
 # ---------------------------------------------------------------------------

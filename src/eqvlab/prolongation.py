@@ -31,9 +31,9 @@ from .expressions import (
     as_expression,
     closure_jets,
     dependency_closure,
+    derive,
     expr_sum,
     jet,
-    partial,
     substitute,
     var,
 )
@@ -53,15 +53,16 @@ def total_derivative(e: ExpressionLike, variable: str, dep: str) -> Expression:
 
     Jet variables of ``dep`` are treated as functions of the independent
     variables: each occurrence, including inside function arguments,
-    contributes its next-higher jet times the matching partial.
+    contributes its next-higher jet times the matching partial.  The total
+    derivative ``D_v = d/dv + sum_J u_{J,v} d/du_J`` (Olver 1986, Thm. 2.36)
+    is applied as one derivation, so the quotient rule runs once over the
+    numerator and denominator of ``e``, not once per jet.
     """
     e = as_expression(e)
-    terms = [partial(e, Var(variable))]
+    derivation = {Var(variable): 1}
     for j in sorted(closure_jets(e, dep), key=lambda a: a.text):
-        de = partial(e, j)
-        if not de.is_zero():
-            terms.append(as_expression(j.extended(variable)) * de)
-    return expr_sum(terms)
+        derivation[j] = j.extended(variable)
+    return derive(e, derivation)
 
 
 class PointTransformation:

@@ -308,6 +308,63 @@ def test_substitution_matches_per_term_assembly_bulk(monkeypatch):
     assert got == want
     assert [g.text for g in got if isinstance(g, Expression)] == \
         [w.text for w in want if isinstance(w, Expression)]
+    assert [key_order(g) for g in got if isinstance(g, Expression)] == \
+        [key_order(w) for w in want if isinstance(w, Expression)]
+
+
+def key_order(e):
+    # insertion order of the stored polynomials fixes the structure of later sums
+    num, den, _ = e.integer_form()
+    return list(num), list(den)
+
+
+def per_term_poly_partial(p, d, cache):
+    # the earlier assembly: every term an Expression product, one expr_sum
+    terms = []
+    for m, c in p.items():
+        for a, k in m.atoms:
+            da = cache.get(a)
+            if da is None:
+                da = cache[a] = expressions._atom_derivative(a, d)
+            if not da.is_zero():
+                terms.append(da * Expression({m.without({a: 1}): c * k}, expressions._ONE_P))
+        if m.exparg is not None:
+            de = expressions._derive(m.exparg, d)
+            if not de.is_zero():
+                terms.append(de * Expression({m: c}, expressions._ONE_P))
+    return expr_sum(terms)
+
+
+def test_partial_matches_per_term_assembly_bulk(monkeypatch):
+    wy = Jet("w", ("y",))
+    runs = [lambda e, x=x: partial(e, x) for x in (Var("y"), Var("z"), wy, param("c1"))]
+    runs.append(lambda e: expressions.derive(e, {Var("y"): 1, wy: Jet("w", ("y", "y"))}))
+    cases = [e for _, e in seeded_cases(505, 300)]
+    got = [run(e) for e in cases for run in runs]
+    monkeypatch.setattr(expressions, "_poly_partial", per_term_poly_partial)
+    want = [run(e) for e in cases for run in runs]
+    assert [g.text for g in got] == [w.text for w in want]
+    assert [key_order(g) for g in got] == [key_order(w) for w in want]
+
+
+def test_raw_term_sums_pair_as_expr_sum_does_bulk():
+    # cancellations that later terms undo: a linear fold would move the keys
+    rng = Random(808)
+    monos = [next(iter(as_expression(m).integer_form()[0])) for m in (1, y, z, y * z, jet("w"))]
+    for _ in range(400):
+        terms = [({m: rng.choice((-2, -1, 1, 2)) for m in rng.sample(monos, rng.randint(1, 3))},
+                  {expressions._ONE_M: rng.randint(1, 3)})
+                 for _ in range(rng.randint(1, 7))]
+        got = expressions._sum_terms(terms)
+        want = expr_sum(Expression(n, d) for n, d in terms)
+        assert got == want and key_order(got) == key_order(want)
+
+
+def test_partial_by_an_atom_the_denominator_lacks_keeps_it_unsquared():
+    x, wz = var("x"), jet("w", "z")
+    d = partial((x * wz + jet("w")) / (x ** 2 + z + 1), wz)
+    assert d == x / (x ** 2 + z + 1)
+    assert d.text == "(x)/(z + x^2 + 1)"
 
 
 def test_collect_separates_coefficients():

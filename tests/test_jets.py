@@ -8,19 +8,23 @@ import pytest
 from eqvlab import (
     Instantiation,
     Jet,
+    Var,
     PointTransformation,
     SingularTransformationError,
     VariableMismatchError,
     as_expression,
     compose,
     draw_point,
+    closure_jets,
     evaluate,
     exp,
+    expr_sum,
     fd_total,
     func,
     identity_transformation,
     jet,
     parse,
+    partial,
     required_point_names,
     total_derivative,
     transform_derivatives,
@@ -28,7 +32,7 @@ from eqvlab import (
     var,
 )
 
-from conftest import CORPUS
+from conftest import CORPUS, seeded_cases
 
 y, z = var("y"), var("z")
 
@@ -54,6 +58,31 @@ def test_total_derivative_basics():
     assert (total_derivative(y * w, "y", "w") - (w + y * wy)).is_zero()
     assert total_derivative(jet("w", "z"), "y", "w") == jet("w", "y", "z")
     assert total_derivative(as_expression(5), "y", "w").is_zero()
+
+
+def per_atom_total_derivative(e, variable, dep):
+    # the earlier assembly: one partial, and one quotient rule, per atom
+    terms = [partial(e, Var(variable))]
+    for j in sorted(closure_jets(e, dep), key=lambda a: a.text):
+        de = partial(e, j)
+        if not de.is_zero():
+            terms.append(as_expression(j.extended(variable)) * de)
+    return expr_sum(terms)
+
+
+def test_total_derivative_equals_the_per_atom_sum_bulk():
+    w, wy = jet("w"), jet("w", "y")
+    R = func("R", y, z, w)
+    tgen = PointTransformation(("t", "x"), "u", ("y", "z"), "w",
+                               {"t": R, "x": func("S", y, z, w)}, func("T", y, z, w))
+    cases = [e for _, e in seeded_cases(707, 120)]
+    # denominators that carry jets, bare and inside function arguments
+    cases += [e / (w + wy * R) for e in cases[:40]]
+    cases += list(transform_derivatives(tgen, 1).entries.values())
+    for e in cases:
+        for v in ("y", "z"):
+            new = total_derivative(e, v, "w")
+            assert (new - per_atom_total_derivative(e, v, "w")).is_zero(), (e.text, v)
 
 
 def test_identity_prolongation_is_trivial():
