@@ -25,7 +25,7 @@ from .families import EQUIVALENCE, EquationFamily, catalog, check_equivalence, t
 from .hyperbolic import HyperbolicEquation
 from .oracle import DEFAULT_SEED, check_identity
 from .parser import Session, parse, parse_expression
-from .prolongation import total_derivative, transform_derivatives, transform_equation
+from .prolongation import transform_derivatives, transform_equation
 
 __all__ = ["main"]
 
@@ -199,22 +199,19 @@ def _cmd_transform(args, session):
     pm = transform_derivatives(tr, order or 1)
     if te is None:
         te = pm.apply(e)
-    # the checks read only the first-order entries; the higher orders are
-    # most of the command's peak memory, so they are let go here
+    # chain-rule recurrences D_k(psi) = sum_i D_k(phi_i) * (entry for d/dx_i):
+    # exact identities the numeric oracle can replay point-wise.  Both sides
+    # read the total derivatives the prolongation holds, D_k(phi_i) as its
+    # matrix and D_k(psi) as the right-hand sides of the first-order solve.
     assumptions = pm.assumptions
-    first = {v: pm[(v,)] for v in tr.old_vars}
+    first = [pm[(v,)] for v in tr.old_vars]
+    checks = [
+        (dpsi, sum((d * f for d, f in zip(row, first)), start=as_expression(0)))
+        for row, dpsi in zip(pm.matrix, pm.total_derivatives())]
+    # the solved entries and right-hand sides of higher orders are most of the
+    # command's peak memory, so the map is let go before normalizing
     del pm
     normalized = _lead_normalize(te, tr.new_dep)
-    # chain-rule recurrences D_k(psi) = sum_i D_k(phi_i) * (entry for d/dx_i):
-    # exact identities the numeric oracle can replay point-wise
-    checks = []
-    for k in tr.new_vars:
-        lhs = total_derivative(tr.dep_map, k, tr.new_dep)
-        rhs = sum(
-            (total_derivative(tr.indep_map[v], k, tr.new_dep) * first[v]
-             for v in tr.old_vars),
-            start=as_expression(0))
-        checks.append((lhs, rhs))
     _write_state(args, "transform", checks, assumptions, session.dep_slots(tr))
     print(f"transformed and normalized on lead of {tr.new_dep}", file=sys.stderr)
     return {

@@ -4,7 +4,7 @@ A :class:`PointTransformation` writes the source variables of an equation in
 terms of target variables: ``x_i = phi_i(z, w)`` for the independent
 variables and ``u = psi(z, w)`` for the dependent one.  Prolonging it to
 order ``n`` expresses every source derivative ``u_{x^J}`` with ``|J| <= n``
-through target jet variables, by repeatedly solving the linear system
+through target jet variables, by solving the linear system
 
     sum_i  D_k(phi_i) * u_{x^J x_i}  =  D_k(value of u_{x^J})
 
@@ -12,6 +12,11 @@ with ``D_k`` the total derivative along target variable ``z_k``.  The
 system's matrix determinant is recorded as a non-vanishing assumption; a
 determinant that is identically zero means the map is not a transformation
 of this shape at all.
+
+:func:`transform_derivatives` builds only the matrix, its determinant and
+the singular-map check.  The entries are solved on demand: a jet is solved
+the first time it is asked for, from its parent ``J = K[:-1]``, and kept.
+An equation that reaches only some jets of an order costs only those.
 """
 
 from __future__ import annotations
@@ -160,26 +165,77 @@ def identity_transformation(
 class ProlongedMap:
     """A point transformation together with its derivative expressions.
 
-    ``entries`` maps each source jet (order 1 up to ``order``) to its
-    expression in target jets; ``det`` is the determinant of the
-    derivative-change matrix and ``assumptions`` the recorded non-vanishing
-    requirements (the determinant of the solve).
+    ``matrix[k][i]`` is ``D_k(phi_i)``, the total derivative of the map of
+    source variable ``x_i`` along target variable ``z_k``; ``det`` is its
+    determinant and ``assumptions`` the recorded non-vanishing requirements
+    (the determinant, unless constant).
+
+    Entries are solved on demand.  ``pm[K]`` solves the source jet ``K``
+    (order 1 up to ``order``) the first time it is asked for, and
+    :meth:`apply` solves the jets its expression reaches.  ``entries`` is the
+    plain dict of the entries solved so far, keyed by source jet.  It is not a
+    property that solves the rest: the benchmark's tracer sizes ``entries``
+    after every traced operation, and solving there would put the unneeded
+    work back.  The right-hand sides ``D_k(entry J)`` are kept too, see
+    :meth:`total_derivatives`.
     """
 
-    __slots__ = ("transformation", "order", "entries", "det", "assumptions")
+    __slots__ = ("transformation", "order", "matrix", "det", "assumptions",
+                 "entries", "_rhs")
 
-    def __init__(self, transformation, order, entries, det, assumptions):
+    def __init__(self, transformation, order, matrix, det):
         self.transformation = transformation
         self.order = order
-        self.entries = entries
+        self.matrix = matrix
         self.det = det
-        self.assumptions = tuple(assumptions)
+        self.assumptions = () if det.is_constant() else (det,)
+        self.entries: dict[Jet, Expression] = {}
+        self._rhs: dict[tuple, list[Expression]] = {}
 
     def __getitem__(self, index: Sequence[str]) -> Expression:
-        return self.entries[Jet(self.transformation.old_dep, tuple(index))]
+        """The entry of source jet ``index``, solved if not yet solved.
+
+        Raises ``KeyError`` (with the jet) unless ``1 <= len(index) <= order``
+        and every name in ``index`` is a source variable.
+        """
+        tr = self.transformation
+        key = Jet(tr.old_dep, index)
+        got = self.entries.get(key)
+        if got is not None:
+            return got
+        K = key.index
+        if not 0 < len(K) <= self.order or not set(K) <= set(tr.old_vars):
+            raise KeyError(key)
+        # each prefix of the sorted index is the parent of the next one, and the
+        # smallest sorted jet one order down that reaches it
+        for m in range(1, len(K) + 1):
+            jm = Jet(tr.old_dep, K[:m])
+            if jm not in self.entries:
+                rhs = self.total_derivatives(K[:m - 1])
+                i = tr.old_vars.index(K[m - 1])
+                self.entries[jm] = _cramer(self.matrix, rhs, i, self.det)
+        return self.entries[key]
+
+    def total_derivatives(self, index: Sequence[str] = ()) -> list[Expression]:
+        """``[D_k(entry of index) for z_k in new_vars]``, computed once.
+
+        The empty index stands for the dependent map ``psi`` itself, so
+        ``total_derivatives()`` is ``[D_k(psi)]``.  These are the right-hand
+        sides the solve of ``index``'s children reads.
+        """
+        tr = self.transformation
+        J = tuple(sorted(index))
+        got = self._rhs.get(J)
+        if got is None:
+            value = self[J] if J else tr.dep_map
+            got = self._rhs[J] = [total_derivative(value, zk, tr.new_dep) for zk in tr.new_vars]
+        return got
 
     def apply(self, e: ExpressionLike) -> Expression:
-        """The image of ``e`` under the transformation and its prolongation."""
+        """The image of ``e`` under the transformation and its prolongation.
+
+        Only the jets ``e`` reaches, function arguments included, are solved.
+        """
         e = as_expression(e)
         tr = self.transformation
         deps = dependency_closure(e)
@@ -187,8 +243,6 @@ class ProlongedMap:
         if stray_vars:
             raise VariableMismatchError(
                 f"expression uses variables {sorted(stray_vars)} outside {tr.old_vars}")
-        binds = tr.as_bindings()
-        binds.update({j: v for j, v in self.entries.items()})
         for j in deps.jets:
             if j.dep != tr.old_dep:
                 raise VariableMismatchError(
@@ -200,6 +254,11 @@ class ProlongedMap:
             if stray:
                 raise VariableMismatchError(
                     f"jet {j.text} differentiates by undeclared variables {sorted(stray)}")
+        binds = tr.as_bindings()
+        # in order of the jets, so that ``entries`` does not follow the hash seed
+        for j in sorted(deps.jets, key=lambda a: (a.order, a.index)):
+            if j.order:
+                binds[j] = self[j.index]
         return substitute(e, binds)
 
 
@@ -233,9 +292,11 @@ def _cramer(M, rhs, i, det):
 def transform_derivatives(tr: PointTransformation, order: int) -> ProlongedMap:
     """Prolong ``tr`` to the given jet order.
 
-    Raises :class:`SingularTransformationError` when the derivative-change
-    matrix has identically vanishing determinant; pointwise non-vanishing of
-    the determinant is recorded as an assumption instead.
+    Builds the matrix ``D_k(phi_i)`` and its determinant; the entries are
+    solved when the returned map is asked for them.  Raises
+    :class:`SingularTransformationError` when the derivative-change matrix has
+    identically vanishing determinant; pointwise non-vanishing of the
+    determinant is recorded as an assumption instead.
     """
     if order < 1:
         raise ValueError("prolongation order must be at least 1")
@@ -248,22 +309,7 @@ def transform_derivatives(tr: PointTransformation, order: int) -> ProlongedMap:
     if det.is_zero():
         raise SingularTransformationError(
             "the independent-variable maps have identically vanishing Jacobian system")
-    entries: dict[Jet, Expression] = {}
-    level = {(): tr.dep_map}
-    for _ in range(order):
-        next_level: dict[tuple, Expression] = {}
-        for J in sorted(level):
-            rhs = [total_derivative(level[J], zk, dep) for zk in tr.new_vars]
-            for i, xi in enumerate(tr.old_vars):
-                # a jet an earlier J already reached is not solved for again
-                K = tuple(sorted(J + (xi,)))
-                if K not in next_level:
-                    next_level[K] = _cramer(M, rhs, i, det)
-        for K, v in next_level.items():
-            entries[Jet(tr.old_dep, K)] = v
-        level = next_level
-    assumptions = () if det.is_constant() else (det,)
-    return ProlongedMap(tr, order, entries, det, assumptions)
+    return ProlongedMap(tr, order, M, det)
 
 
 def transform_equation(e: ExpressionLike, tr: PointTransformation, order: int | None = None) -> Expression:
@@ -275,5 +321,5 @@ def transform_equation(e: ExpressionLike, tr: PointTransformation, order: int | 
     if order is None:
         order = max((j.order for j in closure_jets(e, tr.old_dep)), default=0)
     if order == 0:
-        return ProlongedMap(tr, 0, {}, as_expression(1), ()).apply(e)
+        return ProlongedMap(tr, 0, [], as_expression(1)).apply(e)
     return transform_derivatives(tr, order).apply(e)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from eqvlab import Expression, Param, ParseError, Session, parse, parse_expression
-from eqvlab import cli
+from eqvlab import cli, prolongation
 from eqvlab.cli import main
 
 from conftest import CORPUS
@@ -68,6 +68,25 @@ def test_general_candidate_map_fails_on_denominator_jets(capsys, tmp_path):
                     "--family", "F", "--transform", "Tgen")
     assert code == 1
     assert {f["kind"] for f in out["failures"]} == {"denominator-jets"}
+
+
+def test_transform_differentiates_no_pair_twice(capsys, tmp_path, monkeypatch):
+    # the chain-rule checks read D_k(phi_i) and D_k(psi) from the prolongation
+    calls = []
+    derive = prolongation.total_derivative
+
+    def counting(e, v, dep):
+        calls.append((e.text, v))
+        return derive(e, v, dep)
+
+    monkeypatch.setattr(prolongation, "total_derivative", counting)
+    monkeypatch.setattr(cli, "total_derivative", counting, raising=False)
+    code, out = run(capsys, "transform", *session_args("hyperbolic_general.eqv", tmp_path),
+                    "--family", "F", "--transform", "Tgen")
+    assert code == 0 and out["assumptions"]
+    # four matrix entries, D_k(psi) and D_k(u_t) for u_tx
+    assert len(calls) == 8
+    assert len(set(calls)) == len(calls)
 
 
 def test_mixed_map_fails_with_pure_second_order_terms(capsys, tmp_path):

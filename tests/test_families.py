@@ -3,6 +3,7 @@
 import pytest
 
 import eqvlab.families as families
+import eqvlab.prolongation as prolongation
 from eqvlab import (
     EQUIVALENCE,
     NOT_EQUIVALENCE,
@@ -251,6 +252,29 @@ def test_theorem_instance_holds_for_a_member_map(monkeypatch):
     assert len(calls) == 1
     assert res.source_report.verdict == EQUIVALENCE
     assert res.target_report.verdict == EQUIVALENCE
+
+
+def test_equivalence_checks_solve_only_the_jets_the_member_reaches(monkeypatch):
+    maps, calls = [], []
+    prolong, derive = families.transform_derivatives, prolongation.total_derivative
+    monkeypatch.setattr(families, "transform_derivatives",
+                        lambda *a: maps.append(prolong(*a)) or maps[-1])
+    monkeypatch.setattr(prolongation, "total_derivative",
+                        lambda *a: calls.append(a) or derive(*a))
+    tr = PointTransformation(
+        ("t", "x"), "u", ("y", "z"), "w",
+        {"t": y ** 3 + y, "x": 2 * z + 1}, (1 + y * y) * jet("w"))
+    assert check_equivalence(catalog("hyper"), tr).verdict == EQUIVALENCE
+    # u_t, u_x and u_tx, not u_tt or u_xx: four matrix entries, D_k(psi) and
+    # D_k(u_t), where solving every order-2 jet also needed D_k(u_x)
+    assert set(maps[0].entries) == {Jet("u", ("t",)), Jet("u", ("x",)), Jet("u", ("t", "x"))}
+    assert len(calls) == 8
+    # a one-variable family of order 3 still needs every order
+    calls.clear()
+    glin = PointTransformation(("x",), "y", ("z",), "w", {"x": z ** 3 + z}, jet("w"))
+    assert check_equivalence(catalog("glin", 3), glin).verdict == EQUIVALENCE
+    assert set(maps[1].entries) == {Jet("y", ("x",) * r) for r in (1, 2, 3)}
+    assert len(calls) == 4
 
 
 def test_theorem_precondition_failure_carries_the_report():

@@ -1,10 +1,12 @@
 """Prolongation: chain-rule recurrences, finite-difference validation, errors."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from random import Random
 
 import pytest
 
+import eqvlab.prolongation as prolongation
 from eqvlab import (
     Instantiation,
     Jet,
@@ -52,6 +54,13 @@ def triangular_map() -> PointTransformation:
         func("L", y, z) * jet("w"))
 
 
+def every_entry(pm):
+    """Every entry up to the map's order, solving those not yet solved."""
+    old = pm.transformation.old_vars
+    return [pm[K] for r in range(1, pm.order + 1)
+            for K in combinations_with_replacement(old, r)]
+
+
 def test_total_derivative_basics():
     w, wy = jet("w"), jet("w", "y")
     assert total_derivative(w, "y", "w") == wy
@@ -78,7 +87,7 @@ def test_total_derivative_equals_the_per_atom_sum_bulk():
     cases = [e for _, e in seeded_cases(707, 120)]
     # denominators that carry jets, bare and inside function arguments
     cases += [e / (w + wy * R) for e in cases[:40]]
-    cases += list(transform_derivatives(tgen, 1).entries.values())
+    cases += every_entry(transform_derivatives(tgen, 1))
     for e in cases:
         for v in ("y", "z"):
             new = total_derivative(e, v, "w")
@@ -113,7 +122,7 @@ def test_prolongation_against_finite_differences():
     tr = triangular_map()
     pm = transform_derivatives(tr, 2)
     rng = Random(31)
-    exprs = [tr.dep_map, *pm.entries.values(), *tr.indep_map.values(), pm.det]
+    exprs = [tr.dep_map, *every_entry(pm), *tr.indep_map.values(), pm.det]
     for _ in range(10):
         inst = Instantiation.for_expressions(exprs, rng, {"w": ("y", "z")}, degree=2)
         pt = draw_point(rng, required_point_names(exprs, inst))
@@ -214,3 +223,94 @@ def test_general_hyperbolic_image_keeps_the_jacobian_cubed():
     image = pm.apply(fam.member())
     assert len(image.den_terms()) == 54
     assert (image.denominator() / pm.det ** 3).is_constant()
+
+
+def eager_entries(tr, order):
+    """The level-by-level prolongation the lazy map replaced, kept as reference.
+
+    Each level solves every jet one order up from every jet of the level
+    below, in sorted order, and keeps the first solve of each jet.
+    """
+    dep = tr.new_dep
+    M = [[total_derivative(tr.indep_map[xi], zk, dep) for xi in tr.old_vars]
+         for zk in tr.new_vars]
+    det = prolongation._det(M)
+    entries = {}
+    level = {(): tr.dep_map}
+    for _ in range(order):
+        next_level = {}
+        for J in sorted(level):
+            rhs = [total_derivative(level[J], zk, dep) for zk in tr.new_vars]
+            for i, xi in enumerate(tr.old_vars):
+                K = tuple(sorted(J + (xi,)))
+                if K not in next_level:
+                    next_level[K] = prolongation._cramer(M, rhs, i, det)
+        for K, v in next_level.items():
+            entries[Jet(tr.old_dep, K)] = v
+        level = next_level
+    return entries
+
+
+def test_lazy_entries_equal_the_level_loop_bulk():
+    w = jet("w")
+    tgen = PointTransformation(("t", "x"), "u", ("y", "z"), "w",
+                               {"t": func("R", y, z, w), "x": func("S", y, z, w)},
+                               func("T", y, z, w))
+    tri = triangular_map()
+    # source variables listed out of sorted order
+    swapped = PointTransformation(("x", "t"), "u", ("y", "z"), "w",
+                                  {"x": tri.indep_map["x"], "t": tri.indep_map["t"]},
+                                  tri.dep_map)
+    glin = PointTransformation(("x",), "y", ("z",), "w",
+                               {"x": func("F", z)}, func("G", z) * w + func("H", z))
+    cases = [
+        (identity_transformation(("t", "x"), "u", ("y", "z"), "w"), 3),
+        (general_map(), 3),
+        (tri, 3),
+        (swapped, 3),
+        # order 3 of this map takes most of a minute either way
+        (tgen, 2),
+        (glin, 3),
+    ]
+    for tr, order in cases:
+        want = eager_entries(tr, order)
+        pm = transform_derivatives(tr, order)
+        # highest orders first, so each solve walks its chain of parents
+        for key in sorted(want, key=lambda j: (-j.order, j.index)):
+            got = pm[reversed(key.index)]
+            assert got.text == want[key].text, (tr, key.text)
+            num, den, _ = got.integer_form()
+            w_num, w_den, _ = want[key].integer_form()
+            assert list(num) == list(w_num) and list(den) == list(w_den), (tr, key.text)
+        assert set(pm.entries) == set(want)
+    pm = transform_derivatives(general_map(), 2)
+    assert pm[("x", "t")] is pm[("t", "x")]
+    assert list(pm.entries) == [Jet("u", ("t",)), Jet("u", ("t", "x"))]
+
+
+def test_entries_are_solved_on_demand(monkeypatch):
+    calls = []
+    derive = prolongation.total_derivative
+    monkeypatch.setattr(prolongation, "total_derivative",
+                        lambda e, v, dep: calls.append((e.text, v)) or derive(e, v, dep))
+    pm = transform_derivatives(general_map(), 3)
+    assert pm.entries == {} and len(calls) == 4  # the matrix D_k(phi_i)
+    pm[("x", "x")]
+    assert set(pm.entries) == {Jet("u", ("x",)), Jet("u", ("x", "x"))}
+    # the right-hand sides D_k(psi) and D_k(entry of x), each once
+    assert len(calls) == 8
+    image = pm.apply(jet("u", "t") + jet("u"))
+    assert set(pm.entries) == {Jet("u", ("t",)), Jet("u", ("x",)), Jet("u", ("x", "x"))}
+    assert (image - pm[("t",)] - pm.transformation.dep_map).is_zero()
+    # u_t reads the kept D_k(psi), as does asking for it again
+    assert pm.total_derivatives() is pm.total_derivatives(())
+    assert len(calls) == 8 and len(set(calls)) == 8
+
+
+@pytest.mark.parametrize("index", [(), ("t", "x", "x"), ("t", "t", "t", "t"), ("r",), ("t", "r")])
+def test_entries_outside_the_map_raise_key_error(index):
+    pm = transform_derivatives(general_map(), 2)
+    with pytest.raises(KeyError) as exc:
+        pm[index]
+    assert exc.value.args == (Jet("u", index),)
+    assert pm.entries == {}
