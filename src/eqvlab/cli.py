@@ -25,7 +25,7 @@ from .families import EQUIVALENCE, EquationFamily, catalog, check_equivalence, t
 from .hyperbolic import HyperbolicEquation
 from .oracle import DEFAULT_SEED, check_identity
 from .parser import Session, parse, parse_expression
-from .prolongation import transform_derivatives, transform_equation
+from .prolongation import transform_derivatives
 
 __all__ = ["main"]
 
@@ -79,7 +79,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--transform", required=True)
     sp.add_argument("--family")
     sp.add_argument("--equation")
-    sp.add_argument("--order", type=int)
 
     for name, help_text in (
             ("check", "decide whether a transformation preserves a family's form"),
@@ -185,20 +184,12 @@ def _cmd_transform(args, session):
     if bool(args.family) == bool(args.equation):
         raise ValueError("give exactly one of --family or --equation")
     if args.family:
-        fam = _resolve_family(args.family, session).rename(tr.old_vars, tr.old_dep)
-        e = fam.member()
-        order = args.order if args.order else fam.jet_order()
+        e = _resolve_family(args.family, session).rename(tr.old_vars, tr.old_dep).member()
     else:
         e = session.equations[args.equation]
-        order = args.order
-    if order is None:
-        order = max((j.order for j in closure_jets(e, tr.old_dep)), default=0)
-    # one prolongation serves the image and the first-order chain-rule checks;
-    # at order 0 the image comes first, so jets are refused before prolonging
-    te = transform_equation(e, tr, 0) if order == 0 else None
-    pm = transform_derivatives(tr, order or 1)
-    if te is None:
-        te = pm.apply(e)
+    # one prolongation serves the image and the first-order chain-rule checks
+    pm = transform_derivatives(tr)
+    te = pm.apply(e)
     # chain-rule recurrences D_k(psi) = sum_i D_k(phi_i) * (entry for d/dx_i):
     # exact identities the numeric oracle can replay point-wise.  Both sides
     # read the total derivatives the prolongation holds, D_k(phi_i) as its
@@ -208,7 +199,7 @@ def _cmd_transform(args, session):
     checks = [
         (dpsi, sum((d * f for d, f in zip(row, first)), start=as_expression(0)))
         for row, dpsi in zip(pm.matrix, pm.total_derivatives())]
-    # the solved entries and right-hand sides of higher orders are most of the
+    # the solved numerators and their total derivatives are most of the
     # command's peak memory, so the map is let go before normalizing
     del pm
     normalized = _lead_normalize(te, tr.new_dep)

@@ -175,13 +175,6 @@ class EquationFamily:
         """The generic member's left-hand side."""
         return self.lead + expr_sum(s.func_expr() * s.monomial for s in self.slots)
 
-    def jet_order(self) -> int:
-        order = 0
-        for e in [self.lead] + [s.monomial for s in self.slots]:
-            for a, _ in e.num_terms()[0][1].atoms:
-                order = max(order, a.order)
-        return order
-
     def rename(self, new_vars: Sequence[str], new_dep: str) -> "EquationFamily":
         """The same family written in other variable names, positionally."""
         new_vars = tuple(new_vars)
@@ -406,11 +399,11 @@ def check_equivalence(family: EquationFamily, tr: PointTransformation) -> MatchR
     prolongation denominator's jet coefficients: those must vanish for any
     transformation of this shape to stay pointwise.
     """
-    return _check_prolonged(family, transform_derivatives(tr, family.jet_order()))
+    return _check_prolonged(family, transform_derivatives(tr))
 
 
 def _check_prolonged(family: EquationFamily, pm: ProlongedMap) -> MatchReport:
-    """:func:`check_equivalence` for a map already prolonged to the family's order."""
+    """:func:`check_equivalence` for a map already prolonged."""
     tr = pm.transformation
     te = pm.apply(family.rename(tr.old_vars, tr.old_dep).member())
     fam_tgt = family.rename(tr.new_vars, tr.new_dep)
@@ -484,7 +477,7 @@ def theorem_instance_check(
     """
     _validate_enlargement(famA, famB)
     # famB differs from famA only in argument lists, so one prolongation serves both
-    pm = transform_derivatives(tr, famA.jet_order())
+    pm = transform_derivatives(tr)
     rep_a = _check_prolonged(famA, pm)
     if rep_a.verdict != EQUIVALENCE:
         raise TheoremPreconditionError(

@@ -256,7 +256,7 @@ class HyperbolicEquation:
         tr = PointTransformation(
             (self.t, self.x), self.u, (y, z), new_dep,
             {self.t: var(y), self.x: var(z)}, exp(f + g) * jet(new_dep))
-        te = transform_equation(self.expression(), tr, 2)
+        te = transform_equation(self.expression(), tr)
         try:
             reduced, _ = HyperbolicEquation.from_expression(te, y, z, new_dep)
         except VariableMismatchError:
@@ -306,7 +306,7 @@ class HyperbolicEquation:
         if dependency_closure(scale).jets:
             raise DegenerateTransformationError("the multiplier must not involve the target")
 
-        te = transform_equation(self.expression(), tr, 2)
+        te = transform_equation(self.expression(), tr)
         transformed, _lead = HyperbolicEquation.from_expression(te, y, z, tr.new_dep)
 
         binds = {Var(self.t): tr.indep_map[self.t], Var(self.x): tr.indep_map[self.x]}

@@ -2,21 +2,37 @@
 
 A :class:`PointTransformation` writes the source variables of an equation in
 terms of target variables: ``x_i = phi_i(z, w)`` for the independent
-variables and ``u = psi(z, w)`` for the dependent one.  Prolonging it to
-order ``n`` expresses every source derivative ``u_{x^J}`` with ``|J| <= n``
-through target jet variables, by solving the linear system
+variables and ``u = psi(z, w)`` for the dependent one.  Prolonging it
+expresses every source derivative ``u_J`` through target jet variables by the
+implicit prolongation formula (Olver, *Applications of Lie Groups to
+Differential Equations*, 1986, Sec. 2.3 and Thm. 2.36):
 
-    sum_i  D_k(phi_i) * u_{x^J x_i}  =  D_k(value of u_{x^J})
+    sum_i  D_k(phi_i) * u_{J x_i}  =  D_k(u_J)
 
 with ``D_k`` the total derivative along target variable ``z_k``.  The
-system's matrix determinant is recorded as a non-vanishing assumption; a
-determinant that is identically zero means the map is not a transformation
-of this shape at all.
+determinant ``det`` of ``M[k][i] = D_k(phi_i)`` is recorded as a
+non-vanishing assumption; one that is identically zero means the map is not
+a transformation of this shape at all.
+
+Solved by Cramer's rule, each entry is a numerator over a known power of
+``det``: ``u_J = N_J / det**m_J``, with ``N_() = psi`` and ``m_() = 0``.  With
+``C_i(r)`` the determinant of ``M`` with column ``i`` replaced by ``r``, the
+child ``K = J + (x_i,)`` has
+
+    N_K = C_i(D_k(N_J)*det - N_J*m_J*D_k(det)),    m_K = m_J + 2,
+
+unless ``m_J == 0`` or ``det`` is free of ``x_i`` (``C_i(D_k(det)) == 0``):
+then one ``det`` cancels, ``N_K = C_i(D_k(N_J))`` and ``m_K = m_J + 1``.  An
+order-k entry is over ``det**(2k-1)`` at most, and ``det**m`` divides only
+when an entry is handed out, so the kernel never has to find that
+denominator itself.  A one-term ``det`` (a constant or a monomial) is the
+exception: the kernel cancels it exactly, so it is divided out at every solve
+and the entry kept with ``m = 0``.  That keeps adjugate factors such as
+``S'(z)`` in ``N_t`` of ``t = R(y), x = S(z)`` out of the next derivative.
 
 :func:`transform_derivatives` builds only the matrix, its determinant and
-the singular-map check.  The entries are solved on demand: a jet is solved
-the first time it is asked for, from its parent ``J = K[:-1]``, and kept.
-An equation that reaches only some jets of an order costs only those.
+the singular-map check.  Entries are solved on demand, to any order: a jet
+the first time it is asked for, from its parent ``J = K[:-1]``.
 """
 
 from __future__ import annotations
@@ -170,66 +186,89 @@ class ProlongedMap:
     determinant and ``assumptions`` the recorded non-vanishing requirements
     (the determinant, unless constant).
 
-    Entries are solved on demand.  ``pm[K]`` solves the source jet ``K``
-    (order 1 up to ``order``) the first time it is asked for, and
-    :meth:`apply` solves the jets its expression reaches.  ``entries`` is the
-    plain dict of the entries solved so far, keyed by source jet.  It is not a
-    property that solves the rest: the benchmark's tracer sizes ``entries``
-    after every traced operation, and solving there would put the unneeded
-    work back.  The right-hand sides ``D_k(entry J)`` are kept too, see
-    :meth:`total_derivatives`.
+    Entries are solved on demand: ``pm[K]`` solves the source jet ``K`` the
+    first time it is asked for, and :meth:`apply` the jets its expression
+    reaches.  ``entries`` is the plain dict of the entries handed out so far,
+    keyed by source jet.  It is not a property that solves the rest: the
+    benchmark's tracer sizes ``entries`` after every traced operation, and
+    solving there would put the unneeded work back.
     """
 
-    __slots__ = ("transformation", "order", "matrix", "det", "assumptions",
-                 "entries", "_rhs")
+    __slots__ = ("transformation", "matrix", "det", "assumptions", "entries",
+                 "_solved", "_derivatives", "_free", "_one_term")
 
-    def __init__(self, transformation, order, matrix, det):
+    def __init__(self, transformation, matrix, det):
         self.transformation = transformation
-        self.order = order
         self.matrix = matrix
         self.det = det
         self.assumptions = () if det.is_constant() else (det,)
         self.entries: dict[Jet, Expression] = {}
-        self._rhs: dict[tuple, list[Expression]] = {}
+        # sorted source index -> (N, m), the entry being N / det**m
+        self._solved: dict[tuple, tuple[Expression, int]] = {(): (transformation.dep_map, 0)}
+        # sorted source index -> [D_k(N)]; None -> [D_k(det)]
+        self._derivatives: dict[tuple | None, list[Expression]] = {}
+        self._free: dict[int, bool] = {}
+        self._one_term = len(det.num_terms()) == len(det.den_terms()) == 1
 
     def __getitem__(self, index: Sequence[str]) -> Expression:
         """The entry of source jet ``index``, solved if not yet solved.
 
-        Raises ``KeyError`` (with the jet) unless ``1 <= len(index) <= order``
-        and every name in ``index`` is a source variable.
+        Raises ``KeyError`` (with the jet) unless ``index`` is nonempty and
+        every name in it is a source variable.
         """
         tr = self.transformation
         key = Jet(tr.old_dep, index)
         got = self.entries.get(key)
-        if got is not None:
-            return got
-        K = key.index
-        if not 0 < len(K) <= self.order or not set(K) <= set(tr.old_vars):
-            raise KeyError(key)
-        # each prefix of the sorted index is the parent of the next one, and the
-        # smallest sorted jet one order down that reaches it
-        for m in range(1, len(K) + 1):
-            jm = Jet(tr.old_dep, K[:m])
-            if jm not in self.entries:
-                rhs = self.total_derivatives(K[:m - 1])
-                i = tr.old_vars.index(K[m - 1])
-                self.entries[jm] = _cramer(self.matrix, rhs, i, self.det)
-        return self.entries[key]
-
-    def total_derivatives(self, index: Sequence[str] = ()) -> list[Expression]:
-        """``[D_k(entry of index) for z_k in new_vars]``, computed once.
-
-        The empty index stands for the dependent map ``psi`` itself, so
-        ``total_derivatives()`` is ``[D_k(psi)]``.  These are the right-hand
-        sides the solve of ``index``'s children reads.
-        """
-        tr = self.transformation
-        J = tuple(sorted(index))
-        got = self._rhs.get(J)
         if got is None:
-            value = self[J] if J else tr.dep_map
-            got = self._rhs[J] = [total_derivative(value, zk, tr.new_dep) for zk in tr.new_vars]
+            K = key.index
+            if not K or not set(K) <= set(tr.old_vars):
+                raise KeyError(key)
+            # each prefix of the sorted index is the parent of the next one
+            for r in range(1, len(K) + 1):
+                if K[:r] not in self._solved:
+                    self._solved[K[:r]] = self._solve(K[:r - 1], K[r - 1])
+            num, m = self._solved[K]
+            got = self.entries[key] = num / self.det ** m if m else num
         return got
+
+    def _solve(self, J: tuple, xi: str) -> tuple[Expression, int]:
+        """``(N, m)`` of the jet ``J + (xi,)``, from that of its parent ``J``."""
+        num, m = self._solved[J]
+        i = self.transformation.old_vars.index(xi)
+        rhs = self._total_derivatives(J, num)
+        if self._one_term:
+            return self._numerator(rhs, i) / self.det, 0
+        if m and not self._free_of(i):
+            det = self.det
+            rhs = [dn * det - num * m * dd
+                   for dn, dd in zip(rhs, self._total_derivatives(None, det))]
+            return self._numerator(rhs, i), m + 2
+        return self._numerator(rhs, i), m + 1
+
+    def _numerator(self, rhs: list[Expression], i: int) -> Expression:
+        """Cramer's numerator: ``det`` of the matrix with column ``i`` replaced by ``rhs``."""
+        return _det([[rhs[k] if c == i else v for c, v in enumerate(row)]
+                     for k, row in enumerate(self.matrix)])
+
+    def _free_of(self, i: int) -> bool:
+        """Whether ``C_i(D_k(det))``, ``det`` times its derivative along ``x_i``, is zero."""
+        if i not in self._free:
+            self._free[i] = self._numerator(
+                self._total_derivatives(None, self.det), i).is_zero()
+        return self._free[i]
+
+    def _total_derivatives(self, key: tuple | None, e: Expression) -> list[Expression]:
+        got = self._derivatives.get(key)
+        if got is None:
+            tr = self.transformation
+            got = self._derivatives[key] = [
+                total_derivative(e, zk, tr.new_dep) for zk in tr.new_vars]
+        return got
+
+    def total_derivatives(self) -> list[Expression]:
+        """``[D_k(psi) for z_k in new_vars]``, computed once: the right-hand
+        sides of the first-order solves."""
+        return self._total_derivatives((), self.transformation.dep_map)
 
     def apply(self, e: ExpressionLike) -> Expression:
         """The image of ``e`` under the transformation and its prolongation.
@@ -247,9 +286,6 @@ class ProlongedMap:
             if j.dep != tr.old_dep:
                 raise VariableMismatchError(
                     f"expression involves jets of {j.dep!r}; transformation handles {tr.old_dep!r}")
-            if j.order > self.order:
-                raise VariableMismatchError(
-                    f"jet {j.text} exceeds prolongation order {self.order}")
             stray = set(j.index) - set(tr.old_vars)
             if stray:
                 raise VariableMismatchError(
@@ -274,23 +310,8 @@ def _det(M: list[list[Expression]]) -> Expression:
     return expr_sum(terms)
 
 
-def _cramer(M, rhs, i, det):
-    """Component ``i`` of the solution of ``M x = rhs``, by Cramer's rule
-    against the precomputed determinant.
-
-    The systems here are tiny (one row per independent variable), and every
-    cofactor term contains exactly one right-hand-side entry, so all the
-    terms of the numerator share a denominator and the only division is by
-    ``det`` itself.  That keeps intermediate swell down on higher-order
-    solves, where the right-hand sides already carry determinant powers.
-    """
-    n = len(M)
-    Mi = [[rhs[r] if c == i else M[r][c] for c in range(n)] for r in range(n)]
-    return _det(Mi) / det
-
-
-def transform_derivatives(tr: PointTransformation, order: int) -> ProlongedMap:
-    """Prolong ``tr`` to the given jet order.
+def transform_derivatives(tr: PointTransformation) -> ProlongedMap:
+    """Prolong ``tr``.
 
     Builds the matrix ``D_k(phi_i)`` and its determinant; the entries are
     solved when the returned map is asked for them.  Raises
@@ -298,8 +319,6 @@ def transform_derivatives(tr: PointTransformation, order: int) -> ProlongedMap:
     identically vanishing determinant; pointwise non-vanishing of the
     determinant is recorded as an assumption instead.
     """
-    if order < 1:
-        raise ValueError("prolongation order must be at least 1")
     dep = tr.new_dep
     M = [
         [total_derivative(tr.indep_map[xi], zk, dep) for xi in tr.old_vars]
@@ -309,17 +328,9 @@ def transform_derivatives(tr: PointTransformation, order: int) -> ProlongedMap:
     if det.is_zero():
         raise SingularTransformationError(
             "the independent-variable maps have identically vanishing Jacobian system")
-    return ProlongedMap(tr, order, M, det)
+    return ProlongedMap(tr, M, det)
 
 
-def transform_equation(e: ExpressionLike, tr: PointTransformation, order: int | None = None) -> Expression:
-    """The image of an equation's left-hand side under ``tr``.
-
-    ``order`` defaults to the highest jet order occurring in ``e``.
-    """
-    e = as_expression(e)
-    if order is None:
-        order = max((j.order for j in closure_jets(e, tr.old_dep)), default=0)
-    if order == 0:
-        return ProlongedMap(tr, 0, [], as_expression(1)).apply(e)
-    return transform_derivatives(tr, order).apply(e)
+def transform_equation(e: ExpressionLike, tr: PointTransformation) -> Expression:
+    """The image of an equation's left-hand side under ``tr``."""
+    return transform_derivatives(tr).apply(e)

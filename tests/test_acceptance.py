@@ -87,7 +87,7 @@ def test_criterion_1_linear_weight_action():
 
     # constant offset: the same shape read off the raw transformed equation
     K = param("K")
-    te = transform_equation(catalog("hyperu").member(), _hyper_tr(L * w + K), 2)
+    te = transform_equation(catalog("hyperu").member(), _hyper_tr(L * w + K))
     coeffs, resid = collect(te, [wyz, wy, wz, w])
     lead = coeffs[wyz]
 
@@ -137,7 +137,7 @@ def test_criterion_2_shape_narrowing_stages():
     te2 = transform_equation(
         catalog("hyper").member(),
         PointTransformation(("t", "x"), "u", ("y", "z"), "w",
-                            {"t": R2, "x": S2}, Tf), 2)
+                            {"t": R2, "x": S2}, Tf))
     wyy, wzz = jet("w", "y", "y"), jet("w", "z", "z")
     co2, _ = collect(te2, [wyy, wzz, wyz])
     Ry2, Rz2 = partial(R2, y), partial(R2, z)
@@ -155,7 +155,7 @@ def test_criterion_2_shape_narrowing_stages():
     Ry, Sz = partial(R1, y), partial(S1, z)
     tr3 = PointTransformation(("t", "x"), "u", ("y", "z"), "w",
                               {"t": R1, "x": S1}, Tf)
-    te3 = transform_equation(catalog("hyperu").member(), tr3, 2)
+    te3 = transform_equation(catalog("hyperu").member(), tr3)
     co3, resid3 = collect(te3, [wyz, wy * wz, wy, wz])
     lead = co3[wyz]
 
@@ -349,7 +349,7 @@ def test_criterion_7_numeric_companions():
     te2 = transform_equation(
         catalog("hyper").member(),
         PointTransformation(("t", "x"), "u", ("y", "z"), "w",
-                            {"t": R2, "x": S2}, Tf), 2)
+                            {"t": R2, "x": S2}, Tf))
     wyy = jet("w", "y", "y")
     co2, _ = collect(te2, [wyy])
     det = partial(R2, y) * partial(S2, z) - partial(R2, z) * partial(S2, y)

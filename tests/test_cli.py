@@ -84,8 +84,8 @@ def test_transform_differentiates_no_pair_twice(capsys, tmp_path, monkeypatch):
     code, out = run(capsys, "transform", *session_args("hyperbolic_general.eqv", tmp_path),
                     "--family", "F", "--transform", "Tgen")
     assert code == 0 and out["assumptions"]
-    # four matrix entries, D_k(psi) and D_k(u_t) for u_tx
-    assert len(calls) == 8
+    # four matrix entries, D_k(psi), and D_k(N_t) and D_k(det) for u_tx
+    assert len(calls) == 10
     assert len(set(calls)) == len(calls)
 
 
@@ -132,13 +132,6 @@ def test_theorem_check_refuses_non_member_maps(capsys, tmp_path):
                     "--family-a", "A", "--family-b", "B", "--transform", "Tshift")
     assert code == 2
     assert out["error"]["type"] == "TheoremPreconditionError"
-
-
-def test_transform_respects_order_bound(capsys, tmp_path):
-    code, out = run(capsys, "transform", *session_args("ode_scale.eqv", tmp_path),
-                    "--transform", "Tscale", "--family", "F", "--order", 2)
-    assert code == 2
-    assert "exceeds prolongation order" in out["error"]["message"]
 
 
 def test_transform_emits_normalized_equation_and_state(capsys, tmp_path):
