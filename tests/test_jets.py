@@ -357,7 +357,8 @@ def test_entries_are_solved_on_demand(monkeypatch):
     assert len(calls) == 10 and len(set(calls)) == 10
 
 
-@pytest.mark.parametrize("index", [(), ("r",), ("t", "r")])
+# a target variable, the dependent name, and names of neither
+@pytest.mark.parametrize("index", [(), ("y",), ("x", "u"), ("r",), ("t", "r")])
 def test_entries_outside_the_map_raise_key_error(index):
     pm = transform_derivatives(general_map())
     with pytest.raises(KeyError) as exc:
