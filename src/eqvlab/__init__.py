@@ -54,6 +54,7 @@ from .expressions import (
     partial,
     polynomial_jets,
     closure_jets,
+    rename_atoms,
     sign_canonical,
     substitute,
     substitute_functions,

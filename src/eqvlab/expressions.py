@@ -90,6 +90,7 @@ __all__ = [
     "partial",
     "substitute",
     "substitute_functions",
+    "rename_atoms",
     "collect",
     "collect_numerators",
     "jet_split",
@@ -1353,6 +1354,47 @@ def substitute_functions(e: ExpressionLike, bindings: Mapping[str, tuple[Sequenc
         return substitute(body, {Var(n): v for n, v in zip(slots, args)})
 
     return _subst_expr(e, _SubstState(bound, rewrite))
+
+
+def rename_atoms(e: ExpressionLike, mapping: Mapping[Atom, Atom]) -> Expression:
+    """``e`` with each key atom of ``mapping`` replaced by its value atom.
+
+    Only the monomials of the numerator and the denominator are rewritten;
+    atoms inside other atoms and exponential arguments are not looked at.
+    Coefficients, ``lc`` and the order of the terms are kept and nothing is
+    normalized again, so the result is the normal form of the renamed
+    expression only under this precondition: the mapping is injective, no
+    value is an atom of ``e`` that is not itself renamed, and each value sorts
+    against every other atom of ``e`` as its key does.  Raises
+    ``ValueError`` when a renamed monomial's atoms are out of ``_skey`` order
+    or two monomials become one, which a mapping that breaks it can cause.
+    """
+    e = as_expression(e)
+    if not mapping:
+        return e
+
+    # keyed by the identity key, which hashes without a Python call
+    by_key = {a._skey: b for a, b in mapping.items()}
+
+    def rename(p: dict) -> dict:
+        out = {}
+        for m, c in p.items():
+            atoms = m.atoms
+            if any(a._skey in by_key for a, _ in atoms):
+                atoms = tuple((by_key.get(a._skey, a), k) for a, k in atoms)
+                if any(atoms[i][0]._skey >= atoms[i + 1][0]._skey
+                       for i in range(len(atoms) - 1)):
+                    raise ValueError(f"renaming {m!r} breaks the atom order")
+                m = Monomial._raw(atoms, m.exparg)
+            out[m] = c
+        if len(out) != len(p):
+            raise ValueError("renaming merges two monomials")
+        return out
+
+    r = object.__new__(Expression)
+    r._num, r._den, r._lc = rename(e._num), rename(e._den), e._lc
+    r._hash = r._text = r._deps = None
+    return r
 
 
 def _subst_atom(a: Atom, state: _SubstState) -> Expression:

@@ -22,6 +22,7 @@ from .expressions import (
     Atom,
     Expression,
     ExpressionLike,
+    Func,
     Jet,
     Monomial,
     Var,
@@ -35,6 +36,7 @@ from .expressions import (
     jet_split,
     partial,
     polynomial_jets,
+    rename_atoms,
     sign_canonical,
 )
 from .prolongation import PointTransformation, ProlongedMap, transform_derivatives
@@ -60,11 +62,11 @@ NOT_EQUIVALENCE = "not-equivalence"
 
 
 def _jet_monomial(e: Expression, dep: str) -> Monomial:
-    terms = e.num_terms()
-    if len(terms) != 1 or e.denominator() != as_expression(1):
+    num, den, lc = e.integer_form()
+    if len(num) != 1 or len(den) != 1 or not next(iter(den)).is_one():
         raise ValueError(f"{e.text} is not a single monomial")
-    c, m = terms[0]
-    if c != 1 or m.exparg is not None:
+    (m, c), = num.items()
+    if c != lc or m.exparg is not None:
         raise ValueError(f"{e.text} is not a coefficient-one jet monomial")
     for a, _ in m.atoms:
         if not isinstance(a, Jet) or a.dep != dep:
@@ -181,6 +183,9 @@ class EquationFamily:
         if len(new_vars) != len(self.indep_vars):
             raise VariableMismatchError(
                 f"{self.name}: got {len(new_vars)} variables, need {len(self.indep_vars)}")
+        if len(set(new_vars)) != len(new_vars):
+            # two jets of one monomial would become one atom
+            raise VariableMismatchError(f"{self.name}: repeated variables {new_vars}")
         if new_vars == self.indep_vars and new_dep == self.dep:
             return self
         vmap = dict(zip(self.indep_vars, new_vars))
@@ -192,10 +197,7 @@ class EquationFamily:
 
         def rmono(e: Expression) -> Expression:
             m = _jet_monomial(e, self.dep)
-            out = as_expression(1)
-            for a, k in m.atoms:
-                out = out * as_expression(ratom(a)) ** k
-            return out
+            return from_monomial(Monomial([(ratom(a), k) for a, k in m.atoms]))
 
         return EquationFamily(
             self.name, new_vars, new_dep, rmono(self.lead),
@@ -402,10 +404,14 @@ def check_equivalence(family: EquationFamily, tr: PointTransformation) -> MatchR
     return _check_prolonged(family, transform_derivatives(tr))
 
 
-def _check_prolonged(family: EquationFamily, pm: ProlongedMap) -> MatchReport:
-    """:func:`check_equivalence` for a map already prolonged."""
+def _check_prolonged(
+    family: EquationFamily, pm: ProlongedMap, image: Expression | None = None,
+) -> MatchReport:
+    """:func:`check_equivalence` for a map already prolonged; ``image``, when
+    given, is the generic member's image, which is then not built again."""
     tr = pm.transformation
-    te = pm.apply(family.rename(tr.old_vars, tr.old_dep).member())
+    te = image if image is not None else pm.apply(
+        family.rename(tr.old_vars, tr.old_dep).member())
     fam_tgt = family.rename(tr.new_vars, tr.new_dep)
     evidence = pm.det if polynomial_jets(pm.det, tr.new_dep) else None
     return match(
@@ -474,21 +480,57 @@ def theorem_instance_check(
     is one of ``famB`` as well, which the containment asserts it always is.
     Raises :class:`TheoremPreconditionError` when ``tr`` fails the
     ``famA``-membership precondition, with the failing report attached.
+
+    One prolongation serves both families.  famB's members differ from
+    famA's only in the argument lists of the slot functions, so famB's image
+    is famA's image with each slot atom ``a_j(phi(args_A))`` renamed to
+    ``a_j(phi(args_B))`` (:func:`~eqvlab.expressions.rename_atoms`), the
+    arguments' images read off the map: a variable's from ``indep_map``, the
+    dependent variable's from ``dep_map``, a jet's from the prolonged map.
+    The rename keeps each atom's function name, which decides its order
+    against every other atom, so the image is the one substituting famB's
+    member would give.  When a function in the map's components has a slot's
+    name, a map atom could coincide with a slot atom; famB's member is then
+    transformed directly.  Both images are matched.
     """
     _validate_enlargement(famA, famB)
-    # famB differs from famA only in argument lists, so one prolongation serves both
     pm = transform_derivatives(tr)
     rep_a = _check_prolonged(famA, pm)
     if rep_a.verdict != EQUIVALENCE:
         raise TheoremPreconditionError(
             f"transformation is not an equivalence transformation of {famA.name}",
             report=rep_a)
-    rep_b = _check_prolonged(famB, pm)
+    rep_b = _check_prolonged(famB, pm, _enlarged_image(famA, famB, pm, rep_a.expression))
     return TheoremCheckResult(
         holds=rep_b.verdict == EQUIVALENCE,
         source_report=rep_a,
         target_report=rep_b,
     )
+
+
+def _enlarged_image(
+    famA: EquationFamily, famB: EquationFamily, pm: ProlongedMap, image: Expression,
+) -> Expression | None:
+    """famB's image, from famA's ``image`` by renaming its slot atoms; None
+    when a function of the map has a slot's name."""
+    tr = pm.transformation
+    names = {s.name for s in famA.slots}
+    if any(names & dependency_closure(e).functions
+           for e in (*tr.indep_map.values(), tr.dep_map)):
+        return None
+
+    def arg_image(a: Atom) -> Expression:
+        if isinstance(a, Var):
+            return tr.indep_map[a.name]
+        return pm[a.index] if a.index else tr.dep_map
+
+    def slot_atom(s: CoefficientSlot) -> Func:
+        return Func(s.name, [arg_image(a) for a in s.args])
+
+    slots_b = {s.name: s for s in famB.rename(tr.old_vars, tr.old_dep).slots}
+    return rename_atoms(image, {
+        slot_atom(s): slot_atom(slots_b[s.name])
+        for s in famA.rename(tr.old_vars, tr.old_dep).slots})
 
 
 def compose(first: PointTransformation, second: PointTransformation) -> PointTransformation:

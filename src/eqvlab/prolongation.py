@@ -195,7 +195,7 @@ class ProlongedMap:
     """
 
     __slots__ = ("transformation", "matrix", "det", "assumptions", "entries",
-                 "_solved", "_derivatives", "_free", "_one_term")
+                 "_solved", "_derivatives", "_long", "_free", "_one_term")
 
     def __init__(self, transformation, matrix, det):
         self.transformation = transformation
@@ -207,6 +207,8 @@ class ProlongedMap:
         self._solved: dict[tuple, tuple[Expression, int]] = {(): (transformation.dep_map, 0)}
         # sorted source index -> [D_k(N)]; None -> [D_k(det)]
         self._derivatives: dict[tuple | None, list[Expression]] = {}
+        # sorted source index -> the long-form right-hand sides of its children
+        self._long: dict[tuple, list[Expression]] = {}
         self._free: dict[int, bool] = {}
         self._one_term = len(det.num_terms()) == len(det.den_terms()) == 1
 
@@ -239,10 +241,13 @@ class ProlongedMap:
         if self._one_term:
             return self._numerator(rhs, i) / self.det, 0
         if m and not self._free_of(i):
-            det = self.det
-            rhs = [dn * det - num * m * dd
-                   for dn, dd in zip(rhs, self._total_derivatives(None, det))]
-            return self._numerator(rhs, i), m + 2
+            long = self._long.get(J)
+            if long is None:
+                det = self.det
+                long = self._long[J] = [
+                    dn * det - num * m * dd
+                    for dn, dd in zip(rhs, self._total_derivatives(None, det))]
+            return self._numerator(long, i), m + 2
         return self._numerator(rhs, i), m + 1
 
     def _numerator(self, rhs: list[Expression], i: int) -> Expression:

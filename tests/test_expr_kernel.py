@@ -40,6 +40,7 @@ from eqvlab import (
     param,
     partial,
     polynomial_jets,
+    rename_atoms,
     substitute,
     substitute_functions,
     var,
@@ -365,6 +366,29 @@ def test_partial_by_an_atom_the_denominator_lacks_keeps_it_unsquared():
     d = partial((x * wz + jet("w")) / (x ** 2 + z + 1), wz)
     assert d == x / (x ** 2 + z + 1)
     assert d.text == "(x)/(z + x^2 + 1)"
+
+
+def test_rename_atoms_keeps_terms_and_refuses_a_reordering_map():
+    y, z = var("y"), var("z")
+    f, g, h = Func("f", (y,)), Func("f", (y, z)), Func("g", (y,))
+    e = (3 * as_expression(f) * jet("w") * exp(z) + as_expression(h) * y ** 2
+         + Fraction(1, 2) * as_expression(f) ** 2) / (5 * y + 7 * z)
+    got = rename_atoms(e, {f: g})
+    want = substitute(e, {f: as_expression(g)})
+    assert got == want and got.text == want.text
+    # the terms stay where they were, with their coefficients
+    num, den, lc = got.integer_form()
+    e_num, e_den, e_lc = e.integer_form()
+    assert [m.text("1") for m in num] == [
+        m.text("1").replace("f(y)", "f(y,z)") for m in e_num]
+    assert list(num.values()) == list(e_num.values())
+    assert den == e_den and list(den) == list(e_den) and lc == e_lc
+    assert rename_atoms(e, {}) is e
+    # a variable sorts before the jet w, which f(y) sorts after
+    with pytest.raises(ValueError, match="order"):
+        rename_atoms(e, {f: Var("z")})
+    with pytest.raises(ValueError, match="merges"):
+        rename_atoms(as_expression(f) + as_expression(h), {f: h})
 
 
 def test_collect_separates_coefficients():

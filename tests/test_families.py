@@ -1,5 +1,7 @@
 """Family templates, matching, induced actions, and the containment check."""
 
+from random import Random
+
 import pytest
 
 import eqvlab.families as families
@@ -11,6 +13,8 @@ from eqvlab import (
     EquationFamily,
     Jet,
     PointTransformation,
+    PolyFunc,
+    ProlongedMap,
     TheoremPreconditionError,
     UnknownFamilyError,
     Var,
@@ -23,7 +27,9 @@ from eqvlab import (
     func,
     jet,
     match,
+    polynomial_jets,
     theorem_instance_check,
+    transform_derivatives,
     var,
 )
 
@@ -309,3 +315,93 @@ def test_match_report_json_shape():
     assert set(j["induced_action"]) == {"a1", "a2", "a3"}
     assert j["failures"] == []
     assert isinstance(j["assumptions"], list)
+
+
+def _direct_report(fam, pm):
+    """famB's report the direct way, the reference the rename must reproduce:
+    the generic member transformed by substitution, then matched."""
+    tr = pm.transformation
+    te = pm.apply(fam.rename(tr.old_vars, tr.old_dep).member())
+    fam_tgt = fam.rename(tr.new_vars, tr.new_dep)
+    evidence = pm.det if polynomial_jets(pm.det, tr.new_dep) else None
+    return match(te, fam_tgt, denominator_evidence=evidence, assumptions=pm.assumptions)
+
+
+def _same_layout(got, want):
+    """Equal text and the same numerator and denominator key order."""
+    g_num, g_den, g_lc = got.integer_form()
+    w_num, w_den, w_lc = want.integer_form()
+    return (got.text == want.text and list(g_num) == list(w_num)
+            and list(g_den) == list(w_den) and g_lc == w_lc)
+
+
+def _enlargement_instances():
+    """Criterion 5's four pairs on seeded maps, a glin family enlarged to
+    ``(x, y, D[y,x])``, and gauge maps whose factor is a slot's function."""
+    w = jet("w")
+
+    def poly(rng, arity, names):
+        return PolyFunc.random(rng, arity, 2, require=range(1, arity + 1)).to_expression(names)
+
+    glin = catalog("glin", 3)
+    glin_x = EquationFamily(
+        "glin_x", ("x",), "y", glin.lead,
+        [CoefficientSlot(s.name, (Var("x"), Jet("y", ()), Jet("y", ("x",))), s.monomial)
+         for s in glin.slots])
+    hyper = (("t", "x"), "u", ("y", "z"), "w")
+    rng = Random(517)
+    out = []
+    for _ in range(12):
+        out.append((glin, catalog("gliny", 3), PointTransformation(
+            ("x",), "y", ("z",), "w", {"x": poly(rng, 1, ("z",))}, poly(rng, 1, ("z",)) * w)))
+        out.append((glin, glin_x, PointTransformation(
+            ("x",), "y", ("z",), "w", {"x": poly(rng, 1, ("z",)) ** 2},
+            poly(rng, 1, ("z",)) * exp(z) * w)))
+        out.append((catalog("hyper"), catalog("hyperu"), PointTransformation(
+            *hyper, {"t": poly(rng, 1, ("y",)), "x": poly(rng, 1, ("z",))},
+            poly(rng, 2, ("y", "z")) * w)))
+        out.append((catalog("hyperxp"), catalog("hyperu"), PointTransformation(
+            *hyper, {"t": y, "x": z},
+            exp(poly(rng, 1, ("y",)) + poly(rng, 1, ("z",))) * w)))
+        out.append((catalog("hypertt"), catalog("hyperu"), PointTransformation(
+            *hyper, {"t": poly(rng, 1, ("y",)), "x": rng.randint(1, 9) * z + rng.randint(-5, 5)},
+            poly(rng, 1, ("y",)) * exp(rng.randint(-4, 4) * z) * w)))
+    # a3(y,z) is both the gauge factor and the image of the slot atom a3(t,x)
+    out.append((catalog("hyper"), catalog("hyperu"), PointTransformation(
+        *hyper, {"t": y, "x": z}, func("a3", y, z) * w)))
+    out.append((glin, glin_x, PointTransformation(
+        ("x",), "y", ("z",), "w", {"x": z ** 3 + z}, func("a1", z) * w)))
+    return out
+
+
+def test_enlarged_image_equals_the_direct_image_bulk():
+    instances = _enlargement_instances()
+    for famA, famB, tr in instances:
+        res = theorem_instance_check(famA, famB, tr)
+        assert res.holds
+        got = res.target_report
+        want = _direct_report(famB, transform_derivatives(tr))
+        assert _same_layout(got.expression, want.expression), tr
+        assert got.verdict == want.verdict
+        assert _same_layout(got.lead_coefficient, want.lead_coefficient), tr
+        assert _same_layout(got.residual, want.residual), tr
+        assert [a.text for a in got.assumptions] == [a.text for a in want.assumptions]
+        assert [f.to_json() for f in got.failures] == [f.to_json() for f in want.failures]
+        assert list(got.coefficients) == list(want.coefficients)
+        for name, c in got.coefficients.items():
+            assert _same_layout(c, want.coefficients[name]), (tr, name)
+
+
+def test_enlarged_image_transforms_one_member_unless_a_slot_name_clashes(monkeypatch):
+    calls = []
+    apply = ProlongedMap.apply
+    monkeypatch.setattr(ProlongedMap, "apply", lambda pm, e: calls.append(e) or apply(pm, e))
+    *plain, clash_hyper, clash_glin = _enlargement_instances()
+    for famA, famB, tr in plain[:5]:
+        calls.clear()
+        assert theorem_instance_check(famA, famB, tr).holds
+        assert len(calls) == 1
+    for famA, famB, tr in (clash_hyper, clash_glin):
+        calls.clear()
+        assert theorem_instance_check(famA, famB, tr).holds
+        assert len(calls) == 2

@@ -357,6 +357,36 @@ def test_entries_are_solved_on_demand(monkeypatch):
     assert len(calls) == 10 and len(set(calls)) == 10
 
 
+class _CountingDict(dict):
+    def __init__(self):
+        super().__init__()
+        self.stores = []
+
+    def __setitem__(self, key, value):
+        self.stores.append(key)
+        super().__setitem__(key, value)
+
+
+def test_long_form_right_hand_sides_are_built_once_per_parent():
+    # det = 4*y*z - 1 is free of neither t nor x, so every child of an entry
+    # over a power of det takes the long form of its parent's right-hand sides
+    tr = PointTransformation(("t", "x"), "u", ("y", "z"), "w",
+                             {"t": y ** 2 + z, "x": y + z ** 2}, y * jet("w"))
+    third = list(combinations_with_replacement(tr.old_vars, 3))
+    pm = transform_derivatives(tr)
+    pm._long = builds = _CountingDict()
+    got = [pm[K] for K in third]
+    # one build each, although t and tt have two such children
+    assert sorted(builds.stores) == [("t",), ("t", "t"), ("t", "x"), ("x",), ("x", "x")]
+    for K, entry in zip(third, got):
+        # alone on its own map, no sibling shares its parents' long forms
+        want = transform_derivatives(tr)[K]
+        assert entry.text == want.text
+        num, den, _ = entry.integer_form()
+        w_num, w_den, _ = want.integer_form()
+        assert list(num) == list(w_num) and list(den) == list(w_den)
+
+
 # a target variable, the dependent name, and names of neither
 @pytest.mark.parametrize("index", [(), ("y",), ("x", "u"), ("r",), ("t", "r")])
 def test_entries_outside_the_map_raise_key_error(index):
