@@ -1466,12 +1466,19 @@ def _subst_poly(p: dict, state: _SubstState) -> Expression:
 # Collection
 
 
-def _monomial_of(e: Expression) -> Monomial:
-    if len(e._num) == 1 and e._lc == 1 and _constant_den(e):
-        (m, c), = e._num.items()
-        if c == 1:
-            return m
-    raise ValueError(f"{e.text} is not a coefficient-one monomial")
+def _jet_monomial(e: Expression, dep: str | None = None) -> Monomial:
+    """The monomial of ``e``, which must be one coefficient-one monomial in
+    jet variables (of ``dep``, when given); the constant ``1`` is one."""
+    if len(e._num) != 1 or not _constant_den(e):
+        raise ValueError(f"{e.text} is not a single monomial")
+    (m, c), = e._num.items()
+    if c != e._lc or m.exparg is not None:
+        raise ValueError(f"{e.text} is not a coefficient-one jet monomial")
+    for a, _ in m.atoms:
+        if not isinstance(a, Jet) or dep is not None and a.dep != dep:
+            of = "" if dep is None else f" of {dep!r}"
+            raise ValueError(f"{e.text} contains {a!r}, not a jet{of}")
+    return m
 
 
 def _jet_groups(p: dict, deps: frozenset) -> dict[Monomial, dict]:
@@ -1508,9 +1515,10 @@ def collect_numerators(
 ) -> tuple[dict, Expression, Expression]:
     """:func:`collect` before the division by the shared denominator.
 
-    Each entry of ``monomials`` must be a coefficient-one monomial whose atoms
-    are all jet variables of one dependent variable; the constant monomial
-    ``1`` is allowed and collects the jet-free part.  Returns ``(numerators,
+    Each entry of ``monomials`` must pass the jet-monomial validator that
+    families also use (``_jet_monomial``): a coefficient-one monomial whose
+    atoms are all jet variables; the constant monomial ``1`` is allowed and
+    collects the jet-free part.  Returns ``(numerators,
     residual, denominator)``, all polynomials, with ``e == (sum(numerators[m]
     * m) + residual) / denominator`` identically; the numerator of a listed
     monomial is the sum of the terms whose jet content equals it, so the
@@ -1529,13 +1537,8 @@ def collect_numerators(
     deps: set[str] = set()
     targets: dict[Monomial, Expression] = {}
     for ge in given:
-        m = _monomial_of(ge)
-        if m.exparg is not None:
-            raise ValueError(f"{ge.text} carries an exponential factor")
-        for a, _ in m.atoms:
-            if not isinstance(a, Jet):
-                raise ValueError(f"{ge.text} contains the non-jet atom {a!r}")
-            deps.add(a.dep)
+        m = _jet_monomial(ge)
+        deps.update(a.dep for a, _ in m.atoms)
         if m in targets:
             raise ValueError(f"duplicate monomial {ge.text}")
         targets[m] = ge

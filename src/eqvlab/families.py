@@ -26,8 +26,8 @@ from .expressions import (
     Jet,
     Monomial,
     Var,
+    _jet_monomial,
     as_expression,
-    collect_numerators,
     dependency_closure,
     expr_sum,
     from_monomial,
@@ -59,19 +59,6 @@ __all__ = [
 
 EQUIVALENCE = "equivalence"
 NOT_EQUIVALENCE = "not-equivalence"
-
-
-def _jet_monomial(e: Expression, dep: str) -> Monomial:
-    num, den, lc = e.integer_form()
-    if len(num) != 1 or len(den) != 1 or not next(iter(den)).is_one():
-        raise ValueError(f"{e.text} is not a single monomial")
-    (m, c), = num.items()
-    if c != lc or m.exparg is not None:
-        raise ValueError(f"{e.text} is not a coefficient-one jet monomial")
-    for a, _ in m.atoms:
-        if not isinstance(a, Jet) or a.dep != dep:
-            raise ValueError(f"{e.text} contains {a!r}, not a jet of {dep!r}")
-    return m
 
 
 class CoefficientSlot:
@@ -115,7 +102,7 @@ class CoefficientSlot:
 class EquationFamily:
     """A quasilinear template over one dependent variable."""
 
-    __slots__ = ("name", "indep_vars", "dep", "lead", "slots")
+    __slots__ = ("name", "indep_vars", "dep", "lead", "slots", "_monomials")
 
     def __init__(
         self,
@@ -130,17 +117,16 @@ class EquationFamily:
         self.dep = dep
         self.lead = as_expression(lead)
         self.slots = tuple(slots)
-        lead_m = _jet_monomial(self.lead, self.dep)
-        seen = {lead_m}
+        monos = [_jet_monomial(self.lead, self.dep)]
         names = set()
         for s in self.slots:
             if s.name in names:
                 raise ValueError(f"duplicate slot name {s.name!r}")
             names.add(s.name)
             m = _jet_monomial(s.monomial, self.dep)
-            if m in seen:
+            if m in monos:
                 raise ValueError(f"slot monomial {s.monomial.text} repeats")
-            seen.add(m)
+            monos.append(m)
             for a in s.args:
                 if isinstance(a, Var):
                     if a.name not in self.indep_vars:
@@ -153,6 +139,8 @@ class EquationFamily:
                 else:
                     raise VariableMismatchError(
                         f"slot {s.name!r} argument {a!r} must be a variable or jet")
+        # the template's jet monomials, lead first, for rename and match
+        self._monomials = tuple(monos)
 
     def __repr__(self):
         return "EquationFamily(%s: %s + %s = 0)" % (
@@ -195,14 +183,12 @@ class EquationFamily:
                 return Var(vmap[a.name])
             return Jet(new_dep, tuple(vmap[i] for i in a.index))
 
-        def rmono(e: Expression) -> Expression:
-            m = _jet_monomial(e, self.dep)
-            return from_monomial(Monomial([(ratom(a), k) for a, k in m.atoms]))
-
+        lead, *monos = [from_monomial(Monomial([(ratom(a), k) for a, k in m.atoms]))
+                        for m in self._monomials]
         return EquationFamily(
-            self.name, new_vars, new_dep, rmono(self.lead),
-            [CoefficientSlot(s.name, [ratom(a) for a in s.args], rmono(s.monomial))
-             for s in self.slots],
+            self.name, new_vars, new_dep, lead,
+            [CoefficientSlot(s.name, [ratom(a) for a in s.args], m)
+             for s, m in zip(self.slots, monos)],
         )
 
 
@@ -288,18 +274,20 @@ def match(
 ) -> MatchReport:
     """Decide membership of ``e`` in ``family`` and extract the coefficient map.
 
-    The expression is collected over the lead and slot monomials, as
-    numerators ``N_j`` over the shared denominator ``D``.  The lead numerator
-    ``N_L`` must be present; each slot coefficient is ``N_j / N_L``, so ``D``
-    never enters it, while the report's ``lead_coefficient`` is ``N_L / D``.
-    The part of the leftover free of dependent-variable jets is absorbed
-    into the unique slot whose monomial is the bare dependent variable and
-    whose argument list contains it, when such a slot exists; jet-bearing
-    leftovers are reported as unmatched terms.  Finally each coefficient
-    must depend on nothing outside its slot's argument list; function base
-    names and parameters are never constrained.  An atom the dependency
-    closure shows but the coefficient's partial derivative in it cancels is
-    not a dependency, except for a variable in the index of a jet that is.
+    The numerator of ``e`` is split once by its jet content (:func:`jet_split`)
+    and the family's kept monomials, the lead's and each slot's, are popped
+    from that split: numerators ``N_j`` over the shared denominator ``D``.
+    The lead numerator ``N_L`` must be present; each slot coefficient is
+    ``N_j / N_L``, so ``D`` never enters it, while the report's
+    ``lead_coefficient`` is ``N_L / D``.  The jet-free part of what is left
+    is absorbed into the unique slot whose monomial is the bare dependent
+    variable and whose argument list contains it, when such a slot exists;
+    jet-bearing leftovers are reported as unmatched terms.  Finally each
+    coefficient must depend on nothing outside its slot's argument list;
+    function base names and parameters are never constrained.  An atom the
+    dependency closure shows but the coefficient's partial derivative in it
+    cancels is not a dependency, except for a variable in the index of a jet
+    that is.
 
     When the denominator of ``e`` contains jet variables of the dependent
     variable no form of this shape exists; the report then carries one
@@ -311,12 +299,14 @@ def match(
     dep = family.dep
     base_assumptions = tuple(assumptions)
 
-    monos = [family.lead] + [s.monomial for s in family.slots]
-    nums, residual, den = collect_numerators(e, monos)
-    lead_n = nums[family.lead]
-    if lead_n.is_zero():
-        # nothing is attributed when the denominator carries jets
-        if polynomial_jets(den, dep):
+    lead_m, *slot_ms = family._monomials
+    den = e.denominator()
+    # nothing is attributed when the denominator carries jets
+    den_jets = polynomial_jets(den, dep)
+    groups = {} if den_jets else jet_split(e, (dep,))
+    lead_n = groups.pop(lead_m, None)
+    if lead_n is None:
+        if den_jets:
             evidence = denominator_evidence if denominator_evidence is not None else den
             groups = jet_split(evidence, (dep,))
             groups.pop(Monomial(), None)
@@ -334,26 +324,25 @@ def match(
         )
 
     lead_c = lead_n / den
-    B = {s.name: nums[s.monomial] / lead_n for s in family.slots}
+    B = {s.name: groups.pop(m, ZERO) / lead_n for s, m in zip(family.slots, slot_ms)}
     # only the part free of dep jets can legally ride in a bare-dep slot
     # (divided by the dependent variable); jet-bearing leftovers never can
-    groups = jet_split(residual, (dep,))
-    free = groups.pop(Monomial(), ZERO)
+    free = groups.pop(Monomial(), None)
     failures = _jet_failures(groups, lead_n, "unmatched-term")
     absorbed = None
-    if not free.is_zero():
+    if free is not None:
         bare = Jet(dep, ())
         candidates = [
-            s for s in family.slots
-            if _jet_monomial(s.monomial, dep).atoms == ((bare, 1),) and bare in s.args
+            s for s, m in zip(family.slots, slot_ms)
+            if m.atoms == ((bare, 1),) and bare in s.args
         ]
         if len(candidates) == 1:
             s = candidates[0]
             B[s.name] = B[s.name] + free / (lead_n * as_expression(bare))
             absorbed = s.name
-            residual = residual - free
         else:
             failures.extend(_jet_failures({Monomial(): free}, lead_n, "unmatched-term"))
+            groups[Monomial()] = free
 
     for s in family.slots:
         b = B[s.name]
@@ -387,7 +376,7 @@ def match(
         failures=failures,
         assumptions=tuple(all_assumptions),
         absorbed_slot=absorbed,
-        residual=residual / den,
+        residual=expr_sum(g * from_monomial(jp) for jp, g in groups.items()) / den,
     )
 
 

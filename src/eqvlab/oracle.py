@@ -14,9 +14,10 @@ stand-in's degree (``degree`` for functions, at least 2 for dependents; the
 rule is stated there and nowhere else), picks one of two arithmetics for the
 evaluator, and bounds the degree of every value the evaluator will form.
 
-* With no ``exp``, no ``log`` and no integer coefficient that is a multiple
-  of p, the check runs in GF(p), p = 2^61 - 1 (:data:`MODULUS`).  Stand-ins
-  are dense polynomials of the decided degrees, and their coefficients, the
+* With no ``exp``, no ``log``, no integer coefficient that is a multiple
+  of p, and a difference ``lhs - rhs`` that p does not divide, the check
+  runs in GF(p), p = 2^61 - 1 (:data:`MODULUS`).  Stand-ins are dense
+  polynomials of the decided degrees, and their coefficients, the
   parameters and the point coordinates are uniform mod p.  A draw on which
   a denominator or an assumption is 0 mod p is redrawn.  The check passes
   only if both sides are equal at every point; ``tol`` plays no part.  What
@@ -93,6 +94,7 @@ DEFAULT_SEED = 1729
 ASSUMPTION_FLOOR = Fraction(1, 10**6)
 FD_STEP = Fraction(1, 10**5)
 MODULUS = 2**61 - 1  # a Mersenne prime
+MAX_ATTEMPTS = 100  # draws in a row that may miss before a check errors out
 
 Number = Fraction | float | int
 
@@ -552,10 +554,12 @@ class _Inventory:
         polynomial of degree at most d = max(n_L + d_R, n_R + d_L), and at a
         point where no D vanishes the sides agree only where it does.  Cleared
         to integer coefficients, it stays nonzero mod p unless p divides every
-        one of them; the bound assumes it does not.  A check with an integer
-        coefficient that is a multiple of p goes to the float path for that
-        reason; a difference that vanishes mod p only through a sum of
-        coefficients, as ``y`` against ``(1 - p)*y``, is outside the bound.
+        one of them.  The kernel's difference ``lhs - rhs`` is K/D_K with
+        K*D_L*D_R = C*D_K for the cleared difference C, and D_L, D_R are
+        nonzero mod p, since a check with an integer coefficient that is a
+        multiple of p goes to the float path.  So K vanishes mod p whenever C
+        does, and :func:`check_identity` sends a nonzero K that p divides, as
+        for ``(1 - p)*y`` against ``y``, to the float path too.
         By Schwartz-Zippel a uniform point finds a zero of a nonzero
         polynomial mod p with probability at most d/p.  A point is redrawn
         where the numerator of some expression's denominator, or of an
@@ -800,18 +804,17 @@ def check_identity(
     points: int = 10,
     tol: float = 1e-6,
     assumptions: Sequence[ExpressionLike] = (),
-    max_attempts: int = 100,
 ) -> CheckResult:
     """Compare two expressions at random admissible points.
 
     Every point gets a fresh instantiation.  A draw is discarded when an
     assumption or an internal denominator vanishes there (is 0 mod p, or lies
-    within the magnitude floor on the float path); after ``max_attempts``
-    discards in a row the check errors out.  ``points`` must be at least 1 and
-    ``tol`` finite and non-negative, so a pass means something was compared;
-    ``tol`` decides only on the float path.  A GF(p) check whose degree bound
-    reaches p, and a float-path check whose values exceed floating point,
-    error out.  See the module docstring.
+    within the magnitude floor on the float path); after :data:`MAX_ATTEMPTS`
+    discards in a row the check errors out.  ``points`` must be at least 1
+    and ``tol`` finite and non-negative, so a pass means something was
+    compared; ``tol`` decides only on the float path.  A GF(p) check whose
+    degree bound reaches p, and a float-path check whose values exceed
+    floating point, error out.  See the module docstring.
     """
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points!r}")
@@ -823,13 +826,18 @@ def check_identity(
     rng = Random(DEFAULT_SEED if seed is None else seed)
     inv = _Inventory((lhs, rhs, *assumptions))
     ar = _arithmetic(inv)
+    if ar is MODULAR:
+        diff, _den, _lc = (lhs - rhs).integer_form()
+        if diff and not any(c % MODULUS for c in diff.values()):
+            # nonzero, yet zero at every GF(p) point
+            ar = RATIONALS
     bound = inv.miss_bound(lhs, rhs, assumptions, points) if ar is MODULAR else None
     names = inv.point_names(tuple(dep_vars[d]) for d in inv.deps if d in dep_vars)
     failed = 0
     max_err = 0.0
     worst = None
     for _ in range(points):
-        for _attempt in range(max_attempts):
+        for _attempt in range(MAX_ATTEMPTS):
             inst = Instantiation.for_expressions(inv, rng, dep_vars, arith=ar)
             pt = draw_point(rng, names, ar)
             ev = _Eval(inst, pt)
@@ -849,7 +857,7 @@ def check_identity(
             break
         else:
             raise EvaluationError(
-                f"no admissible point found in {max_attempts} attempts")
+                f"no admissible point found in {MAX_ATTEMPTS} attempts")
         if ar is MODULAR:
             if v1 != v2:
                 failed += 1

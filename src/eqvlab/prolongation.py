@@ -115,6 +115,10 @@ class PointTransformation:
             raise VariableMismatchError(f"bad source variables {self.old_vars} / {self.old_dep}")
         if len(set(self.new_vars)) != len(self.new_vars) or self.new_dep in self.new_vars:
             raise VariableMismatchError(f"bad target variables {self.new_vars} / {self.new_dep}")
+        if len(self.old_vars) != len(self.new_vars):
+            # the Jacobian must be square for the jets to be solved
+            raise VariableMismatchError(
+                f"{len(self.old_vars)} source variables against {len(self.new_vars)} targets")
         if set(indep_map) != set(self.old_vars):
             raise VariableMismatchError(
                 f"independent map covers {sorted(indep_map)}, need {sorted(self.old_vars)}")
@@ -169,8 +173,6 @@ def identity_transformation(
     new_vars: Sequence[str], new_dep: str,
 ) -> PointTransformation:
     """The positional relabeling ``x_i = z_i``, ``u = w``."""
-    if len(old_vars) != len(new_vars):
-        raise VariableMismatchError("variable counts differ")
     return PointTransformation(
         old_vars, old_dep, new_vars, new_dep,
         {o: var(n) for o, n in zip(old_vars, new_vars)},

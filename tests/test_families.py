@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import eqvlab.expressions as expressions
 import eqvlab.families as families
 import eqvlab.prolongation as prolongation
 from eqvlab import (
@@ -17,21 +18,33 @@ from eqvlab import (
     ProlongedMap,
     TheoremPreconditionError,
     UnknownFamilyError,
+    ZERO,
+    Monomial,
     Var,
     VariableMismatchError,
+    as_expression,
     catalog,
     catalog_names,
     check_equivalence,
+    collect_numerators,
     compose,
+    dependency_closure,
     exp,
+    from_monomial,
     func,
     jet,
+    jet_split,
     match,
+    parse,
+    partial,
     polynomial_jets,
+    sign_canonical,
     theorem_instance_check,
     transform_derivatives,
     var,
 )
+
+from conftest import CORPUS
 
 x, t, y, z = var("x"), var("t"), var("y"), var("z")
 
@@ -405,3 +418,154 @@ def test_enlarged_image_transforms_one_member_unless_a_slot_name_clashes(monkeyp
         calls.clear()
         assert theorem_instance_check(famA, famB, tr).holds
         assert len(calls) == 2
+
+
+def _two_pass_match(e, family, *, denominator_evidence=None, assumptions=()):
+    """``match`` read twice over, the reference the one-split ``match`` must
+    reproduce: the expression is collected over the template's monomials
+    with ``collect_numerators``, then the residual rebuilt from the groups
+    left over is split again with ``jet_split``."""
+    e = as_expression(e)
+    dep = family.dep
+    base_assumptions = tuple(assumptions)
+
+    def failures_of(groups, divisor, kind):
+        return [families.MatchFailure(
+                    kind, from_monomial(jp), sign_canonical(groups[jp] / divisor))
+                for jp in sorted(groups, key=Monomial.order_key)]
+
+    monos = [family.lead] + [s.monomial for s in family.slots]
+    nums, residual, den = collect_numerators(e, monos)
+    lead_n = nums[family.lead]
+    if lead_n.is_zero():
+        if polynomial_jets(den, dep):
+            evidence = denominator_evidence if denominator_evidence is not None else den
+            groups = jet_split(evidence, (dep,))
+            groups.pop(Monomial(), None)
+            failures = failures_of(groups, evidence.denominator(), "denominator-jets")
+        else:
+            failures = [families.MatchFailure("missing-lead", family.lead, ZERO)]
+        return families.MatchReport(
+            verdict=NOT_EQUIVALENCE, family=family, expression=e, lead_coefficient=ZERO,
+            failures=failures, assumptions=base_assumptions, residual=e)
+
+    lead_c = lead_n / den
+    B = {s.name: nums[s.monomial] / lead_n for s in family.slots}
+    groups = jet_split(residual, (dep,))
+    free = groups.pop(Monomial(), ZERO)
+    failures = failures_of(groups, lead_n, "unmatched-term")
+    absorbed = None
+    if not free.is_zero():
+        bare = Jet(dep, ())
+        candidates = [s for s in family.slots
+                      if s.monomial == as_expression(bare) and bare in s.args]
+        if len(candidates) == 1:
+            s = candidates[0]
+            B[s.name] = B[s.name] + free / (lead_n * as_expression(bare))
+            absorbed = s.name
+            residual = residual - free
+        else:
+            failures.extend(failures_of({Monomial(): free}, lead_n, "unmatched-term"))
+
+    for s in family.slots:
+        b = B[s.name]
+        d = dependency_closure(b)
+        okv, okj = s.allowed_variables(), s.allowed_jets()
+        if d.within(okv, okj):
+            continue
+        jets = [j for j in d.jets - okj if not partial(b, j).is_zero()]
+        carried = {v for j in jets for v in j.index}
+        names = [v for v in d.variables - okv
+                 if v in carried or not partial(b, Var(v)).is_zero()]
+        if names or jets:
+            failures.append(families.MatchFailure(
+                "forbidden-dependency", s.monomial, b, slot=s.name,
+                forbidden=tuple(sorted(names) + sorted(j.text for j in jets))))
+
+    verdict = EQUIVALENCE if not failures else NOT_EQUIVALENCE
+    all_assumptions = [] if lead_c.is_constant() else [lead_c]
+    all_assumptions.extend(base_assumptions)
+    return families.MatchReport(
+        verdict=verdict, family=family, expression=e, lead_coefficient=lead_c,
+        coefficients=B, action=dict(B) if verdict == EQUIVALENCE else None,
+        failures=failures, assumptions=tuple(all_assumptions), absorbed_slot=absorbed,
+        residual=residual / den)
+
+
+def _match_cases():
+    """``(expression, family, keywords)`` for ``match``: criterion 5's pairs on
+    seeded maps, each image also against a narrower family; the corpus's
+    negative general, mixed and separated maps; and hand-made members with a
+    forbidden dependency, a missing lead, denominator jets and free terms."""
+    out = []
+
+    def image_cases(fam, tr, others=()):
+        pm = transform_derivatives(tr)
+        te = pm.apply(fam.rename(tr.old_vars, tr.old_dep).member())
+        evidence = pm.det if polynomial_jets(pm.det, tr.new_dep) else None
+        for f in (fam, *others):
+            out.append((te, f.rename(tr.new_vars, tr.new_dep),
+                        {"denominator_evidence": evidence, "assumptions": pm.assumptions}))
+
+    narrower = {"hyper": (catalog("hyperxp"), catalog("hypertt")), "glin": (catalog("glin0y", 3),)}
+    for famA, famB, tr in _enlargement_instances()[::3]:
+        image_cases(famA, tr, narrower.get(famA.name, ()))
+        image_cases(famB, tr)
+    for name, tname in (("hyperbolic_general", "Tgen"), ("hyperbolic_mixed", "Tmixed"),
+                        ("hyperbolic_tlinear", "Tsep")):
+        session = parse((CORPUS / f"{name}.eqv").read_text(encoding="utf-8"))
+        image_cases(session.families["F"], session.transforms[tname])
+
+    g, gy, hx = catalog("glin", 3), catalog("gliny", 3), catalog("hyperxp")
+    u = jet("u")
+    out += [(e, fam, {}) for e, fam in (
+        # a1 of hyperxp may not depend on t
+        (jet("u", "t", "x") + t * jet("u", "t") + func("a2", t) * jet("u", "x")
+         + func("a3", t, x) * u, hx),
+        (jet("y", "x", "x") + jet("y"), g),
+        (g.member() + 1 / jet("y"), g),
+        # absorbed into gliny's a3, and with a jet-bearing leftover beside it
+        (gy.member() + x * x, gy),
+        (gy.member() + x * x + jet("y") * jet("y", "x"), gy),
+        # no slot may take the free term: glin's a3 lacks y, hyper has no u slot
+        (g.member() + x * x, g),
+        ((t + 1) * jet("u", "t", "x") + x * x * t + u * u, catalog("hyper")),
+    )]
+    return out
+
+
+def test_one_split_match_equals_the_two_pass_match_bulk():
+    cases = _match_cases()
+    verdicts = set()
+    for e, fam, kw in cases:
+        got, want = match(e, fam, **kw), _two_pass_match(e, fam, **kw)
+        where = (fam.name, e.text[:80])
+        assert got.verdict == want.verdict, where
+        verdicts.add(got.verdict)
+        assert [f.to_json() for f in got.failures] == [f.to_json() for f in want.failures], where
+        assert _same_layout(got.lead_coefficient, want.lead_coefficient), where
+        assert list(got.coefficients) == list(want.coefficients), where
+        for name, c in got.coefficients.items():
+            assert _same_layout(c, want.coefficients[name]), (where, name)
+        assert [a.text for a in got.assumptions] == [a.text for a in want.assumptions], where
+        assert got.absorbed_slot == want.absorbed_slot, where
+        assert (got.action is None) == (want.action is None), where
+        assert (got.residual - want.residual).is_zero(), where
+    kinds = {f.kind for e, fam, kw in cases for f in match(e, fam, **kw).failures}
+    assert verdicts == {EQUIVALENCE, NOT_EQUIVALENCE}
+    assert kinds == {"denominator-jets", "missing-lead", "unmatched-term", "forbidden-dependency"}
+    # two slots can never both take a free term: a slot monomial may not repeat
+    with pytest.raises(ValueError, match="repeats"):
+        EquationFamily("two", ("x",), "y", jet("y", "x"),
+                       [CoefficientSlot(n, (Var("x"), Jet("y", ())), jet("y")) for n in "ab"])
+
+
+def test_match_splits_each_image_once(monkeypatch):
+    calls = []
+    groups = expressions._jet_groups
+    monkeypatch.setattr(expressions, "_jet_groups",
+                        lambda p, deps: calls.append(p) or groups(p, deps))
+    for e, fam, kw in _match_cases():
+        calls.clear()
+        match(e, fam, **kw)
+        assert len(calls) == 1, (fam.name, e.text[:80])

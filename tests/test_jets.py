@@ -180,6 +180,19 @@ def test_singular_map_is_rejected():
         transform_equation(var("t") + var("x") ** 2, tr)
 
 
+@pytest.mark.parametrize("old_vars, new_vars, indep_map", [
+    # two sources over one target: the Jacobian is 1x2, and once gave det = 1
+    (("t", "x"), ("y",), {"t": y, "x": y * y}),
+    # one source over two targets: the jets were solved from a 2x1 matrix
+    (("x",), ("y", "z"), {"x": y + z}),
+], ids=["more-sources", "more-targets"])
+def test_point_transformation_must_be_square(old_vars, new_vars, indep_map):
+    with pytest.raises(VariableMismatchError, match="source variables against"):
+        PointTransformation(old_vars, "u", new_vars, "w", indep_map, jet("w"))
+    with pytest.raises(VariableMismatchError):
+        identity_transformation(old_vars, "u", new_vars, "w")
+
+
 def test_point_transformation_rejects_jets_in_maps():
     with pytest.raises(Exception, match="bare dependent variable"):
         PointTransformation(

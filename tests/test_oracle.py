@@ -183,7 +183,7 @@ def test_check_identity_allows_zero_tolerance():
 def test_check_identity_respects_assumptions():
     # an assumption that can never clear the floor must exhaust the attempts
     with pytest.raises(EvaluationError, match="no admissible point"):
-        check_identity(y, y, DEP, seed=4, assumptions=[y - y + 0], max_attempts=5)
+        check_identity(y, y, DEP, seed=4, assumptions=[y - y + 0])
     # a generically nonzero assumption just filters points
     res = check_identity((y * y - 1) / (y - 1) * (y - 1), y * y - 1, DEP,
                          seed=5, assumptions=[y - 1])
@@ -375,6 +375,19 @@ def test_coefficients_divisible_by_p_take_the_float_path():
     res = check_zero((MODULUS + 1) * y - y - MODULUS * y, {}, seed=1)
     assert res.ok
     assert check_identity(y / (MODULUS + 1), y / (MODULUS + 1), {}, seed=1).miss_bound
+    # no coefficient of either side is a multiple of p, but their difference
+    # -p*y is: every GF(p) point would agree
+    res = check_identity((1 - MODULUS) * y, y, {}, seed=1)
+    assert not res.ok and res.miss_bound is None
+    # p divides only some coefficients of -p*y + z: GF(p) sees the difference
+    res = check_identity((1 - MODULUS) * y, y - z, {}, seed=1)
+    assert not res.ok and res.miss_bound is not None
+    # an ordinary polynomial check stays in GF(p) with its bound
+    res = check_identity((y + 1) ** 2, y * y + 2 * y + 1, {}, seed=1)
+    assert res.ok and res.miss_bound == pytest.approx(
+        float(Fraction(2, MODULUS) ** 10), rel=1e-15)
+    res = check_identity((y + 1) ** 2, y * y + 2 * y + 2, {}, seed=1)
+    assert not res.ok and res.miss_bound is not None
 
 
 def test_a_degree_bound_at_p_is_an_error_not_a_pass():
