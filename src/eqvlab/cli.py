@@ -143,6 +143,12 @@ def _resolve_transform(name: str, session: Session):
     return session.transforms[name]
 
 
+def _resolve_equation(name: str, session: Session):
+    if name not in session.equations:
+        raise ValueError(f"no equation {name!r} in the session")
+    return session.equations[name]
+
+
 def _write_state(args, command: str, checks, assumptions, dep_vars):
     state = {
         "command": command,
@@ -186,7 +192,7 @@ def _cmd_transform(args, session):
     if args.family:
         e = _resolve_family(args.family, session).rename(tr.old_vars, tr.old_dep).member()
     else:
-        e = session.equations[args.equation]
+        e = _resolve_equation(args.equation, session)
     # one prolongation serves the image and the first-order chain-rule checks
     pm = transform_derivatives(tr)
     te = pm.apply(e)
@@ -257,7 +263,7 @@ def _hyperbolic_input(args, session) -> HyperbolicEquation:
     if bool(args.family) == bool(args.equation):
         raise ValueError("give exactly one of --family or --equation")
     if args.equation:
-        e = session.equations[args.equation]
+        e = _resolve_equation(args.equation, session)
         if args.vars:
             t, x, u = (s.strip() for s in args.vars.split(","))
         else:

@@ -484,12 +484,14 @@ def theorem_instance_check(
     """
     _validate_enlargement(famA, famB)
     pm = transform_derivatives(tr)
-    rep_a = _check_prolonged(famA, pm)
+    # famA in the map's source variables serves its member and the enlarged image
+    src_a = famA.rename(tr.old_vars, tr.old_dep)
+    rep_a = _check_prolonged(famA, pm, pm.apply(src_a.member()))
     if rep_a.verdict != EQUIVALENCE:
         raise TheoremPreconditionError(
             f"transformation is not an equivalence transformation of {famA.name}",
             report=rep_a)
-    rep_b = _check_prolonged(famB, pm, _enlarged_image(famA, famB, pm, rep_a.expression))
+    rep_b = _check_prolonged(famB, pm, _enlarged_image(src_a, famB, pm, rep_a.expression))
     return TheoremCheckResult(
         holds=rep_b.verdict == EQUIVALENCE,
         source_report=rep_a,
@@ -498,12 +500,13 @@ def theorem_instance_check(
 
 
 def _enlarged_image(
-    famA: EquationFamily, famB: EquationFamily, pm: ProlongedMap, image: Expression,
+    src_a: EquationFamily, famB: EquationFamily, pm: ProlongedMap, image: Expression,
 ) -> Expression | None:
     """famB's image, from famA's ``image`` by renaming its slot atoms; None
-    when a function of the map has a slot's name."""
+    when a function of the map has a slot's name.  ``src_a`` is famA written
+    in the map's source variables."""
     tr = pm.transformation
-    names = {s.name for s in famA.slots}
+    names = {s.name for s in src_a.slots}
     if any(names & dependency_closure(e).functions
            for e in (*tr.indep_map.values(), tr.dep_map)):
         return None
@@ -517,9 +520,7 @@ def _enlarged_image(
         return Func(s.name, [arg_image(a) for a in s.args])
 
     slots_b = {s.name: s for s in famB.rename(tr.old_vars, tr.old_dep).slots}
-    return rename_atoms(image, {
-        slot_atom(s): slot_atom(slots_b[s.name])
-        for s in famA.rename(tr.old_vars, tr.old_dep).slots})
+    return rename_atoms(image, {slot_atom(s): slot_atom(slots_b[s.name]) for s in src_a.slots})
 
 
 def compose(first: PointTransformation, second: PointTransformation) -> PointTransformation:

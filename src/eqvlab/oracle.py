@@ -8,11 +8,18 @@ the mixed partial of the polynomial standing in for ``w``.  That keeps jets
 consistent with the dependent variable, which is what total derivatives and
 prolongation formulas assume.
 
-Each check walks what its expressions reach once, inner atoms first
-(``_Inventory``).  That one pass classifies the atoms, decides every
-stand-in's degree (``degree`` for functions, at least 2 for dependents; the
-rule is stated there and nowhere else), picks one of two arithmetics for the
-evaluator, and bounds the degree of every value the evaluator will form.
+Each check is compiled once (``_Program``): one slot per distinct atom it
+reaches, inner atoms first, and each distinct expression as integer term
+lists over those slots.  One pass over that program (``_Inventory``)
+classifies the atoms, decides every stand-in's degree (``degree`` for
+functions, at least 2 for dependents; the rule is stated there and nowhere
+else), picks one of two arithmetics for the evaluator, and bounds the degree
+of every value the evaluator will form.  Every point then evaluates the same
+program (``_Run``) in the check's arithmetic, each value once, in the order
+the expressions ask for it; a slot derivative of a stand-in is its terms
+scaled by a table of multipliers the program keeps per derivative.  The
+draws do not depend on the program: one instantiation and one point per
+attempt.
 
 * With no ``exp``, no ``log``, no integer coefficient that is a multiple
   of p, and a difference ``lhs - rhs`` that p does not divide, the check
@@ -37,11 +44,11 @@ evaluator, and bounds the degree of every value the evaluator will form.
   that violates it is redrawn.  Values beyond the range of floating point
   are an error.  There is no miss bound.
 
-Antiderivative symbols are evaluated by building the integrand as a
-univariate polynomial in the integration variable, over the check's
-arithmetic (``_Polynomials``, the one place polynomial arithmetic lives), and
-integrating it with constant term zero; an integrand that is not a
-polynomial in that variable cannot be evaluated.  The choice of
+An antiderivative symbol is evaluated by running the same program on its
+integrand, as a univariate polynomial in the integration variable over the
+check's arithmetic (``_Polynomials``, the one place polynomial arithmetic
+lives), and integrating that with constant term zero; an integrand that is
+not a polynomial in that variable cannot be evaluated.  The choice of
 constant never matters for the identities checked here because both sides
 share the antiderivative atom itself.
 """
@@ -114,12 +121,17 @@ class _Arithmetic:
     coefficients, parameters and coordinates.
     """
 
-    def lincomb(self, items, value):
-        """``sum(c * value(m) for m, c in items)``, added up in that order."""
+    def stand_in(self, terms, args):
+        """``sum(c * prod(args^e))`` over the ``(e, c)`` of ``terms``: each
+        term by repeated multiplication, added up in that order."""
         add, mul = self.add, self.mul
         total = self.zero
-        for m, c in items:
-            total = add(total, mul(c, value(m)))
+        for expo, c in terms:
+            term = c
+            for a, k in zip(args, expo):
+                for _ in range(k):
+                    term = mul(term, a)
+            total = add(total, term)
         return total
 
 
@@ -196,10 +208,14 @@ class _Modular(_Arithmetic):
         c = Fraction(c)
         return c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
 
-    def lincomb(self, items, value):
+    def stand_in(self, terms, args):
+        # the values are below p and the degrees small: reduce once, at the end
         total = 0
-        for m, c in items:
-            total += c * value(m)
+        for expo, c in terms:
+            for a, k in zip(args, expo):
+                if k:
+                    c *= a if k == 1 else a ** k
+            total += c
         return total % MODULUS
 
     @staticmethod
@@ -353,19 +369,14 @@ class PolyFunc:
 
     def evaluate(self, args: Sequence, arith: _Arithmetic | None = None):
         """Value at ``args``, computed in ``arith`` (default: the coefficients')."""
+        return self._value(self.coeffs.items(), args, self.ar if arith is None else arith)
+
+    def _value(self, terms, args: Sequence, ar: _Arithmetic):
+        # ``terms`` are this stand-in's, or those of a derivative of it
         if len(args) != self.arity:
             raise EvaluationError(
                 f"function of {self.arity} slots called with {len(args)} arguments")
-        ar = self.ar if arith is None else arith
-        add, mul = ar.add, ar.mul
-        total = ar.zero
-        for expo, c in self.coeffs.items():
-            term = c
-            for a, k in zip(args, expo):
-                for _ in range(k):
-                    term = mul(term, a)
-            total = add(total, term)
-        return total
+        return ar.stand_in(terms, args)
 
     def partial(self, slot: int) -> "PolyFunc":
         """Derivative with respect to the 1-based slot number."""
@@ -416,7 +427,10 @@ class PolyFunc:
             if not any(e[slot - 1] > 0 for e in coeffs):
                 expo = tuple(1 if j == slot - 1 else 0 for j in range(arity))
                 coeffs[expo] = ar.scalar(rng.randint(1, 4))
-        return cls(arity, coeffs, ar)
+        # every drawn coefficient is nonzero and a value of ``ar`` already
+        f = object.__new__(cls)
+        f.arity, f.coeffs, f.ar = arity, coeffs, ar
+        return f
 
 
 @functools.cache
@@ -427,9 +441,92 @@ def _exponents(arity: int, degree: int) -> tuple[tuple[int, ...], ...]:
                  for tail in _exponents(arity - 1, degree - head))
 
 
+# kinds of compiled atoms, the first entry of each of a program's atom steps
+_VAR, _PARAM, _JET, _FUNC, _INT, _LOG = range(6)
+
+
+class _Program:
+    """Expressions compiled once, for evaluation at many points.
+
+    ``atoms`` holds one step per distinct atom reached, inner atoms first:
+    ``(_VAR, name)``, ``(_PARAM, name)``, ``(_JET, dep, index)``, ``(_FUNC,
+    name, dindex, argument indices)``, ``(_INT, var, integrand index, atom)``
+    or ``(_LOG, argument index)``.  ``exprs`` holds each distinct expression
+    once, the roots, arguments, integrands and exponential arguments alike,
+    as ``(num, den, lc)``: its integer form with each polynomial a tuple of
+    terms ``(c, ((slot, k), ...), exp)``, factors in the monomial's atom order
+    and ``exp`` the index of its exponential's argument or ``None``.
+    ``roots`` are the indices of the compiled expressions, ``index`` maps
+    every expression to its own, and ``tables`` keeps, per tuple of slot
+    derivatives, what they make of each stand-in exponent
+    (:func:`_derivative`).
+    """
+
+    __slots__ = ("atoms", "slots", "exprs", "index", "roots", "tables")
+
+    def __init__(self, exprs: Sequence[Expression]):
+        self.atoms: list[tuple] = []
+        self.slots: dict[Atom, int] = {}
+        self.exprs: list[tuple] = []
+        self.index: dict[Expression, int] = {}
+        self.tables: dict[tuple, dict] = {}
+        for a in sorted(set().union(*map(_reach, exprs)), key=lambda a: len(_below(a))):
+            self.slots[a] = len(self.atoms)
+            self.atoms.append(self._step(a))
+        self.roots = [self.expr(x) for x in exprs]
+
+    def _step(self, a: Atom) -> tuple:
+        # the atoms inside ``a`` have their slots already
+        if isinstance(a, Var):
+            return _VAR, a.name
+        if isinstance(a, Param):
+            return _PARAM, a.name
+        if isinstance(a, Jet):
+            return _JET, a.dep, a.index
+        if isinstance(a, Func):
+            return _FUNC, a.name, a.dindex, tuple(map(self.expr, a.args))
+        if isinstance(a, Antideriv):
+            return _INT, a.var, self.expr(a.integrand), a
+        if isinstance(a, Log):
+            return _LOG, self.expr(a.arg)
+        raise EvaluationError(f"cannot evaluate atom {a.text}")
+
+    def expr(self, x: Expression) -> int:
+        """The index of ``x``, compiled on first sight."""
+        i = self.index.get(x)
+        if i is None:
+            num, den, lc = x.integer_form()
+            step = (self._terms(num), self._terms(den), lc)
+            i = self.index[x] = len(self.exprs)
+            self.exprs.append(step)
+        return i
+
+    def _terms(self, p: dict) -> tuple:
+        slots = self.slots
+        return tuple(
+            (c, tuple((slots[a], k) for a, k in m.atoms),
+             None if m.exparg is None else self.expr(m.exparg))
+            for m, c in p.items())
+
+
+def _derivative(expo: tuple[int, ...], dindex: tuple[int, ...]):
+    """``(reduced exponent, multiplier)``: the slot derivatives ``dindex`` take
+    ``prod x_i^expo_i`` to the multiplier times the reduced monomial; ``None``
+    when they take it to zero."""
+    e = list(expo)
+    mult = 1
+    for slot in dindex:
+        k = e[slot - 1]
+        if not k:
+            return None
+        mult *= k
+        e[slot - 1] = k - 1
+    return tuple(e), mult
+
+
 class _Inventory:
-    """What a set of expressions reaches, read off one pass over its atoms,
-    inner atoms first.
+    """What a set of expressions reaches, read off one pass over the atoms of
+    their compiled :class:`_Program` (``program``), inner atoms first.
 
     The pass records each function's arity and stand-in degree
     (``functions``), the parameters (``params``, sorted), each dependent's
@@ -440,79 +537,82 @@ class _Inventory:
     every value the evaluator forms, for :meth:`miss_bound`.
     """
 
-    __slots__ = ("functions", "params", "deps", "variables", "modular", "degrees", "rejected")
+    __slots__ = ("program", "functions", "params", "deps", "variables", "modular", "degrees",
+                 "rejected")
 
     def __init__(self, exprs: Iterable[ExpressionLike], degree: int = 2):
-        exprs = [as_expression(e) for e in exprs]
+        self.program = prog = _Program([as_expression(e) for e in exprs])
         # the stand-ins' degrees, decided here only: ``degree`` for functions,
         # at least 2 for dependents
         fdeg, ddeg = degree, max(degree, 2)
         arities: dict[str, set[int]] = {}
         params, deps, variables = set(), set(), set()
-        atom_deg: dict[Atom, tuple[int, int]] = {}
-        self.degrees: dict[Expression, tuple[int, int]] = {}
+        atom_deg: list[tuple[int, int]] = [(0, 0)] * len(prog.atoms)
+        # per compiled expression, filled while ``modular`` holds
+        self.degrees: list[tuple[int, int] | None] = [None] * len(prog.exprs)
         self.rejected = 0
         self.modular = True
 
-        def poly(p) -> tuple[int, int]:
-            powers: dict[Atom, int] = {}
+        def poly(terms) -> tuple[int, int]:
+            powers: dict[int, int] = {}
             lifts = []
-            for m, c in p.items():
-                if m.exparg is not None or not c % MODULUS:
+            for c, factors, exp in terms:
+                if exp is not None or not c % MODULUS:
                     self.modular = False
                 lift = 0
-                for a, k in m.atoms:
-                    n, d = atom_deg[a]
+                for s, k in factors:
+                    n, d = atom_deg[s]
                     lift += k * (n - d)
-                    if k > powers.get(a, 0):
-                        powers[a] = k
+                    if k > powers.get(s, 0):
+                        powers[s] = k
                 lifts.append(lift)
-            den = sum(k * atom_deg[a][1] for a, k in powers.items())
+            den = sum(k * atom_deg[s][1] for s, k in powers.items())
             return den + max(lifts, default=0), den
 
-        def of(x: Expression) -> tuple[int, int]:
-            hit = self.degrees.get(x)
+        def of(i: int) -> tuple[int, int]:
+            hit = self.degrees[i]
             if hit is None:
                 if not self.modular:
                     return 0, 0
-                num, den, _lc = x.integer_form()
+                num, den, _lc = prog.exprs[i]
                 (nn, nd), (dn, dd) = poly(num), poly(den)
                 self.rejected += dn
-                hit = self.degrees[x] = (nn + dd, nd + dn)
+                hit = self.degrees[i] = (nn + dd, nd + dn)
             return hit
 
-        atoms = set().union(*map(_reach, exprs))
-        for a in sorted(atoms, key=lambda a: len(_below(a))):
-            if isinstance(a, Var):
-                variables.add(a.name)
-                atom_deg[a] = (1, 0)
-            elif isinstance(a, Param):
-                params.add(a.name)
-                atom_deg[a] = (1, 0)
-            elif isinstance(a, Jet):
-                deps.add(a.dep)
-                variables.update(a.index)
-                r = len(a.index)
-                atom_deg[a] = (ddeg + 1 - r, 0) if r <= ddeg else (0, 0)
-            elif isinstance(a, Func):
-                arities.setdefault(a.name, set()).add(a.arity)
-                args = [of(x) for x in a.args]
-                g = fdeg - len(a.dindex)
+        for s, (kind, *step) in enumerate(prog.atoms):
+            if kind == _VAR:
+                variables.add(step[0])
+                atom_deg[s] = (1, 0)
+            elif kind == _PARAM:
+                params.add(step[0])
+                atom_deg[s] = (1, 0)
+            elif kind == _JET:
+                dep, index = step
+                deps.add(dep)
+                variables.update(index)
+                r = len(index)
+                atom_deg[s] = (ddeg + 1 - r, 0) if r <= ddeg else (0, 0)
+            elif kind == _FUNC:
+                name, dindex, arg_indices = step
+                arities.setdefault(name, set()).add(len(arg_indices))
+                args = [of(i) for i in arg_indices]
+                g = fdeg - len(dindex)
                 dsum = sum(d for _n, d in args)
-                atom_deg[a] = (0, 0) if g < 0 else (
+                atom_deg[s] = (0, 0) if g < 0 else (
                     1 + g * dsum + g * max(0, *(n - d for n, d in args)), g * dsum)
-            elif isinstance(a, Antideriv):
-                variables.add(a.var)
-                n, d = of(a.integrand)
-                atom_deg[a] = (n + 1, d)
-            elif isinstance(a, Log):
+            elif kind == _INT:
+                variables.add(step[0])
+                n, d = of(step[1])
+                atom_deg[s] = (n + 1, d)
+            else:
                 self.modular = False
         for name, ns in sorted(arities.items()):
             if len(ns) > 1:
                 raise EvaluationError(
                     f"function {name} used with {' and '.join(map(str, sorted(ns)))} arguments")
-        for x in exprs:
-            of(x)
+        for i in prog.roots:
+            of(i)
         self.functions = {n: (ns.pop(), fdeg) for n, ns in sorted(arities.items())}
         self.params = sorted(params)
         self.deps = {name: ddeg for name in sorted(deps)}
@@ -568,8 +668,9 @@ class _Inventory:
         miss.  The points are independent, so the bound is that to the power
         ``points``.
         """
-        (nl, dl), (nr, dr) = self.degrees[lhs], self.degrees[rhs]
-        rejected = self.rejected + sum(self.degrees[x][0] for x in assumptions)
+        index, degrees = self.program.index, self.degrees
+        (nl, dl), (nr, dr) = degrees[index[lhs]], degrees[index[rhs]]
+        rejected = self.rejected + sum(degrees[index[x]][0] for x in assumptions)
         d = max(nl + dr, nr + dl)
         if d + rejected >= MODULUS:
             raise EvaluationError(
@@ -632,90 +733,135 @@ class Instantiation:
         return inst
 
 
-class _Eval:
-    """One evaluation pass: a point, the arithmetic of its values, and caches.
+class _Run:
+    """A program's values at one point, in the arithmetic ``ar`` (by default
+    ``inst``'s).
 
+    A value is computed the first time an expression asks for it and kept in
+    ``atoms`` or ``exprs`` by its index, so the values are computed, and an
+    inadmissible point is found, in the order the expressions ask for them.
     ``bound`` holds the variables that are indeterminates here (inside
     antiderivatives).
     """
 
-    __slots__ = ("inst", "point", "ar", "bound", "expr_cache", "atom_cache")
+    __slots__ = ("prog", "inst", "point", "ar", "bound", "atoms", "exprs")
 
-    def __init__(self, inst: Instantiation, point: Mapping[str, object],
+    def __init__(self, prog: _Program, inst: Instantiation, point: Mapping[str, object],
                  ar: _Arithmetic | None = None, bound: frozenset = frozenset()):
+        self.prog = prog
         self.inst = inst
         self.point = point
         self.ar = inst.arith if ar is None else ar
         self.bound = bound
-        self.expr_cache: dict[Expression, object] = {}
-        self.atom_cache: dict[Atom, object] = {}
+        self.atoms: list = [None] * len(prog.atoms)
+        self.exprs: list = [None] * len(prog.exprs)
 
-    def expr(self, e: Expression):
-        hit = self.expr_cache.get(e)
-        if hit is not None:
-            return hit
-        ar = self.ar
-        num_p, den_p, lc = e.integer_form()
-        num = ar.lincomb(num_p.items(), self.monomial)
-        den = ar.lincomb(den_p.items(), self.monomial)
-        if ar.vanishes(den, lc):
-            raise AssumptionViolationError("denominator vanishes at this point")
-        val = ar.div(num, den)
-        self.expr_cache[e] = val
+    def expr(self, i: int):
+        """The value of compiled expression ``i``."""
+        val = self.exprs[i]
+        if val is None:
+            num, den, lc = self.prog.exprs[i]
+            ar = self.ar
+            n, d = self._poly(num), self._poly(den)
+            if ar.vanishes(d, lc):
+                raise AssumptionViolationError("denominator vanishes at this point")
+            val = self.exprs[i] = ar.div(n, d)
         return val
 
-    def monomial(self, m):
-        ar = self.ar
-        val = ar.one
-        for a, k in m.atoms:
-            x = self.atom(a)
-            val = ar.mul(val, x if k == 1 else ar.power(x, k))
-        if m.exparg is not None:
-            val = ar.mul(val, ar.exp(self.expr(m.exparg)))
-        return val
+    def _poly(self, terms):
+        # sum(c * monomial) in term order, factors in atom order; an atom is
+        # computed where its first factor stands, so a point fails where a
+        # walk of the expression would.  GF(p) is exact, so it is inlined
+        # with the reductions where they are cheapest.
+        ar, vals = self.ar, self.atoms
+        if ar is MODULAR:
+            total = 0
+            for c, factors, exp in terms:
+                for s, k in factors:
+                    x = vals[s]
+                    if x is None:
+                        x = self.atom(s)
+                    c = c * (x if k == 1 else pow(x, k, MODULUS)) % MODULUS
+                if exp is not None:
+                    ar.exp(self.expr(exp))  # raises: GF(p) has no exp
+                total += c
+            return total % MODULUS
+        add, mul, power = ar.add, ar.mul, ar.power
+        total = ar.zero
+        for c, factors, exp in terms:
+            val = ar.one
+            for s, k in factors:
+                x = vals[s]
+                if x is None:
+                    x = self.atom(s)
+                val = mul(val, x if k == 1 else power(x, k))
+            if exp is not None:
+                val = mul(val, ar.exp(self.expr(exp)))
+            total = add(total, mul(c, val))
+        return total
 
-    def atom(self, a: Atom):
-        val = self.atom_cache.get(a)
-        if val is not None:
-            return val
-        if isinstance(a, Var):
-            val = self._slot_value(a.name)
-        elif isinstance(a, Jet):
-            val = self._dependent_value(a.dep, a.index)
-        elif isinstance(a, Param):
+    def atom(self, s: int):
+        """The value of the atom in slot ``s``."""
+        step = self.prog.atoms[s]
+        kind = step[0]
+        if kind == _VAR:
+            val = self._slot_value(step[1])
+        elif kind == _JET:
+            val = self._jet_value(step[1], step[2])
+        elif kind == _PARAM:
             try:
-                val = self.inst.params[a.name]
+                val = self.inst.params[step[1]]
             except KeyError:
-                raise EvaluationError(f"no value for parameter {a.name!r}") from None
-        elif isinstance(a, Func):
+                raise EvaluationError(f"no value for parameter {step[1]!r}") from None
+        elif kind == _FUNC:
+            _kind, name, dindex, args = step
             try:
-                poly = self.inst.functions[a.name]
+                poly = self.inst.functions[name]
             except KeyError:
-                raise EvaluationError(f"no stand-in for function {a.name!r}") from None
-            for slot in a.dindex:
-                poly = poly.partial(slot)
-            val = poly.evaluate(list(map(self.expr, a.args)), self.ar)
-        elif isinstance(a, Antideriv):
-            val = self._antiderivative_value(a)
-        elif isinstance(a, Log):
-            val = self.ar.log(self.expr(a.arg))
+                raise EvaluationError(f"no stand-in for function {name!r}") from None
+            terms = self._derived(poly, dindex)
+            val = poly._value(terms, [self.expr(i) for i in args], self.ar)
+        elif kind == _INT:
+            val = self._antiderivative_value(step[1], step[2], step[3])
         else:
-            raise EvaluationError(f"cannot evaluate atom {a.text}")
-        self.atom_cache[a] = val
+            val = self.ar.log(self.expr(step[1]))
+        self.atoms[s] = val
         return val
 
-    def _dependent_value(self, dep: str, index: tuple[str, ...]):
+    def _derived(self, poly: PolyFunc, dindex: tuple[int, ...]):
+        """The terms ``(exponent, coefficient)`` of ``poly`` after the slot
+        derivatives ``dindex``, in ``poly``'s term order."""
+        if not dindex:
+            return poly.coeffs.items()
+        for slot in dindex:
+            if not 1 <= slot <= poly.arity:
+                raise EvaluationError(f"no slot {slot} in a function of {poly.arity} slots")
+        table = self.prog.tables.setdefault(dindex, {})
+        mul = poly.ar.mul
+        terms = []
+        for expo, c in poly.coeffs.items():
+            hit = table.get(expo, False)  # None: the derivatives kill expo
+            if hit is False:
+                hit = table[expo] = _derivative(expo, dindex)
+            if hit is not None:
+                expo, k = hit
+                terms.append((expo, c if k == 1 else mul(c, k)))
+        return terms
+
+    def _jet_value(self, dep: str, index: tuple[str, ...]):
         try:
             slots, poly = self.inst.dependents[dep]
         except KeyError:
             raise EvaluationError(f"no stand-in for dependent variable {dep!r}") from None
+        dindex = []
         for name in index:
             try:
-                poly = poly.partial(slots.index(name) + 1)
+                dindex.append(slots.index(name) + 1)
             except ValueError:
                 raise EvaluationError(
                     f"jet of {dep!r} along {name!r}, which is not one of its variables") from None
-        return poly.evaluate([self._slot_value(n) for n in slots], self.ar)
+        terms = self._derived(poly, tuple(dindex))
+        return poly._value(terms, [self._slot_value(n) for n in slots], self.ar)
 
     def _slot_value(self, name: str):
         try:
@@ -723,19 +869,20 @@ class _Eval:
         except KeyError:
             raise EvaluationError(f"no value for variable {name!r}") from None
 
-    def _antiderivative_value(self, a: Antideriv):
-        if a.var in self.bound:
+    def _antiderivative_value(self, var: str, integrand: int, a: Antideriv):
+        if var in self.bound:
             raise EvaluationError("nested antiderivatives in the same variable")
         ring = _Polynomials(self.ar, a)
-        point = {**self.point, a.var: ring.indeterminate}
-        body = _Eval(self.inst, point, ring, self.bound | {a.var}).expr(a.integrand)
-        return body.antiderivative()(self._slot_value(a.var))
+        point = {**self.point, var: ring.indeterminate}
+        body = _Run(self.prog, self.inst, point, ring, self.bound | {var}).expr(integrand)
+        return body.antiderivative()(self._slot_value(var))
 
 
 def evaluate(e: ExpressionLike, inst: Instantiation, point: Mapping[str, Number]) -> Number:
     """Value of ``e`` at ``point`` in ``inst``'s arithmetic; with rationals it
     is exact when no exp or log occurs."""
-    return _Eval(inst, point).expr(as_expression(e))
+    prog = _Program([as_expression(e)])
+    return _Run(prog, inst, point).expr(prog.roots[0])
 
 
 def required_point_names(
@@ -766,10 +913,10 @@ def fd_total(
     shifts them consistently; the quotient therefore approximates the total
     derivative, not the plain partial.
     """
-    e = as_expression(e)
+    prog = _Program([as_expression(e)])
     x0 = point[variable]
-    hi = evaluate(e, inst, {**point, variable: x0 + h})
-    lo = evaluate(e, inst, {**point, variable: x0 - h})
+    hi = _Run(prog, inst, {**point, variable: x0 + h}).expr(prog.roots[0])
+    lo = _Run(prog, inst, {**point, variable: x0 - h}).expr(prog.roots[0])
     return (hi - lo) / (2 * h)
 
 
@@ -833,6 +980,8 @@ def check_identity(
             ar = RATIONALS
     bound = inv.miss_bound(lhs, rhs, assumptions, points) if ar is MODULAR else None
     names = inv.point_names(tuple(dep_vars[d]) for d in inv.deps if d in dep_vars)
+    prog = inv.program
+    li, ri, *assumed = prog.roots
     failed = 0
     max_err = 0.0
     worst = None
@@ -840,13 +989,13 @@ def check_identity(
         for _attempt in range(MAX_ATTEMPTS):
             inst = Instantiation.for_expressions(inv, rng, dep_vars, arith=ar)
             pt = draw_point(rng, names, ar)
-            ev = _Eval(inst, pt)
+            run = _Run(prog, inst, pt)
             try:
-                for a in assumptions:
-                    if ar.vanishes(ev.expr(a)):
+                for i in assumed:
+                    if ar.vanishes(run.expr(i)):
                         raise AssumptionViolationError("assumption vanishes at this point")
-                v1 = ev.expr(lhs)
-                v2 = ev.expr(rhs)
+                v1 = run.expr(li)
+                v2 = run.expr(ri)
                 if ar is not MODULAR:
                     err = abs(v1 - v2) / (1 + max(abs(v1), abs(v2)))
             except (AssumptionViolationError, ZeroDivisionError):

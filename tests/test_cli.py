@@ -220,6 +220,19 @@ def test_unknown_names_exit_2(capsys, tmp_path):
     assert "no state file" in out["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("transform", "--transform", "Tgen"),
+    ("invariants",),
+    ("reduce", "--a3", "a1(x)*a2(t)"),
+])
+def test_unknown_equation_exits_2_with_a_value_error(capsys, tmp_path, argv):
+    session = "hyperbolic_general.eqv" if argv[0] == "transform" else "laplace.eqv"
+    code, out = run(capsys, argv[0], *session_args(session, tmp_path), *argv[1:],
+                    "--equation", "X")
+    assert code == 2
+    assert out["error"] == {"type": "ValueError", "message": "no equation 'X' in the session"}
+
+
 def test_state_file_keeps_parameters_typed(capsys, tmp_path):
     code, _out = run(capsys, "check", *session_args("ode_const.eqv", tmp_path),
                      "--family", "F", "--transform", "Tconst")

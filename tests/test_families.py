@@ -257,6 +257,23 @@ def test_composition_of_equivalence_maps_is_one():
     assert check_equivalence(g, both).verdict == EQUIVALENCE
 
 
+def test_a_family_renames_into_each_variable_set_once(monkeypatch):
+    # families written in other variables than the map's: famA and famB are
+    # each renamed into the source and the target variables, four renames;
+    # the enlarged image reuses famA's source rename instead of making a fifth
+    fam_a = catalog("hyper").rename(("p", "q"), "v")
+    fam_b = catalog("hyperu").rename(("p", "q"), "v")
+    built = []
+    init = families.EquationFamily.__init__
+    monkeypatch.setattr(families.EquationFamily, "__init__",
+                        lambda self, *a: built.append(a[1:3]) or init(self, *a))
+    tr = PointTransformation(
+        ("t", "x"), "u", ("y", "z"), "w",
+        {"t": y ** 3 + y, "x": 2 * z + 1}, (1 + y * y) * jet("w"))
+    assert theorem_instance_check(fam_a, fam_b, tr).holds
+    assert sorted(built) == [(("t", "x"), "u")] * 2 + [(("y", "z"), "w")] * 2
+
+
 def test_theorem_instance_holds_for_a_member_map(monkeypatch):
     calls = []
     prolong = families.transform_derivatives
