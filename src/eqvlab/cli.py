@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .errors import EqvError
 from .expressions import (
-    Expression, Var, as_expression, closure_jets, collect_numerators, partial)
+    Expression, Var, as_expression, collect_numerators, expr_sum, param, partial,
+    polynomial_jets)
 from .families import EQUIVALENCE, EquationFamily, catalog, check_equivalence, theorem_instance_check
 from .hyperbolic import HyperbolicEquation
 from .oracle import DEFAULT_SEED, check_identity
@@ -160,8 +161,11 @@ def _write_state(args, command: str, checks, assumptions, dep_vars):
 
 
 def _lead_normalize(e: Expression, dep: str) -> Expression:
-    """Divide by the coefficient of the highest-order jet monomial present."""
-    jets = sorted(closure_jets(e, dep), key=lambda j: (len(j.index), j.text))
+    """Divide by the coefficient of the highest-order jet monomial present.
+
+    Only jets at the polynomial level compete: a jet inside a function
+    argument has no coefficient of its own."""
+    jets = sorted(polynomial_jets(e, dep), key=lambda j: (len(j.index), j.text))
     if not jets:
         return e
     lead = as_expression(jets[-1])
@@ -262,10 +266,17 @@ def _cmd_theorem(args, session):
 def _hyperbolic_input(args, session) -> HyperbolicEquation:
     if bool(args.family) == bool(args.equation):
         raise ValueError("give exactly one of --family or --equation")
+    overrides = {n: v for n in ("a1", "a2", "a3") if (v := getattr(args, n)) is not None}
     if args.equation:
         e = _resolve_equation(args.equation, session)
-        if args.vars:
-            t, x, u = (s.strip() for s in args.vars.split(","))
+        if overrides:
+            raise ValueError("--a1, --a2 and --a3 replace slots of a family, not of --equation")
+        if args.vars is not None:
+            names = [s.strip() for s in args.vars.split(",")]
+            if len(names) != 3 or len(set(names)) != 3 or not all(names):
+                raise ValueError(
+                    f"--vars takes three distinct comma-separated names t,x,u, not {args.vars!r}")
+            t, x, u = names
         else:
             if len(session.indep_vars) < 2 or not session.dep_vars:
                 raise ValueError("the session does not declare enough variables")
@@ -273,20 +284,24 @@ def _hyperbolic_input(args, session) -> HyperbolicEquation:
             u = session.dep_vars[0]
         eq, _lead = HyperbolicEquation.from_expression(e, t, x, u)
         return eq
+    if args.vars is not None:
+        raise ValueError("--vars names the variables of --equation; a family declares its own")
     fam = _resolve_family(args.family, session)
-    slots = {s.name: s for s in fam.slots}
-    if set(slots) != {"a1", "a2", "a3"} or len(fam.indep_vars) != 2:
-        raise ValueError(
-            f"family {fam.name!r} is not of the hyperbolic shape")
-    t, x = fam.indep_vars
-    coeff = {}
+    unknown = sorted(overrides.keys() - {s.name for s in fam.slots})
+    if unknown:
+        raise ValueError(f"family {fam.name!r} has no coefficient {unknown[0]!r} to replace")
+    if len(fam.indep_vars) != 2:
+        raise ValueError(f"family {fam.name!r} is not of the hyperbolic shape")
     mini = Session(indep_vars=fam.indep_vars, dep_vars=(fam.dep,),
                    funcs={s.name: tuple(a.text for a in s.args) for s in fam.slots})
-    for name in ("a1", "a2", "a3"):
-        override = getattr(args, name)
-        coeff[name] = (parse_expression(override, mini) if override
-                       else slots[name].func_expr())
-    return HyperbolicEquation(coeff["a1"], coeff["a2"], coeff["a3"], t, x, fam.dep)
+    # each slot holds a constant while the template is read: an override read back off
+    # the member would keep the member's denominator above and below (the kernel has no gcd)
+    coeff = {param(s.name): parse_expression(overrides[s.name], mini) if s.name in overrides
+             else s.func_expr() for s in fam.slots}
+    member = fam.lead + expr_sum(param(s.name) * s.monomial for s in fam.slots)
+    eq, _lead = HyperbolicEquation.from_expression(member, *fam.indep_vars, fam.dep)
+    return HyperbolicEquation(*(coeff.get(c, c) for c in (eq.a1, eq.a2, eq.a3)),
+                              *fam.indep_vars, fam.dep)
 
 
 def _cmd_invariants(args, session):

@@ -11,6 +11,9 @@ of ``log H`` divided by ``H``.  ``P`` and ``Q`` are unchanged under the
 variable rescalings ``t = R(y)``, ``x = S(z)``, ``u = L(y,z)*w``; the check
 for that is :meth:`HyperbolicEquation.contact_invariance_check`.
 
+The template is the family ``catalog("hyper")`` in the equation's variable
+names, read with :func:`~eqvlab.families.match`.
+
 When ``a1`` depends only on ``x`` and ``a2`` only on ``t`` the substitution
 ``u = exp(f(y) + g(z)) * w`` with antiderivative weights removes both
 first-order terms; :meth:`HyperbolicEquation.reduce_to_canonical` performs
@@ -35,7 +38,6 @@ from .expressions import (
     Var,
     antiderivative,
     as_expression,
-    collect_numerators,
     dependency_closure,
     exp,
     jet,
@@ -43,6 +45,7 @@ from .expressions import (
     substitute,
     var,
 )
+from .families import EquationFamily, catalog, match
 from .prolongation import PointTransformation, transform_equation
 
 __all__ = [
@@ -166,38 +169,34 @@ class HyperbolicEquation:
     @classmethod
     def generic(cls, t: str = "t", x: str = "x", u: str = "u") -> "HyperbolicEquation":
         """The equation with three fully arbitrary two-variable coefficients."""
-        from .expressions import func
-
-        tv, xv = var(t), var(x)
-        return cls(func("a1", tv, xv), func("a2", tv, xv), func("a3", tv, xv), t, x, u)
+        return cls(**{s.name: s.func_expr() for s in _template(t, x, u).slots}, t=t, x=x, u=u)
 
     @classmethod
     def from_expression(cls, e: ExpressionLike, t: str, x: str, u: str) -> tuple["HyperbolicEquation", Expression]:
-        """Read coefficients off an expression of the right shape.
+        """Read coefficients off an expression matching the template.
 
         Returns the equation together with the lead coefficient that was
         divided out; the coefficients themselves are collected numerators
         over the lead numerator, free of the shared denominator.
         """
-        e = as_expression(e)
-        lead = jet(u, t, x)
-        monos = [lead, jet(u, t), jet(u, x), jet(u)]
-        nums, residual, den = collect_numerators(e, monos)
-        n = nums[lead]
-        if n.is_zero():
+        report = match(e, _template(t, x, u))
+        if report.lead_coefficient.is_zero():  # no lead, or jets in the denominator
             raise VariableMismatchError(
-                f"no {lead.text} term; expression is not of the hyperbolic shape")
-        if not residual.is_zero():
+                f"no {report.family.lead.text} term; expression is not of the hyperbolic shape")
+        if not report.residual.is_zero():
             raise VariableMismatchError(
-                f"terms outside the hyperbolic template: {(residual / den).text}")
-        eq = cls(nums[monos[1]] / n, nums[monos[2]] / n, nums[monos[3]] / n, t, x, u)
-        return eq, n / den
+                f"terms outside the hyperbolic template: {report.residual.text}")
+        return cls(**report.coefficients, t=t, x=x, u=u), report.lead_coefficient
 
     def expression(self) -> Expression:
-        return (jet(self.u, self.t, self.x)
-                + self.a1 * jet(self.u, self.t)
-                + self.a2 * jet(self.u, self.x)
-                + self.a3 * jet(self.u))
+        fam = _template(self.t, self.x, self.u)
+        # the coefficients are the attributes named after the template's slots
+        return sum((getattr(self, s.name) * s.monomial for s in fam.slots), start=fam.lead)
+
+    def _image(self, tr: PointTransformation) -> tuple["HyperbolicEquation", Expression]:
+        """The equation transformed by ``tr``, read back in its target variables."""
+        te = transform_equation(self.expression(), tr)
+        return HyperbolicEquation.from_expression(te, *tr.new_vars, tr.new_dep)
 
     def laplace_h(self) -> Expression:
         return partial(self.a1, Var(self.t)) + self.a1 * self.a2 - self.a3
@@ -256,9 +255,8 @@ class HyperbolicEquation:
         tr = PointTransformation(
             (self.t, self.x), self.u, (y, z), new_dep,
             {self.t: var(y), self.x: var(z)}, exp(f + g) * jet(new_dep))
-        te = transform_equation(self.expression(), tr)
         try:
-            reduced, _ = HyperbolicEquation.from_expression(te, y, z, new_dep)
+            reduced, _ = self._image(tr)
         except VariableMismatchError:
             raise EqvError("reduction produced an unexpected shape") from None
         if not reduced.a1.is_zero() or not reduced.a2.is_zero():
@@ -306,8 +304,7 @@ class HyperbolicEquation:
         if dependency_closure(scale).jets:
             raise DegenerateTransformationError("the multiplier must not involve the target")
 
-        te = transform_equation(self.expression(), tr)
-        transformed, _lead = HyperbolicEquation.from_expression(te, y, z, tr.new_dep)
+        transformed, _lead = self._image(tr)
 
         binds = {Var(self.t): tr.indep_map[self.t], Var(self.x): tr.indep_map[self.x]}
         inv_src = self.invariants()
@@ -323,6 +320,11 @@ class HyperbolicEquation:
             transformed=transformed,
             lead_coefficient=_lead,
         )
+
+
+def _template(t: str, x: str, u: str) -> EquationFamily:
+    """The hyperbolic template, ``catalog("hyper")`` in ``(t, x, u)``."""
+    return catalog("hyper").rename((t, x), u)
 
 
 def _log_mixed_over(h: Expression, t: str, x: str) -> Expression:

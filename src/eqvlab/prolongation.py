@@ -293,10 +293,6 @@ class ProlongedMap:
             if j.dep != tr.old_dep:
                 raise VariableMismatchError(
                     f"expression involves jets of {j.dep!r}; transformation handles {tr.old_dep!r}")
-            stray = set(j.index) - set(tr.old_vars)
-            if stray:
-                raise VariableMismatchError(
-                    f"jet {j.text} differentiates by undeclared variables {sorted(stray)}")
         binds = tr.as_bindings()
         # in order of the jets, so that ``entries`` does not follow the hash seed
         for j in sorted(deps.jets, key=lambda a: (a.order, a.index)):

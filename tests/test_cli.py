@@ -207,6 +207,78 @@ def test_catalog_reference_without_session(capsys, tmp_path):
     assert (parse_expression(out["P"], laplace_session()) - 1).is_zero()
 
 
+def _session_file(tmp_path, text):
+    path = tmp_path / "s.eqv"
+    path.write_text(text, encoding="utf-8")
+    return ["--session", path, "--state", tmp_path / "state.json"]
+
+
+def test_a_family_is_read_by_its_template_not_its_slot_names(capsys, tmp_path):
+    files = _session_file(tmp_path, """
+        indep t x; dep u;
+        func a1(t,x); func a2(t,x); func a3(t,x); func p(t,x); func q(t,x); func r(t,x);
+        family G: D[u,t,t] + a1(t,x)*D[u,t] + a2(t,x)*D[u,x] + a3(t,x)*u = 0;
+        family S: D[u,t,x] + a1(t,x)*D[u,x] + a2(t,x)*D[u,t] + a3(t,x)*u = 0;
+        family P: D[u,t,x] + p(t,x)*D[u,t] + q(t,x)*D[u,x] + r(t,x)*u = 0;
+    """)
+    # the lead is D[u,t,t]: no hyperbolic equation, whatever the slots are called
+    code, out = run(capsys, "invariants", *files, "--family", "G")
+    assert code == 2
+    assert out["error"] == {
+        "type": "VariableMismatchError",
+        "message": "no D[u,t,x] term; expression is not of the hyperbolic shape"}
+    # a1 multiplies u_x here, so the coefficient of u_t is a2
+    code, out = run(capsys, "invariants", *files, "--family", "S")
+    assert code == 0
+    assert out["H"] == "-a3(t,x) + a1(t,x)*a2(t,x) + D[a2,1](t,x)"
+    assert out["K"] == "-a3(t,x) + a1(t,x)*a2(t,x) + D[a1,2](t,x)"
+    code, out = run(capsys, "invariants", *files, "--family", "P")
+    assert code == 0
+    assert out["H"] == "-r(t,x) + p(t,x)*q(t,x) + D[p,1](t,x)"
+
+
+def test_hyperbolic_commands_refuse_flags_they_would_ignore_or_misread(capsys, tmp_path):
+    files = session_args("laplace.eqv", tmp_path)
+    cases = [
+        (("--equation", "E", "--a1", "x^2"), "replace slots of a family, not of --equation"),
+        (("--family", "F", "--a1", "x", "--vars", "t,x,u"), "--vars names the variables"),
+        (("--equation", "E", "--vars", "t,x"), "three distinct comma-separated names"),
+        (("--equation", "E", "--vars", "t,t,u"), "three distinct comma-separated names"),
+    ]
+    for flags, message in cases:
+        code, out = run(capsys, "invariants", *files, *flags)
+        assert code == 2, flags
+        assert out["error"]["type"] == "ValueError", flags
+        assert message in out["error"]["message"], flags
+    session = _session_file(tmp_path, """
+        indep t x; dep u; func p(t,x); func q(t,x); func r(t,x);
+        family P: D[u,t,x] + p(t,x)*D[u,t] + q(t,x)*D[u,x] + r(t,x)*u = 0;
+    """)
+    code, out = run(capsys, "reduce", *session, "--family", "P", "--a3", "1")
+    assert code == 2
+    assert out["error"] == {
+        "type": "ValueError", "message": "family 'P' has no coefficient 'a3' to replace"}
+
+
+def test_an_override_over_a_denominator_is_taken_as_written(capsys, tmp_path):
+    code, out = run(capsys, "invariants", *session_args("laplace.eqv", tmp_path),
+                    "--family", "F", "--a3", "1/(t + x)")
+    assert code == 0
+    assert out["H"] == "(x*a1(x)*a2(t) + t*a1(x)*a2(t) - 1)/(x + t)"
+
+
+def test_lead_normalization_ignores_jets_inside_arguments(capsys, tmp_path):
+    files = _session_file(tmp_path, """
+        indep x z; dep y w; func a(x, y);
+        transform Tscale: x = 2*z; y = w;
+        equation E: D[y,x] + a(x, D[y,x,x])*y = 0;
+    """)
+    code, out = run(capsys, "transform", *files, "--equation", "E", "--transform", "Tscale")
+    assert code == 0
+    assert out["transformed"] == "w*a(2*z,1/4*D[w,z,z]) + 1/2*D[w,z]"
+    assert out["lead_normalized"] == "2*w*a(2*z,1/4*D[w,z,z]) + D[w,z]"
+
+
 def test_unknown_names_exit_2(capsys, tmp_path):
     code, out = run(capsys, "check", *session_args("ode_scale.eqv", tmp_path),
                     "--family", "Nope", "--transform", "Tscale")

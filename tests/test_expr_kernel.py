@@ -282,6 +282,7 @@ def add_with_proportional_branch(self, other):
     return Expression(padd(pmul(self._num, b), pmul(other._num, a)), pmul(a, b))
 
 
+@pytest.mark.hashseed
 def test_substitution_matches_per_term_assembly_bulk(monkeypatch):
     s, t, w = var("s"), var("t"), jet("w")
     runs = [lambda e, b=b: substitute(e, b) for b in (
@@ -336,6 +337,7 @@ def per_term_poly_partial(p, d, cache):
     return expr_sum(terms)
 
 
+@pytest.mark.hashseed
 def test_partial_matches_per_term_assembly_bulk(monkeypatch):
     wy = Jet("w", ("y",))
     runs = [lambda e, x=x: partial(e, x) for x in (Var("y"), Var("z"), wy, param("c1"))]
@@ -348,6 +350,7 @@ def test_partial_matches_per_term_assembly_bulk(monkeypatch):
     assert [key_order(g) for g in got] == [key_order(w) for w in want]
 
 
+@pytest.mark.hashseed
 def test_raw_term_sums_pair_as_expr_sum_does_bulk():
     # cancellations that later terms undo: a linear fold would move the keys
     rng = Random(808)

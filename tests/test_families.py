@@ -404,6 +404,7 @@ def _enlargement_instances():
     return out
 
 
+@pytest.mark.hashseed
 def test_enlarged_image_equals_the_direct_image_bulk():
     instances = _enlargement_instances()
     for famA, famB, tr in instances:
@@ -551,6 +552,7 @@ def _match_cases():
     return out
 
 
+@pytest.mark.hashseed
 def test_one_split_match_equals_the_two_pass_match_bulk():
     cases = _match_cases()
     verdicts = set()

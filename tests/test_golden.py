@@ -24,10 +24,15 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from eqvlab import Var, partial
 from eqvlab.cli import main
 
 from conftest import CORPUS, seeded_cases
+
+# outputs and state files must not depend on the hash seed
+pytestmark = pytest.mark.hashseed
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus.json"
 ORACLE_SEED = "1729"

@@ -1,5 +1,7 @@
 """Laplace invariants, canonical reduction, and contact invariance."""
 
+from random import Random
+
 import pytest
 
 from eqvlab import (
@@ -9,10 +11,13 @@ from eqvlab import (
     UndefinedInvariantError,
     Var,
     VariableMismatchError,
+    antiderivative,
+    collect_numerators,
     exp,
     func,
     jet,
     partial,
+    transform_equation,
     var,
 )
 
@@ -195,3 +200,93 @@ def test_weight_antiderivative_agrees_with_closed_form():
     ratio = scale / closed
     assert (partial(ratio, Var("y"))).is_zero()
     assert (partial(ratio, Var("z"))).is_zero()
+
+
+def _collect_reader(e, t, x, u):
+    """The reader the template reader replaced, the reference it must
+    reproduce: the four monomials written out and collected with
+    ``collect_numerators``."""
+    lead = jet(u, t, x)
+    monos = [lead, jet(u, t), jet(u, x), jet(u)]
+    nums, residual, den = collect_numerators(e, monos)
+    n = nums[lead]
+    if n.is_zero():
+        raise VariableMismatchError(
+            f"no {lead.text} term; expression is not of the hyperbolic shape")
+    if not residual.is_zero():
+        raise VariableMismatchError(
+            f"terms outside the hyperbolic template: {(residual / den).text}")
+    eq = HyperbolicEquation(nums[monos[1]] / n, nums[monos[2]] / n, nums[monos[3]] / n, t, x, u)
+    return eq, n / den
+
+
+def _reader_cases():
+    """``(expression, t, x, u)``: seeded members times a lead factor, some over
+    a denominator; the images the acceptance maps' invariance check and
+    reductions read; and one input per shape error."""
+    out = []
+    rng = Random(2011)
+    for i in range(40):
+        tn, xn, un = ("t", "x", "u") if i % 3 else ("y", "z", "w")
+        if i % 5 == 4:
+            tn, xn = xn, tn
+        tv, xv = var(tn), var(xn)
+
+        def coefficient():
+            pieces = [tv, xv, tv * xv + 1, func("f", tv, xv), func("g", xv), exp(2 * tv),
+                      antiderivative(func("f", tv, xv), tn), tv * tv - 3 * xv]
+            c = rng.choice(pieces)
+            if rng.random() < 0.5:
+                c = c * rng.choice(pieces) + rng.randint(-3, 3)
+            return c
+
+        factor = rng.choice([tv * tv + 2, xv - tv, exp(xv), func("h", tv), 3 * tv * xv + 1])
+        e = factor * HyperbolicEquation(coefficient(), coefficient(), coefficient(),
+                                        tn, xn, un).expression()
+        if i % 4 == 0:
+            e = e / rng.choice([xv * xv + 2, tv + xv + 1, func("k", xv)])
+        out.append((e, tn, xn, un))
+
+    tr = PointTransformation(("t", "x"), "u", ("y", "z"), "w",
+                             {"t": func("R", y), "x": func("S", z)}, func("L", y, z) * jet("w"))
+    out.append((transform_equation(HyperbolicEquation.generic().expression(), tr), "y", "z", "w"))
+    a1, a2, a3 = func("a1", x), func("a2", t), func("a3", t, x)
+    for eq in (HyperbolicEquation(a1, a2, a3), HyperbolicEquation(a1, a2, a1 * a2),
+               HyperbolicEquation(a1, a2, a1 * a2 + 1)):
+        image = transform_equation(eq.expression(), eq.reduce_to_canonical().transformation)
+        out.append((image, "y", "z", "w"))
+
+    lead = jet("u", "t", "x")
+    for e in (jet("u", "t") + t * jet("u"),                   # no lead
+              lead + x * jet("u", "t", "t") + jet("u"),       # an extra jet monomial
+              lead + jet("u", "t") / (1 + jet("u", "x")),     # jets in a denominator
+              lead + func("f", jet("u", "t")) * jet("u"),     # a jet in a coefficient
+              lead + t * x + var("q") * jet("u", "x")):       # a free term, a stray variable
+        out.append((e, "t", "x", "u"))
+    return out
+
+
+def _layout(e):
+    num, den, lc = e.integer_form()
+    return e.text, list(num), list(den), lc
+
+
+@pytest.mark.hashseed
+def test_template_reader_equals_the_collect_reader_bulk():
+    errors = 0
+    for e, t, x, u in _reader_cases():
+        try:
+            want = _collect_reader(e, t, x, u)
+        except VariableMismatchError as exc:
+            with pytest.raises(VariableMismatchError) as got:
+                HyperbolicEquation.from_expression(e, t, x, u)
+            assert str(got.value) == str(exc), e.text[:80]
+            errors += 1
+            continue
+        eq, lead = HyperbolicEquation.from_expression(e, t, x, u)
+        want_eq, want_lead = want
+        assert (eq.t, eq.x, eq.u) == (t, x, u)
+        assert _layout(lead) == _layout(want_lead), e.text[:80]
+        for name in ("a1", "a2", "a3"):
+            assert _layout(getattr(eq, name)) == _layout(getattr(want_eq, name)), (name, e.text[:80])
+    assert errors == 5

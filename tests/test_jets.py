@@ -221,6 +221,9 @@ def test_apply_rejects_foreign_jets_and_variables():
         pm.apply(jet("q", "t"))
     with pytest.raises(VariableMismatchError):
         pm.apply(var("elsewhere"))
+    # a jet's index names count as variables of the expression
+    with pytest.raises(VariableMismatchError, match=r"variables \['r'\]"):
+        pm.apply(jet("u", "r"))
 
 
 def test_dependent_variable_in_independent_map():
@@ -281,6 +284,7 @@ def eager_entries(tr, order):
     return entries
 
 
+@pytest.mark.hashseed
 def test_lazy_entries_equal_the_level_loop_bulk():
     w = jet("w")
     tgen = PointTransformation(("t", "x"), "u", ("y", "z"), "w",
@@ -339,6 +343,7 @@ def test_lazy_entries_equal_the_level_loop_bulk():
     assert list(pm.entries) == [Jet("u", ("t", "x"))]
 
 
+@pytest.mark.hashseed
 def test_general_map_third_order_entry_is_over_det_to_the_fifth():
     # u_ttt of the general hyperbolic map, by size: the reference's Cramer
     # loop gave 99 674 numerator terms over a 648-term denominator

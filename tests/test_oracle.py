@@ -38,6 +38,9 @@ from eqvlab import (
 )
 from conftest import seeded_cases
 
+# draws, verdicts and miss bounds must not depend on the hash seed
+pytestmark = pytest.mark.hashseed
+
 y, z = var("y"), var("z")
 DEP = {"w": ("y", "z")}
 
