@@ -10,7 +10,11 @@ prolongation formulas assume.
 
 Each check is compiled once (``_Program``): one slot per distinct atom it
 reaches, inner atoms first, and each distinct expression as integer term
-lists over those slots.  One pass over that program (``_Inventory``)
+lists over those slots.  The program is read from :class:`Expression`
+objects, or straight from the :meth:`Expression.to_tree` tables of a state
+file (:func:`check_tables`, through ``_Program.from_tables``): a replay
+builds no expression and does no kernel arithmetic, so it also sees what the
+kernel's normal form would hide.  One pass over that program (``_Inventory``)
 classifies the atoms, decides every stand-in's degree (``degree`` for
 functions, at least 2 for dependents; the rule is stated there and nowhere
 else), picks one of two arithmetics for the evaluator, and bounds the degree
@@ -22,8 +26,10 @@ draws do not depend on the program: one instantiation and one point per
 attempt.
 
 * With no ``exp``, no ``log``, no integer coefficient that is a multiple
-  of p, and a difference ``lhs - rhs`` that p does not divide, the check
-  runs in GF(p), p = 2^61 - 1 (:data:`MODULUS`).  Stand-ins are dense
+  of p, and a cross-multiplied difference ``N_L*D_R - N_R*D_L`` of the
+  sides' term lists that is zero or that p does not divide
+  (:func:`_p_divides_difference`), the check runs in GF(p), p = 2^61 - 1
+  (:data:`MODULUS`).  Stand-ins are dense
   polynomials of the decided degrees, and their coefficients, the
   parameters and the point coordinates are uniform mod p.  A draw on which
   a denominator or an assumption is 0 mod p is redrawn.  The check passes
@@ -42,7 +48,8 @@ attempt.
   ``|L - R| / (1 + max(|L|, |R|))`` exceeds ``tol``.  Denominators,
   assumptions and ``log`` arguments are guarded by a magnitude floor; a draw
   that violates it is redrawn.  Values beyond the range of floating point
-  are an error.  There is no miss bound.
+  are an error.  There is no miss bound; the result names the rules that
+  sent the check here (``CheckResult.float_rules``).
 
 An antiderivative symbol is evaluated by running the same program on its
 integrand, as a univariate polynomial in the integration variable over the
@@ -60,6 +67,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
@@ -75,6 +84,7 @@ from .expressions import (
     Param,
     Var,
     _below,
+    _check_name,
     _reach,
     as_expression,
     expr_sum,
@@ -94,7 +104,9 @@ __all__ = [
     "fd_total",
     "CheckResult",
     "check_identity",
+    "check_tables",
     "check_zero",
+    "read_tables",
 ]
 
 DEFAULT_SEED = 1729
@@ -456,24 +468,159 @@ class _Program:
     as ``(num, den, lc)``: its integer form with each polynomial a tuple of
     terms ``(c, ((slot, k), ...), exp)``, factors in the monomial's atom order
     and ``exp`` the index of its exponential's argument or ``None``.
-    ``roots`` are the indices of the compiled expressions, ``index`` maps
-    every expression to its own, and ``tables`` keeps, per tuple of slot
-    derivatives, what they make of each stand-in exponent
+    ``roots`` are the indices of the compiled expressions, ``slots`` and
+    ``index`` map each atom and expression to its own, and ``tables`` keeps,
+    per tuple of slot derivatives, what they make of each stand-in exponent
     (:func:`_derivative`).
+
+    There are two readers.  The constructor reads :class:`Expression`
+    objects; :meth:`from_tables` reads :meth:`Expression.to_tree` tables, as a
+    state file holds them, without building an expression.
     """
 
     __slots__ = ("atoms", "slots", "exprs", "index", "roots", "tables")
 
-    def __init__(self, exprs: Sequence[Expression]):
+    def __init__(self, exprs: Sequence[Expression] = ()):
         self.atoms: list[tuple] = []
-        self.slots: dict[Atom, int] = {}
+        self.slots: dict = {}
         self.exprs: list[tuple] = []
-        self.index: dict[Expression, int] = {}
+        self.index: dict = {}
         self.tables: dict[tuple, dict] = {}
         for a in sorted(set().union(*map(_reach, exprs)), key=lambda a: len(_below(a))):
             self.slots[a] = len(self.atoms)
             self.atoms.append(self._step(a))
         self.roots = [self.expr(x) for x in exprs]
+
+    @classmethod
+    def from_tables(cls, tables: Sequence) -> "_Program":
+        """The program of ``tables``, each an atom table of
+        :meth:`Expression.to_tree`; ``ValueError`` on one that describes no
+        expression.
+
+        Each table's atoms and expressions are hash-consed across all the
+        tables: an atom by its step, an expression by its term lists.  A table
+        the kernel wrote is read back to the kernel's integer form, the monic
+        coefficients cleared with one lcm.  Any other table is brought to the
+        same form where identity depends on it: repeated factors and
+        monomials merge, the content goes, the leading denominator
+        coefficient is made positive, atom powers shared by numerator and
+        denominator cancel, and a numerator proportional to its denominator
+        becomes a constant.  Exponential factors are not shifted: a check
+        with one is judged on the float path, where no verdict rests on
+        identity.  Every atom a table lists gets its slot, so one that such
+        a cancellation leaves unreached is still drawn for.
+        """
+        prog = cls()
+        try:
+            prog.roots = [prog._table(t) for t in tables]
+        except (KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
+            raise ValueError(f"unreadable expression tree: {exc!r}") from None
+        return prog
+
+    def _table(self, tree) -> int:
+        local: list[int] = []  # the table's atom indices -> slots
+        for pos, entry in enumerate(tree["atoms"]):
+            local.append(self._table_atom(entry, local, tree, pos))
+        return self._table_expr(tree, local)
+
+    def _table_atom(self, t, local: list[int], tree, pos: int) -> int:
+        kind = t["kind"]
+        step = None
+        if kind == "var":
+            key = _VAR, _check_name(t["name"], "variable")
+        elif kind == "param":
+            key = _PARAM, _check_name(t["name"], "parameter")
+        elif kind == "jet":
+            index = t["index"]
+            if type(index) is not list:
+                raise ValueError(f"jet index {index!r} is not a list")
+            key = (_JET, _check_name(t["dep"], "dependent variable"),
+                   tuple(sorted(_check_name(i, "jet index") for i in index)))
+        elif kind == "func":
+            name, dindex, args = _check_name(t["name"], "function"), t["d"], t["args"]
+            if type(args) is not list or not args:
+                raise ValueError(f"function {name!r} needs a nonempty argument list")
+            if type(dindex) is not list or any(
+                    type(s) is not int or not 1 <= s <= len(args) for s in dindex):
+                raise ValueError(f"derivative slots {dindex!r} outside 1..{len(args)} for {name!r}")
+            key = (_FUNC, name, tuple(sorted(dindex)),
+                   tuple(self._table_expr(a, local) for a in args))
+        elif kind == "int":
+            var = _check_name(t["var"], "integration variable")
+            key = _INT, var, self._table_expr(t["integrand"], local)
+            step = (*key, _TableAtom(tree, pos, var))
+        elif kind == "log":
+            arg = self._table_expr(t["arg"], local)
+            if not self.exprs[arg][0]:
+                raise ValueError("log of an expression that normalizes to zero")
+            key = _LOG, arg
+        else:
+            raise ValueError(f"unknown atom kind {kind!r}")
+        s = self.slots.get(key)
+        if s is None:
+            s = self.slots[key] = len(self.atoms)
+            self.atoms.append(key if step is None else step)
+        return s
+
+    def _table_expr(self, t, local: list[int]) -> int:
+        """The index of the ``{"num", "den"}`` pair ``t``, compiled on first sight."""
+        num, den = self._table_poly(t["num"], local), self._table_poly(t["den"], local)
+        if not den:
+            raise ValueError("denominator normalizes to zero")
+        if any(type(t[0]) is not int for t in chain(num, den)):
+            scale = lcm(*(t[0].denominator for t in chain(num, den)))
+            for t in chain(num, den):
+                t[0] = int(t[0] * scale)
+        if not num:
+            den = [[1, (), None, ((), -1)]]
+        elif len(den) > 1 or den[0][1] or den[0][2] is not None:
+            num, den = _cancel_common(num, den)
+        g = gcd(*(t[0] for t in chain(num, den)))
+        if den[0][0] < 0:
+            g = -g
+        if g != 1:
+            for t in chain(num, den):
+                t[0] //= g
+        # the key is blind to term order and to the sign, so equal expressions
+        # meet whatever the order or orientation of their tables
+        sign = -1 if len(den) > 1 and min(den, key=lambda t: t[3])[0] < 0 else 1
+        key = (frozenset((m, sign * c) for c, _f, _e, m in num),
+               frozenset((m, sign * c) for c, _f, _e, m in den))
+        i = self.index.get(key)
+        if i is None:
+            i = self.index[key] = len(self.exprs)
+            self.exprs.append((tuple((c, f, e) for c, f, e, _m in num),
+                               tuple((c, f, e) for c, f, e, _m in den), den[0][0]))
+        return i
+
+    def _table_poly(self, terms, local: list[int]) -> list:
+        """The terms ``[c, factors, exp, monomial key]`` of a table's term
+        list, repeated factors and monomials merged, in first-seen order."""
+        out: dict = {}
+        for term in terms:
+            c = _coefficient(term["coeff"])
+            powers: dict[int, int] = {}
+            for i, k in term["factors"]:
+                if type(i) is not int or not 0 <= i < len(local):
+                    raise ValueError(f"atom index {i!r} names no earlier atom")
+                if type(k) is not int:
+                    raise ValueError(f"power {k!r} is not an integer")
+                if k < 1:
+                    raise ValueError(f"power {k!r} is not positive")
+                s = local[i]
+                powers[s] = powers.get(s, 0) + k
+            exp = self._table_expr(term["exp"], local) if "exp" in term else None
+            if exp is not None and not self.exprs[exp][0]:
+                exp = None  # exp(0) is 1
+            factors = tuple(powers.items())
+            m = (factors if len(factors) < 2 else tuple(sorted(factors)),
+                 -1 if exp is None else exp)
+            hit = out.get(m)
+            if hit is None:
+                out[m] = [c, factors, exp, m]
+            else:
+                hit[0] += c
+        return [t for t in out.values() if t[0]]
 
     def _step(self, a: Atom) -> tuple:
         # the atoms inside ``a`` have their slots already
@@ -509,6 +656,70 @@ class _Program:
             for m, c in p.items())
 
 
+def _coefficient(c) -> int | Fraction:
+    """A table's coefficient: an int, or the text of an integer or a fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is str:
+        n, slash, d = c.partition("/")
+        try:
+            return Fraction(int(n), int(d)) if slash else int(n)
+        except ValueError:
+            pass
+    raise ValueError(f"coefficient {c!r} is not an integer or a fraction")
+
+
+def _cancel_common(num: list, den: list) -> tuple[list, list]:
+    """Cancel the atom powers that every monomial of a table's numerator and
+    denominator shares, and make a numerator proportional to the denominator
+    a constant, as the kernel's normal form does.
+
+    These rules, with the content and sign in :meth:`_Program._table_expr`,
+    repeat those of ``expressions._canonical``; atom identity, and so GF(p)
+    soundness, rests on their agreeing.  A change to the kernel's normal form
+    must be made here too."""
+    common = dict(den[0][1])
+    for t in chain(den, num):
+        if not common:
+            break
+        powers = dict(t[1])
+        common = {s: min(k, powers[s]) for s, k in common.items() if s in powers}
+    if common:
+        num, den = ([_without(t, common) for t in p] for p in (num, den))
+    if len(num) == len(den):
+        d0 = den[0][0]
+        c = {t[3]: t[0] for t in num}
+        c0 = c.get(den[0][3])
+        if c0 is not None and all(c.get(t[3], 0) * d0 == c0 * t[0] for t in den):
+            one = (), None, ((), -1)
+            return [[c0, *one]], [[d0, *one]]
+    return num, den
+
+
+def _without(term: list, common: dict) -> list:
+    c, factors, exp, m = term
+    factors = tuple((s, k - common.get(s, 0)) for s, k in factors if k != common.get(s, 0))
+    return [c, factors, exp, (tuple(sorted(factors)), m[1])]
+
+
+class _TableAtom:
+    """An antiderivative of a table where :class:`_Polynomials` wants its
+    :class:`Antideriv`: ``text`` is rendered, by the kernel, only when an
+    error message asks for it."""
+
+    __slots__ = ("tree", "pos", "var")
+
+    def __init__(self, tree, pos: int, var: str):
+        self.tree, self.pos, self.var = tree, pos, var
+
+    @property
+    def text(self) -> str:
+        one = [{"coeff": "1", "factors": []}]
+        return Expression.from_tree({
+            "atoms": self.tree["atoms"][:self.pos + 1],
+            "num": [{"coeff": "1", "factors": [[self.pos, 1]]}], "den": one}).text
+
+
 def _derivative(expo: tuple[int, ...], dindex: tuple[int, ...]):
     """``(reduced exponent, multiplier)``: the slot derivatives ``dindex`` take
     ``prod x_i^expo_i`` to the multiplier times the reduced monomial; ``None``
@@ -526,39 +737,46 @@ def _derivative(expo: tuple[int, ...], dindex: tuple[int, ...]):
 
 class _Inventory:
     """What a set of expressions reaches, read off one pass over the atoms of
-    their compiled :class:`_Program` (``program``), inner atoms first.
+    their compiled :class:`_Program` (``program``, or one given instead of
+    the expressions), inner atoms first.
 
     The pass records each function's arity and stand-in degree
     (``functions``), the parameters (``params``, sorted), each dependent's
     stand-in degree (``deps``), the variables (free ones, jet indices,
     integration variables), and whether GF(p) evaluates the expressions
     faithfully (``modular``): no exp, no log, and no integer coefficient that
-    is a multiple of p.  While that holds, the same pass bounds the degrees of
-    every value the evaluator forms, for :meth:`miss_bound`.
+    is a multiple of p.  ``float_rules`` names, in that order, the rules that
+    do not hold: ``"exp"``, ``"log"`` and ``"coefficient"``.  The same pass
+    bounds the degrees of every value the evaluator forms, for
+    :meth:`miss_bound`.
     """
 
-    __slots__ = ("program", "functions", "params", "deps", "variables", "modular", "degrees",
-                 "rejected")
+    __slots__ = ("program", "functions", "params", "deps", "variables", "modular",
+                 "float_rules", "degrees", "rejected")
 
-    def __init__(self, exprs: Iterable[ExpressionLike], degree: int = 2):
-        self.program = prog = _Program([as_expression(e) for e in exprs])
+    def __init__(self, exprs: "Iterable[ExpressionLike] | _Program", degree: int = 2):
+        self.program = prog = exprs if isinstance(exprs, _Program) else _Program(
+            [as_expression(e) for e in exprs])
         # the stand-ins' degrees, decided here only: ``degree`` for functions,
         # at least 2 for dependents
         fdeg, ddeg = degree, max(degree, 2)
         arities: dict[str, set[int]] = {}
         params, deps, variables = set(), set(), set()
         atom_deg: list[tuple[int, int]] = [(0, 0)] * len(prog.atoms)
-        # per compiled expression, filled while ``modular`` holds
+        # per compiled expression; every expression outside exp and log
+        # arguments is read, so the rules found do not depend on slot order
         self.degrees: list[tuple[int, int] | None] = [None] * len(prog.exprs)
         self.rejected = 0
-        self.modular = True
+        rules: set[str] = set()
 
         def poly(terms) -> tuple[int, int]:
             powers: dict[int, int] = {}
             lifts = []
             for c, factors, exp in terms:
-                if exp is not None or not c % MODULUS:
-                    self.modular = False
+                if exp is not None:
+                    rules.add("exp")
+                if not c % MODULUS:
+                    rules.add("coefficient")
                 lift = 0
                 for s, k in factors:
                     n, d = atom_deg[s]
@@ -572,8 +790,6 @@ class _Inventory:
         def of(i: int) -> tuple[int, int]:
             hit = self.degrees[i]
             if hit is None:
-                if not self.modular:
-                    return 0, 0
                 num, den, _lc = prog.exprs[i]
                 (nn, nd), (dn, dd) = poly(num), poly(den)
                 self.rejected += dn
@@ -606,13 +822,15 @@ class _Inventory:
                 n, d = of(step[1])
                 atom_deg[s] = (n + 1, d)
             else:
-                self.modular = False
+                rules.add("log")
         for name, ns in sorted(arities.items()):
             if len(ns) > 1:
                 raise EvaluationError(
                     f"function {name} used with {' and '.join(map(str, sorted(ns)))} arguments")
         for i in prog.roots:
             of(i)
+        self.float_rules = tuple(r for r in ("exp", "log", "coefficient") if r in rules)
+        self.modular = not rules
         self.functions = {n: (ns.pop(), fdeg) for n, ns in sorted(arities.items())}
         self.params = sorted(params)
         self.deps = {name: ddeg for name in sorted(deps)}
@@ -622,12 +840,12 @@ class _Inventory:
         """Variables a point must assign: ``variables`` plus the dependents' ``slots``."""
         return tuple(sorted(self.variables.union(*slots)))
 
-    def miss_bound(self, lhs: Expression, rhs: Expression,
-                   assumptions: Sequence[Expression], points: int) -> float:
+    def miss_bound(self, li: int, ri: int, assumed: Sequence[int], points: int) -> float:
         """Upper bound on the chance that ``points`` GF(p) points all agree
-        although ``lhs - rhs`` is not zero, rounded up to a float; an
-        :class:`EvaluationError` when the degree bound reaches p.  The sides
-        and assumptions must be among the inventory's expressions.
+        although the sides differ, rounded up to a float; an
+        :class:`EvaluationError` when the degree bound reaches p.  ``li``,
+        ``ri`` and ``assumed`` are the program's indices of the sides and the
+        assumptions.
 
         Every value the evaluator forms is a quotient N/D of polynomials in the
         drawn values: stand-in coefficients, parameters and coordinates.  The
@@ -650,16 +868,19 @@ class _Inventory:
           sum k_a (n_a - d_a) to that in the numerator.  An expression
           num/den is (n_num + d_den, d_num + n_den).
 
-        If L = N_L/D_L and R = N_R/D_R differ, N_L*D_R - N_R*D_L is a nonzero
-        polynomial of degree at most d = max(n_L + d_R, n_R + d_L), and at a
-        point where no D vanishes the sides agree only where it does.  Cleared
-        to integer coefficients, it stays nonzero mod p unless p divides every
-        one of them.  The kernel's difference ``lhs - rhs`` is K/D_K with
-        K*D_L*D_R = C*D_K for the cleared difference C, and D_L, D_R are
-        nonzero mod p, since a check with an integer coefficient that is a
-        multiple of p goes to the float path.  So K vanishes mod p whenever C
-        does, and :func:`check_identity` sends a nonzero K that p divides, as
-        for ``(1 - p)*y`` against ``y``, to the float path too.
+        The sides are compiled as L = N_L/D_L and R = N_R/D_R, integer term
+        lists over the atoms.  If they differ, C = N_L*D_R - N_R*D_L is a
+        nonzero polynomial of degree at most d = max(n_L + d_R, n_R + d_L),
+        and at a point where no D vanishes the sides agree only where C does.
+        GF(p) sees C only if p does not divide every coefficient of C.  A check
+        with an integer coefficient that is a multiple of p is on the float
+        path already, so D_L and D_R are nonzero mod p; for C,
+        :func:`_p_divides_difference` decides it on the term lists.  When
+        ``|N_L|_1 * |D_R|_1 + |N_R|_1 * |D_L|_1 < p`` (sums of absolute
+        coefficients) every coefficient of C is below p in absolute value, so
+        a nonzero C stays nonzero mod p.  Otherwise C is formed, and a nonzero
+        C that p divides, as for ``(1 - p)*y`` against ``y``, sends the check
+        to the float path.
         By Schwartz-Zippel a uniform point finds a zero of a nonzero
         polynomial mod p with probability at most d/p.  A point is redrawn
         where the numerator of some expression's denominator, or of an
@@ -668,9 +889,9 @@ class _Inventory:
         miss.  The points are independent, so the bound is that to the power
         ``points``.
         """
-        index, degrees = self.program.index, self.degrees
-        (nl, dl), (nr, dr) = degrees[index[lhs]], degrees[index[rhs]]
-        rejected = self.rejected + sum(degrees[index[x]][0] for x in assumptions)
+        degrees = self.degrees
+        (nl, dl), (nr, dr) = degrees[li], degrees[ri]
+        rejected = self.rejected + sum(degrees[i][0] for i in assumed)
         d = max(nl + dr, nr + dl)
         if d + rejected >= MODULUS:
             raise EvaluationError(
@@ -679,6 +900,30 @@ class _Inventory:
         bound = Fraction(d, MODULUS - rejected) ** points
         rounded = float(bound)
         return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)
+
+
+def _p_divides_difference(prog: _Program, li: int, ri: int) -> bool:
+    """Whether the cross-multiplied difference C = N_L*D_R - N_R*D_L of the
+    compiled expressions ``li`` and ``ri`` is nonzero with every coefficient
+    a multiple of p: zero at every GF(p) point, yet not zero.  The term lists
+    must be free of exponentials, as on the GF(p) path."""
+    (nl, dl, _), (nr, dr, _) = prog.exprs[li], prog.exprs[ri]
+
+    def norm(terms) -> int:
+        return sum(abs(c) for c, _f, _e in terms)
+
+    if norm(nl) * norm(dr) + norm(nr) * norm(dl) < MODULUS:
+        return False  # every coefficient of C is below p in absolute value
+    diff: dict = {}
+    for sign, a, b in ((1, nl, dr), (-1, nr, dl)):
+        for ca, fa, _e in a:
+            for cb, fb, _e in b:
+                powers = dict(fa)
+                for s, k in fb:
+                    powers[s] = powers.get(s, 0) + k
+                m = frozenset(powers.items())
+                diff[m] = diff.get(m, 0) + sign * ca * cb
+    return any(diff.values()) and not any(c % MODULUS for c in diff.values())
 
 
 @dataclass
@@ -925,13 +1170,17 @@ class CheckResult:
     """``max_error`` is the largest relative error on the float path, and the
     share of disagreeing points in GF(p); ``worst_point`` is the point of the
     largest error, or the first disagreeing one.  ``miss_bound`` is ``None``
-    on the float path."""
+    on the float path, and ``float_rules`` names the rules that sent the check
+    there: ``"exp"``, ``"log"``, ``"coefficient"`` (an integer coefficient
+    divisible by p) or ``"difference"`` (a nonzero difference that p divides);
+    it is empty in GF(p)."""
 
     ok: bool
     points: int
     max_error: float
     worst_point: dict[str, Number] | None = None
     miss_bound: float | None = None
+    float_rules: tuple[str, ...] = ()
 
     def __bool__(self):
         return self.ok
@@ -963,25 +1212,45 @@ def check_identity(
     degree bound reaches p, and a float-path check whose values exceed
     floating point, error out.  See the module docstring.
     """
+    sides = [as_expression(x) for x in (lhs, rhs, *assumptions)]
+    return _check(_Program(sides), dep_vars, seed, points, tol)
+
+
+def check_tables(
+    lhs: Mapping,
+    rhs: Mapping,
+    dep_vars: Mapping[str, Sequence[str]],
+    *,
+    seed: int | None = None,
+    points: int = 10,
+    tol: float = 1e-6,
+    assumptions: Sequence[Mapping] = (),
+) -> CheckResult:
+    """:func:`check_identity` for the :meth:`Expression.to_tree` tables of
+    the sides and assumptions, as a state file holds them.  The tables are
+    compiled straight into the check's program (:meth:`_Program.from_tables`),
+    with no expression built; one that describes no expression is a
+    ``ValueError``."""
+    return _check(_Program.from_tables((lhs, rhs, *assumptions)), dep_vars, seed, points, tol)
+
+
+def _check(prog: _Program, dep_vars: Mapping[str, Sequence[str]], seed: int | None,
+           points: int, tol: float) -> CheckResult:
+    """The check of a program whose roots are the sides, then the assumptions."""
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    lhs = as_expression(lhs)
-    rhs = as_expression(rhs)
-    assumptions = tuple(as_expression(a) for a in assumptions)
     rng = Random(DEFAULT_SEED if seed is None else seed)
-    inv = _Inventory((lhs, rhs, *assumptions))
-    ar = _arithmetic(inv)
-    if ar is MODULAR:
-        diff, _den, _lc = (lhs - rhs).integer_form()
-        if diff and not any(c % MODULUS for c in diff.values()):
-            # nonzero, yet zero at every GF(p) point
-            ar = RATIONALS
-    bound = inv.miss_bound(lhs, rhs, assumptions, points) if ar is MODULAR else None
-    names = inv.point_names(tuple(dep_vars[d]) for d in inv.deps if d in dep_vars)
-    prog = inv.program
+    inv = _Inventory(prog)
     li, ri, *assumed = prog.roots
+    ar = _arithmetic(inv)
+    rules = inv.float_rules
+    if ar is MODULAR and _p_divides_difference(prog, li, ri):
+        # nonzero, yet zero at every GF(p) point
+        ar, rules = RATIONALS, ("difference",)
+    bound = inv.miss_bound(li, ri, assumed, points) if ar is MODULAR else None
+    names = inv.point_names(tuple(dep_vars[d]) for d in inv.deps if d in dep_vars)
     failed = 0
     max_err = 0.0
     worst = None
@@ -1021,7 +1290,13 @@ def check_identity(
     if ar is MODULAR:
         max_err = failed / points
     return CheckResult(ok=not failed, points=points, max_error=max_err, worst_point=worst,
-                       miss_bound=bound)
+                       miss_bound=bound, float_rules=rules)
+
+
+def read_tables(tables: Sequence) -> None:
+    """Raise ``ValueError`` unless each of ``tables`` is an atom table of
+    :meth:`Expression.to_tree` that describes an expression."""
+    _Program.from_tables(tables)
 
 
 def check_zero(

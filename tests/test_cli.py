@@ -6,9 +6,11 @@ import time
 
 import pytest
 
-from eqvlab import Expression, Param, ParseError, Session, parse, parse_expression
+from eqvlab import (
+    Expression, Param, ParseError, Session, antiderivative, jet, parse, parse_expression, var)
 from eqvlab import cli, prolongation
 from eqvlab.cli import main
+from eqvlab.oracle import MODULUS
 
 from conftest import CORPUS
 
@@ -379,6 +381,7 @@ def test_malformed_state_file_exits_2_with_json(capsys, tmp_path):
     ({"assumptions": 5}, "assumptions"),
     ({"dep_vars": 5}, "dep_vars"),
     ({"dep_vars": {"w": 5}}, "dep_vars"),
+    ({"assumptions": [{"num": 5}]}, "unreadable expression tree"),
 ])
 def test_malformed_state_fields_exit_2_with_a_value_error(capsys, tmp_path, state, field):
     path = tmp_path / "state.json"
@@ -616,3 +619,46 @@ def test_corpus_sessions_parse_and_round_trip(name):
             funcs={s.name: tuple(a.text for a in s.args) for s in fam.slots})
         member = fam.member()
         assert parse_expression(member.text, scope) == member
+
+
+def write_state(tmp_path, checks, dep_vars=None):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({
+        "command": "check", "checks": [[l.to_tree(), r.to_tree()] for l, r in checks],
+        "assumptions": [], "dep_vars": dep_vars or {}}))
+    return path
+
+
+def test_oracle_note_names_the_rule_that_sent_a_check_to_tol(capsys, tmp_path):
+    code, _out = run(capsys, "induced-action", *session_args("hyperbolic_separable.eqv", tmp_path),
+                     "--family", "F", "--transform", "Texp")
+    assert code == 0
+    code = main(["oracle", "--state", str(tmp_path / "state.json")])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "oracle: check 1 has no miss bound (it reaches exp), so it was evaluated" in err
+    y = var("y")
+    for lhs, rhs, why, want in (
+            ((1 - MODULUS) * y, y,
+             "p divides every coefficient of the nonzero difference of its sides", 1),
+            (MODULUS * y, MODULUS * y, "an integer coefficient is divisible by p", 0)):
+        path = write_state(tmp_path, [(lhs, rhs)])
+        code = main(["oracle", "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == want
+        assert json.loads(captured.out)["checks"][0]["miss_bound"] is None
+        assert f"oracle: check 1 has no miss bound ({why}), so" in captured.err
+
+
+def test_oracle_names_an_antiderivative_it_cannot_evaluate(capsys, tmp_path):
+    y = var("y")
+    a = antiderivative(y * y * jet("w", "z") / (y * y + 2), "y")
+    path = write_state(tmp_path, [(a, a)], {"w": ["y", "z"]})
+    code = main(["oracle", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == {
+        "type": "EvaluationError",
+        "message": "cannot evaluate int((y^2*D[w,z])/(y^2 + 2),y): "
+                   "its integrand is not a polynomial in y"}
+    assert "Traceback" not in captured.err

@@ -47,6 +47,7 @@ from eqvlab import (
 )
 
 import eqvlab.expressions as expressions
+from eqvlab.cli import main
 from conftest import random_expression, seeded_cases
 
 y, z = var("y"), var("z")
@@ -217,6 +218,21 @@ UNREADABLE = [
 def test_unreadable_trees_raise_value_error(tree, message):
     with pytest.raises(ValueError, match=message):
         Expression.from_tree(tree)
+
+
+@pytest.mark.parametrize("tree, message", UNREADABLE,
+                         ids=["None", *(f"tree{i}" for i in range(1, len(UNREADABLE)))])
+def test_unreadable_trees_in_a_state_file_exit_2(tree, message, tmp_path, capsys):
+    # the oracle reads a state file's tables itself: each unreadable table is
+    # a ValueError there too, on either side of a check
+    path = tmp_path / "state.json"
+    for check in ([tree, table([])], [table([]), tree]):
+        path.write_text(json.dumps({"checks": [check]}))
+        code = main(["oracle", "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"]["type"] == "ValueError"
+        assert "Traceback" not in captured.err
 
 
 def test_substitute_functions_differentiates_and_recurses():

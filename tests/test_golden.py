@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from eqvlab import Var, partial
+from eqvlab import Expression, Var, partial
 from eqvlab.cli import main
 
 from conftest import CORPUS, seeded_cases
@@ -136,6 +136,27 @@ def test_kernel_text_digest():
 def test_tree_digest():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert tree_digest() == golden["tree_sha256"]
+
+
+def test_replay_does_not_touch_the_kernel(tmp_path, monkeypatch):
+    # the oracle compiles a state file's tables itself: with the kernel's
+    # reader, subtraction and constructor broken, every corpus replay (GF(p)
+    # and float path alike) still prints its golden output
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    state = tmp_path / "state.json"
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the replay reached the kernel")
+
+    for want in golden["commands"]:
+        _run([want["argv"][0], "--session", str(CORPUS / f"{want['session']}.eqv"),
+              "--state", str(state), *want["argv"][1:]])
+        with monkeypatch.context() as m:
+            for name in ("from_tree", "__sub__", "__init__"):
+                m.setattr(Expression, name, broken)
+            code, out = _run(["oracle", "--state", str(state), "--seed", ORACLE_SEED])
+        assert (code, _sha(out)) == (want["oracle_exit"], want["oracle_stdout_sha256"]), want
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """The numeric side: polynomial stand-ins, evaluation, identity checking."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import chain
@@ -14,6 +15,7 @@ from eqvlab import (
     Antideriv,
     AssumptionViolationError,
     EvaluationError,
+    Expression,
     Func,
     Instantiation,
     Jet,
@@ -24,6 +26,7 @@ from eqvlab import (
     antiderivative,
     as_expression,
     check_identity,
+    check_tables,
     check_zero,
     draw_point,
     evaluate,
@@ -503,11 +506,13 @@ def test_one_walk_matches_the_reference_rules_bulk():
                 continue
             modular += 1
             want = reference_miss_bound(lhs, rhs, assumptions, degree, 4)
+            index = inv.program.index
+            sides = index[lhs], index[rhs], [index[x] for x in assumptions]
             if want is None:
                 with pytest.raises(EvaluationError, match="certify nothing"):
-                    inv.miss_bound(lhs, rhs, assumptions, 4)
+                    inv.miss_bound(*sides, 4)
             else:
-                assert inv.miss_bound(lhs, rhs, assumptions, 4) == want, lhs.text
+                assert inv.miss_bound(*sides, 4) == want, lhs.text
             inst = Instantiation.for_expressions(inv, Random(n), DEP, arith=MODULAR)
             assert all(stand_in_degree(g) == degree for g in inst.functions.values())
             assert all(stand_in_degree(g) == max(degree, 2)
@@ -693,3 +698,167 @@ def test_compiled_program_matches_the_walk_bulk():
     # the sweep reaches floats, vanishing denominators and values that
     # cannot be formed (exp and log in GF(p), nested antiderivatives)
     assert all(n > 20 for n in seen.values()), seen
+
+
+def tables_of(*exprs):
+    """The state file's form of each expression: its table through JSON."""
+    return [json.loads(json.dumps(x.to_tree())) for x in exprs]
+
+
+def replayed(check):
+    """The result of ``check()``, or the type of the exception it raised."""
+    try:
+        return check()
+    except Exception as exc:  # noqa: BLE001 - the exception's type is the outcome
+        return type(exc)
+
+
+def test_state_tables_replay_as_their_expressions_bulk():
+    # a state file's tables, compiled without the kernel, against the
+    # expressions they were written from: identities, near misses and pairs
+    # of unrelated cases.  A table lists terms in print order and the kernel
+    # in insertion order, so float sums may differ in the last bits (and an
+    # identity's max_error is rounding noise near 1e-16); GF(p) is exact, so
+    # there every field agrees
+    f = jet("w", "y") + z
+    seen = {"modular": 0, "float": 0, "error": 0, "passed": 0}
+    previous = y
+    for i, e in seeded_cases(505, 300):
+        lhs, rhs = ((e * f) / f, e + y / 1000, previous)[i % 3], e
+        previous = e
+        tables = tables_of(lhs, rhs, f)
+        want = replayed(lambda: check_identity(lhs, rhs, DEP, seed=i, points=4,
+                                               assumptions=[f]))
+        got = replayed(lambda: check_tables(*tables[:2], DEP, seed=i, points=4,
+                                            assumptions=tables[2:]))
+        if isinstance(want, type):
+            assert got is want, (i, e.text)
+            seen["error"] += 1
+            continue
+        if want.miss_bound is not None:
+            assert got == want, (i, e.text)
+            seen["modular"] += 1
+        else:
+            assert (got.ok, got.points, got.miss_bound, got.float_rules) == (
+                want.ok, want.points, None, want.float_rules), (i, e.text)
+            assert got.max_error == pytest.approx(want.max_error, rel=1e-12, abs=1e-12), (
+                i, e.text)
+            seen["float"] += 1
+        seen["passed"] += got.ok
+    assert all(n > 10 for n in seen.values()), seen
+
+
+def test_the_difference_guard_decides_as_the_kernel_subtraction_did_bulk():
+    # the guard reads the compiled term lists of either reader; the rule it
+    # replaced formed lhs - rhs in the kernel.  Both must send the same
+    # checks to the float path
+    routed = {True: 0, False: 0}
+    for _i, e in seeded_cases(505, 300):
+        if e.is_zero():
+            continue
+        for lhs, rhs in ((e * (1 - MODULUS), e), (e * (1 - MODULUS), e + y),
+                         (e * (MODULUS + 1), e), (e * 3, e * 2 + e)):
+            if not oracle._Inventory([lhs, rhs]).modular:
+                continue
+            diff = (lhs - rhs).integer_form()[0]
+            want = bool(diff) and not any(c % MODULUS for c in diff.values())
+            for prog in (oracle._Program([lhs, rhs]),
+                         oracle._Program.from_tables(tables_of(lhs, rhs))):
+                assert oracle._p_divides_difference(prog, *prog.roots) == want, e.text
+            routed[want] += 1
+    assert all(n > 50 for n in routed.values()), routed
+
+
+VAR_Y = {"kind": "var", "name": "y"}
+VAR_Z = {"kind": "var", "name": "z"}
+ONE_TERMS = [{"coeff": "1", "factors": []}]
+ZERO_TABLE = {"atoms": [], "num": [], "den": ONE_TERMS}
+
+
+def term(coeff, *factors):
+    return {"coeff": str(coeff), "factors": [list(f) for f in factors]}
+
+
+def table(num, den=ONE_TERMS, atoms=(VAR_Y,)):
+    return {"atoms": list(atoms), "num": num, "den": den}
+
+
+def both_readers(lhs, rhs, **kwargs):
+    """A check of two tables, replayed from the tables and from the
+    expressions ``Expression.from_tree`` reads them as."""
+    return (check_tables(lhs, rhs, {}, seed=3, **kwargs),
+            check_identity(Expression.from_tree(lhs), Expression.from_tree(rhs), {}, seed=3,
+                           **kwargs))
+
+
+def test_a_table_repeating_an_atom_in_one_monomial_reads_as_its_power():
+    # 1/(y*y) written with the factor y twice: merged, the denominator keeps
+    # its degree 2 in the bound and in the redraws, as 1/y^2 does
+    twice = table([term(1)], [term(1, (0, 1), (0, 1))])
+    square = table([term(1)], [term(1, (0, 2))])
+    got, want = both_readers(twice, square)
+    assert got == want and got.ok and got.miss_bound is not None
+    got, want = both_readers(table([term(3, (0, 1), (0, 1))]), table([term(3, (0, 2))]))
+    assert got == want and got.ok and got.miss_bound is not None
+
+
+def test_a_table_repeating_a_monomial_reads_as_their_sum():
+    # y + (p - 1)*y is p*y: a coefficient that p divides, so GF(p) would pass
+    # it against 0; merged, it is routed to the float path as the kernel's is
+    split = table([term(1, (0, 1)), term(MODULUS - 1, (0, 1))])
+    got, want = both_readers(split, ZERO_TABLE)
+    assert got == want
+    assert not got.ok and got.miss_bound is None and got.float_rules == ("coefficient",)
+    # y - y is 0
+    got, want = both_readers(table([term(1, (0, 1)), term(-1, (0, 1))]), ZERO_TABLE)
+    assert got == want and got.ok and got.miss_bound is not None
+
+
+def arg(num, den=ONE_TERMS):
+    return {"num": num, "den": den}
+
+
+@pytest.mark.parametrize("first, second", [
+    # the same argument in another term order and over a scaled denominator
+    (arg([term(1, (0, 1)), term(1, (1, 1))]), arg([term(2, (1, 1)), term(2, (0, 1))], [term(2)])),
+    # y*z/y and z: a power that numerator and denominator share cancels
+    (arg([term(1, (0, 1), (1, 1))], [term(1, (0, 1))]), arg([term(1, (1, 1))])),
+    # (2*y + 2)/(y + 1) and 2: a numerator proportional to its denominator
+    (arg([term(2, (0, 1)), term(2)], [term(1, (0, 1)), term(1)]), arg([term(2)])),
+    # -y/-1 and y: the leading denominator coefficient is made positive
+    (arg([term(-1, (0, 1))], [term(-1)]), arg([term(1, (0, 1))])),
+], ids=["order-and-scale", "shared-power", "proportional", "negative-denominator"])
+def test_equal_arguments_written_apart_are_one_atom(first, second):
+    # the table reader repeats the kernel's normal-form rules, and atom
+    # identity rests on them agreeing: both readers intern one f here.
+    # f(first) + (p - 1)*f(second) is p*f(first), as the kernel reads it, and
+    # not a GF(p) pass against 0.  (The kernel drops an atom that cancels,
+    # the table still lists it, and a listed variable is drawn, so the
+    # points differ.)
+    atoms = [VAR_Y, VAR_Z, {"kind": "func", "name": "f", "d": [], "args": [first]},
+             {"kind": "func", "name": "f", "d": [], "args": [second]}]
+    lhs = table([term(1, (2, 1)), term(MODULUS - 1, (3, 1))], atoms=atoms)
+    for prog in (oracle._Program.from_tables([lhs]), oracle._Program([Expression.from_tree(lhs)])):
+        assert sum(step[0] == oracle._FUNC for step in prog.atoms) == 1
+    for r in both_readers(lhs, ZERO_TABLE):
+        assert (r.ok, r.miss_bound, r.float_rules) == (False, None, ("coefficient",))
+
+
+def test_an_exponential_of_zero_is_one():
+    # y*exp(0) is y: a polynomial check, in GF(p) with its bound
+    got, want = both_readers(table([dict(term(1, (0, 1)), exp=arg([]))]), table([term(1, (0, 1))]))
+    assert got == want and got.ok and got.miss_bound is not None
+
+
+@pytest.mark.parametrize("power", [0, -1])
+def test_a_table_power_below_one_is_refused(power):
+    with pytest.raises(ValueError, match=f"power {power} is not positive"):
+        check_tables(table([term(1, (0, power))]), ZERO_TABLE, {})
+
+
+def test_the_difference_guard_routes_tables_like_expressions():
+    for lhs, rhs, rules in (((1 - MODULUS) * y, y, ("difference",)),
+                            (MODULUS * y, y, ("coefficient",)),
+                            (exp(y) * log(1 + z * z), y, ("exp", "log"))):
+        got, want = both_readers(*tables_of(lhs, rhs))
+        assert got == want and got.miss_bound is None and got.float_rules == rules
