@@ -96,7 +96,6 @@ from .oracle import (
     Instantiation,
     PolyFunc,
     check_identity,
-    check_tables,
     check_zero,
     draw_point,
     evaluate,

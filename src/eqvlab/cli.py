@@ -25,7 +25,7 @@ from .expressions import (
     polynomial_jets)
 from .families import EQUIVALENCE, EquationFamily, catalog, check_equivalence, theorem_instance_check
 from .hyperbolic import HyperbolicEquation
-from .oracle import DEFAULT_SEED, check_tables, read_tables
+from .oracle import DEFAULT_SEED, check_identity, read_tables
 from .parser import Session, parse, parse_expression
 from .prolongation import transform_derivatives
 
@@ -338,7 +338,7 @@ def _cmd_oracle(args):
     results = []
     all_ok = True
     for i, (lhs, rhs) in enumerate(state["checks"], start=1):
-        r = check_tables(
+        r = check_identity(
             lhs, rhs, dep_vars, seed=cfg["seed"], points=cfg["points"], tol=cfg["tol"],
             assumptions=state["assumptions"])
         results.append({"ok": r.ok, "max_error": r.max_error, "points": r.points,
@@ -381,17 +381,21 @@ def _read_state(path: Path) -> dict:
         raise ValueError(f"state file {path} is nested too deeply to read") from None
     if not isinstance(state, dict):
         raise ValueError(f"state file {path} does not hold a JSON object")
+    # every side is a table: the oracle takes anything else for an expression
     checks = state.setdefault("checks", [])
-    if not isinstance(checks, list) or any(type(c) is not list or len(c) != 2 for c in checks):
-        raise ValueError("state field 'checks' is not a list of [lhs, rhs] pairs")
-    if not isinstance(state.setdefault("assumptions", []), list):
-        raise ValueError("state field 'assumptions' is not a list")
+    if not isinstance(checks, list) or any(
+            type(c) is not list or len(c) != 2 or any(type(t) is not dict for t in c)
+            for c in checks):
+        raise ValueError("state field 'checks' is not a list of [lhs, rhs] table pairs")
+    assumptions = state.setdefault("assumptions", [])
+    if not isinstance(assumptions, list) or any(type(t) is not dict for t in assumptions):
+        raise ValueError("state field 'assumptions' is not a list of tables")
     deps = state.setdefault("dep_vars", {})
     if not isinstance(deps, dict) or any(
             type(v) is not list or not all(isinstance(n, str) for n in v) for v in deps.values()):
         raise ValueError("state field 'dep_vars' is not an object of name lists")
     if not checks:
-        read_tables(state["assumptions"])
+        read_tables(assumptions)
     return state
 
 

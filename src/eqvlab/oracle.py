@@ -10,11 +10,11 @@ prolongation formulas assume.
 
 Each check is compiled once (``_Program``): one slot per distinct atom it
 reaches, inner atoms first, and each distinct expression as integer term
-lists over those slots.  The program is read from :class:`Expression`
-objects, or straight from the :meth:`Expression.to_tree` tables of a state
-file (:func:`check_tables`, through ``_Program.from_tables``): a replay
-builds no expression and does no kernel arithmetic, so it also sees what the
-kernel's normal form would hide.  One pass over that program (``_Inventory``)
+lists over those slots.  The program is read from :meth:`Expression.to_tree`
+atom tables only: an :class:`Expression` is compiled from its own table, and
+the tables of a state file are compiled as they stand, so a replay builds no
+expression and does no kernel arithmetic, and it also sees what the kernel's
+normal form would hide.  One pass over that program (``_Inventory``)
 classifies the atoms, decides every stand-in's degree (``degree`` for
 functions, at least 2 for dependents; the rule is stated there and nowhere
 else), picks one of two arithmetics for the evaluator, and bounds the degree
@@ -74,18 +74,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import AssumptionViolationError, EvaluationError
 from .expressions import (
-    Antideriv,
-    Atom,
     Expression,
     ExpressionLike,
-    Func,
-    Jet,
-    Log,
-    Param,
-    Var,
-    _below,
     _check_name,
-    _reach,
     as_expression,
     expr_sum,
     var,
@@ -104,7 +95,6 @@ __all__ = [
     "fd_total",
     "CheckResult",
     "check_identity",
-    "check_tables",
     "check_zero",
     "read_tables",
 ]
@@ -255,7 +245,7 @@ class _Polynomials(_Arithmetic):
     values.  Values of ``base`` enter as constant polynomials; division is
     exact and only by constants."""
 
-    def __init__(self, base: _Arithmetic, atom: Antideriv):
+    def __init__(self, base: _Arithmetic, atom: "_TableAtom"):
         self.base = base
         self.atom = atom
         self.zero = _UPoly((base.zero,), base)
@@ -458,64 +448,48 @@ _VAR, _PARAM, _JET, _FUNC, _INT, _LOG = range(6)
 
 
 class _Program:
-    """Expressions compiled once, for evaluation at many points.
+    """The atom tables of :meth:`Expression.to_tree`, compiled once for
+    evaluation at many points; ``ValueError`` on a table that describes no
+    expression.
 
-    ``atoms`` holds one step per distinct atom reached, inner atoms first:
+    ``atoms`` holds one step per distinct atom listed, inner atoms first:
     ``(_VAR, name)``, ``(_PARAM, name)``, ``(_JET, dep, index)``, ``(_FUNC,
     name, dindex, argument indices)``, ``(_INT, var, integrand index, atom)``
     or ``(_LOG, argument index)``.  ``exprs`` holds each distinct expression
     once, the roots, arguments, integrands and exponential arguments alike,
     as ``(num, den, lc)``: its integer form with each polynomial a tuple of
-    terms ``(c, ((slot, k), ...), exp)``, factors in the monomial's atom order
-    and ``exp`` the index of its exponential's argument or ``None``.
-    ``roots`` are the indices of the compiled expressions, ``slots`` and
-    ``index`` map each atom and expression to its own, and ``tables`` keeps,
-    per tuple of slot derivatives, what they make of each stand-in exponent
-    (:func:`_derivative`).
+    terms ``(c, ((slot, k), ...), exp)``, terms in the table's order, factors
+    in the monomial's and ``exp`` the index of its exponential's argument or
+    ``None``.  ``roots`` are the indices of the tables' expressions, ``slots``
+    and ``index`` map each atom and expression key to its own, and ``tables``
+    keeps, per tuple of slot derivatives, what they make of each stand-in
+    exponent (:func:`_derivative`).
 
-    There are two readers.  The constructor reads :class:`Expression`
-    objects; :meth:`from_tables` reads :meth:`Expression.to_tree` tables, as a
-    state file holds them, without building an expression.
+    Each table's atoms and expressions are hash-consed across all the tables:
+    an atom by its step, an expression by its term lists.  A table the kernel
+    wrote is read back to the kernel's integer form, the monic coefficients
+    cleared with one lcm.  Any other table is brought to the same form where
+    identity depends on it: repeated factors and monomials merge, the content
+    goes, the leading denominator coefficient is made positive, atom powers
+    shared by numerator and denominator cancel, and a numerator proportional
+    to its denominator becomes a constant.  Exponential factors are not
+    shifted: a check with one is judged on the float path, where no verdict
+    rests on identity.  Every atom a table lists gets its slot, so one that
+    such a cancellation leaves unreached is still drawn for.
     """
 
     __slots__ = ("atoms", "slots", "exprs", "index", "roots", "tables")
 
-    def __init__(self, exprs: Sequence[Expression] = ()):
+    def __init__(self, tables: Sequence):
         self.atoms: list[tuple] = []
         self.slots: dict = {}
         self.exprs: list[tuple] = []
         self.index: dict = {}
         self.tables: dict[tuple, dict] = {}
-        for a in sorted(set().union(*map(_reach, exprs)), key=lambda a: len(_below(a))):
-            self.slots[a] = len(self.atoms)
-            self.atoms.append(self._step(a))
-        self.roots = [self.expr(x) for x in exprs]
-
-    @classmethod
-    def from_tables(cls, tables: Sequence) -> "_Program":
-        """The program of ``tables``, each an atom table of
-        :meth:`Expression.to_tree`; ``ValueError`` on one that describes no
-        expression.
-
-        Each table's atoms and expressions are hash-consed across all the
-        tables: an atom by its step, an expression by its term lists.  A table
-        the kernel wrote is read back to the kernel's integer form, the monic
-        coefficients cleared with one lcm.  Any other table is brought to the
-        same form where identity depends on it: repeated factors and
-        monomials merge, the content goes, the leading denominator
-        coefficient is made positive, atom powers shared by numerator and
-        denominator cancel, and a numerator proportional to its denominator
-        becomes a constant.  Exponential factors are not shifted: a check
-        with one is judged on the float path, where no verdict rests on
-        identity.  Every atom a table lists gets its slot, so one that such
-        a cancellation leaves unreached is still drawn for.
-        """
-        prog = cls()
         try:
-            prog.roots = [prog._table(t) for t in tables]
+            self.roots = [self._table(t) for t in tables]
         except (KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
             raise ValueError(f"unreadable expression tree: {exc!r}") from None
-        return prog
 
     def _table(self, tree) -> int:
         local: list[int] = []  # the table's atom indices -> slots
@@ -622,39 +596,6 @@ class _Program:
                 hit[0] += c
         return [t for t in out.values() if t[0]]
 
-    def _step(self, a: Atom) -> tuple:
-        # the atoms inside ``a`` have their slots already
-        if isinstance(a, Var):
-            return _VAR, a.name
-        if isinstance(a, Param):
-            return _PARAM, a.name
-        if isinstance(a, Jet):
-            return _JET, a.dep, a.index
-        if isinstance(a, Func):
-            return _FUNC, a.name, a.dindex, tuple(map(self.expr, a.args))
-        if isinstance(a, Antideriv):
-            return _INT, a.var, self.expr(a.integrand), a
-        if isinstance(a, Log):
-            return _LOG, self.expr(a.arg)
-        raise EvaluationError(f"cannot evaluate atom {a.text}")
-
-    def expr(self, x: Expression) -> int:
-        """The index of ``x``, compiled on first sight."""
-        i = self.index.get(x)
-        if i is None:
-            num, den, lc = x.integer_form()
-            step = (self._terms(num), self._terms(den), lc)
-            i = self.index[x] = len(self.exprs)
-            self.exprs.append(step)
-        return i
-
-    def _terms(self, p: dict) -> tuple:
-        slots = self.slots
-        return tuple(
-            (c, tuple((slots[a], k) for a, k in m.atoms),
-             None if m.exparg is None else self.expr(m.exparg))
-            for m, c in p.items())
-
 
 def _coefficient(c) -> int | Fraction:
     """A table's coefficient: an int, or the text of an integer or a fraction."""
@@ -703,9 +644,9 @@ def _without(term: list, common: dict) -> list:
 
 
 class _TableAtom:
-    """An antiderivative of a table where :class:`_Polynomials` wants its
-    :class:`Antideriv`: ``text`` is rendered, by the kernel, only when an
-    error message asks for it."""
+    """An antiderivative of a table, as :class:`_Polynomials` names it: its
+    integration variable ``var`` and its ``text``, which the kernel renders
+    only when an error message asks for it."""
 
     __slots__ = ("tree", "pos", "var")
 
@@ -756,7 +697,7 @@ class _Inventory:
 
     def __init__(self, exprs: "Iterable[ExpressionLike] | _Program", degree: int = 2):
         self.program = prog = exprs if isinstance(exprs, _Program) else _Program(
-            [as_expression(e) for e in exprs])
+            [as_expression(e).to_tree() for e in exprs])
         # the stand-ins' degrees, decided here only: ``degree`` for functions,
         # at least 2 for dependents
         fdeg, ddeg = degree, max(degree, 2)
@@ -1114,7 +1055,7 @@ class _Run:
         except KeyError:
             raise EvaluationError(f"no value for variable {name!r}") from None
 
-    def _antiderivative_value(self, var: str, integrand: int, a: Antideriv):
+    def _antiderivative_value(self, var: str, integrand: int, a: _TableAtom):
         if var in self.bound:
             raise EvaluationError("nested antiderivatives in the same variable")
         ring = _Polynomials(self.ar, a)
@@ -1126,7 +1067,7 @@ class _Run:
 def evaluate(e: ExpressionLike, inst: Instantiation, point: Mapping[str, Number]) -> Number:
     """Value of ``e`` at ``point`` in ``inst``'s arithmetic; with rationals it
     is exact when no exp or log occurs."""
-    prog = _Program([as_expression(e)])
+    prog = _Program([as_expression(e).to_tree()])
     return _Run(prog, inst, point).expr(prog.roots[0])
 
 
@@ -1158,7 +1099,7 @@ def fd_total(
     shifts them consistently; the quotient therefore approximates the total
     derivative, not the plain partial.
     """
-    prog = _Program([as_expression(e)])
+    prog = _Program([as_expression(e).to_tree()])
     x0 = point[variable]
     hi = _Run(prog, inst, {**point, variable: x0 + h}).expr(prog.roots[0])
     lo = _Run(prog, inst, {**point, variable: x0 - h}).expr(prog.roots[0])
@@ -1192,16 +1133,21 @@ def _arithmetic(inv: _Inventory) -> _Arithmetic:
 
 
 def check_identity(
-    lhs: ExpressionLike,
-    rhs: ExpressionLike,
+    lhs: ExpressionLike | Mapping,
+    rhs: ExpressionLike | Mapping,
     dep_vars: Mapping[str, Sequence[str]],
     *,
     seed: int | None = None,
     points: int = 10,
     tol: float = 1e-6,
-    assumptions: Sequence[ExpressionLike] = (),
+    assumptions: Sequence[ExpressionLike | Mapping] = (),
 ) -> CheckResult:
     """Compare two expressions at random admissible points.
+
+    A side or assumption that is a mapping is read as an atom table of
+    :meth:`Expression.to_tree`, as a state file holds it, with no expression
+    built; one that describes no expression is a ``ValueError``.  Anything
+    else is an expression (:func:`as_expression`), compiled from its table.
 
     Every point gets a fresh instantiation.  A draw is discarded when an
     assumption or an internal denominator vanishes there (is 0 mod p, or lies
@@ -1212,31 +1158,8 @@ def check_identity(
     degree bound reaches p, and a float-path check whose values exceed
     floating point, error out.  See the module docstring.
     """
-    sides = [as_expression(x) for x in (lhs, rhs, *assumptions)]
-    return _check(_Program(sides), dep_vars, seed, points, tol)
-
-
-def check_tables(
-    lhs: Mapping,
-    rhs: Mapping,
-    dep_vars: Mapping[str, Sequence[str]],
-    *,
-    seed: int | None = None,
-    points: int = 10,
-    tol: float = 1e-6,
-    assumptions: Sequence[Mapping] = (),
-) -> CheckResult:
-    """:func:`check_identity` for the :meth:`Expression.to_tree` tables of
-    the sides and assumptions, as a state file holds them.  The tables are
-    compiled straight into the check's program (:meth:`_Program.from_tables`),
-    with no expression built; one that describes no expression is a
-    ``ValueError``."""
-    return _check(_Program.from_tables((lhs, rhs, *assumptions)), dep_vars, seed, points, tol)
-
-
-def _check(prog: _Program, dep_vars: Mapping[str, Sequence[str]], seed: int | None,
-           points: int, tol: float) -> CheckResult:
-    """The check of a program whose roots are the sides, then the assumptions."""
+    prog = _Program([x if isinstance(x, Mapping) else as_expression(x).to_tree()
+                     for x in (lhs, rhs, *assumptions)])
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points!r}")
     if not (math.isfinite(tol) and tol >= 0):
@@ -1296,7 +1219,7 @@ def _check(prog: _Program, dep_vars: Mapping[str, Sequence[str]], seed: int | No
 def read_tables(tables: Sequence) -> None:
     """Raise ``ValueError`` unless each of ``tables`` is an atom table of
     :meth:`Expression.to_tree` that describes an expression."""
-    _Program.from_tables(tables)
+    _Program(tables)
 
 
 def check_zero(

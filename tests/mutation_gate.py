@@ -1,0 +1,142 @@
+"""Mutation gate: the tests must see the errors they exist to catch.
+
+Each mutant is a textual patch to one source file under ``src/eqvlab``,
+together with the tests that must catch it.  For each mutant the gate copies
+``src`` to a temporary directory, applies the patch there, and runs the named
+tests with ``PYTHONPATH`` pointing at the copy, one mutant at a time.  It
+reports which of the named tests failed.
+
+The gate fails when
+
+* the named tests fail on the unpatched source (a caught mutant would then
+  prove nothing),
+* a patch no longer applies, because its text is not found exactly once:
+  the source moved on, and the patch must move with it,
+* a mutant survives that is not on the list of known survivors, or
+* a known survivor is caught, so that the list stays exact.
+
+Run it from anywhere, with pytest installed::
+
+    python tests/mutation_gate.py
+
+It uses the standard library only, and pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/eqvlab
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+ONE_ATOM = "tests/test_oracle.py::test_equal_arguments_written_apart_are_one_atom"
+
+MUTANTS = (
+    # the table reader's normal form, which atom identity in GF(p) rests on
+    Mutant("no negative-lc flip", "oracle.py",
+           "        if den[0][0] < 0:\n            g = -g\n", "",
+           (f"{ONE_ATOM}[negative-denominator]",)),
+    Mutant("no proportional collapse", "oracle.py",
+           "    if len(num) == len(den):\n", "    if False:\n",
+           (f"{ONE_ATOM}[proportional]",)),
+    Mutant("no shared-power cancellation", "oracle.py",
+           "    if common:\n        num, den =", "    if False:\n        num, den =",
+           (f"{ONE_ATOM}[shared-power]",)),
+    Mutant("orientation-blind key off", "oracle.py",
+           "sign = -1 if len(den) > 1 and min(den, key=lambda t: t[3])[0] < 0 else 1",
+           "sign = 1",
+           (f"{ONE_ATOM}[reoriented-denominator]",)),
+    Mutant("repeated monomials not merged", "oracle.py",
+           "            else:\n                hit[0] += c\n",
+           "            else:\n                out[len(out), m] = [c, factors, exp, m]\n",
+           ("tests/test_oracle.py::test_a_table_repeating_a_monomial_reads_as_their_sum",)),
+    Mutant("exp(0) kept as a factor", "oracle.py",
+           "                exp = None  # exp(0) is 1\n", "                pass\n",
+           ("tests/test_oracle.py::test_an_exponential_of_zero_is_one",)),
+    # evaluation, stand-in degrees and routing
+    Mutant("slot-derivative multiplier dropped", "oracle.py",
+           "terms.append((expo, c if k == 1 else mul(c, k)))", "terms.append((expo, c))",
+           ("tests/test_oracle.py::test_jets_evaluate_as_partials_of_the_dependent_polynomial",)),
+    Mutant("dependents' degree floor dropped", "oracle.py",
+           "fdeg, ddeg = degree, max(degree, 2)", "fdeg, ddeg = degree, degree",
+           ("tests/test_oracle.py::test_one_walk_matches_the_reference_rules_bulk",)),
+    Mutant("difference guard off", "oracle.py",
+           "    (nl, dl, _), (nr, dr, _) = prog.exprs[li], prog.exprs[ri]\n",
+           "    return False\n",
+           ("tests/test_oracle.py::test_coefficients_divisible_by_p_take_the_float_path",)),
+)
+
+# mutant name -> why it survives and what will catch it; empty today
+KNOWN_SURVIVORS: dict[str, str] = {}
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> tuple[int, set[str]]:
+    """pytest's exit code on ``tests`` with ``src`` first on the path, and
+    the node ids it reports as failed."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = {line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")}
+    return proc.returncode, failed
+
+
+def main() -> int:
+    code, failed = run_tests(ROOT / "src", tuple(t for m in MUTANTS for t in m.tests))
+    if code != 0:
+        print(f"the named tests fail on the unpatched source (exit {code}): {sorted(failed)}")
+        return 1
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="mutation-gate-") as tmp:
+        copy = Path(tmp) / "src"
+        for m in MUTANTS:
+            shutil.rmtree(copy, ignore_errors=True)
+            # no bytecode: a cached copy of the unpatched module must not load
+            shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+            target = copy / "eqvlab" / m.path
+            text = target.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                problems.append(f"{m.name}: patch text found {text.count(m.old)} times "
+                                f"in {m.path}")
+                print(f"{'STALE':9} {m.name}")
+                continue
+            target.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            code, failed = run_tests(copy, m.tests)
+            if code not in (0, 1):  # not a test failure: collection, usage, crash
+                problems.append(f"{m.name}: pytest exited {code}")
+                print(f"{'ERROR':9} {m.name}")
+                continue
+            caught = bool(failed)
+            print(f"{'caught' if caught else 'SURVIVED':9} {m.name}"
+                  + (f"  by {', '.join(sorted(failed))}" if caught else ""))
+            if not caught and m.name not in KNOWN_SURVIVORS:
+                problems.append(f"{m.name}: survived {', '.join(m.tests)}")
+            if caught and m.name in KNOWN_SURVIVORS:
+                problems.append(f"{m.name}: a known survivor is now caught; "
+                                f"take it off KNOWN_SURVIVORS")
+    for name in KNOWN_SURVIVORS.keys() - {m.name for m in MUTANTS}:
+        problems.append(f"{name}: a known survivor with no mutant")
+    for p in problems:
+        print(f"gate: {p}")
+    print(f"gate: {len(MUTANTS)} mutants, {len(problems)} problems")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

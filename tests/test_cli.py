@@ -374,6 +374,9 @@ def test_malformed_state_file_exits_2_with_json(capsys, tmp_path):
     assert set(out["error"]) == {"type", "message"}
 
 
+ZERO_STATE_TABLE = {"atoms": [], "num": [], "den": [{"coeff": "1", "factors": []}]}
+
+
 @pytest.mark.parametrize("state, field", [
     ([], "object"),
     ({"checks": 5}, "checks"),
@@ -382,6 +385,9 @@ def test_malformed_state_file_exits_2_with_json(capsys, tmp_path):
     ({"dep_vars": 5}, "dep_vars"),
     ({"dep_vars": {"w": 5}}, "dep_vars"),
     ({"assumptions": [{"num": 5}]}, "unreadable expression tree"),
+    # a bare number is not a table, though the oracle takes it as an expression
+    ({"checks": [[ZERO_STATE_TABLE, 0]]}, "checks"),
+    ({"checks": [[ZERO_STATE_TABLE, ZERO_STATE_TABLE]], "assumptions": [1]}, "assumptions"),
 ])
 def test_malformed_state_fields_exit_2_with_a_value_error(capsys, tmp_path, state, field):
     path = tmp_path / "state.json"

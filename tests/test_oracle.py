@@ -26,7 +26,6 @@ from eqvlab import (
     antiderivative,
     as_expression,
     check_identity,
-    check_tables,
     check_zero,
     draw_point,
     evaluate,
@@ -506,8 +505,8 @@ def test_one_walk_matches_the_reference_rules_bulk():
                 continue
             modular += 1
             want = reference_miss_bound(lhs, rhs, assumptions, degree, 4)
-            index = inv.program.index
-            sides = index[lhs], index[rhs], [index[x] for x in assumptions]
+            li, ri, *assumed = inv.program.roots
+            sides = li, ri, assumed
             if want is None:
                 with pytest.raises(EvaluationError, match="certify nothing"):
                     inv.miss_bound(*sides, 4)
@@ -536,7 +535,8 @@ def test_antiderivative_that_is_not_a_polynomial_says_why():
 
 class ReferenceWalk:
     """The evaluator the compiled program replaced, kept here as the
-    reference: it walks each expression at the point, caching by object."""
+    reference: it walks each expression at the point, caching by object.
+    Terms are summed in print order, as the expression's table lists them."""
 
     def __init__(self, inst, point, ar=None, bound=frozenset()):
         self.inst = inst
@@ -578,8 +578,8 @@ class ReferenceWalk:
             return hit
         ar = self.ar
         num_p, den_p, lc = e.integer_form()
-        num = self.lincomb(num_p.items(), self.monomial)
-        den = self.lincomb(den_p.items(), self.monomial)
+        num = self.lincomb(in_print_order(num_p), self.monomial)
+        den = self.lincomb(in_print_order(den_p), self.monomial)
         if ar.vanishes(den, lc):
             raise AssumptionViolationError("denominator vanishes at this point")
         val = ar.div(num, den)
@@ -654,6 +654,10 @@ class ReferenceWalk:
         return body.antiderivative()(self.slot_value(a.var))
 
 
+def in_print_order(p):
+    return sorted(p.items(), key=lambda mc: mc[0].order_key(), reverse=True)
+
+
 def outcomes(values):
     """Each value as its type and value, a float by its bits; the first
     exception, by its type, ends the list."""
@@ -714,12 +718,10 @@ def replayed(check):
 
 
 def test_state_tables_replay_as_their_expressions_bulk():
-    # a state file's tables, compiled without the kernel, against the
-    # expressions they were written from: identities, near misses and pairs
-    # of unrelated cases.  A table lists terms in print order and the kernel
-    # in insertion order, so float sums may differ in the last bits (and an
-    # identity's max_error is rounding noise near 1e-16); GF(p) is exact, so
-    # there every field agrees
+    # a state file's tables, read back through JSON, against the expressions
+    # they were written from: identities, near misses and pairs of unrelated
+    # cases.  An expression is compiled from its own table, so every field
+    # agrees on both paths, float sums included
     f = jet("w", "y") + z
     seen = {"modular": 0, "float": 0, "error": 0, "passed": 0}
     previous = y
@@ -729,29 +731,22 @@ def test_state_tables_replay_as_their_expressions_bulk():
         tables = tables_of(lhs, rhs, f)
         want = replayed(lambda: check_identity(lhs, rhs, DEP, seed=i, points=4,
                                                assumptions=[f]))
-        got = replayed(lambda: check_tables(*tables[:2], DEP, seed=i, points=4,
-                                            assumptions=tables[2:]))
+        got = replayed(lambda: check_identity(*tables[:2], DEP, seed=i, points=4,
+                                              assumptions=tables[2:]))
         if isinstance(want, type):
             assert got is want, (i, e.text)
             seen["error"] += 1
             continue
-        if want.miss_bound is not None:
-            assert got == want, (i, e.text)
-            seen["modular"] += 1
-        else:
-            assert (got.ok, got.points, got.miss_bound, got.float_rules) == (
-                want.ok, want.points, None, want.float_rules), (i, e.text)
-            assert got.max_error == pytest.approx(want.max_error, rel=1e-12, abs=1e-12), (
-                i, e.text)
-            seen["float"] += 1
+        assert got == want, (i, e.text)
+        seen["modular" if want.miss_bound is not None else "float"] += 1
         seen["passed"] += got.ok
     assert all(n > 10 for n in seen.values()), seen
 
 
 def test_the_difference_guard_decides_as_the_kernel_subtraction_did_bulk():
-    # the guard reads the compiled term lists of either reader; the rule it
-    # replaced formed lhs - rhs in the kernel.  Both must send the same
-    # checks to the float path
+    # the guard reads the compiled term lists; the rule it replaced formed
+    # lhs - rhs in the kernel.  Both must send the same checks to the float
+    # path
     routed = {True: 0, False: 0}
     for _i, e in seeded_cases(505, 300):
         if e.is_zero():
@@ -762,9 +757,8 @@ def test_the_difference_guard_decides_as_the_kernel_subtraction_did_bulk():
                 continue
             diff = (lhs - rhs).integer_form()[0]
             want = bool(diff) and not any(c % MODULUS for c in diff.values())
-            for prog in (oracle._Program([lhs, rhs]),
-                         oracle._Program.from_tables(tables_of(lhs, rhs))):
-                assert oracle._p_divides_difference(prog, *prog.roots) == want, e.text
+            prog = oracle._Program(tables_of(lhs, rhs))
+            assert oracle._p_divides_difference(prog, *prog.roots) == want, e.text
             routed[want] += 1
     assert all(n > 50 for n in routed.values()), routed
 
@@ -783,12 +777,16 @@ def table(num, den=ONE_TERMS, atoms=(VAR_Y,)):
     return {"atoms": list(atoms), "num": num, "den": den}
 
 
-def both_readers(lhs, rhs, **kwargs):
-    """A check of two tables, replayed from the tables and from the
-    expressions ``Expression.from_tree`` reads them as."""
-    return (check_tables(lhs, rhs, {}, seed=3, **kwargs),
-            check_identity(Expression.from_tree(lhs), Expression.from_tree(rhs), {}, seed=3,
-                           **kwargs))
+def normalized(t):
+    """The kernel's table of the expression that table ``t`` describes."""
+    return tables_of(Expression.from_tree(t))[0]
+
+
+def both_forms(lhs, rhs, **kwargs):
+    """A check of two tables, replayed as written and as the kernel
+    normalizes them."""
+    return (check_identity(lhs, rhs, {}, seed=3, **kwargs),
+            check_identity(normalized(lhs), normalized(rhs), {}, seed=3, **kwargs))
 
 
 def test_a_table_repeating_an_atom_in_one_monomial_reads_as_its_power():
@@ -796,9 +794,9 @@ def test_a_table_repeating_an_atom_in_one_monomial_reads_as_its_power():
     # its degree 2 in the bound and in the redraws, as 1/y^2 does
     twice = table([term(1)], [term(1, (0, 1), (0, 1))])
     square = table([term(1)], [term(1, (0, 2))])
-    got, want = both_readers(twice, square)
+    got, want = both_forms(twice, square)
     assert got == want and got.ok and got.miss_bound is not None
-    got, want = both_readers(table([term(3, (0, 1), (0, 1))]), table([term(3, (0, 2))]))
+    got, want = both_forms(table([term(3, (0, 1), (0, 1))]), table([term(3, (0, 2))]))
     assert got == want and got.ok and got.miss_bound is not None
 
 
@@ -806,11 +804,11 @@ def test_a_table_repeating_a_monomial_reads_as_their_sum():
     # y + (p - 1)*y is p*y: a coefficient that p divides, so GF(p) would pass
     # it against 0; merged, it is routed to the float path as the kernel's is
     split = table([term(1, (0, 1)), term(MODULUS - 1, (0, 1))])
-    got, want = both_readers(split, ZERO_TABLE)
+    got, want = both_forms(split, ZERO_TABLE)
     assert got == want
     assert not got.ok and got.miss_bound is None and got.float_rules == ("coefficient",)
     # y - y is 0
-    got, want = both_readers(table([term(1, (0, 1)), term(-1, (0, 1))]), ZERO_TABLE)
+    got, want = both_forms(table([term(1, (0, 1)), term(-1, (0, 1))]), ZERO_TABLE)
     assert got == want and got.ok and got.miss_bound is not None
 
 
@@ -827,10 +825,16 @@ def arg(num, den=ONE_TERMS):
     (arg([term(2, (0, 1)), term(2)], [term(1, (0, 1)), term(1)]), arg([term(2)])),
     # -y/-1 and y: the leading denominator coefficient is made positive
     (arg([term(-1, (0, 1))], [term(-1)]), arg([term(1, (0, 1))])),
-], ids=["order-and-scale", "shared-power", "proportional", "negative-denominator"])
+    # (y + 1)/(z - 1) and (-1 - y)/(1 - z), constant terms first: the key is
+    # blind to the orientation a denominator is written in
+    (arg([term(1, (0, 1)), term(1)], [term(1, (1, 1)), term(-1)]),
+     arg([term(-1), term(-1, (0, 1))], [term(1), term(-1, (1, 1))])),
+], ids=["order-and-scale", "shared-power", "proportional", "negative-denominator",
+        "reoriented-denominator"])
 def test_equal_arguments_written_apart_are_one_atom(first, second):
     # the table reader repeats the kernel's normal-form rules, and atom
-    # identity rests on them agreeing: both readers intern one f here.
+    # identity rests on them agreeing: the table as written and as the
+    # kernel normalizes it both intern one f here.
     # f(first) + (p - 1)*f(second) is p*f(first), as the kernel reads it, and
     # not a GF(p) pass against 0.  (The kernel drops an atom that cancels,
     # the table still lists it, and a listed variable is drawn, so the
@@ -838,27 +842,29 @@ def test_equal_arguments_written_apart_are_one_atom(first, second):
     atoms = [VAR_Y, VAR_Z, {"kind": "func", "name": "f", "d": [], "args": [first]},
              {"kind": "func", "name": "f", "d": [], "args": [second]}]
     lhs = table([term(1, (2, 1)), term(MODULUS - 1, (3, 1))], atoms=atoms)
-    for prog in (oracle._Program.from_tables([lhs]), oracle._Program([Expression.from_tree(lhs)])):
+    for prog in (oracle._Program([lhs]), oracle._Program([normalized(lhs)])):
         assert sum(step[0] == oracle._FUNC for step in prog.atoms) == 1
-    for r in both_readers(lhs, ZERO_TABLE):
+    for r in both_forms(lhs, ZERO_TABLE):
         assert (r.ok, r.miss_bound, r.float_rules) == (False, None, ("coefficient",))
 
 
 def test_an_exponential_of_zero_is_one():
     # y*exp(0) is y: a polynomial check, in GF(p) with its bound
-    got, want = both_readers(table([dict(term(1, (0, 1)), exp=arg([]))]), table([term(1, (0, 1))]))
+    got, want = both_forms(table([dict(term(1, (0, 1)), exp=arg([]))]),
+                           table([term(1, (0, 1))]))
     assert got == want and got.ok and got.miss_bound is not None
 
 
 @pytest.mark.parametrize("power", [0, -1])
 def test_a_table_power_below_one_is_refused(power):
     with pytest.raises(ValueError, match=f"power {power} is not positive"):
-        check_tables(table([term(1, (0, power))]), ZERO_TABLE, {})
+        check_identity(table([term(1, (0, power))]), ZERO_TABLE, {})
 
 
 def test_the_difference_guard_routes_tables_like_expressions():
     for lhs, rhs, rules in (((1 - MODULUS) * y, y, ("difference",)),
                             (MODULUS * y, y, ("coefficient",)),
                             (exp(y) * log(1 + z * z), y, ("exp", "log"))):
-        got, want = both_readers(*tables_of(lhs, rhs))
+        got = check_identity(*tables_of(lhs, rhs), {}, seed=3)
+        want = check_identity(lhs, rhs, {}, seed=3)
         assert got == want and got.miss_bound is None and got.float_rules == rules
