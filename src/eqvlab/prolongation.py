@@ -27,8 +27,20 @@ order-k entry is over ``det**(2k-1)`` at most, and ``det**m`` divides only
 when an entry is handed out, so the kernel never has to find that
 denominator itself.  A one-term ``det`` (a constant or a monomial) is the
 exception: the kernel cancels it exactly, so it is divided out at every solve
-and the entry kept with ``m = 0``.  That keeps adjugate factors such as
-``S'(z)`` in ``N_t`` of ``t = R(y), x = S(z)`` out of the next derivative.
+and the entry kept with ``m = 0``.
+
+Most maps of the paper's families separate their variables: ``t = R(y)``,
+``x = S(z)``.  When each column ``i`` of ``M`` is nonzero in one row
+``sigma(i)`` only, no two columns sharing a row, ``phi_i`` depends on
+``z_sigma(i)`` alone, and so does ``d_i = M[sigma(i)][i]``.  Then ``D_{x_i} =
+D_{z_sigma(i)} / d_i``, and each jet is solved over its own factor instead of
+all of ``det``: ``u_J = N_J / prod_i d_i**m_i``, and the child along ``x_i``
+differentiates along ``z_sigma(i)`` only and raises ``m_i`` alone, by the rule
+above with ``d_i`` for ``det`` and ``D_{z_sigma(i)}(N_J)`` for the Cramer
+column.  The other factors have a zero derivative along ``z_sigma(i)``, so
+they never enter the long form, and a one-term ``d_i`` divides out at once.
+This is the rule above for the ``1x1`` system of row ``sigma(i)``; a map
+that is not diagonal is the one-factor case.
 
 :func:`transform_derivatives` builds only the matrix, its determinant and
 the singular-map check.  Entries are solved on demand, to any order: a jet
@@ -188,6 +200,12 @@ class ProlongedMap:
     determinant and ``assumptions`` the recorded non-vanishing requirements
     (the determinant, unless constant).
 
+    When the matrix is diagonal up to a permutation, column ``i`` nonzero in
+    row ``sigma(i)`` only, ``D_{x_i} = D_{z_sigma(i)} / d_i`` with ``d_i =
+    matrix[sigma(i)][i]``, and each jet is solved over its own factor ``d_i``
+    (see the module docstring).  Otherwise every jet is solved over ``det`` by
+    Cramer's rule.
+
     Entries are solved on demand: ``pm[K]`` solves the source jet ``K`` the
     first time it is asked for, and :meth:`apply` the jets its expression
     reaches.  ``entries`` is the plain dict of the entries handed out so far,
@@ -197,7 +215,8 @@ class ProlongedMap:
     """
 
     __slots__ = ("transformation", "matrix", "det", "assumptions", "entries",
-                 "_solved", "_derivatives", "_long", "_free", "_one_term")
+                 "_factors", "_axes", "_solved", "_derivatives", "_long", "_free",
+                 "_one_term")
 
     def __init__(self, transformation, matrix, det):
         self.transformation = transformation
@@ -205,14 +224,26 @@ class ProlongedMap:
         self.det = det
         self.assumptions = () if det.is_constant() else (det,)
         self.entries: dict[Jet, Expression] = {}
-        # sorted source index -> (N, m), the entry being N / det**m
-        self._solved: dict[tuple, tuple[Expression, int]] = {(): (transformation.dep_map, 0)}
-        # sorted source index -> [D_k(N)]; None -> [D_k(det)]
-        self._derivatives: dict[tuple | None, list[Expression]] = {}
-        # sorted source index -> the long-form right-hand sides of its children
-        self._long: dict[tuple, list[Expression]] = {}
+        n, sigma = len(matrix), _diagonal_rows(matrix)
+        # source index i -> (factor f, rows k of the system, its matrix, the
+        # column replaced): Cramer's rule over the whole matrix and det, or
+        # over the 1x1 matrix [[d_i]] of row sigma[i]
+        if sigma is None:
+            self._factors = (det,)
+            self._axes = [(0, range(n), matrix, i) for i in range(n)]
+        else:
+            self._factors = tuple(matrix[k][i] for i, k in enumerate(sigma))
+            self._axes = [(i, (k,), [[matrix[k][i]]], 0) for i, k in enumerate(sigma)]
+        self._one_term = [len(d.num_terms()) == len(d.den_terms()) == 1 for d in self._factors]
+        # sorted source index -> (N, (m_f, ...)), the entry being N / prod d_f**m_f
+        self._solved: dict[tuple, tuple[Expression, tuple[int, ...]]] = {
+            (): (transformation.dep_map, (0,) * len(self._factors))}
+        # sorted source index -> [D_k(N)]; factor f -> [D_k(d_f)]; by row k,
+        # each taken the first time a solve reads its row
+        self._derivatives: dict[tuple | int, list[Expression | None]] = {}
+        # sorted source index -> the long-form right-hand sides of its children, by row
+        self._long: dict[tuple, list[Expression | None]] = {}
         self._free: dict[int, bool] = {}
-        self._one_term = len(det.num_terms()) == len(det.den_terms()) == 1
 
     def __getitem__(self, index: Sequence[str]) -> Expression:
         """The entry of source jet ``index``, solved if not yet solved.
@@ -231,51 +262,65 @@ class ProlongedMap:
             for r in range(1, len(K) + 1):
                 if K[:r] not in self._solved:
                     self._solved[K[:r]] = self._solve(K[:r - 1], K[r - 1])
-            num, m = self._solved[K]
-            got = self.entries[key] = num / self.det ** m if m else num
+            num, powers = self._solved[K]
+            den = None
+            for d, m in zip(self._factors, powers):
+                if m:
+                    den = d ** m if den is None else den * d ** m
+            got = self.entries[key] = num if den is None else num / den
         return got
 
-    def _solve(self, J: tuple, xi: str) -> tuple[Expression, int]:
-        """``(N, m)`` of the jet ``J + (xi,)``, from that of its parent ``J``."""
-        num, m = self._solved[J]
+    def _solve(self, J: tuple, xi: str) -> tuple[Expression, tuple[int, ...]]:
+        """``(N, powers)`` of the jet ``J + (xi,)``, from that of its parent ``J``."""
+        num, powers = self._solved[J]
         i = self.transformation.old_vars.index(xi)
-        rhs = self._total_derivatives(J, num)
-        if self._one_term:
-            return self._numerator(rhs, i) / self.det, 0
-        if m and not self._free_of(i):
-            long = self._long.get(J)
-            if long is None:
-                det = self.det
-                long = self._long[J] = [
-                    dn * det - num * m * dd
-                    for dn, dd in zip(rhs, self._total_derivatives(None, det))]
-            return self._numerator(long, i), m + 2
-        return self._numerator(rhs, i), m + 1
+        f, rows = self._axes[i][:2]
+        d, m = self._factors[f], powers[f]
+        dn = self._total_derivatives(J, num, rows)
+        if self._one_term[f]:
+            return self._numerator(dn, i) / d, powers
+        if not m or self._free_of(i):
+            return self._numerator(dn, i), powers[:f] + (m + 1,) + powers[f + 1:]
+        dd = self._total_derivatives(f, d, rows)
+        long = self._rows(self._long, J, rows, lambda k: dn[k] * d - num * m * dd[k])
+        return self._numerator(long, i), powers[:f] + (m + 2,) + powers[f + 1:]
 
-    def _numerator(self, rhs: list[Expression], i: int) -> Expression:
-        """Cramer's numerator: ``det`` of the matrix with column ``i`` replaced by ``rhs``."""
-        return _det([[rhs[k] if c == i else v for c, v in enumerate(row)]
-                     for k, row in enumerate(self.matrix)])
+    def _numerator(self, rhs: list, i: int) -> Expression:
+        """Cramer's numerator of ``x_i``'s system: the determinant of its
+        matrix with its column replaced by ``rhs``, a list by row."""
+        _f, rows, M, c = self._axes[i]
+        return _det([[rhs[k] if col == c else v for col, v in enumerate(row)]
+                     for k, row in zip(rows, M)])
 
     def _free_of(self, i: int) -> bool:
-        """Whether ``C_i(D_k(det))``, ``det`` times its derivative along ``x_i``, is zero."""
+        """Whether the numerator of ``D_k(d_f)`` for ``x_i`` is zero: whether
+        ``x_i``'s factor has a zero derivative along ``x_i``."""
         if i not in self._free:
+            f, rows = self._axes[i][:2]
             self._free[i] = self._numerator(
-                self._total_derivatives(None, self.det), i).is_zero()
+                self._total_derivatives(f, self._factors[f], rows), i).is_zero()
         return self._free[i]
 
-    def _total_derivatives(self, key: tuple | None, e: Expression) -> list[Expression]:
-        got = self._derivatives.get(key)
+    def _rows(self, cache: dict, key, rows, make) -> list:
+        """The list ``cache[key]``, by row, with ``make(k)`` filled in for each
+        row ``k`` of ``rows`` that it lacks."""
+        got = cache.get(key)
         if got is None:
-            tr = self.transformation
-            got = self._derivatives[key] = [
-                total_derivative(e, zk, tr.new_dep) for zk in tr.new_vars]
+            got = cache[key] = [None] * len(self.matrix)
+        for k in rows:
+            if got[k] is None:
+                got[k] = make(k)
         return got
+
+    def _total_derivatives(self, key: tuple | int, e: Expression, rows) -> list:
+        tr = self.transformation
+        return self._rows(self._derivatives, key, rows,
+                          lambda k: total_derivative(e, tr.new_vars[k], tr.new_dep))
 
     def total_derivatives(self) -> list[Expression]:
         """``[D_k(psi) for z_k in new_vars]``, computed once: the right-hand
         sides of the first-order solves."""
-        return self._total_derivatives((), self.transformation.dep_map)
+        return self._total_derivatives((), self.transformation.dep_map, range(len(self.matrix)))
 
     def apply(self, e: ExpressionLike) -> Expression:
         """The image of ``e`` under the transformation and its prolongation.
@@ -332,6 +377,18 @@ def transform_derivatives(tr: PointTransformation) -> ProlongedMap:
         raise SingularTransformationError(
             "the independent-variable maps have identically vanishing Jacobian system")
     return ProlongedMap(tr, M, det)
+
+
+def _diagonal_rows(M: list[list[Expression]]) -> tuple[int, ...] | None:
+    """``sigma``, column ``i`` of ``M`` being nonzero in row ``sigma[i]``
+    only; None unless each column has one such row and no two share it."""
+    sigma = []
+    for i in range(len(M)):
+        rows = [k for k, row in enumerate(M) if not row[i].is_zero()]
+        if len(rows) != 1:
+            return None
+        sigma.append(rows[0])
+    return tuple(sigma) if len(set(sigma)) == len(sigma) else None
 
 
 def transform_equation(e: ExpressionLike, tr: PointTransformation) -> Expression:

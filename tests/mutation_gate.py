@@ -45,6 +45,13 @@ class Mutant:
 
 
 ONE_ATOM = "tests/test_oracle.py::test_equal_arguments_written_apart_are_one_atom"
+# state tables, written as the kernel writes them and apart, against a walk
+# of the kernel's reading of them
+REPLAY = "tests/test_oracle.py::test_state_tables_replay_as_their_expressions_bulk"
+JETS = "tests/test_jets.py"
+LAZY = f"{JETS}::test_lazy_entries_equal_the_level_loop_bulk"
+DIAGONAL = f"{JETS}::test_diagonal_maps_solve_each_jet_over_its_own_factor_bulk"
+CRAMER = f"{JETS}::test_maps_that_are_not_diagonal_keep_cramers_rule"
 
 MUTANTS = (
     # the table reader's normal form, which atom identity in GF(p) rests on
@@ -56,7 +63,7 @@ MUTANTS = (
            (f"{ONE_ATOM}[proportional]",)),
     Mutant("no shared-power cancellation", "oracle.py",
            "    if common:\n        num, den =", "    if False:\n        num, den =",
-           (f"{ONE_ATOM}[shared-power]",)),
+           (f"{ONE_ATOM}[shared-power]", REPLAY)),
     Mutant("orientation-blind key off", "oracle.py",
            "sign = -1 if len(den) > 1 and min(den, key=lambda t: t[3])[0] < 0 else 1",
            "sign = 1",
@@ -67,7 +74,7 @@ MUTANTS = (
            ("tests/test_oracle.py::test_a_table_repeating_a_monomial_reads_as_their_sum",)),
     Mutant("exp(0) kept as a factor", "oracle.py",
            "                exp = None  # exp(0) is 1\n", "                pass\n",
-           ("tests/test_oracle.py::test_an_exponential_of_zero_is_one",)),
+           ("tests/test_oracle.py::test_an_exponential_of_zero_is_one", REPLAY)),
     # evaluation, stand-in degrees and routing
     Mutant("slot-derivative multiplier dropped", "oracle.py",
            "terms.append((expo, c if k == 1 else mul(c, k)))", "terms.append((expo, c))",
@@ -79,6 +86,26 @@ MUTANTS = (
            "    (nl, dl, _), (nr, dr, _) = prog.exprs[li], prog.exprs[ri]\n",
            "    return False\n",
            ("tests/test_oracle.py::test_coefficients_divisible_by_p_take_the_float_path",)),
+    # prolongation: Cramer's rule over det, and the diagonal rule over each d_i
+    Mutant("free-of-x_i rule dropped", "prolongation.py",
+           "        if not m or self._free_of(i):\n", "        if not m:\n",
+           (f"{CRAMER}[free-of-t]",)),
+    Mutant("one D_k(det) term dropped from the long form", "prolongation.py",
+           "lambda k: dn[k] * d - num * m * dd[k])",
+           "lambda k: dn[k] * d - num * m * dd[k] if k else dn[k] * d)",
+           (LAZY, f"{JETS}::test_chain_rule_recurrence_holds_symbolically")),
+    Mutant("one cofactor of _det with its sign flipped", "prolongation.py",
+           "terms.append(term if c % 2 == 0 else -term)", "terms.append(term)",
+           (f"{JETS}::test_chain_rule_recurrence_holds_symbolically",)),
+    Mutant("m_i*N*D(d_i) dropped from the diagonal long form", "prolongation.py",
+           "lambda k: dn[k] * d - num * m * dd[k])", "lambda k: dn[k] * d)",
+           (DIAGONAL,)),
+    Mutant("m_i + 2 made m_i + 1", "prolongation.py",
+           "powers[:f] + (m + 2,)", "powers[:f] + (m + 1,)",
+           (DIAGONAL,)),
+    Mutant("a column with two nonzero entries accepted as an axis", "prolongation.py",
+           "        if len(rows) != 1:\n", "        if not rows:\n",
+           (f"{CRAMER}[permuted-S-of-yz]", f"{CRAMER}[permuted-S-of-y-plus-w]")),
 )
 
 # mutant name -> why it survives and what will catch it; empty today

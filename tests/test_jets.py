@@ -26,6 +26,7 @@ from eqvlab import (
     func,
     identity_transformation,
     jet,
+    param,
     parse,
     partial,
     required_point_names,
@@ -297,19 +298,30 @@ def test_lazy_entries_equal_the_level_loop_bulk():
                                   tri.dep_map)
     glin = PointTransformation(("x",), "y", ("z",), "w",
                                {"x": func("F", z)}, func("G", z) * w + func("H", z))
-    # det = -48*y - 2 is free of x: u_tx and u_xx are solved over det**2, not
-    # det**3, and print as the reference's do
+    # Two diagonal maps with a multi-term det, solved over their own factors
+    # d_t and d_x instead of det: every entry is the reference's value in a
+    # form no larger, pinned by (numerator, denominator) terms against the
+    # reference's counts.  d_x = 4 divides out at once
     free_of_x = PointTransformation(
         ("t", "x"), "u", ("y", "z"), "w",
         {"t": -6 * y ** 2 - Fraction(1, 2) * y, "x": 4 * z + 2},
         (7 + 3 * y) * exp(-3 * z) * w)
-    # the reference cancels the factor z of u_x before differentiating it
-    # again, the numerator keeps it: u_tx is the same value in another form
+    # d_x = -4*z divides out at once, so d_t and z never share a denominator
+    # as they do in det
     cancels_early = PointTransformation(
         ("t", "x"), "u", ("y", "z"), "w",
         {"t": Fraction(5, 3) * y ** 2 - Fraction(5, 2) * y, "x": -2 * z ** 2 + Fraction(1, 3)},
         Fraction(7, 2) * z ** 2 * w - Fraction(4, 3) * y * w)
-    same_value = {(cancels_early, "D[u,t,x]")}
+    smaller = {
+        # reference: 3/2, 6/2, 6/4, 10/3, 12/3, 17/8, 18/5, 21/4, 20/4
+        free_of_x: {"D[u,t]": (3, 2), "D[u,x]": (4, 1), "D[u,t,t]": (6, 4),
+                    "D[u,t,x]": (6, 2), "D[u,x,x]": (6, 1), "D[u,t,t,t]": (9, 6),
+                    "D[u,t,t,x]": (12, 4), "D[u,t,x,x]": (9, 2), "D[u,x,x,x]": (8, 1)},
+        # reference: 3/2, 6/2, 8/4, 8/3, 16/4, 28/8, 18/5, 30/6, 48/8
+        cancels_early: {"D[u,t]": (3, 2), "D[u,x]": (3, 1), "D[u,t,t]": (8, 4),
+                        "D[u,t,x]": (4, 2), "D[u,x,x]": (4, 1), "D[u,t,t,t]": (14, 6),
+                        "D[u,t,t,x]": (11, 4), "D[u,t,x,x]": (6, 2), "D[u,x,x,x]": (6, 1)},
+    }
     two = {"w": ("y", "z")}
     cases = [
         (identity_transformation(("t", "x"), "u", ("y", "z"), "w"), 3, two),
@@ -328,7 +340,9 @@ def test_lazy_entries_equal_the_level_loop_bulk():
         # highest orders first, so each solve walks its chain of parents
         for key in sorted(want, key=lambda j: (-j.order, j.index)):
             got = pm[reversed(key.index)]
-            if key.order <= 2 and (tr, key.text) not in same_value:
+            if tr in smaller:
+                assert (len(got.num_terms()), len(got.den_terms())) == smaller[tr][key.text]
+            if key.order <= 2 and tr not in smaller:
                 assert got.text == want[key].text, (tr, key.text)
                 num, den, _ = got.integer_form()
                 w_num, w_den, _ = want[key].integer_form()
@@ -341,6 +355,81 @@ def test_lazy_entries_equal_the_level_loop_bulk():
     assert pm[("x", "t")] is pm[("t", "x")]
     # u_t is solved as the parent of u_tx, but not handed out
     assert list(pm.entries) == [Jet("u", ("t", "x"))]
+
+
+def seeded_diagonal_maps(seed: int, count: int):
+    """``count`` diagonal maps each of four kinds, every factor ``d_i`` a sum
+    of terms: polynomial (``t = P(y)``, ``x = Q(z)``), exp-bearing
+    (``x = exp(k*z) + c*z``), permuted (``t = P(z)``, ``x = Q(y)``), and
+    parametric (``d_t = c1 + c2``, free of every variable)."""
+    rng = Random(seed)
+
+    def coeff():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    def poly(v):  # a*v^2 + b*v + c, with a and b nonzero
+        return coeff() * v ** 2 + coeff() * v + rng.randint(-2, 2)
+
+    w = jet("w")
+    c1, c2 = param("c1"), param("c2")
+    for _ in range(count):
+        psi = (coeff() * y + coeff() * z ** 2 + rng.randint(1, 3)) * w + coeff() * y * z
+        kinds = [
+            ((0, 1), {"t": poly(y), "x": poly(z)}, psi),
+            ((0, 1), {"t": poly(y), "x": exp(rng.choice([-2, -1, 1, 2]) * z) + coeff() * z},
+             exp(coeff() * y) * psi),
+            ((1, 0), {"t": poly(z), "x": poly(y)}, psi),
+            ((0, 1), {"t": (c1 + c2) * y + coeff(), "x": poly(z)}, psi),
+        ]
+        for sigma, indep, dep in kinds:
+            yield sigma, PointTransformation(("t", "x"), "u", ("y", "z"), "w", indep, dep)
+
+
+def terms(e) -> int:
+    return len(e.num_terms()) + len(e.den_terms())
+
+
+@pytest.mark.hashseed
+def test_diagonal_maps_solve_each_jet_over_its_own_factor_bulk():
+    two = {"w": ("y", "z")}
+    seen = {"entries": 0, "smaller": 0}
+    for sigma, tr in seeded_diagonal_maps(2306, 2):
+        pm = transform_derivatives(tr)
+        assert prolongation._diagonal_rows(pm.matrix) == sigma, tr
+        want = eager_entries(tr, 3)
+        for key in sorted(want, key=lambda j: (-j.order, j.index)):
+            got = pm[key.index]
+            assert (got - want[key]).is_zero(), (tr, key.text)
+            assert check_identity(got, want[key], two, points=3).ok, (tr, key.text)
+            assert terms(got) <= terms(want[key]), (tr, key.text)
+            seen["entries"] += 1
+            seen["smaller"] += terms(got) < terms(want[key])
+    # most entries print smaller: no other factor enters them
+    assert seen["entries"] == 72 and seen["smaller"] > 60, seen
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize("indep", [
+    {"t": func("R", y), "x": func("S", y, z)},
+    {"t": func("R", y), "x": func("S", z) + jet("w")},
+    # permuted: column t is nonzero in row z alone, column x in both rows
+    {"t": func("R", z), "x": func("S", y, z)},
+    {"t": func("R", z), "x": func("S", y) + jet("w")},
+    # det = 2*z + 1, free of t: u_tt is over det**2, as the reference's is
+    {"t": y + z, "x": z ** 2 + z},
+], ids=["S-of-yz", "S-of-z-plus-w", "permuted-S-of-yz", "permuted-S-of-y-plus-w",
+        "free-of-t"])
+def test_maps_that_are_not_diagonal_keep_cramers_rule(indep):
+    tr = PointTransformation(("t", "x"), "u", ("y", "z"), "w", indep,
+                             func("L", y, z) * jet("w"))
+    pm = transform_derivatives(tr)
+    assert prolongation._diagonal_rows(pm.matrix) is None
+    for key, want in eager_entries(tr, 2).items():
+        got = pm[key.index]
+        assert got.text == want.text, key.text
+        num, den, _ = got.integer_form()
+        w_num, w_den, _ = want.integer_form()
+        assert list(num) == list(w_num) and list(den) == list(w_den), key.text
 
 
 @pytest.mark.hashseed

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from random import Random
@@ -721,14 +722,17 @@ def test_state_tables_replay_as_their_expressions_bulk():
     # a state file's tables, read back through JSON, against the expressions
     # they were written from: identities, near misses and pairs of unrelated
     # cases.  An expression is compiled from its own table, so every field
-    # agrees on both paths, float sums included
+    # agrees on both paths, float sums included; the values themselves are
+    # checked against a reference that does not compile the tables
     f = jet("w", "y") + z
     seen = {"modular": 0, "float": 0, "error": 0, "passed": 0}
+    values = Counter()
     previous = y
     for i, e in seeded_cases(505, 300):
         lhs, rhs = ((e * f) / f, e + y / 1000, previous)[i % 3], e
         previous = e
         tables = tables_of(lhs, rhs, f)
+        values.update(replay_against_the_walk(tables, i))
         want = replayed(lambda: check_identity(lhs, rhs, DEP, seed=i, points=4,
                                                assumptions=[f]))
         got = replayed(lambda: check_identity(*tables[:2], DEP, seed=i, points=4,
@@ -741,6 +745,63 @@ def test_state_tables_replay_as_their_expressions_bulk():
         seen["modular" if want.miss_bound is not None else "float"] += 1
         seen["passed"] += got.ok
     assert all(n > 10 for n in seen.values()), seen
+    # EvaluationError: exp and log in GF(p), antiderivatives that are not
+    # polynomials
+    assert values["values"] > 1000 and values["EvaluationError"] > 100, values
+
+
+def replay_against_the_walk(tables, seed):
+    """Compare the values the compiled tables give with a reference that
+    does not go through ``_Program``: the kernel reads each table
+    (``Expression.from_tree``) and :class:`ReferenceWalk` walks it.  The
+    tables are read as written and written apart (:func:`written_apart`), in
+    both arithmetics, at a drawn point and at the same point with ``y = 0``,
+    where the denominators written apart vanish unless their shared ``y**2``
+    cancels.  Returns the outcomes by kind."""
+    tables = [*tables, *map(written_apart, tables)]
+    prog = oracle._Program(tables)
+    inv = oracle._Inventory(prog)
+    exprs = [Expression.from_tree(t) for t in tables]
+    seen = Counter()
+    for ar in (RATIONALS, MODULAR):
+        rng = Random(seed)
+        inst = Instantiation.for_expressions(inv, rng, DEP, arith=ar)
+        pt = draw_point(rng, inv.point_names([DEP["w"]]), ar)
+        for point in (pt, {**pt, "y": ar.zero}):
+            run, walk = oracle._Run(prog, inst, point), ReferenceWalk(inst, point)
+            for j, x in zip(prog.roots, exprs):
+                (got,), (want,) = outcomes([lambda: run.expr(j)]), outcomes([lambda: walk.expr(x)])
+                if isinstance(want, tuple) and want[0] is float:
+                    # a table written apart sums its terms in another order
+                    assert got[0] is float, (x.text, ar)
+                    assert math.isclose(float.fromhex(got[1]), float.fromhex(want[1]),
+                                        rel_tol=1e-9, abs_tol=1e-12), (x.text, ar)
+                else:
+                    assert got == want, (x.text, ar)
+                seen["values" if isinstance(want, tuple) else want.__name__] += 1
+    return seen
+
+
+def written_apart(t):
+    """The table ``t`` as another writer might put it: its terms reversed,
+    numerator and denominator negated and multiplied by ``y**2``, the first
+    numerator term split in halves, and an ``exp(0)`` factor on a numerator
+    term without an exponential.  The kernel reads it back as ``t``."""
+    atoms = [*t["atoms"], VAR_Y]
+    y2 = [len(atoms) - 1, 2]
+
+    def apart(terms):
+        return [{**term, "coeff": str(-Fraction(term["coeff"])),
+                 "factors": [*term["factors"], y2]} for term in reversed(terms)]
+
+    num, den = apart(t["num"]), apart(t["den"])
+    if num:
+        half = str(Fraction(num[0]["coeff"]) / 2)
+        num[:1] = [{**num[0], "coeff": half}, {**num[0], "coeff": half}]
+        plain = [k for k, term in enumerate(num) if "exp" not in term]
+        if plain:
+            num[plain[-1]] = {**num[plain[-1]], "exp": ZERO_TABLE}
+    return {"atoms": atoms, "num": num, "den": den}
 
 
 def test_the_difference_guard_decides_as_the_kernel_subtraction_did_bulk():
