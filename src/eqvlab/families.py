@@ -162,11 +162,20 @@ class EquationFamily:
                      tuple(sorted(self.slots, key=lambda s: s.name))))
 
     def member(self) -> Expression:
-        """The generic member's left-hand side."""
-        return self.lead + expr_sum(s.func_expr() * s.monomial for s in self.slots)
+        """The generic member's left-hand side.
+
+        Templates equal in name, variables, lead and slots, in order, share one
+        member from a bounded table, so it must not be mutated.
+        """
+        return _written(self, self.indep_vars, self.dep)[1]
 
     def rename(self, new_vars: Sequence[str], new_dep: str) -> "EquationFamily":
-        """The same family written in other variable names, positionally."""
+        """The same family written in other variable names, positionally.
+
+        ``self`` when nothing changes.  Otherwise templates equal in name,
+        variables, lead and slots, in order, share one result from a bounded
+        table, so it must not be mutated.
+        """
         new_vars = tuple(new_vars)
         if len(new_vars) != len(self.indep_vars):
             raise VariableMismatchError(
@@ -174,6 +183,12 @@ class EquationFamily:
         if len(set(new_vars)) != len(new_vars):
             # two jets of one monomial would become one atom
             raise VariableMismatchError(f"{self.name}: repeated variables {new_vars}")
+        if new_vars == self.indep_vars and new_dep == self.dep:
+            return self
+        return _written(self, new_vars, new_dep)[0]
+
+    def _renamed(self, new_vars: tuple, new_dep: str) -> "EquationFamily":
+        """:meth:`rename` built afresh, without its checks or the table."""
         if new_vars == self.indep_vars and new_dep == self.dep:
             return self
         vmap = dict(zip(self.indep_vars, new_vars))
@@ -190,6 +205,33 @@ class EquationFamily:
             [CoefficientSlot(s.name, [ratom(a) for a in s.args], m)
              for s, m in zip(self.slots, monos)],
         )
+
+
+# (template, new variables, new dependent variable) -> (written family, its
+# generic member), least recently used first.  A batch of checks meets few
+# templates in few variable sets; the bound keeps a long run from holding
+# every family it was given.
+_WRITTEN: dict = {}
+_WRITTEN_SIZE = 128
+
+
+def _written(family: EquationFamily, new_vars: tuple, new_dep: str) -> tuple:
+    """``family`` written in ``new_vars`` and ``new_dep``, and its generic member.
+
+    The key is everything the two depend on.  ``EquationFamily.__eq__``
+    ignores the name and the slot order, so it cannot be the key: the slot
+    order fixes the order of a report's induced action.
+    """
+    key = (family.name, family.indep_vars, family.dep, family.lead, family.slots,
+           new_vars, new_dep)
+    entry = _WRITTEN.pop(key, None)
+    if entry is None:
+        fam = family._renamed(new_vars, new_dep)
+        entry = fam, fam.lead + expr_sum(s.func_expr() * s.monomial for s in fam.slots)
+        if len(_WRITTEN) >= _WRITTEN_SIZE:
+            del _WRITTEN[next(iter(_WRITTEN))]
+    _WRITTEN[key] = entry
+    return entry
 
 
 @dataclass

@@ -52,6 +52,9 @@ JETS = "tests/test_jets.py"
 LAZY = f"{JETS}::test_lazy_entries_equal_the_level_loop_bulk"
 DIAGONAL = f"{JETS}::test_diagonal_maps_solve_each_jet_over_its_own_factor_bulk"
 CRAMER = f"{JETS}::test_maps_that_are_not_diagonal_keep_cramers_rule"
+FAMILIES = "tests/test_families.py"
+ENLARGED = f"{FAMILIES}::test_enlarged_image_equals_the_direct_image_bulk"
+WRITTEN = f"{FAMILIES}::test_a_written_family_keeps_its_name_and_slot_order"
 
 MUTANTS = (
     # the table reader's normal form, which atom identity in GF(p) rests on
@@ -106,6 +109,38 @@ MUTANTS = (
     Mutant("a column with two nonzero entries accepted as an axis", "prolongation.py",
            "        if len(rows) != 1:\n", "        if not rows:\n",
            (f"{CRAMER}[permuted-S-of-yz]", f"{CRAMER}[permuted-S-of-y-plus-w]")),
+    # families: the enlarged image, match, the hyperbolic reader, the table
+    Mutant("a1 sent to famB's a2 atom", "families.py",
+           "slot_atom(slots_b[s.name])",
+           'slot_atom(slots_b["a2" if s.name == "a1" else s.name])',
+           (ENLARGED,)),
+    Mutant("name-clash guard of the enlarged image dropped", "families.py",
+           "    if any(names & dependency_closure(e).functions\n",
+           "    if False and any(names & dependency_closure(e).functions\n",
+           (ENLARGED, f"{FAMILIES}::test_enlarged_image_transforms_one_member_"
+                      "unless_a_slot_name_clashes")),
+    Mutant("free-term absorption skipped", "families.py",
+           "        if len(candidates) == 1:\n", "        if False:\n",
+           (f"{FAMILIES}::test_free_term_absorbs_only_with_a_bare_dep_slot",
+            f"{FAMILIES}::test_one_split_match_equals_the_two_pass_match_bulk")),
+    Mutant("a1 and a2 swapped in the hyperbolic reader", "hyperbolic.py",
+           "return cls(**report.coefficients, t=t, x=x, u=u)",
+           'c = report.coefficients\n'
+           '        return cls(c["a2"], c["a1"], c["a3"], t=t, x=x, u=u)',
+           ("tests/test_hyperbolic.py::test_from_expression_round_trip",
+            "tests/test_hyperbolic.py::test_template_reader_equals_the_collect_reader_bulk")),
+    Mutant("the table's key leaves out the name", "families.py",
+           "key = (family.name, family.indep_vars,", "key = (family.indep_vars,",
+           (f"{WRITTEN}[H-a1-a2-a3]",)),
+    Mutant("the table keys the slots in sorted order", "families.py",
+           "family.lead, family.slots,",
+           "family.lead, tuple(sorted(family.slots, key=lambda s: s.name)),",
+           (f"{WRITTEN}[hyper-a3-a1-a2]",)),
+    Mutant("the table keys the family through its __eq__", "families.py",
+           "    key = (family.name, family.indep_vars, family.dep, family.lead, family.slots,\n"
+           "           new_vars, new_dep)\n",
+           "    key = (family, new_vars, new_dep)\n",
+           (WRITTEN,)),
 )
 
 # mutant name -> why it survives and what will catch it; empty today

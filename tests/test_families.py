@@ -113,6 +113,67 @@ def test_rename_round_trip():
         h.rename(("y",), "w")
 
 
+def test_equal_templates_share_one_written_family_and_member():
+    h1, h2 = catalog("hyper"), catalog("hyper")
+    assert h1 is not h2
+    r = h1.rename(("y", "z"), "w")
+    assert h2.rename(("y", "z"), "w") is r
+    assert h2.rename(("y", "z"), "w").member() is r.member()
+    assert h1.member() is h2.member()
+
+
+def _hyper_as(name, order):
+    h = catalog("hyper")
+    slots = {s.name: s for s in h.slots}
+    return EquationFamily(name, h.indep_vars, h.dep, h.lead, [slots[n] for n in order])
+
+
+@pytest.mark.parametrize("name, order", [
+    ("H", ("a3", "a1", "a2")),
+    ("H", ("a1", "a2", "a3")),
+    ("hyper", ("a3", "a1", "a2")),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
+def test_a_written_family_keeps_its_name_and_slot_order(name, order):
+    fam = _hyper_as(name, order)
+    assert fam == catalog("hyper")
+    tr = PointTransformation(
+        ("t", "x"), "u", ("y", "z"), "w",
+        {"t": y ** 3 + y, "x": 2 * z + 1}, (1 + y * y) * jet("w"))
+    # hyper is written first: a key that confuses fam with it serves hyper's entry
+    for f in (catalog("hyper"), fam):
+        written = f.rename(("y", "z"), "w")
+        assert written.name == f.name
+        assert [s.name for s in written.slots] == [s.name for s in f.slots]
+        rep = check_equivalence(f, tr)
+        assert rep.family.name == f.name
+        assert list(rep.to_json()["induced_action"]) == [s.name for s in f.slots]
+    assert list(check_equivalence(fam, tr).to_json()["induced_action"]) == list(order)
+
+
+@pytest.mark.hashseed
+def test_reports_are_the_same_with_the_table_cold_or_warm_bulk(monkeypatch):
+    monkeypatch.setattr(families, "_WRITTEN", {})
+    instances = _enlargement_instances()[:40]
+
+    def outputs(clear):
+        out = []
+        for famA, famB, tr in instances:
+            if clear:
+                families._WRITTEN.clear()
+            res = theorem_instance_check(famA, famB, tr)
+            out.append([(rep.to_json(), rep.reconstruction().text)
+                        for rep in (res.source_report, res.target_report)])
+        return out
+
+    cold = outputs(True)
+    assert outputs(False) == cold
+    # one entry per template and variable set: each famA's member in its own
+    # variables, and each family in the map's target variables
+    names_a = {famA.name for famA, famB, tr in instances}
+    names = names_a | {famB.name for famA, famB, tr in instances}
+    assert len(families._WRITTEN) == len(names_a) + len(names)
+
+
 def test_member_reconstruction_certificate():
     fam = catalog("glin", 3)
     tr = PointTransformation(
@@ -261,6 +322,7 @@ def test_a_family_renames_into_each_variable_set_once(monkeypatch):
     # families written in other variables than the map's: famA and famB are
     # each renamed into the source and the target variables, four renames;
     # the enlarged image reuses famA's source rename instead of making a fifth
+    monkeypatch.setattr(families, "_WRITTEN", {})
     fam_a = catalog("hyper").rename(("p", "q"), "v")
     fam_b = catalog("hyperu").rename(("p", "q"), "v")
     built = []
@@ -272,6 +334,12 @@ def test_a_family_renames_into_each_variable_set_once(monkeypatch):
         {"t": y ** 3 + y, "x": 2 * z + 1}, (1 + y * y) * jet("w"))
     assert theorem_instance_check(fam_a, fam_b, tr).holds
     assert sorted(built) == [(("t", "x"), "u")] * 2 + [(("y", "z"), "w")] * 2
+    # equal families, built again, are written from the table
+    fam_a = catalog("hyper").rename(("p", "q"), "v")
+    fam_b = catalog("hyperu").rename(("p", "q"), "v")
+    built.clear()
+    assert theorem_instance_check(fam_a, fam_b, tr).holds
+    assert built == []
 
 
 def test_theorem_instance_holds_for_a_member_map(monkeypatch):
