@@ -161,19 +161,21 @@ def _write_state(args, command: str, checks, assumptions, dep_vars):
     Path(args.state).write_text(json.dumps(state) + "\n", encoding="utf-8")
 
 
-def _lead_normalize(e: Expression, dep: str) -> Expression:
+def _lead_normalize(e: Expression, dep: str) -> Expression | None:
     """Divide by the coefficient of the highest-order jet monomial present.
 
     Only jets at the polynomial level compete: a jet inside a function
-    argument has no coefficient of its own."""
+    argument has no coefficient of its own.  None when there is no such
+    coefficient: no jet of ``dep``, a denominator that carries its jets, or a
+    highest jet with no term of its own."""
     jets = sorted(polynomial_jets(e, dep), key=lambda j: (len(j.index), j.text))
     if not jets:
-        return e
+        return None
     lead = as_expression(jets[-1])
     nums, _residual, _den = collect_numerators(e, [lead])
     n = nums[lead]
     # e / (n/den) is e.numerator() / n with the denominator cancelled
-    return e if n.is_zero() else e.numerator() / n
+    return None if n.is_zero() else e.numerator() / n
 
 
 def _dispatch(args):
@@ -215,7 +217,12 @@ def _cmd_transform(args, session):
     del pm
     normalized = _lead_normalize(te, tr.new_dep)
     _write_state(args, "transform", checks, assumptions, session.dep_slots(tr))
-    print(f"transformed and normalized on lead of {tr.new_dep}", file=sys.stderr)
+    if normalized is None:
+        normalized = te
+        print(f"transformed; not normalized: the highest jet of {tr.new_dep} "
+              f"has no coefficient of its own", file=sys.stderr)
+    else:
+        print(f"transformed and normalized on lead of {tr.new_dep}", file=sys.stderr)
     return {
         "command": "transform",
         "transformed": te.text,

@@ -918,12 +918,18 @@ def as_atom(x) -> Atom:
     """Extract the atom from a bare-atom expression (or pass an atom through)."""
     if isinstance(x, Atom):
         return x
-    if isinstance(x, Expression):
-        if len(x._num) == 1 and x._lc == 1 and _constant_den(x):
-            (m, c), = x._num.items()
-            if c == 1 and m.exparg is None and len(m.atoms) == 1 and m.atoms[0][1] == 1:
-                return m.atoms[0][0]
+    if isinstance(x, Expression) and (a := _bare_atom(x)) is not None:
+        return a
     raise UnsupportedAtomError(f"{x!r} is not a bare atom")
+
+
+def _bare_atom(e: Expression) -> Atom | None:
+    """The atom ``e`` is, when it is one atom to the first power."""
+    if len(e._num) == 1 and e._lc == 1 and _constant_den(e):
+        (m, c), = e._num.items()
+        if c == 1 and m.exparg is None and len(m.atoms) == 1 and m.atoms[0][1] == 1:
+            return m.atoms[0][0]
+    return None
 
 
 def var(name: str) -> Expression:
@@ -1414,6 +1420,10 @@ def _subst_atom(a: Atom, state: _SubstState) -> Expression:
 def _subst_expr(e: Expression, state: _SubstState) -> Expression:
     if not state.mentions(e):
         return e
+    a = _bare_atom(e)
+    if a is not None:
+        # the atom's own value, a binding itself, already normal and rendered
+        return _subst_atom(a, state)
     num = _subst_poly(e._num, state)
     if _constant_den(e):
         return _over(num, e._lc)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
+from . import expressions
 from .errors import TheoremPreconditionError, UnknownFamilyError, VariableMismatchError
 from .expressions import (
     ZERO,
@@ -27,13 +28,13 @@ from .expressions import (
     Monomial,
     Var,
     _jet_monomial,
+    _pmul,
     as_expression,
     dependency_closure,
     expr_sum,
     from_monomial,
     func,
     jet,
-    jet_split,
     partial,
     polynomial_jets,
     rename_atoms,
@@ -300,11 +301,17 @@ class MatchReport:
         }
 
 
-def _jet_failures(groups: dict, divisor: Expression, kind: str) -> list[MatchFailure]:
-    """One failure per jet monomial of a :func:`jet_split`, its coefficient
-    divided by ``divisor`` and made sign-canonical."""
-    return [MatchFailure(kind, from_monomial(jp), sign_canonical(groups[jp] / divisor))
+def _jet_failures(groups: dict, divisor: dict, kind: str) -> list[MatchFailure]:
+    """One failure per jet monomial of a raw split, its coefficient
+    ``groups[jp] / divisor`` made sign-canonical."""
+    return [MatchFailure(kind, from_monomial(jp), sign_canonical(Expression(groups[jp], divisor)))
             for jp in sorted(groups, key=Monomial.order_key)]
+
+
+def _split(e: Expression, dep: str) -> dict:
+    """The numerator of ``e`` grouped raw by its jet content in ``dep``."""
+    # read through the module, where a test may count the splits
+    return expressions._jet_groups(e.integer_form()[0], frozenset((dep,)))
 
 
 def match(
@@ -316,20 +323,22 @@ def match(
 ) -> MatchReport:
     """Decide membership of ``e`` in ``family`` and extract the coefficient map.
 
-    The numerator of ``e`` is split once by its jet content (:func:`jet_split`)
-    and the family's kept monomials, the lead's and each slot's, are popped
-    from that split: numerators ``N_j`` over the shared denominator ``D``.
-    The lead numerator ``N_L`` must be present; each slot coefficient is
-    ``N_j / N_L``, so ``D`` never enters it, while the report's
-    ``lead_coefficient`` is ``N_L / D``.  The jet-free part of what is left
-    is absorbed into the unique slot whose monomial is the bare dependent
-    variable and whose argument list contains it, when such a slot exists;
-    jet-bearing leftovers are reported as unmatched terms.  Finally each
-    coefficient must depend on nothing outside its slot's argument list;
-    function base names and parameters are never constrained.  An atom the
-    dependency closure shows but the coefficient's partial derivative in it
-    cancels is not a dependency, except for a variable in the index of a jet
-    that is.
+    The numerator of ``e`` is split once by its jet content
+    (:func:`~eqvlab.expressions.jet_split`, read raw) and the family's kept
+    monomials, the lead's and each slot's, are popped from that split:
+    numerators ``N_j`` over the shared denominator ``D``.  The lead numerator
+    ``N_L`` must be present; each slot coefficient is ``N_j / N_L``, so ``D``
+    never enters it, while the report's ``lead_coefficient`` is ``N_L / D``.
+    Every ``N`` is a raw group of one numerator, over one leading coefficient,
+    so each quotient is normalized once, from its two raw polynomials.  The
+    jet-free part of what is left is absorbed into the unique slot whose
+    monomial is the bare dependent variable and whose argument list contains
+    it, when such a slot exists; jet-bearing leftovers are reported as
+    unmatched terms.  Finally each coefficient must depend on nothing outside
+    its slot's argument list; function base names and parameters are never
+    constrained.  An atom the dependency closure shows but the coefficient's
+    partial derivative in it cancels is not a dependency, except for a
+    variable in the index of a jet that is.
 
     When the denominator of ``e`` contains jet variables of the dependent
     variable no form of this shape exists; the report then carries one
@@ -342,17 +351,18 @@ def match(
     base_assumptions = tuple(assumptions)
 
     lead_m, *slot_ms = family._monomials
+    _, den_p, lc = e.integer_form()
     den = e.denominator()
     # nothing is attributed when the denominator carries jets
     den_jets = polynomial_jets(den, dep)
-    groups = {} if den_jets else jet_split(e, (dep,))
+    groups = {} if den_jets else _split(e, dep)
     lead_n = groups.pop(lead_m, None)
     if lead_n is None:
         if den_jets:
             evidence = denominator_evidence if denominator_evidence is not None else den
-            groups = jet_split(evidence, (dep,))
+            groups = _split(evidence, dep)
             groups.pop(Monomial(), None)
-            failures = _jet_failures(groups, evidence.denominator(), "denominator-jets")
+            failures = _jet_failures(groups, evidence.integer_form()[1], "denominator-jets")
         else:
             failures = [MatchFailure("missing-lead", family.lead, ZERO)]
         return MatchReport(
@@ -365,8 +375,9 @@ def match(
             residual=e,
         )
 
-    lead_c = lead_n / den
-    B = {s.name: groups.pop(m, ZERO) / lead_n for s, m in zip(family.slots, slot_ms)}
+    lead_c = Expression(lead_n, den_p)
+    B = {s.name: Expression(groups.pop(m), lead_n) if m in groups else ZERO
+         for s, m in zip(family.slots, slot_ms)}
     # only the part free of dep jets can legally ride in a bare-dep slot
     # (divided by the dependent variable); jet-bearing leftovers never can
     free = groups.pop(Monomial(), None)
@@ -375,12 +386,12 @@ def match(
     if free is not None:
         bare = Jet(dep, ())
         candidates = [
-            s for s, m in zip(family.slots, slot_ms)
+            (s, m) for s, m in zip(family.slots, slot_ms)
             if m.atoms == ((bare, 1),) and bare in s.args
         ]
         if len(candidates) == 1:
-            s = candidates[0]
-            B[s.name] = B[s.name] + free / (lead_n * as_expression(bare))
+            (s, m), = candidates
+            B[s.name] = B[s.name] + Expression(free, _pmul(lead_n, {m: 1}))
             absorbed = s.name
         else:
             failures.extend(_jet_failures({Monomial(): free}, lead_n, "unmatched-term"))
@@ -418,7 +429,8 @@ def match(
         failures=failures,
         assumptions=tuple(all_assumptions),
         absorbed_slot=absorbed,
-        residual=expr_sum(g * from_monomial(jp) for jp, g in groups.items()) / den,
+        residual=expr_sum(Expression(g, {Monomial(): lc}) * from_monomial(jp)
+                          for jp, g in groups.items()) / den,
     )
 
 

@@ -55,6 +55,8 @@ CRAMER = f"{JETS}::test_maps_that_are_not_diagonal_keep_cramers_rule"
 FAMILIES = "tests/test_families.py"
 ENLARGED = f"{FAMILIES}::test_enlarged_image_equals_the_direct_image_bulk"
 WRITTEN = f"{FAMILIES}::test_a_written_family_keeps_its_name_and_slot_order"
+ONE_SPLIT = f"{FAMILIES}::test_one_split_match_equals_the_two_pass_match_bulk"
+KERNEL = "tests/test_expr_kernel.py"
 
 MUTANTS = (
     # the table reader's normal form, which atom identity in GF(p) rests on
@@ -109,6 +111,9 @@ MUTANTS = (
     Mutant("a column with two nonzero entries accepted as an axis", "prolongation.py",
            "        if len(rows) != 1:\n", "        if not rows:\n",
            (f"{CRAMER}[permuted-S-of-yz]", f"{CRAMER}[permuted-S-of-y-plus-w]")),
+    Mutant("mixed jets solved from the other parent", "prolongation.py",
+           "            K = key.index\n", "            K = key.index[::-1]\n",
+           (LAZY,)),
     # families: the enlarged image, match, the hyperbolic reader, the table
     Mutant("a1 sent to famB's a2 atom", "families.py",
            "slot_atom(slots_b[s.name])",
@@ -121,8 +126,25 @@ MUTANTS = (
                       "unless_a_slot_name_clashes")),
     Mutant("free-term absorption skipped", "families.py",
            "        if len(candidates) == 1:\n", "        if False:\n",
-           (f"{FAMILIES}::test_free_term_absorbs_only_with_a_bare_dep_slot",
-            f"{FAMILIES}::test_one_split_match_equals_the_two_pass_match_bulk")),
+           (f"{FAMILIES}::test_free_term_absorbs_only_with_a_bare_dep_slot", ONE_SPLIT)),
+    Mutant("absorbed free term not divided by the dependent variable", "families.py",
+           "Expression(free, _pmul(lead_n, {m: 1}))", "Expression(free, lead_n)",
+           (ONE_SPLIT,)),
+    # match's quotients, each normalized once from two raw groups of one split
+    Mutant("lead coefficient over the numerator's lc instead of the denominator",
+           "families.py",
+           "    lead_c = Expression(lead_n, den_p)\n",
+           "    lead_c = Expression(lead_n, {Monomial(): lc})\n",
+           (ONE_SPLIT,)),
+    Mutant("a slot coefficient over the denominator instead of the lead group",
+           "families.py",
+           "Expression(groups.pop(m), lead_n) if m in groups",
+           "Expression(groups.pop(m), den_p) if m in groups",
+           (ONE_SPLIT,)),
+    Mutant("a slot coefficient with its two raw groups swapped", "families.py",
+           "Expression(groups.pop(m), lead_n) if m in groups",
+           "Expression(lead_n, groups.pop(m)) if m in groups",
+           (ONE_SPLIT,)),
     Mutant("a1 and a2 swapped in the hyperbolic reader", "hyperbolic.py",
            "return cls(**report.coefficients, t=t, x=x, u=u)",
            'c = report.coefficients\n'
@@ -141,6 +163,18 @@ MUTANTS = (
            "           new_vars, new_dep)\n",
            "    key = (family, new_vars, new_dep)\n",
            (WRITTEN,)),
+    # the kernel: raw sums and bare arguments in a substitution pass
+    Mutant("a linear fold in _sum_terms", "expressions.py",
+           "Expression(_pairwise([_pscale(num, k // d) for (num, _), d in zip(terms, ks)], _padd),",
+           'Expression(__import__("functools").reduce('
+           "_padd, [_pscale(num, k // d) for (num, _), d in zip(terms, ks)]),",
+           (f"{KERNEL}::test_raw_term_sums_pair_as_expr_sum_does_bulk",)),
+    Mutant("a bare argument left unsubstituted", "expressions.py",
+           "        return _subst_atom(a, state)\n", "        return e\n",
+           (f"{KERNEL}::test_a_bare_function_argument_becomes_its_binding_itself",)),
+    Mutant("the bare-atom shortcut skipped", "expressions.py",
+           "    a = _bare_atom(e)\n", "    a = None\n",
+           (f"{KERNEL}::test_bare_arguments_shared_by_slot_atoms_are_never_rewritten",)),
 )
 
 # mutant name -> why it survives and what will catch it; empty today

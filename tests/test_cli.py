@@ -281,6 +281,32 @@ def test_lead_normalization_ignores_jets_inside_arguments(capsys, tmp_path):
     assert out["lead_normalized"] == "2*w*a(2*z,1/4*D[w,z,z]) + D[w,z]"
 
 
+def test_transform_says_on_stderr_whether_it_normalized(capsys, tmp_path):
+    def transform(*argv):
+        code = main([str(a) for a in ("transform", *argv)])
+        got = capsys.readouterr()
+        assert code == 0
+        return json.loads(got.out), got.err
+
+    out, err = transform(*session_args("ode_scale.eqv", tmp_path), "--family", "F",
+                         "--transform", "Tscale")
+    assert "transformed and normalized on lead of w" in err
+    assert out["lead_normalized"] != out["transformed"]
+    # Tgen's image has jets of w in its denominator; E's top jet has no term of its own
+    tgen = (*session_args("hyperbolic_general.eqv", tmp_path), "--family", "F",
+            "--transform", "Tgen")
+    files = _session_file(tmp_path, """
+        indep x z; dep y w;
+        transform Tscale: x = 2*z; y = w;
+        equation E: D[y,x,x]*D[y,x] + y = 0;
+    """)
+    for argv in (tgen, (*files, "--equation", "E", "--transform", "Tscale")):
+        out, err = transform(*argv)
+        assert "not normalized: the highest jet of w has no coefficient of its own" in err
+        assert "normalized on lead" not in err
+        assert out["lead_normalized"] == out["transformed"]
+
+
 def test_unknown_names_exit_2(capsys, tmp_path):
     code, out = run(capsys, "check", *session_args("ode_scale.eqv", tmp_path),
                     "--family", "Nope", "--transform", "Tscale")

@@ -380,6 +380,47 @@ def test_raw_term_sums_pair_as_expr_sum_does_bulk():
         assert got == want and key_order(got) == key_order(want)
 
 
+def test_a_bare_function_argument_becomes_its_binding_itself():
+    t, x = var("t"), var("x")
+    bound = y ** 2 + 3 * z
+    got = as_atom(substitute(func("a", t, x, t + x), {t: bound, x: z}))
+    assert got.args[0] is bound and got.args[1] is z
+    assert got == Func("a", (bound, z, bound + z))
+
+
+def counting_subst_poly(monkeypatch):
+    """The polynomials ``_subst_poly`` is called on, in order, from now on."""
+    calls = []
+    subst_poly = expressions._subst_poly
+    monkeypatch.setattr(expressions, "_subst_poly",
+                        lambda p, state: calls.append(p) or subst_poly(p, state))
+    return calls
+
+
+@pytest.mark.hashseed
+def test_bare_arguments_shared_by_slot_atoms_are_never_rewritten(monkeypatch):
+    t, x = var("t"), var("x")
+    slots = (("a1", "t"), ("a2", "x"), ("a3", ()))
+    e = expr_sum(func(n, t, x) * jet("u", *d) for n, d in slots)
+    binds = {t: y ** 2 + 1, x: y * z}
+    want = expr_sum(func(n, binds[t], binds[x]) * jet("u", *d) for n, d in slots)
+    calls = counting_subst_poly(monkeypatch)
+    got = substitute(e, binds)
+    assert got == want and got.text == want.text
+    # the numerator only: each bare t and x is its binding, read from the pass
+    assert calls == [e.integer_form()[0]]
+
+
+@pytest.mark.hashseed
+def test_one_expression_under_two_bindings_gives_two_results():
+    t, x = var("t"), var("x")
+    e = func("a", t * x + 1) * exp(t + x) + func("b", t)
+    one, two = substitute(e, {t: y}), substitute(e, {t: z})
+    assert one == func("a", y * x + 1) * exp(y + x) + func("b", y)
+    assert two == func("a", z * x + 1) * exp(z + x) + func("b", z)
+    assert one != two
+
+
 def test_partial_by_an_atom_the_denominator_lacks_keeps_it_unsquared():
     x, wz = var("x"), jet("w", "z")
     d = partial((x * wz + jet("w")) / (x ** 2 + z + 1), wz)

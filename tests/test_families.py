@@ -1,5 +1,6 @@
 """Family templates, matching, induced actions, and the containment check."""
 
+import sys
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from eqvlab import (
     NOT_EQUIVALENCE,
     CoefficientSlot,
     EquationFamily,
+    Expression,
     Jet,
     PointTransformation,
     PolyFunc,
@@ -657,3 +659,26 @@ def test_match_splits_each_image_once(monkeypatch):
         calls.clear()
         match(e, fam, **kw)
         assert len(calls) == 1, (fam.name, e.text[:80])
+
+
+def test_a_positive_match_forms_no_quotient(monkeypatch):
+    # the lead and each slot coefficient are normalized once, from raw groups;
+    # an empty residual's ZERO / den forms nothing
+    calls = []
+    div = Expression.__truediv__
+
+    def counting(self, other):
+        if (sys._getframe(1).f_globals["__name__"] == families.__name__
+                and not self.is_zero()):
+            calls.append((self, other))
+        return div(self, other)
+
+    monkeypatch.setattr(Expression, "__truediv__", counting)
+    positive = 0
+    for e, fam, kw in _match_cases():
+        calls.clear()
+        report = match(e, fam, **kw)
+        if report.verdict == EQUIVALENCE:
+            positive += 1
+            assert not calls, (fam.name, e.text[:80])
+    assert positive > 10
