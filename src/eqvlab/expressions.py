@@ -300,15 +300,20 @@ class Monomial:
     ``atoms`` is a tuple of ``(atom, power)`` pairs with positive integer
     powers, sorted by the atom ordering key.  ``exparg`` is the exponential's
     argument expression, or ``None`` when there is no exponential factor.
+    The constructor adds up the powers of an atom given more than once.
     """
 
     __slots__ = ("atoms", "exparg", "_hash", "_key")
 
     def __init__(self, atoms: Iterable[tuple[Atom, int]] = (), exparg: "Expression | None" = None):
-        pairs = [(a, p) for a, p in atoms if p != 0]
-        for a, p in pairs:
-            if p < 0:
-                raise ValueError("monomial powers must be positive")
+        powers: dict[Atom, int] = {}
+        for a, p in atoms:
+            if type(p) is not int:
+                raise ValueError(f"power {p!r} is not an integer")
+            powers[a] = powers.get(a, 0) + p
+        pairs = [(a, p) for a, p in powers.items() if p]
+        if any(p < 0 for _, p in pairs):
+            raise ValueError("monomial powers must be positive")
         pairs.sort(key=lambda ap: ap[0]._skey)
         self.atoms = tuple(pairs)
         if exparg is not None and exparg.is_zero():
@@ -906,7 +911,7 @@ def as_expression(x: ExpressionLike) -> Expression:
     if isinstance(x, Expression):
         return x
     if isinstance(x, Atom):
-        return Expression({Monomial(((x, 1),)): 1}, _ONE_P)
+        return Expression({Monomial._raw(((x, 1),), None): 1}, _ONE_P)
     if isinstance(x, int):
         return Expression({_ONE_M: x}, _ONE_P) if x else ZERO
     if isinstance(x, Fraction):
@@ -1069,14 +1074,12 @@ def _tree_expr(tree, table: list) -> Expression:
 def _tree_poly(terms, table: list) -> dict:
     out: dict = {}
     for term in terms:
-        powers: dict = {}
+        factors = []
         for i, k in term["factors"]:
             if type(i) is not int or not 0 <= i < len(table):
                 raise ValueError(f"atom index {i!r} names no earlier atom")
-            if type(k) is not int:
-                raise ValueError(f"power {k!r} is not an integer")
-            powers[table[i]] = powers.get(table[i], 0) + k
-        m = Monomial(powers.items(), _tree_expr(term["exp"], table) if "exp" in term else None)
+            factors.append((table[i], k))
+        m = Monomial(factors, _tree_expr(term["exp"], table) if "exp" in term else None)
         out[m] = out.get(m, 0) + Fraction(term["coeff"])
     return {m: c for m, c in out.items() if c}
 
@@ -1272,14 +1275,13 @@ class _SubstState:
     the atom from its rewritten children.
     """
 
-    __slots__ = ("hit_fn", "rewrite", "atom_values", "atom_powers", "hit_products",
+    __slots__ = ("hit_fn", "rewrite", "atom_values", "hit_products",
                  "atom_hit", "expr_hit")
 
     def __init__(self, hit_fn, rewrite):
         self.hit_fn = hit_fn
         self.rewrite = rewrite
         self.atom_values: dict[Atom, Expression] = {}
-        self.atom_powers: dict[tuple[Atom, int], Expression] = {}
         # hit (atom, power) pairs of a monomial -> raw (num, den) of their product
         self.hit_products: dict[tuple, tuple[dict, dict]] = {}
         self.atom_hit: dict[Atom, bool] = {}
@@ -1435,8 +1437,10 @@ def _subst_expr(e: Expression, state: _SubstState) -> Expression:
 
 def _subst_poly(p: dict, state: _SubstState) -> Expression:
     # a hit monomial multiplies its substituted powers out as raw integer
-    # polynomials, one product per prefix of its hit atoms, kept for the pass;
-    # its untouched atoms and exponential then join as one monomial.  Each
+    # polynomials, one product per prefix of its hit atoms, kept for the pass:
+    # the pass's one memo of products, so a power is raised only for a prefix
+    # not yet seen, and a first power is the atom's value itself.  Its
+    # untouched atoms and exponential then join as one monomial.  Each
     # factor is a monomial, so the keys come out in the order that
     # multiplying atom by atom gives.  Untouched monomials form one last term.
     plain: dict = {}
@@ -1457,10 +1461,7 @@ def _subst_poly(p: dict, state: _SubstState) -> Expression:
         num, den = got if i else (_ONE_P, _ONE_P)
         for j in range(i, len(hit)):
             ak = hit[j]
-            # powers repeat across the monomials of one pass
-            power = state.atom_powers.get(ak)
-            if power is None:
-                power = state.atom_powers[ak] = _subst_atom(ak[0], state) ** ak[1]
+            power = _subst_atom(ak[0], state) ** ak[1]
             num, den = products[hit[:j + 1]] = _pmul(num, power._num), _pmul(den, power._den)
         if ea is not None:
             ea = _subst_expr(ea, state)

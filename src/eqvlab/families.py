@@ -116,6 +116,8 @@ class EquationFamily:
         self.name = name
         self.indep_vars = tuple(indep_vars)
         self.dep = dep
+        if len(set(self.indep_vars)) != len(self.indep_vars) or dep in self.indep_vars:
+            raise VariableMismatchError(f"{name}: bad variables {self.indep_vars} / {dep}")
         self.lead = as_expression(lead)
         self.slots = tuple(slots)
         monos = [_jet_monomial(self.lead, self.dep)]
@@ -181,9 +183,6 @@ class EquationFamily:
         if len(new_vars) != len(self.indep_vars):
             raise VariableMismatchError(
                 f"{self.name}: got {len(new_vars)} variables, need {len(self.indep_vars)}")
-        if len(set(new_vars)) != len(new_vars):
-            # two jets of one monomial would become one atom
-            raise VariableMismatchError(f"{self.name}: repeated variables {new_vars}")
         if new_vars == self.indep_vars and new_dep == self.dep:
             return self
         return _written(self, new_vars, new_dep)[0]

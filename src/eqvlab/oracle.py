@@ -353,8 +353,8 @@ class PolyFunc:
     """Polynomial in several slots, standing in for an arbitrary function.
 
     Coefficients are values of an arithmetic (rationals by default), keyed by
-    exponent tuples.  Partial derivatives stay in the class, so
-    slot-derivative symbols evaluate exactly.
+    exponent tuples.  Slot-derivative symbols evaluate exactly, from a run's
+    multiplier tables (``_Run._derived``); :meth:`partial` is their reference.
     """
 
     __slots__ = ("arity", "coeffs", "ar")

@@ -25,9 +25,8 @@ unless ``m_J == 0`` or ``det`` is free of ``x_i`` (``C_i(D_k(det)) == 0``):
 then one ``det`` cancels, ``N_K = C_i(D_k(N_J))`` and ``m_K = m_J + 1``.  An
 order-k entry is over ``det**(2k-1)`` at most, and ``det**m`` divides only
 when an entry is handed out, so the kernel never has to find that
-denominator itself.  A one-term ``det`` (a constant or a monomial) is the
-exception: the kernel cancels it exactly, so it is divided out at every solve
-and the entry kept with ``m = 0``.
+denominator itself.  This holds for every ``det``, a constant or a monomial
+included.
 
 Most maps of the paper's families separate their variables: ``t = R(y)``,
 ``x = S(z)``.  When each column ``i`` of ``M`` is nonzero in one row
@@ -38,7 +37,7 @@ all of ``det``: ``u_J = N_J / prod_i d_i**m_i``, and the child along ``x_i``
 differentiates along ``z_sigma(i)`` only and raises ``m_i`` alone, by the rule
 above with ``d_i`` for ``det`` and ``D_{z_sigma(i)}(N_J)`` for the Cramer
 column.  The other factors have a zero derivative along ``z_sigma(i)``, so
-they never enter the long form, and a one-term ``d_i`` divides out at once.
+they never enter the long form.
 This is the rule above for the ``1x1`` system of row ``sigma(i)``; a map
 that is not diagonal is the one-factor case.
 
@@ -204,7 +203,8 @@ class ProlongedMap:
     row ``sigma(i)`` only, ``D_{x_i} = D_{z_sigma(i)} / d_i`` with ``d_i =
     matrix[sigma(i)][i]``, and each jet is solved over its own factor ``d_i``
     (see the module docstring).  Otherwise every jet is solved over ``det`` by
-    Cramer's rule.
+    Cramer's rule.  Either way, whatever its number of terms, each factor
+    divides an entry once, when it is handed out.
 
     Entries are solved on demand: ``pm[K]`` solves the source jet ``K`` the
     first time it is asked for, and :meth:`apply` the jets its expression
@@ -215,8 +215,7 @@ class ProlongedMap:
     """
 
     __slots__ = ("transformation", "matrix", "det", "assumptions", "entries",
-                 "_factors", "_axes", "_solved", "_derivatives", "_long", "_free",
-                 "_one_term")
+                 "_factors", "_axes", "_solved", "_derivatives", "_long", "_free")
 
     def __init__(self, transformation, matrix, det):
         self.transformation = transformation
@@ -234,7 +233,6 @@ class ProlongedMap:
         else:
             self._factors = tuple(matrix[k][i] for i, k in enumerate(sigma))
             self._axes = [(i, (k,), [[matrix[k][i]]], 0) for i, k in enumerate(sigma)]
-        self._one_term = [len(d.num_terms()) == len(d.den_terms()) == 1 for d in self._factors]
         # sorted source index -> (N, (m_f, ...)), the entry being N / prod d_f**m_f
         self._solved: dict[tuple, tuple[Expression, tuple[int, ...]]] = {
             (): (transformation.dep_map, (0,) * len(self._factors))}
@@ -277,8 +275,6 @@ class ProlongedMap:
         f, rows = self._axes[i][:2]
         d, m = self._factors[f], powers[f]
         dn = self._total_derivatives(J, num, rows)
-        if self._one_term[f]:
-            return self._numerator(dn, i) / d, powers
         if not m or self._free_of(i):
             return self._numerator(dn, i), powers[:f] + (m + 1,) + powers[f + 1:]
         dd = self._total_derivatives(f, d, rows)

@@ -52,6 +52,7 @@ JETS = "tests/test_jets.py"
 LAZY = f"{JETS}::test_lazy_entries_equal_the_level_loop_bulk"
 DIAGONAL = f"{JETS}::test_diagonal_maps_solve_each_jet_over_its_own_factor_bulk"
 CRAMER = f"{JETS}::test_maps_that_are_not_diagonal_keep_cramers_rule"
+ONE_TERM = f"{JETS}::test_one_term_factors_follow_the_known_power_rule"
 FAMILIES = "tests/test_families.py"
 ENLARGED = f"{FAMILIES}::test_enlarged_image_equals_the_direct_image_bulk"
 WRITTEN = f"{FAMILIES}::test_a_written_family_keeps_its_name_and_slot_order"
@@ -108,6 +109,9 @@ MUTANTS = (
     Mutant("m_i + 2 made m_i + 1", "prolongation.py",
            "powers[:f] + (m + 2,)", "powers[:f] + (m + 1,)",
            (DIAGONAL,)),
+    Mutant("m_i + 1 of the free-of branch made m_i", "prolongation.py",
+           "powers[:f] + (m + 1,)", "powers[:f] + (m,)",
+           (LAZY, ONE_TERM)),
     Mutant("a column with two nonzero entries accepted as an axis", "prolongation.py",
            "        if len(rows) != 1:\n", "        if not rows:\n",
            (f"{CRAMER}[permuted-S-of-yz]", f"{CRAMER}[permuted-S-of-y-plus-w]")),
@@ -163,7 +167,7 @@ MUTANTS = (
            "           new_vars, new_dep)\n",
            "    key = (family, new_vars, new_dep)\n",
            (WRITTEN,)),
-    # the kernel: raw sums and bare arguments in a substitution pass
+    # the kernel: raw sums, bare arguments and powers in a substitution pass
     Mutant("a linear fold in _sum_terms", "expressions.py",
            "Expression(_pairwise([_pscale(num, k // d) for (num, _), d in zip(terms, ks)], _padd),",
            'Expression(__import__("functools").reduce('
@@ -175,6 +179,9 @@ MUTANTS = (
     Mutant("the bare-atom shortcut skipped", "expressions.py",
            "    a = _bare_atom(e)\n", "    a = None\n",
            (f"{KERNEL}::test_bare_arguments_shared_by_slot_atoms_are_never_rewritten",)),
+    Mutant("a substituted power taken as a first power", "expressions.py",
+           "_subst_atom(ak[0], state) ** ak[1]", "_subst_atom(ak[0], state)",
+           (f"{KERNEL}::test_substitution_matches_per_term_assembly_bulk",)),
 )
 
 # mutant name -> why it survives and what will catch it; empty today

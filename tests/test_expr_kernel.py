@@ -184,6 +184,17 @@ def f_of(i):
             "args": [{"num": [{"coeff": "1", "factors": [[i, 1]]}], "den": ONE_TERMS}]}
 
 
+def test_the_monomial_constructor_merges_repeated_atoms_and_checks_powers():
+    w = Jet("w", ())
+    twice = from_monomial(Monomial([(Var("y"), 1), (w, 2), (Var("y"), 1)]))
+    assert twice.text == "y^2*w^2"
+    assert (twice - y ** 2 * jet("w") ** 2).is_zero()
+    assert Monomial([(w, 1), (w, 2)]) == Monomial([(w, 3)])
+    for bad in (1.5, True, Fraction(2)):
+        with pytest.raises(ValueError, match="not an integer"):
+            Monomial([(w, bad)])
+
+
 def test_hand_written_tables_read_back():
     # the well-formed neighbours of the unreadable tables below
     assert Expression.from_tree(table([[0, 2]], [VAR_Y], "3/2")) == fraction(3, 2) * y ** 2
@@ -258,10 +269,7 @@ def per_term_subst_poly(p, state):
             continue
         factors = [as_expression(c)]
         for ak in m.atoms:
-            power = state.atom_powers.get(ak)
-            if power is None:
-                power = state.atom_powers[ak] = expressions._subst_atom(ak[0], state) ** ak[1]
-            factors.append(power)
+            factors.append(expressions._subst_atom(ak[0], state) ** ak[1])
         if m.exparg is not None:
             factors.append(exp(expressions._subst_expr(m.exparg, state)))
         terms.append(expr_prod(factors))

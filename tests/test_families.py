@@ -115,6 +115,22 @@ def test_rename_round_trip():
         h.rename(("y",), "w")
 
 
+def test_a_family_refuses_its_dependent_variable_among_its_variables():
+    h = catalog("hyper")
+    with pytest.raises(VariableMismatchError):
+        EquationFamily("F", ("t", "u"), "u", jet("u", "t", "u"), [])
+    with pytest.raises(VariableMismatchError):
+        h.rename(("u", "x"), "u")
+    with pytest.raises(VariableMismatchError):
+        EquationFamily("F", ("t", "t"), "u", jet("u", "t", "t"), [])
+    with pytest.raises(VariableMismatchError):
+        h.rename(("t", "t"), "u")
+    # as a point transformation does
+    with pytest.raises(VariableMismatchError):
+        PointTransformation(("t", "u"), "u", ("y", "z"), "w", {"t": y, "u": z}, jet("w"))
+    assert h.rename(("u", "x"), "w").dep == "w"
+
+
 def test_equal_templates_share_one_written_family_and_member():
     h1, h2 = catalog("hyper"), catalog("hyper")
     assert h1 is not h2
