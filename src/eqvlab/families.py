@@ -396,6 +396,20 @@ def match(
             failures.extend(_jet_failures({Monomial(): free}, lead_n, "unmatched-term"))
             groups[Monomial()] = free
 
+    residual = expr_sum(Expression(g, {Monomial(): lc}) * from_monomial(jp)
+                        for jp, g in groups.items()) / den
+    return _found_lead_report(family, e, lead_c, B, failures, base_assumptions,
+                              absorbed, residual)
+
+
+def _found_lead_report(
+    family: EquationFamily, e: Expression, lead_c: Expression, B: dict,
+    failures: list, assumptions: tuple, absorbed: str | None, residual: Expression,
+) -> MatchReport:
+    """The report of a match that found its lead: each coefficient in ``B``
+    checked against its slot's argument list, a failure added per slot that
+    depends on more, and the lead coefficient, when not constant, put before
+    ``assumptions``."""
     for s in family.slots:
         b = B[s.name]
         d = dependency_closure(b)
@@ -417,7 +431,7 @@ def match(
     all_assumptions = []
     if not lead_c.is_constant():
         all_assumptions.append(lead_c)
-    all_assumptions.extend(base_assumptions)
+    all_assumptions.extend(assumptions)
     return MatchReport(
         verdict=verdict,
         family=family,
@@ -428,8 +442,7 @@ def match(
         failures=failures,
         assumptions=tuple(all_assumptions),
         absorbed_slot=absorbed,
-        residual=expr_sum(Expression(g, {Monomial(): lc}) * from_monomial(jp)
-                          for jp, g in groups.items()) / den,
+        residual=residual,
     )
 
 
@@ -523,28 +536,39 @@ def theorem_instance_check(
     Raises :class:`TheoremPreconditionError` when ``tr`` fails the
     ``famA``-membership precondition, with the failing report attached.
 
-    One prolongation serves both families.  famB's members differ from
-    famA's only in the argument lists of the slot functions, so famB's image
-    is famA's image with each slot atom ``a_j(phi(args_A))`` renamed to
-    ``a_j(phi(args_B))`` (:func:`~eqvlab.expressions.rename_atoms`), the
-    arguments' images read off the map: a variable's from ``indep_map``, the
-    dependent variable's from ``dep_map``, a jet's from the prolonged map.
-    The rename keeps each atom's function name, which decides its order
-    against every other atom, so the image is the one substituting famB's
-    member would give.  When a function in the map's components has a slot's
-    name, a map atom could coincide with a slot atom; famB's member is then
-    transformed directly.  Both images are matched.
+    One prolongation serves both families, and famB's report is read off
+    famA's.  famB's members differ from famA's only in the argument lists of
+    the slot functions, so famB's image is famA's image with each slot atom
+    ``a_j(phi(args_A))`` renamed to ``a_j(phi(args_B))``, the arguments'
+    images read off the map.  The rename keeps each atom's function name,
+    which decides its order against every other atom, so it commutes with
+    :func:`match`: famB's image, coefficients, lead coefficient and residual
+    are famA's renamed, its absorbed slot is famA's, and only the dependency
+    check, the containment's content, runs on famB's slots.  When a function
+    in the map's components has a slot's name, a map atom could coincide with
+    a slot atom; famB's member is then transformed and matched directly.
     """
     _validate_enlargement(famA, famB)
     pm = transform_derivatives(tr)
-    # famA in the map's source variables serves its member and the enlarged image
+    # famA in the map's source variables serves its member and the slot renames
     src_a = famA.rename(tr.old_vars, tr.old_dep)
     rep_a = _check_prolonged(famA, pm, pm.apply(src_a.member()))
     if rep_a.verdict != EQUIVALENCE:
         raise TheoremPreconditionError(
             f"transformation is not an equivalence transformation of {famA.name}",
             report=rep_a)
-    rep_b = _check_prolonged(famB, pm, _enlarged_image(src_a, famB, pm, rep_a.expression))
+    renames = _slot_renames(src_a, famB, pm)
+    if renames is None:
+        rep_b = _check_prolonged(famB, pm)
+    else:
+        def renamed(e: Expression) -> Expression:
+            return rename_atoms(e, renames)
+
+        fam_b = famB.rename(tr.new_vars, tr.new_dep)
+        rep_b = _found_lead_report(
+            fam_b, renamed(rep_a.expression), renamed(rep_a.lead_coefficient),
+            {s.name: renamed(rep_a.coefficients[s.name]) for s in fam_b.slots}, [],
+            pm.assumptions, rep_a.absorbed_slot, renamed(rep_a.residual))
     return TheoremCheckResult(
         holds=rep_b.verdict == EQUIVALENCE,
         source_report=rep_a,
@@ -552,12 +576,10 @@ def theorem_instance_check(
     )
 
 
-def _enlarged_image(
-    src_a: EquationFamily, famB: EquationFamily, pm: ProlongedMap, image: Expression,
-) -> Expression | None:
-    """famB's image, from famA's ``image`` by renaming its slot atoms; None
-    when a function of the map has a slot's name.  ``src_a`` is famA written
-    in the map's source variables."""
+def _slot_renames(src_a: EquationFamily, famB: EquationFamily, pm: ProlongedMap) -> dict | None:
+    """Each slot atom of famA's image to famB's, ``a_j(phi(args_A))`` to
+    ``a_j(phi(args_B))``; None when a function of the map has a slot's name.
+    ``src_a`` is famA written in the map's source variables."""
     tr = pm.transformation
     names = {s.name for s in src_a.slots}
     if any(names & dependency_closure(e).functions
@@ -573,7 +595,7 @@ def _enlarged_image(
         return Func(s.name, [arg_image(a) for a in s.args])
 
     slots_b = {s.name: s for s in famB.rename(tr.old_vars, tr.old_dep).slots}
-    return rename_atoms(image, {slot_atom(s): slot_atom(slots_b[s.name]) for s in src_a.slots})
+    return {slot_atom(s): slot_atom(slots_b[s.name]) for s in src_a.slots}
 
 
 def compose(first: PointTransformation, second: PointTransformation) -> PointTransformation:

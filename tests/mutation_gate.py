@@ -118,7 +118,8 @@ MUTANTS = (
     Mutant("mixed jets solved from the other parent", "prolongation.py",
            "            K = key.index\n", "            K = key.index[::-1]\n",
            (LAZY,)),
-    # families: the enlarged image, match, the hyperbolic reader, the table
+    # families: famB's report renamed from famA's, match, the hyperbolic
+    # reader, the table
     Mutant("a1 sent to famB's a2 atom", "families.py",
            "slot_atom(slots_b[s.name])",
            'slot_atom(slots_b["a2" if s.name == "a1" else s.name])',
@@ -128,6 +129,12 @@ MUTANTS = (
            "    if False and any(names & dependency_closure(e).functions\n",
            (ENLARGED, f"{FAMILIES}::test_enlarged_image_transforms_one_member_"
                       "unless_a_slot_name_clashes")),
+    Mutant("famB's coefficients taken from rep_a without the rename", "families.py",
+           "renamed(rep_a.coefficients[s.name])", "rep_a.coefficients[s.name]",
+           (ENLARGED,)),
+    Mutant("a forbidden variable kept only when a jet carries it", "families.py",
+           "if v in carried or not partial(b, Var(v)).is_zero()]", "if v in carried]",
+           (f"{FAMILIES}::test_forbidden_variable_dependency",)),
     Mutant("free-term absorption skipped", "families.py",
            "        if len(candidates) == 1:\n", "        if False:\n",
            (f"{FAMILIES}::test_free_term_absorbs_only_with_a_bare_dep_slot", ONE_SPLIT)),

@@ -339,7 +339,7 @@ def test_composition_of_equivalence_maps_is_one():
 def test_a_family_renames_into_each_variable_set_once(monkeypatch):
     # families written in other variables than the map's: famA and famB are
     # each renamed into the source and the target variables, four renames;
-    # the enlarged image reuses famA's source rename instead of making a fifth
+    # the slot renames reuse famA's source rename instead of making a fifth
     monkeypatch.setattr(families, "_WRITTEN", {})
     fam_a = catalog("hyper").rename(("p", "q"), "v")
     fam_b = catalog("hyperu").rename(("p", "q"), "v")
@@ -454,7 +454,9 @@ def _same_layout(got, want):
 
 def _enlargement_instances():
     """Criterion 5's four pairs on seeded maps, a glin family enlarged to
-    ``(x, y, D[y,x])``, and gauge maps whose factor is a slot's function."""
+    ``(x, y, D[y,x])``, shifted maps whose free term famA absorbs, with jet
+    arguments in famB's slots, and last the two gauge maps whose factor is a
+    slot's function."""
     w = jet("w")
 
     def poly(rng, arity, names):
@@ -465,6 +467,10 @@ def _enlargement_instances():
         "glin_x", ("x",), "y", glin.lead,
         [CoefficientSlot(s.name, (Var("x"), Jet("y", ()), Jet("y", ("x",))), s.monomial)
          for s in glin.slots])
+    args_1 = (Var("t"), Var("x"), Jet("u", ()), Jet("u", ("t",)), Jet("u", ("x",)))
+    hyper_1 = EquationFamily(
+        "hyper_1", ("t", "x"), "u", jet("u", "t", "x"),
+        [CoefficientSlot(s.name, args_1, s.monomial) for s in catalog("hyper").slots])
     hyper = (("t", "x"), "u", ("y", "z"), "w")
     rng = Random(517)
     out = []
@@ -483,6 +489,15 @@ def _enlargement_instances():
         out.append((catalog("hypertt"), catalog("hyperu"), PointTransformation(
             *hyper, {"t": poly(rng, 1, ("y",)), "x": rng.randint(1, 9) * z + rng.randint(-5, 5)},
             poly(rng, 1, ("y",)) * exp(rng.randint(-4, 4) * z) * w)))
+    # y = L(z)*w + J(z) as in corpus/ode_shift.eqv: the free term rides in a3,
+    # whose arguments hold the dependent variable
+    for _ in range(4):
+        out.append((catalog("gliny", 3), glin_x, PointTransformation(
+            ("x",), "y", ("z",), "w", {"x": poly(rng, 1, ("z",))},
+            poly(rng, 1, ("z",)) * w + poly(rng, 1, ("z",)))))
+        out.append((catalog("hyperu"), hyper_1, PointTransformation(
+            *hyper, {"t": poly(rng, 1, ("y",)), "x": poly(rng, 1, ("z",))},
+            poly(rng, 1, ("y",)) * w + poly(rng, 2, ("y", "z")))))
     # a3(y,z) is both the gauge factor and the image of the slot atom a3(t,x)
     out.append((catalog("hyper"), catalog("hyperu"), PointTransformation(
         *hyper, {"t": y, "x": z}, func("a3", y, z) * w)))
@@ -491,37 +506,74 @@ def _enlargement_instances():
     return out
 
 
+def _assert_direct_report(famA, famB, tr):
+    """famB's report from ``theorem_instance_check`` laid out as the direct
+    ``match`` lays it out, dict key order included; returns it."""
+    res = theorem_instance_check(famA, famB, tr)
+    assert res.holds
+    got = res.target_report
+    want = _direct_report(famB, transform_derivatives(tr))
+    assert got.family is want.family
+    assert _same_layout(got.expression, want.expression), tr
+    assert got.verdict == want.verdict
+    assert _same_layout(got.lead_coefficient, want.lead_coefficient), tr
+    assert _same_layout(got.residual, want.residual), tr
+    assert [a.text for a in got.assumptions] == [a.text for a in want.assumptions]
+    assert [f.to_json() for f in got.failures] == [f.to_json() for f in want.failures]
+    assert got.absorbed_slot == want.absorbed_slot
+    assert list(got.coefficients) == list(want.coefficients)
+    for name, c in got.coefficients.items():
+        assert _same_layout(c, want.coefficients[name]), (tr, name)
+    assert list(got.action) == list(want.action)
+    return got
+
+
 @pytest.mark.hashseed
 def test_enlarged_image_equals_the_direct_image_bulk():
-    instances = _enlargement_instances()
-    for famA, famB, tr in instances:
-        res = theorem_instance_check(famA, famB, tr)
-        assert res.holds
-        got = res.target_report
-        want = _direct_report(famB, transform_derivatives(tr))
-        assert _same_layout(got.expression, want.expression), tr
-        assert got.verdict == want.verdict
-        assert _same_layout(got.lead_coefficient, want.lead_coefficient), tr
-        assert _same_layout(got.residual, want.residual), tr
-        assert [a.text for a in got.assumptions] == [a.text for a in want.assumptions]
-        assert [f.to_json() for f in got.failures] == [f.to_json() for f in want.failures]
-        assert list(got.coefficients) == list(want.coefficients)
-        for name, c in got.coefficients.items():
-            assert _same_layout(c, want.coefficients[name]), (tr, name)
+    absorbed = 0
+    for famA, famB, tr in _enlargement_instances():
+        absorbed += _assert_direct_report(famA, famB, tr).absorbed_slot is not None
+    # each shifted map's free term rides in a slot
+    assert absorbed == 8
 
 
 def test_enlarged_image_transforms_one_member_unless_a_slot_name_clashes(monkeypatch):
+    # famB's report is famA's renamed: one member transformed and one raw
+    # split per instance, famA's; a clash transforms and matches famB's too
+    applied, splits = [], []
+    apply = ProlongedMap.apply
+    monkeypatch.setattr(ProlongedMap, "apply", lambda pm, e: applied.append(e) or apply(pm, e))
+    groups = expressions._jet_groups
+    monkeypatch.setattr(expressions, "_jet_groups",
+                        lambda p, deps: splits.append(p) or groups(p, deps))
+    *plain, clash_hyper, clash_glin = _enlargement_instances()
+    for (famA, famB, tr), n in [(inst, 1) for inst in plain] + [(clash_hyper, 2), (clash_glin, 2)]:
+        applied.clear()
+        splits.clear()
+        assert theorem_instance_check(famA, famB, tr).holds
+        assert (len(applied), len(splits)) == (n, n), (famA.name, famB.name)
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize("names", [("a1x", "a"), ("a3x", "a2_"), ("a0", "a4")])
+def test_map_functions_named_next_to_a_slot_take_the_renamed_path(monkeypatch, names):
+    # a name that extends a slot's, or sorts just before or after it, keeps
+    # its atoms on their side of every slot atom, the order the rename needs
     calls = []
     apply = ProlongedMap.apply
     monkeypatch.setattr(ProlongedMap, "apply", lambda pm, e: calls.append(e) or apply(pm, e))
-    *plain, clash_hyper, clash_glin = _enlargement_instances()
-    for famA, famB, tr in plain[:5]:
+    f, g = names
+    w = jet("w")
+    for famA, famB, tr in (
+        (catalog("glin", 3), catalog("gliny", 3), PointTransformation(
+            ("x",), "y", ("z",), "w", {"x": z ** 3 + z}, func(f, z) * func(g, z) * w)),
+        (catalog("hyper"), catalog("hyperu"), PointTransformation(
+            ("t", "x"), "u", ("y", "z"), "w", {"t": y, "x": z + 1},
+            func(f, y, z) * func(g, y) * w)),
+    ):
         calls.clear()
-        assert theorem_instance_check(famA, famB, tr).holds
-        assert len(calls) == 1
-    for famA, famB, tr in (clash_hyper, clash_glin):
-        calls.clear()
-        assert theorem_instance_check(famA, famB, tr).holds
+        _assert_direct_report(famA, famB, tr)
+        # one apply here, famA's member, and one in the direct reference
         assert len(calls) == 2
 
 
