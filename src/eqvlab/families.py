@@ -206,6 +206,15 @@ class EquationFamily:
              for s, m in zip(self.slots, monos)],
         )
 
+    def enlarged(self, order: int) -> "EquationFamily":
+        """The same template with every slot taking the family's variables,
+        then every jet of ``dep`` of order 0 to ``order``, in that order; an
+        ``order`` of -1 means the variables alone.  :func:`theorem_instance_check`
+        compares its ``famB`` against this family."""
+        args = _enlarged_args(self.indep_vars, self.dep, order)
+        return EquationFamily(self.name, self.indep_vars, self.dep, self.lead,
+                              [CoefficientSlot(s.name, args, s.monomial) for s in self.slots])
+
 
 # (template, new variables, new dependent variable) -> (written family, its
 # generic member), least recently used first.  A batch of checks meets few
@@ -459,14 +468,10 @@ def check_equivalence(family: EquationFamily, tr: PointTransformation) -> MatchR
     return _check_prolonged(family, transform_derivatives(tr))
 
 
-def _check_prolonged(
-    family: EquationFamily, pm: ProlongedMap, image: Expression | None = None,
-) -> MatchReport:
-    """:func:`check_equivalence` for a map already prolonged; ``image``, when
-    given, is the generic member's image, which is then not built again."""
+def _check_prolonged(family: EquationFamily, pm: ProlongedMap) -> MatchReport:
+    """:func:`check_equivalence` for a map already prolonged."""
     tr = pm.transformation
-    te = image if image is not None else pm.apply(
-        family.rename(tr.old_vars, tr.old_dep).member())
+    te = pm.apply(family.rename(tr.old_vars, tr.old_dep).member())
     fam_tgt = family.rename(tr.new_vars, tr.new_dep)
     evidence = pm.det if polynomial_jets(pm.det, tr.new_dep) else None
     return match(
@@ -485,41 +490,29 @@ class TheoremCheckResult:
     target_report: MatchReport
 
 
-def _full_jet_args(indep_vars: Sequence[str], dep: str, order: int) -> set:
-    out = set()
-    for r in range(order + 1):
-        for comb in combinations_with_replacement(sorted(indep_vars), r):
-            out.add(Jet(dep, comb))
-    return out
+def _enlarged_args(indep_vars: Sequence[str], dep: str, order: int) -> tuple:
+    """The variables, then every jet of ``dep`` of order 0 to ``order``."""
+    return (*map(Var, indep_vars), *(Jet(dep, index) for r in range(order + 1)
+                                     for index in combinations_with_replacement(indep_vars, r)))
 
 
 def _validate_enlargement(famA: EquationFamily, famB: EquationFamily) -> None:
+    """Raise unless ``famB`` is ``famA.enlarged(r)``, each slot's arguments in
+    any order, for ``r`` the highest jet order among ``famB``'s arguments, and
+    every argument of ``famA`` is one of ``famB``'s."""
     if famA.indep_vars != famB.indep_vars or famA.dep != famB.dep:
         raise VariableMismatchError("families live over different variables")
-    if famA.lead != famB.lead:
-        raise VariableMismatchError("families have different lead monomials")
-    slots_a = {s.name: s for s in famA.slots}
-    slots_b = {s.name: s for s in famB.slots}
-    if set(slots_a) != set(slots_b):
-        raise VariableMismatchError("families have different slot names")
-    arg_sets = {frozenset(s.args) for s in famB.slots}
-    if len(arg_sets) != 1:
-        raise VariableMismatchError("enlarged family must use one argument tuple everywhere")
-    b_args = next(iter(arg_sets))
-    jets = [a for a in b_args if isinstance(a, Jet)]
-    max_order = max((j.order for j in jets), default=-1)
-    expected = {Var(v) for v in famB.indep_vars}
-    if max_order >= 0:
-        expected |= _full_jet_args(famB.indep_vars, famB.dep, max_order)
-    if set(b_args) != expected:
+    r = max((a.order for s in famB.slots for a in s.args if isinstance(a, Jet)), default=-1)
+    # famA.enlarged(r), compared without building it
+    args = frozenset(_enlarged_args(famA.indep_vars, famA.dep, r))
+    if famB.lead != famA.lead or ({s.name: (s.monomial, frozenset(s.args)) for s in famB.slots}
+                                  != {s.name: (s.monomial, args) for s in famA.slots}):
         raise VariableMismatchError(
-            "enlarged family arguments must be the variables plus all jets up to one order")
-    for name, sa in slots_a.items():
-        sb = slots_b[name]
-        if sa.monomial != sb.monomial:
-            raise VariableMismatchError(f"slot {name!r} multiplies different monomials")
-        if not set(sa.args) <= set(sb.args):
-            raise VariableMismatchError(f"slot {name!r} arguments shrink instead of growing")
+            f"{famB.name} is not {famA.name} with its arguments enlarged to order {r}")
+    missing = {a for s in famA.slots for a in s.args}.difference(args)
+    if missing:
+        raise VariableMismatchError(f"{famB.name} lacks arguments of {famA.name}: "
+                                    + ", ".join(sorted(a.text for a in missing)))
 
 
 def theorem_instance_check(
@@ -529,10 +522,12 @@ def theorem_instance_check(
 ) -> TheoremCheckResult:
     """Check one instance of the dummy-variables containment.
 
-    ``famB`` must be ``famA`` with every coefficient's argument list enlarged
-    to the full set of variables and jets up to a fixed order.  ``tr`` must be
-    an equivalence transformation of ``famA``; the result records whether it
-    is one of ``famB`` as well, which the containment asserts it always is.
+    ``famB`` must be ``famA.enlarged(r)`` for some order ``r``, each slot's
+    arguments in any order, and must keep every argument of ``famA``;
+    otherwise a :class:`VariableMismatchError` says how it differs.  ``tr``
+    must be an equivalence transformation of ``famA``; the result records
+    whether it is one of ``famB`` as well, which the containment asserts it
+    always is.
     Raises :class:`TheoremPreconditionError` when ``tr`` fails the
     ``famA``-membership precondition, with the failing report attached.
 
@@ -550,14 +545,12 @@ def theorem_instance_check(
     """
     _validate_enlargement(famA, famB)
     pm = transform_derivatives(tr)
-    # famA in the map's source variables serves its member and the slot renames
-    src_a = famA.rename(tr.old_vars, tr.old_dep)
-    rep_a = _check_prolonged(famA, pm, pm.apply(src_a.member()))
+    rep_a = _check_prolonged(famA, pm)
     if rep_a.verdict != EQUIVALENCE:
         raise TheoremPreconditionError(
             f"transformation is not an equivalence transformation of {famA.name}",
             report=rep_a)
-    renames = _slot_renames(src_a, famB, pm)
+    renames = _slot_renames(famA, famB, pm)
     if renames is None:
         rep_b = _check_prolonged(famB, pm)
     else:
@@ -576,11 +569,11 @@ def theorem_instance_check(
     )
 
 
-def _slot_renames(src_a: EquationFamily, famB: EquationFamily, pm: ProlongedMap) -> dict | None:
+def _slot_renames(famA: EquationFamily, famB: EquationFamily, pm: ProlongedMap) -> dict | None:
     """Each slot atom of famA's image to famB's, ``a_j(phi(args_A))`` to
-    ``a_j(phi(args_B))``; None when a function of the map has a slot's name.
-    ``src_a`` is famA written in the map's source variables."""
+    ``a_j(phi(args_B))``; None when a function of the map has a slot's name."""
     tr = pm.transformation
+    src_a = famA.rename(tr.old_vars, tr.old_dep)
     names = {s.name for s in src_a.slots}
     if any(names & dependency_closure(e).functions
            for e in (*tr.indep_map.values(), tr.dep_map)):
@@ -616,43 +609,39 @@ def catalog(name: str, order: int | None = None) -> EquationFamily:
     ``glin``, ``gliny`` and ``glin0y`` are the linear ordinary families of a
     given order (at least 3): highest derivative plus one arbitrary-function
     coefficient per lower derivative, the coefficients depending on the
-    independent variable, on both variables, or on the dependent variable
-    alone.  The hyperbolic families share the template
+    independent variable, on both variables (``glin`` enlarged to order 0,
+    :meth:`EquationFamily.enlarged`), or on the dependent variable alone.
+    The hyperbolic families share the template
     ``u_tx + a1*u_t + a2*u_x + a3*u`` and differ in the coefficients'
     argument lists: both variables for ``hyper``, both plus ``u`` for
-    ``hyperu``, ``a1(x)/a2(t)/a3(t,x)`` for ``hyperxp`` and
-    ``a1(t)/a2(t)/a3(t,x)`` for ``hypertt``.
+    ``hyperu`` (``hyper`` enlarged to order 0), ``a1(x)/a2(t)/a3(t,x)`` for
+    ``hyperxp`` and ``a1(t)/a2(t)/a3(t,x)`` for ``hypertt``.
     """
     if name in ("glin", "gliny", "glin0y"):
         if order is None:
             raise UnknownFamilyError(f"{name} needs an order")
         if order < 3:
             raise ValueError(f"{name} is defined for order 3 and up, got {order}")
-        x = Var("x")
-        y0 = Jet("y", ())
-        argspec = {
-            "glin": (x,),
-            "gliny": (x, y0),
-            "glin0y": (y0,),
-        }[name]
+        if name == "glin0y":
+            args = (Jet("y", ()),)
+        else:
+            args = _enlarged_args(("x",), "y", 0 if name == "gliny" else -1)
         lead = jet("y", *("x",) * order)
         slots = [
-            CoefficientSlot("a%d" % j, argspec, jet("y", *("x",) * (order - j)))
+            CoefficientSlot("a%d" % j, args, jet("y", *("x",) * (order - j)))
             for j in range(1, order + 1)
         ]
         return EquationFamily(name, ("x",), "y", lead, slots)
     if name in ("hyper", "hyperu", "hyperxp", "hypertt"):
         if order is not None:
             raise ValueError(f"{name} does not take an order")
-        t, x = Var("t"), Var("x")
-        u0 = Jet("u", ())
-        argspecs = {
-            "hyper": {"a1": (t, x), "a2": (t, x), "a3": (t, x)},
-            "hyperu": {"a1": (t, x, u0), "a2": (t, x, u0), "a3": (t, x, u0)},
-            "hyperxp": {"a1": (x,), "a2": (t,), "a3": (t, x)},
-            "hypertt": {"a1": (t,), "a2": (t,), "a3": (t, x)},
-        }[name]
-        monos = {"a1": jet("u", "t"), "a2": jet("u", "x"), "a3": jet("u")}
-        slots = [CoefficientSlot(n, argspecs[n], monos[n]) for n in ("a1", "a2", "a3")]
+        if name in ("hyperxp", "hypertt"):
+            t, x = Var("t"), Var("x")
+            argspecs = ((x,) if name == "hyperxp" else (t,), (t,), (t, x))
+        else:
+            argspecs = (_enlarged_args(("t", "x"), "u", 0 if name == "hyperu" else -1),) * 3
+        monos = (jet("u", "t"), jet("u", "x"), jet("u"))
+        slots = [CoefficientSlot("a%d" % j, a, m)
+                 for j, a, m in zip((1, 2, 3), argspecs, monos)]
         return EquationFamily(name, ("t", "x"), "u", jet("u", "t", "x"), slots)
     raise UnknownFamilyError(f"no family named {name!r}")

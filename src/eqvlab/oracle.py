@@ -47,8 +47,9 @@ attempt.
   [-2, 2] and with sparse small-rational stand-ins.  A point fails when
   ``|L - R| / (1 + max(|L|, |R|))`` exceeds ``tol``.  Denominators,
   assumptions and ``log`` arguments are guarded by a magnitude floor; a draw
-  that violates it is redrawn.  Values beyond the range of floating point
-  are an error.  There is no miss bound; the result names the rules that
+  that violates it is redrawn.  A degree bound above 2^16, by the same
+  count as in GF(p), and values beyond the range of floating point are
+  errors.  There is no miss bound; the result names the rules that
   sent the check here (``CheckResult.float_rules``).
 
 An antiderivative symbol is evaluated by running the same program on its
@@ -104,6 +105,7 @@ ASSUMPTION_FLOOR = Fraction(1, 10**6)
 FD_STEP = Fraction(1, 10**5)
 MODULUS = 2**61 - 1  # a Mersenne prime
 MAX_ATTEMPTS = 100  # draws in a row that may miss before a check errors out
+_MAX_FLOAT_DEGREE = 2**16  # beyond it, exact rationals take seconds per point
 
 Number = Fraction | float | int
 
@@ -781,6 +783,20 @@ class _Inventory:
         """Variables a point must assign: ``variables`` plus the dependents' ``slots``."""
         return tuple(sorted(self.variables.union(*slots)))
 
+    def degree_bound(self, li: int, ri: int, assumed: Sequence[int], limit: int,
+                     beyond: str) -> tuple[int, int]:
+        """``(d, e)``: the degree bound d of the difference of the sides ``li``
+        and ``ri``, and the degrees e summed over what a draw is redrawn for,
+        as :meth:`miss_bound` derives them; an :class:`EvaluationError` that
+        says ``beyond`` when ``d + e`` exceeds ``limit``."""
+        degrees = self.degrees
+        (nl, dl), (nr, dr) = degrees[li], degrees[ri]
+        d, rejected = max(nl + dr, nr + dl), self.rejected + sum(degrees[i][0] for i in assumed)
+        if d + rejected > limit:
+            raise EvaluationError(
+                f"the degree bound of this check ({d}, and {rejected} on redraws) {beyond}")
+        return d, rejected
+
     def miss_bound(self, li: int, ri: int, assumed: Sequence[int], points: int) -> float:
         """Upper bound on the chance that ``points`` GF(p) points all agree
         although the sides differ, rounded up to a float; an
@@ -830,14 +846,8 @@ class _Inventory:
         miss.  The points are independent, so the bound is that to the power
         ``points``.
         """
-        degrees = self.degrees
-        (nl, dl), (nr, dr) = degrees[li], degrees[ri]
-        rejected = self.rejected + sum(degrees[i][0] for i in assumed)
-        d = max(nl + dr, nr + dl)
-        if d + rejected >= MODULUS:
-            raise EvaluationError(
-                f"the degree bound of this check ({d}, and {rejected} on redraws) reaches "
-                f"p = 2^61 - 1, so a GF(p) pass would certify nothing")
+        d, rejected = self.degree_bound(li, ri, assumed, MODULUS - 1, "reaches p = 2^61 - 1, "
+                                        "so a GF(p) pass would certify nothing")
         bound = Fraction(d, MODULUS - rejected) ** points
         rounded = float(bound)
         return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)
@@ -1155,8 +1165,9 @@ def check_identity(
     discards in a row the check errors out.  ``points`` must be at least 1
     and ``tol`` finite and non-negative, so a pass means something was
     compared; ``tol`` decides only on the float path.  A GF(p) check whose
-    degree bound reaches p, and a float-path check whose values exceed
-    floating point, error out.  See the module docstring.
+    degree bound reaches p, a float-path check whose degree bound exceeds
+    2^16, and one whose values exceed floating point, error out.  See the
+    module docstring.
     """
     prog = _Program([x if isinstance(x, Mapping) else as_expression(x).to_tree()
                      for x in (lhs, rhs, *assumptions)])
@@ -1172,6 +1183,9 @@ def check_identity(
     if ar is MODULAR and _p_divides_difference(prog, li, ri):
         # nonzero, yet zero at every GF(p) point
         ar, rules = RATIONALS, ("difference",)
+    if ar is not MODULAR:
+        inv.degree_bound(li, ri, assumed, _MAX_FLOAT_DEGREE, "exceeds 2^16, beyond what "
+                         "exact rational evaluation reaches in reasonable time")
     bound = inv.miss_bound(li, ri, assumed, points) if ar is MODULAR else None
     names = inv.point_names(tuple(dep_vars[d]) for d in inv.deps if d in dep_vars)
     failed = 0

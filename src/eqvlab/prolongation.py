@@ -215,7 +215,7 @@ class ProlongedMap:
     """
 
     __slots__ = ("transformation", "matrix", "det", "assumptions", "entries",
-                 "_factors", "_axes", "_solved", "_derivatives", "_long", "_free")
+                 "_factors", "_axes", "_solved", "_derivatives", "_free")
 
     def __init__(self, transformation, matrix, det):
         self.transformation = transformation
@@ -239,8 +239,6 @@ class ProlongedMap:
         # sorted source index -> [D_k(N)]; factor f -> [D_k(d_f)]; by row k,
         # each taken the first time a solve reads its row
         self._derivatives: dict[tuple | int, list[Expression | None]] = {}
-        # sorted source index -> the long-form right-hand sides of its children, by row
-        self._long: dict[tuple, list[Expression | None]] = {}
         self._free: dict[int, bool] = {}
 
     def __getitem__(self, index: Sequence[str]) -> Expression:
@@ -278,12 +276,12 @@ class ProlongedMap:
         if not m or self._free_of(i):
             return self._numerator(dn, i), powers[:f] + (m + 1,) + powers[f + 1:]
         dd = self._total_derivatives(f, d, rows)
-        long = self._rows(self._long, J, rows, lambda k: dn[k] * d - num * m * dd[k])
+        long = {k: dn[k] * d - num * m * dd[k] for k in rows}
         return self._numerator(long, i), powers[:f] + (m + 2,) + powers[f + 1:]
 
-    def _numerator(self, rhs: list, i: int) -> Expression:
+    def _numerator(self, rhs, i: int) -> Expression:
         """Cramer's numerator of ``x_i``'s system: the determinant of its
-        matrix with its column replaced by ``rhs``, a list by row."""
+        matrix with its column replaced by ``rhs``, indexed by row."""
         _f, rows, M, c = self._axes[i]
         return _det([[rhs[k] if col == c else v for col, v in enumerate(row)]
                      for k, row in zip(rows, M)])
@@ -297,21 +295,17 @@ class ProlongedMap:
                 self._total_derivatives(f, self._factors[f], rows), i).is_zero()
         return self._free[i]
 
-    def _rows(self, cache: dict, key, rows, make) -> list:
-        """The list ``cache[key]``, by row, with ``make(k)`` filled in for each
-        row ``k`` of ``rows`` that it lacks."""
-        got = cache.get(key)
+    def _total_derivatives(self, key: tuple | int, e: Expression, rows) -> list:
+        """``[D_k(e)]`` by row, kept under ``key``, each row ``k`` of ``rows``
+        taken the first time it is asked for."""
+        got = self._derivatives.get(key)
         if got is None:
-            got = cache[key] = [None] * len(self.matrix)
+            got = self._derivatives[key] = [None] * len(self.matrix)
+        tr = self.transformation
         for k in rows:
             if got[k] is None:
-                got[k] = make(k)
+                got[k] = total_derivative(e, tr.new_vars[k], tr.new_dep)
         return got
-
-    def _total_derivatives(self, key: tuple | int, e: Expression, rows) -> list:
-        tr = self.transformation
-        return self._rows(self._derivatives, key, rows,
-                          lambda k: total_derivative(e, tr.new_vars[k], tr.new_dep))
 
     def total_derivatives(self) -> list[Expression]:
         """``[D_k(psi) for z_k in new_vars]``, computed once: the right-hand

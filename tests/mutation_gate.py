@@ -56,6 +56,8 @@ ONE_TERM = f"{JETS}::test_one_term_factors_follow_the_known_power_rule"
 FAMILIES = "tests/test_families.py"
 ENLARGED = f"{FAMILIES}::test_enlarged_image_equals_the_direct_image_bulk"
 WRITTEN = f"{FAMILIES}::test_a_written_family_keeps_its_name_and_slot_order"
+SHAPES = f"{FAMILIES}::test_each_enlargement_shape_is_refused_or_accepted"
+SWEEP = f"{FAMILIES}::test_every_catalog_family_enlarged_keeps_its_maps_bulk"
 ONE_SPLIT = f"{FAMILIES}::test_one_split_match_equals_the_two_pass_match_bulk"
 KERNEL = "tests/test_expr_kernel.py"
 
@@ -88,6 +90,10 @@ MUTANTS = (
     Mutant("dependents' degree floor dropped", "oracle.py",
            "fdeg, ddeg = degree, max(degree, 2)", "fdeg, ddeg = degree, degree",
            ("tests/test_oracle.py::test_one_walk_matches_the_reference_rules_bulk",)),
+    Mutant("the float-path degree cap never applies", "oracle.py",
+           "    if ar is not MODULAR:\n        inv.degree_bound(",
+           "    if False:\n        inv.degree_bound(",
+           ("tests/test_cli.py::test_float_replay_of_a_high_power_exits_2_at_once[70000]",)),
     Mutant("difference guard off", "oracle.py",
            "    (nl, dl, _), (nr, dr, _) = prog.exprs[li], prog.exprs[ri]\n",
            "    return False\n",
@@ -97,14 +103,14 @@ MUTANTS = (
            "        if not m or self._free_of(i):\n", "        if not m:\n",
            (f"{CRAMER}[free-of-t]",)),
     Mutant("one D_k(det) term dropped from the long form", "prolongation.py",
-           "lambda k: dn[k] * d - num * m * dd[k])",
-           "lambda k: dn[k] * d - num * m * dd[k] if k else dn[k] * d)",
+           "{k: dn[k] * d - num * m * dd[k] for k in rows}",
+           "{k: dn[k] * d - num * m * dd[k] if k else dn[k] * d for k in rows}",
            (LAZY, f"{JETS}::test_chain_rule_recurrence_holds_symbolically")),
     Mutant("one cofactor of _det with its sign flipped", "prolongation.py",
            "terms.append(term if c % 2 == 0 else -term)", "terms.append(term)",
            (f"{JETS}::test_chain_rule_recurrence_holds_symbolically",)),
     Mutant("m_i*N*D(d_i) dropped from the diagonal long form", "prolongation.py",
-           "lambda k: dn[k] * d - num * m * dd[k])", "lambda k: dn[k] * d)",
+           "{k: dn[k] * d - num * m * dd[k] for k in rows}", "{k: dn[k] * d for k in rows}",
            (DIAGONAL,)),
     Mutant("m_i + 2 made m_i + 1", "prolongation.py",
            "powers[:f] + (m + 2,)", "powers[:f] + (m + 1,)",
@@ -118,8 +124,20 @@ MUTANTS = (
     Mutant("mixed jets solved from the other parent", "prolongation.py",
            "            K = key.index\n", "            K = key.index[::-1]\n",
            (LAZY,)),
-    # families: famB's report renamed from famA's, match, the hyperbolic
-    # reader, the table
+    # families: the enlargement and the shape check, famB's report renamed
+    # from famA's, match, the hyperbolic reader, the table
+    Mutant("enlarged stops one order short", "families.py",
+           "for r in range(order + 1)", "for r in range(order)",
+           (f"{SHAPES}[order-1]", SWEEP)),
+    Mutant("the shape check compares argument tuples, not sets", "families.py",
+           "    args = frozenset(_enlarged_args(famA.indep_vars, famA.dep, r))\n"
+           "    if famB.lead != famA.lead or ({s.name: (s.monomial, frozenset(s.args)) ",
+           "    args = _enlarged_args(famA.indep_vars, famA.dep, r)\n"
+           "    if famB.lead != famA.lead or ({s.name: (s.monomial, s.args) ",
+           (f"{SHAPES}[arguments-reordered]",)),
+    Mutant("the shape check skips the missing-argument refusal", "families.py",
+           "    if missing:\n", "    if False:\n",
+           (f"{SHAPES}[famA-argument-missing]", f"{SHAPES}[famA-jet-missing]", SWEEP)),
     Mutant("a1 sent to famB's a2 atom", "families.py",
            "slot_atom(slots_b[s.name])",
            'slot_atom(slots_b["a2" if s.name == "a1" else s.name])',

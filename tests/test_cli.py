@@ -7,7 +7,8 @@ import time
 import pytest
 
 from eqvlab import (
-    Expression, Param, ParseError, Session, antiderivative, jet, parse, parse_expression, var)
+    Expression, Param, ParseError, Session, antiderivative, exp, jet, parse, parse_expression,
+    var)
 from eqvlab import cli, prolongation
 from eqvlab.cli import main
 from eqvlab.oracle import MODULUS
@@ -505,6 +506,25 @@ def test_float_replay_beyond_floating_point_exits_2(capsys, tmp_path):
         else:
             assert out["error"]["type"] == "EvaluationError"
             assert "exceed the range of floating point" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("power", [70000, 10**9])
+def test_float_replay_of_a_high_power_exits_2_at_once(capsys, tmp_path, power):
+    # exp(y) puts the check on the float path, where y^(10^9) would take
+    # exact rationals far past any timeout; y^70000 overflows floating point
+    # soon enough, but its degree bound is already refused
+    y = var("y")
+    path = write_state(tmp_path, [(y ** power * exp(y), 0 * y)])
+    t0 = time.perf_counter()
+    code = main(["oracle", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert json.loads(captured.out)["error"] == {
+        "type": "EvaluationError",
+        "message": f"the degree bound of this check ({power}, and 0 on redraws) exceeds "
+                   "2^16, beyond what exact rational evaluation reaches in reasonable time"}
+    assert "Traceback" not in captured.err
 
 
 def test_one_parser_serves_every_call(capsys, tmp_path):

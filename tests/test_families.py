@@ -424,6 +424,43 @@ def test_enlargement_shape_is_validated():
     assert res.holds
 
 
+def _glin3(*args, lead=jet("y", "x", "x", "x"), names=("a1", "a2", "a3"),
+           monos=(jet("y", "x", "x"), jet("y", "x"), jet("y"))):
+    """glin(3)'s template with slot j taking ``args[j]``, or every slot the
+    one tuple given."""
+    args = args * 3 if len(args) == 1 else args
+    return EquationFamily("g", ("x",), "y", lead,
+                          [CoefficientSlot(n, a, m) for n, a, m in zip(names, args, monos)])
+
+
+_XA, _Y0, _YX = Var("x"), Jet("y", ()), Jet("y", ("x",))
+
+
+# (famA, famB, whether famB is famA's enlargement)
+@pytest.mark.parametrize("famA, famB, legal", [
+    (catalog("glin", 3), catalog("glin", 3).rename(("t",), "y"), False),
+    (catalog("glin", 3), _glin3((_XA, _Y0), lead=jet("y", "x", "x", "x", "x")), False),
+    (catalog("glin", 3), _glin3((_XA, _Y0), names=("a1", "a2", "b3")), False),
+    (catalog("glin", 3), _glin3((_XA, _Y0), monos=(jet("y", "x", "x"), jet("y"), jet("y", "x"))),
+     False),
+    (catalog("glin", 3), _glin3((_XA, _Y0), (_XA, _Y0), (_XA,)), False),
+    (catalog("glin", 3), _glin3((_XA, _YX)), False),
+    (catalog("glin0y", 3), catalog("glin", 3), False),
+    (_glin3((_XA, _Y0, _YX)), catalog("gliny", 3), False),
+    (catalog("glin", 3), _glin3((_Y0, _XA)), True),
+    (catalog("glin", 3), _glin3((_XA, _Y0, _YX)), True),
+], ids=["variables", "lead", "slot-names", "slot-monomial", "argument-sets",
+        "jets-skip-an-order", "famA-argument-missing", "famA-jet-missing",
+        "arguments-reordered", "order-1"])
+def test_each_enlargement_shape_is_refused_or_accepted(famA, famB, legal):
+    tr = PointTransformation(("x",), "y", ("z",), "w", {"x": 2 * z + 1}, 3 * jet("w"))
+    if legal:
+        assert theorem_instance_check(famA, famB, tr).holds
+    else:
+        with pytest.raises(VariableMismatchError):
+            theorem_instance_check(famA, famB, tr)
+
+
 def test_match_report_json_shape():
     g = catalog("glin", 3)
     rep = match(g.member(), g)
@@ -535,6 +572,42 @@ def test_enlarged_image_equals_the_direct_image_bulk():
         absorbed += _assert_direct_report(famA, famB, tr).absorbed_slot is not None
     # each shifted map's free term rides in a slot
     assert absorbed == 8
+
+
+@pytest.mark.hashseed
+def test_every_catalog_family_enlarged_keeps_its_maps_bulk():
+    # a family's maps are those _enlargement_instances draws with it as famA
+    # or famB; none is in glin0y's group, which takes affine maps of its own
+    maps = {}
+    for famA, famB, tr in _enlargement_instances():
+        for fam in (famA, famB):
+            maps.setdefault(fam.name, []).append(tr)
+    rng = Random(518)
+    maps["glin0y"] = [PointTransformation(
+        ("x",), "y", ("z",), "w", {"x": rng.randint(1, 9) * z + rng.randint(-5, 5)},
+        rng.randint(1, 9) * jet("w") + rng.randint(-5, 5)) for _ in range(6)]
+    assert catalog("glin", 3).enlarged(0) == catalog("gliny", 3)
+    assert catalog("hyper").enlarged(0) == catalog("hyperu")
+    assert catalog("hyperxp").enlarged(1).slots[0].args == (
+        Var("t"), Var("x"), Jet("u", ()), Jet("u", ("t",)), Jet("u", ("x",)))
+    refused, held = [], 0
+    for name in catalog_names():
+        fam = catalog(name, 3) if name.startswith("glin") else catalog(name)
+        for r in (-1, 0, 1):
+            famB = fam.enlarged(r)
+            assert [(s.name, s.monomial) for s in famB.slots] == [
+                (s.name, s.monomial) for s in fam.slots]
+            if any(isinstance(a, Jet) and a.order > r for s in fam.slots for a in s.args):
+                # famB lacks an argument of fam
+                with pytest.raises(VariableMismatchError):
+                    theorem_instance_check(fam, famB, maps[name][0])
+                refused.append((name, r))
+                continue
+            for tr in maps[name]:
+                assert theorem_instance_check(fam, famB, tr).holds, (name, r, tr)
+                held += 1
+    assert refused == [("gliny", -1), ("glin0y", -1), ("hyperu", -1)]
+    assert held == 312
 
 
 def test_enlarged_image_transforms_one_member_unless_a_slot_name_clashes(monkeypatch):
