@@ -142,9 +142,6 @@ class Atom:
             isinstance(other, Atom) and self.rank == other.rank and self._text == other._text
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return self._hash
 
@@ -347,9 +344,6 @@ class Monomial:
             and self.exparg == other.exparg
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return self._hash
 
@@ -398,14 +392,6 @@ class Monomial:
             if ea.is_zero():
                 ea = None
         return Monomial._raw(merged, ea)
-
-    def __pow__(self, k: int) -> "Monomial":
-        if k < 0:
-            raise ValueError("monomial powers must be positive")
-        if k == 0:
-            return _ONE_M
-        ea = None if self.exparg is None else self.exparg * k
-        return Monomial._raw(tuple((a, p * k) for a, p in self.atoms), ea)
 
     def without(self, powers: Mapping[Atom, int]) -> "Monomial":
         """The monomial divided by the given atom powers (must divide exactly)."""
@@ -727,10 +713,6 @@ class Expression:
         if not isinstance(other, Expression):
             return NotImplemented
         return self._num == other._num and self._den == other._den
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         if self._hash is None:
@@ -1275,31 +1257,28 @@ class _SubstState:
     the atom from its rewritten children.
     """
 
-    __slots__ = ("hit_fn", "rewrite", "atom_values", "hit_products",
-                 "atom_hit", "expr_hit")
+    __slots__ = ("hit_fn", "rewrite", "values", "hit_products")
 
     def __init__(self, hit_fn, rewrite):
         self.hit_fn = hit_fn
         self.rewrite = rewrite
-        self.atom_values: dict[Atom, Expression] = {}
+        # atom -> its value in the pass, or None when nothing in it is affected
+        self.values: dict[Atom, Expression | None] = {}
         # hit (atom, power) pairs of a monomial -> raw (num, den) of their product
         self.hit_products: dict[tuple, tuple[dict, dict]] = {}
-        self.atom_hit: dict[Atom, bool] = {}
-        self.expr_hit: dict[Expression, bool] = {}
 
     def hits(self, a: Atom) -> bool:
         """Whether ``a`` or an atom inside it is affected."""
-        got = self.atom_hit.get(a)
-        if got is None:
-            got = self.atom_hit[a] = self.hit_fn(a) or any(map(self.hit_fn, _below(a)))
-        return got
+        got = self.values.get(a, a)  # ``a`` itself: not looked at yet
+        if got is a:
+            if self.hit_fn(a) or any(map(self.hit_fn, _below(a))):
+                return True
+            got = self.values[a] = None
+        return got is not None
 
     def mentions(self, e: Expression) -> bool:
         """Whether ``e`` reaches an affected atom."""
-        got = self.expr_hit.get(e)
-        if got is None:
-            got = self.expr_hit[e] = any(map(self.hits, _atoms_of((e,))))
-        return got
+        return any(map(self.hits, _atoms_of((e,))))
 
 
 def substitute(e: ExpressionLike, bindings: Mapping) -> Expression:
@@ -1406,26 +1385,24 @@ def rename_atoms(e: ExpressionLike, mapping: Mapping[Atom, Atom]) -> Expression:
 
 
 def _subst_atom(a: Atom, state: _SubstState) -> Expression:
-    got = state.atom_values.get(a)
-    if got is not None:
-        return got
-    if not state.hits(a):
-        out = as_expression(a)
-    else:
-        out = state.rewrite(a, state)
-        if out is None:
-            out = as_expression(a.rebuilt([_subst_expr(k, state) for k in a.children()]))
-    state.atom_values[a] = out
-    return out
+    got = state.values.get(a)
+    if got is None:
+        if not state.hits(a):
+            return as_expression(a)
+        got = state.rewrite(a, state)
+        if got is None:
+            got = as_expression(a.rebuilt([_subst_expr(k, state) for k in a.children()]))
+        state.values[a] = got
+    return got
 
 
 def _subst_expr(e: Expression, state: _SubstState) -> Expression:
-    if not state.mentions(e):
-        return e
     a = _bare_atom(e)
     if a is not None:
-        # the atom's own value, a binding itself, already normal and rendered
-        return _subst_atom(a, state)
+        # an affected atom's value is a binding itself, already normal and rendered
+        return _subst_atom(a, state) if state.hits(a) else e
+    if not state.mentions(e):
+        return e
     num = _subst_poly(e._num, state)
     if _constant_den(e):
         return _over(num, e._lc)
@@ -1442,7 +1419,8 @@ def _subst_poly(p: dict, state: _SubstState) -> Expression:
     # not yet seen, and a first power is the atom's value itself.  Its
     # untouched atoms and exponential then join as one monomial.  Each
     # factor is a monomial, so the keys come out in the order that
-    # multiplying atom by atom gives.  Untouched monomials form one last term.
+    # multiplying atom by atom gives.  Untouched monomials, whose exponential
+    # argument substitutes to itself, form one last term.
     plain: dict = {}
     terms = []
     products = state.hit_products
@@ -1451,7 +1429,9 @@ def _subst_poly(p: dict, state: _SubstState) -> Expression:
         for ak in m.atoms:
             (hit if state.hits(ak[0]) else rest).append(ak)
         ea = m.exparg
-        if not hit and (ea is None or not state.mentions(ea)):
+        if ea is not None:
+            ea = _subst_expr(ea, state)
+        if not hit and ea is m.exparg:
             plain[m] = c
             continue
         hit = tuple(hit)
@@ -1463,10 +1443,8 @@ def _subst_poly(p: dict, state: _SubstState) -> Expression:
             ak = hit[j]
             power = _subst_atom(ak[0], state) ** ak[1]
             num, den = products[hit[:j + 1]] = _pmul(num, power._num), _pmul(den, power._den)
-        if ea is not None:
-            ea = _subst_expr(ea, state)
-            if ea.is_zero():
-                ea = None
+        if ea is not None and ea.is_zero():
+            ea = None
         terms.append((_pmul(num, {Monomial._raw(tuple(rest), ea): c}), den))
     if plain:
         terms.append((plain, _ONE_P))

@@ -218,10 +218,7 @@ class HyperbolicEquation:
         )
 
     def reduce_to_canonical(
-        self,
-        constants: tuple[ExpressionLike, ExpressionLike] = (0, 0),
-        new_vars: tuple[str, str] = ("y", "z"),
-        new_dep: str = "w",
+        self, constants: tuple[ExpressionLike, ExpressionLike] = (0, 0),
     ) -> Reduction:
         """Remove the first-order terms by an exponential-weight substitution.
 
@@ -232,9 +229,7 @@ class HyperbolicEquation:
         The reduced equation is ``w_yz + b*w`` with ``b = a3 - a1*a2`` in the
         new variables.
         """
-        y, z = new_vars
-        if len({y, z, new_dep}) != 3:
-            raise VariableMismatchError("target variable names must be distinct")
+        y, z, new_dep = "y", "z", "w"
         d1 = dependency_closure(self.a1)
         d2 = dependency_closure(self.a2)
         if not d1.variables <= {self.x}:

@@ -48,9 +48,10 @@ attempt.
   ``|L - R| / (1 + max(|L|, |R|))`` exceeds ``tol``.  Denominators,
   assumptions and ``log`` arguments are guarded by a magnitude floor; a draw
   that violates it is redrawn.  A degree bound above 2^16, by the same
-  count as in GF(p), and values beyond the range of floating point are
-  errors.  There is no miss bound; the result names the rules that
-  sent the check here (``CheckResult.float_rules``).
+  count as in GF(p) and for each exp or log argument too, and values beyond
+  the range of floating point are errors.  There is no miss bound; the
+  result names the rules that sent the check here
+  (``CheckResult.float_rules``).
 
 An antiderivative symbol is evaluated by running the same program on its
 integrand, as a univariate polynomial in the integration variable over the
@@ -691,11 +692,12 @@ class _Inventory:
     is a multiple of p.  ``float_rules`` names, in that order, the rules that
     do not hold: ``"exp"``, ``"log"`` and ``"coefficient"``.  The same pass
     bounds the degrees of every value the evaluator forms, for
-    :meth:`miss_bound`.
+    :meth:`miss_bound`, and then, where exp or log occur, those of their
+    arguments (``arg_degree``, the highest), for the float path.
     """
 
     __slots__ = ("program", "functions", "params", "deps", "variables", "modular",
-                 "float_rules", "degrees", "rejected")
+                 "float_rules", "degrees", "rejected", "arg_degree")
 
     def __init__(self, exprs: "Iterable[ExpressionLike] | _Program", degree: int = 2):
         self.program = prog = exprs if isinstance(exprs, _Program) else _Program(
@@ -711,6 +713,7 @@ class _Inventory:
         self.degrees: list[tuple[int, int] | None] = [None] * len(prog.exprs)
         self.rejected = 0
         rules: set[str] = set()
+        exp_log_args: list[int] = []  # in the order the pass meets them
 
         def poly(terms) -> tuple[int, int]:
             powers: dict[int, int] = {}
@@ -718,6 +721,7 @@ class _Inventory:
             for c, factors, exp in terms:
                 if exp is not None:
                     rules.add("exp")
+                    exp_log_args.append(exp)
                 if not c % MODULUS:
                     rules.add("coefficient")
                 lift = 0
@@ -766,6 +770,7 @@ class _Inventory:
                 atom_deg[s] = (n + 1, d)
             else:
                 rules.add("log")
+                exp_log_args.append(step[0])
         for name, ns in sorted(arities.items()):
             if len(ns) > 1:
                 raise EvaluationError(
@@ -774,6 +779,12 @@ class _Inventory:
             of(i)
         self.float_rules = tuple(r for r in ("exp", "log", "coefficient") if r in rules)
         self.modular = not rules
+        # read after the rules, which they leave as they are; the list grows
+        # as the arguments' own exp arguments are read, and their denominators
+        # join ``rejected``, since a draw where one vanishes is redrawn
+        self.arg_degree = 0
+        for i in exp_log_args:
+            self.arg_degree = max(self.arg_degree, *of(i))
         self.functions = {n: (ns.pop(), fdeg) for n, ns in sorted(arities.items())}
         self.params = sorted(params)
         self.deps = {name: ddeg for name in sorted(deps)}
@@ -788,13 +799,17 @@ class _Inventory:
         """``(d, e)``: the degree bound d of the difference of the sides ``li``
         and ``ri``, and the degrees e summed over what a draw is redrawn for,
         as :meth:`miss_bound` derives them; an :class:`EvaluationError` that
-        says ``beyond`` when ``d + e`` exceeds ``limit``."""
+        says ``beyond`` when ``d + e``, or the degree of an exp or log
+        argument, exceeds ``limit``."""
         degrees = self.degrees
         (nl, dl), (nr, dr) = degrees[li], degrees[ri]
         d, rejected = max(nl + dr, nr + dl), self.rejected + sum(degrees[i][0] for i in assumed)
         if d + rejected > limit:
             raise EvaluationError(
                 f"the degree bound of this check ({d}, and {rejected} on redraws) {beyond}")
+        if self.arg_degree > limit:
+            raise EvaluationError(
+                f"the degree bound of an exp or log argument ({self.arg_degree}) {beyond}")
         return d, rejected
 
     def miss_bound(self, li: int, ri: int, assumed: Sequence[int], points: int) -> float:
@@ -1165,9 +1180,9 @@ def check_identity(
     discards in a row the check errors out.  ``points`` must be at least 1
     and ``tol`` finite and non-negative, so a pass means something was
     compared; ``tol`` decides only on the float path.  A GF(p) check whose
-    degree bound reaches p, a float-path check whose degree bound exceeds
-    2^16, and one whose values exceed floating point, error out.  See the
-    module docstring.
+    degree bound reaches p, a float-path check whose degree bound, or that
+    of an exp or log argument, exceeds 2^16, and one whose values exceed
+    floating point, error out.  See the module docstring.
     """
     prog = _Program([x if isinstance(x, Mapping) else as_expression(x).to_tree()
                      for x in (lhs, rhs, *assumptions)])

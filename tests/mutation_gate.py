@@ -60,6 +60,8 @@ SHAPES = f"{FAMILIES}::test_each_enlargement_shape_is_refused_or_accepted"
 SWEEP = f"{FAMILIES}::test_every_catalog_family_enlarged_keeps_its_maps_bulk"
 ONE_SPLIT = f"{FAMILIES}::test_one_split_match_equals_the_two_pass_match_bulk"
 KERNEL = "tests/test_expr_kernel.py"
+# a power inside an exp or log argument, at a size the unbounded path survives
+ARG_CAP = "tests/test_cli.py::test_float_replay_of_a_high_power_in_an_argument_exits_2_at_once"
 
 MUTANTS = (
     # the table reader's normal form, which atom identity in GF(p) rests on
@@ -94,6 +96,9 @@ MUTANTS = (
            "    if ar is not MODULAR:\n        inv.degree_bound(",
            "    if False:\n        inv.degree_bound(",
            ("tests/test_cli.py::test_float_replay_of_a_high_power_exits_2_at_once[70000]",)),
+    Mutant("the float-path cap skips exp and log arguments", "oracle.py",
+           "        for i in exp_log_args:\n", "        for i in ():\n",
+           (f"{ARG_CAP}[exp-70000]", f"{ARG_CAP}[log-70000]")),
     Mutant("difference guard off", "oracle.py",
            "    (nl, dl, _), (nr, dr, _) = prog.exprs[li], prog.exprs[ri]\n",
            "    return False\n",
@@ -192,6 +197,9 @@ MUTANTS = (
            "           new_vars, new_dep)\n",
            "    key = (family, new_vars, new_dep)\n",
            (WRITTEN,)),
+    Mutant("the table evicts its most recently used entry", "families.py",
+           "del _WRITTEN[next(iter(_WRITTEN))]", "del _WRITTEN[next(reversed(_WRITTEN))]",
+           (f"{FAMILIES}::test_the_written_table_drops_its_least_recently_used_entry",)),
     # the kernel: raw sums, bare arguments and powers in a substitution pass
     Mutant("a linear fold in _sum_terms", "expressions.py",
            "Expression(_pairwise([_pscale(num, k // d) for (num, _), d in zip(terms, ks)], _padd),",
@@ -199,13 +207,16 @@ MUTANTS = (
            "_padd, [_pscale(num, k // d) for (num, _), d in zip(terms, ks)]),",
            (f"{KERNEL}::test_raw_term_sums_pair_as_expr_sum_does_bulk",)),
     Mutant("a bare argument left unsubstituted", "expressions.py",
-           "        return _subst_atom(a, state)\n", "        return e\n",
+           "        return _subst_atom(a, state) if state.hits(a) else e\n", "        return e\n",
            (f"{KERNEL}::test_a_bare_function_argument_becomes_its_binding_itself",)),
     Mutant("the bare-atom shortcut skipped", "expressions.py",
            "    a = _bare_atom(e)\n", "    a = None\n",
            (f"{KERNEL}::test_bare_arguments_shared_by_slot_atoms_are_never_rewritten",)),
     Mutant("a substituted power taken as a first power", "expressions.py",
            "_subst_atom(ak[0], state) ** ak[1]", "_subst_atom(ak[0], state)",
+           (f"{KERNEL}::test_substitution_matches_per_term_assembly_bulk",)),
+    Mutant("an affected atom stored as unaffected in values", "expressions.py",
+           "        state.values[a] = got\n", "        state.values[a] = None\n",
            (f"{KERNEL}::test_substitution_matches_per_term_assembly_bulk",)),
 )
 

@@ -7,8 +7,8 @@ import time
 import pytest
 
 from eqvlab import (
-    Expression, Param, ParseError, Session, antiderivative, exp, jet, parse, parse_expression,
-    var)
+    Expression, Param, ParseError, Session, antiderivative, exp, jet, log, parse,
+    parse_expression, var)
 from eqvlab import cli, prolongation
 from eqvlab.cli import main
 from eqvlab.oracle import MODULUS
@@ -523,6 +523,27 @@ def test_float_replay_of_a_high_power_exits_2_at_once(capsys, tmp_path, power):
     assert json.loads(captured.out)["error"] == {
         "type": "EvaluationError",
         "message": f"the degree bound of this check ({power}, and 0 on redraws) exceeds "
+                   "2^16, beyond what exact rational evaluation reaches in reasonable time"}
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind, power", [("exp", 70000), ("exp", 10**9), ("log", 70000),
+                                         ("log", 10**9)])
+def test_float_replay_of_a_high_power_in_an_argument_exits_2_at_once(
+        capsys, tmp_path, kind, power):
+    # the power sits inside the exp or log argument, whose exact rational
+    # value is formed before the float; the side itself has degree 0
+    y = var("y")
+    side = exp(y ** power) if kind == "exp" else log(y ** power + 2)
+    path = write_state(tmp_path, [(side, 0 * y)])
+    t0 = time.perf_counter()
+    code = main(["oracle", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert json.loads(captured.out)["error"] == {
+        "type": "EvaluationError",
+        "message": f"the degree bound of an exp or log argument ({power}) exceeds "
                    "2^16, beyond what exact rational evaluation reaches in reasonable time"}
     assert "Traceback" not in captured.err
 

@@ -168,6 +168,23 @@ def test_a_written_family_keeps_its_name_and_slot_order(name, order):
     assert list(check_equivalence(fam, tr).to_json()["induced_action"]) == list(order)
 
 
+def test_the_written_table_drops_its_least_recently_used_entry(monkeypatch):
+    monkeypatch.setattr(families, "_WRITTEN", {})
+    h = catalog("hyper")
+    sets = [((f"p{i}", f"q{i}"), "w") for i in range(129)]
+    entries = [families._written(h, *s) for s in sets[:128]]
+    # the first set again: served from the table, now the most recently used
+    assert families._written(h, *sets[0]) is entries[0]
+    families._written(h, *sets[128])
+    assert len(families._WRITTEN) == 128
+    assert [k[-2:] for k in families._WRITTEN] == sets[2:128] + [sets[0], sets[128]]
+    assert families._written(h, *sets[0]) is entries[0]
+    fam, member = families._written(h, *sets[1])
+    assert fam is not entries[1][0] and member is not entries[1][1]
+    assert fam == entries[1][0] and member == entries[1][1]
+    assert (fam.name, fam.indep_vars, fam.dep) == ("hyper", ("p1", "q1"), "w")
+
+
 @pytest.mark.hashseed
 def test_reports_are_the_same_with_the_table_cold_or_warm_bulk(monkeypatch):
     monkeypatch.setattr(families, "_WRITTEN", {})

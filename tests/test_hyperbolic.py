@@ -121,8 +121,6 @@ def test_reduction_preconditions():
     eq = HyperbolicEquation(x, t, t * x)
     with pytest.raises(DegenerateTransformationError, match="constant"):
         eq.reduce_to_canonical(constants=(var("y"), 0))
-    with pytest.raises(VariableMismatchError):
-        eq.reduce_to_canonical(new_vars=("y", "y"))
 
 
 def test_from_expression_round_trip():
