@@ -80,7 +80,6 @@ from .families import (
     catalog,
     catalog_names,
     check_equivalence,
-    compose,
     match,
     theorem_instance_check,
 )
@@ -96,7 +95,6 @@ from .oracle import (
     Instantiation,
     PolyFunc,
     check_identity,
-    check_zero,
     draw_point,
     evaluate,
     fd_total,

@@ -21,11 +21,11 @@ from pathlib import Path
 
 from .errors import EqvError
 from .expressions import (
-    Expression, Var, as_expression, collect_numerators, expr_sum, param, partial,
+    Expression, Var, as_expression, collect_numerators, param, partial,
     polynomial_jets)
 from .families import EQUIVALENCE, EquationFamily, catalog, check_equivalence, theorem_instance_check
 from .hyperbolic import HyperbolicEquation
-from .oracle import DEFAULT_SEED, check_identity, read_tables
+from .oracle import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, check_identity, read_tables
 from .parser import Session, parse, parse_expression
 from .prolongation import transform_derivatives
 
@@ -306,7 +306,7 @@ def _hyperbolic_input(args, session) -> HyperbolicEquation:
     # the member would keep the member's denominator above and below (the kernel has no gcd)
     coeff = {param(s.name): parse_expression(overrides[s.name], mini) if s.name in overrides
              else s.func_expr() for s in fam.slots}
-    member = fam.lead + expr_sum(param(s.name) * s.monomial for s in fam.slots)
+    member = fam.equation({s.name: param(s.name) for s in fam.slots})
     eq, _lead = HyperbolicEquation.from_expression(member, *fam.indep_vars, fam.dep)
     return HyperbolicEquation(*(coeff.get(c, c) for c in (eq.a1, eq.a2, eq.a3)),
                               *fam.indep_vars, fam.dep)
@@ -407,7 +407,7 @@ def _read_state(path: Path) -> dict:
 
 
 def _config(args):
-    cfg = {"seed": DEFAULT_SEED, "tol": 1e-6, "points": 10}
+    cfg = {"seed": DEFAULT_SEED, "tol": DEFAULT_TOL, "points": DEFAULT_POINTS}
     path = args.config or (DEFAULT_CONFIG if Path(DEFAULT_CONFIG).exists() else None)
     if path:
         loaded = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -1455,18 +1455,19 @@ def _subst_poly(p: dict, state: _SubstState) -> Expression:
 # Collection
 
 
-def _jet_monomial(e: Expression, dep: str | None = None) -> Monomial:
+def _jet_monomial(e: Expression, dep: str | None = None, what: str = "") -> Monomial:
     """The monomial of ``e``, which must be one coefficient-one monomial in
-    jet variables (of ``dep``, when given); the constant ``1`` is one."""
+    jet variables (of ``dep``, when given); the constant ``1`` is one.
+    ``what`` names ``e`` at the head of a refusal."""
     if len(e._num) != 1 or not _constant_den(e):
-        raise ValueError(f"{e.text} is not a single monomial")
+        raise ValueError(f"{what}{e.text} is not a single monomial")
     (m, c), = e._num.items()
     if c != e._lc or m.exparg is not None:
-        raise ValueError(f"{e.text} is not a coefficient-one jet monomial")
+        raise ValueError(f"{what}{e.text} is not a coefficient-one jet monomial")
     for a, _ in m.atoms:
         if not isinstance(a, Jet) or dep is not None and a.dep != dep:
             of = "" if dep is None else f" of {dep!r}"
-            raise ValueError(f"{e.text} contains {a!r}, not a jet{of}")
+            raise ValueError(f"{what}{e.text} contains {a!r}, not a jet{of}")
     return m
 
 

@@ -14,10 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import expressions
-from .errors import TheoremPreconditionError, UnknownFamilyError, VariableMismatchError
+from .errors import (
+    TheoremPreconditionError,
+    UnknownFamilyError,
+    UnsupportedAtomError,
+    VariableMismatchError,
+)
 from .expressions import (
     ZERO,
     Atom,
@@ -29,6 +34,7 @@ from .expressions import (
     Var,
     _jet_monomial,
     _pmul,
+    as_atom,
     as_expression,
     dependency_closure,
     expr_sum,
@@ -53,7 +59,6 @@ __all__ = [
     "match",
     "check_equivalence",
     "theorem_instance_check",
-    "compose",
     "catalog",
     "catalog_names",
 ]
@@ -120,15 +125,15 @@ class EquationFamily:
             raise VariableMismatchError(f"{name}: bad variables {self.indep_vars} / {dep}")
         self.lead = as_expression(lead)
         self.slots = tuple(slots)
-        monos = [_jet_monomial(self.lead, self.dep)]
+        monos = [_jet_monomial(self.lead, self.dep, "lead ")]
         names = set()
         for s in self.slots:
             if s.name in names:
                 raise ValueError(f"duplicate slot name {s.name!r}")
             names.add(s.name)
-            m = _jet_monomial(s.monomial, self.dep)
+            m = _jet_monomial(s.monomial, self.dep, f"slot {s.name!r} monomial ")
             if m in monos:
-                raise ValueError(f"slot monomial {s.monomial.text} repeats")
+                raise ValueError(f"slot {s.name!r} monomial {s.monomial.text} repeats")
             monos.append(m)
             for a in s.args:
                 if isinstance(a, Var):
@@ -144,6 +149,54 @@ class EquationFamily:
                         f"slot {s.name!r} argument {a!r} must be a variable or jet")
         # the template's jet monomials, lead first, for rename and match
         self._monomials = tuple(monos)
+
+    @classmethod
+    def from_template(cls, name: str, expression: ExpressionLike,
+                      variables: Sequence[str]) -> "EquationFamily":
+        """The family an inline template writes: one bare lead monomial plus
+        terms ``a_j(args_j) * M_j``, each with coefficient 1 and one
+        undifferentiated function whose arguments are bare atoms.
+
+        The family's variables are those of ``variables`` the template
+        reaches, in that order, and its dependent variable is the one whose
+        jets it reaches; the slots are sorted by name.  The constructor
+        checks the kinds of the factors, arguments and monomials.  Every
+        refusal is a ``ValueError`` or an :class:`~eqvlab.errors.EqvError`.
+        """
+        e = as_expression(expression)
+        if not e.denominator().is_one():
+            raise ValueError("a family template must be polynomial")
+        lead = None
+        slots = []
+        for c, m in reversed(e.num_terms()):
+            fn = [a for a, _k in m.atoms if isinstance(a, Func)]
+            if not fn:
+                if c != 1:
+                    raise ValueError("the lead monomial must have coefficient 1")
+                if lead is not None:
+                    raise ValueError("two terms without a coefficient function")
+                lead = from_monomial(m)
+                continue
+            f = fn[0]
+            if len(fn) > 1 or dict(m.atoms)[f] != 1:
+                raise ValueError("each term may carry one coefficient function, once")
+            if f.dindex:
+                raise ValueError("a family template cannot differentiate its coefficients")
+            if c != 1:
+                raise ValueError(f"slot {f.name!r} must have coefficient 1")
+            try:
+                args = [as_atom(a) for a in f.args]
+            except UnsupportedAtomError as exc:
+                raise ValueError(f"slot {f.name!r} argument {exc}") from None
+            slots.append(CoefficientSlot(f.name, args, from_monomial(m.without({f: 1}))))
+        if lead is None:
+            raise ValueError("a family template needs a bare lead monomial")
+        deps = dependency_closure(e)
+        dep = {j.dep for j in deps.jets}
+        if len(dep) != 1:
+            raise ValueError("a family template must use exactly one dependent variable")
+        slots.sort(key=lambda s: s.name)
+        return cls(name, [v for v in variables if v in deps.variables], dep.pop(), lead, slots)
 
     def __repr__(self):
         return "EquationFamily(%s: %s + %s = 0)" % (
@@ -163,6 +216,12 @@ class EquationFamily:
     def __hash__(self):
         return hash((self.indep_vars, self.dep, self.lead,
                      tuple(sorted(self.slots, key=lambda s: s.name))))
+
+    def equation(self, coefficients: Mapping[str, ExpressionLike]) -> Expression:
+        """``lead + sum_j c_j * M_j`` over the slots ``coefficients`` names,
+        in slot order."""
+        return self.lead + expr_sum(coefficients[s.name] * s.monomial for s in self.slots
+                                    if s.name in coefficients)
 
     def member(self) -> Expression:
         """The generic member's left-hand side.
@@ -236,7 +295,7 @@ def _written(family: EquationFamily, new_vars: tuple, new_dep: str) -> tuple:
     entry = _WRITTEN.pop(key, None)
     if entry is None:
         fam = family._renamed(new_vars, new_dep)
-        entry = fam, fam.lead + expr_sum(s.func_expr() * s.monomial for s in fam.slots)
+        entry = fam, fam.equation({s.name: s.func_expr() for s in fam.slots})
         if len(_WRITTEN) >= _WRITTEN_SIZE:
             del _WRITTEN[next(iter(_WRITTEN))]
     _WRITTEN[key] = entry
@@ -295,10 +354,7 @@ class MatchReport:
     def reconstruction(self) -> Expression:
         """``lead_coefficient * template(coefficients) + residual``; equals the
         matched expression identically whenever the lead was found."""
-        body = self.family.lead + expr_sum(
-            self.coefficients[s.name] * s.monomial for s in self.family.slots
-            if s.name in self.coefficients)
-        return self.lead_coefficient * body + self.residual
+        return self.lead_coefficient * self.family.equation(self.coefficients) + self.residual
 
     def to_json(self):
         return {
@@ -589,14 +645,6 @@ def _slot_renames(famA: EquationFamily, famB: EquationFamily, pm: ProlongedMap) 
 
     slots_b = {s.name: s for s in famB.rename(tr.old_vars, tr.old_dep).slots}
     return {slot_atom(s): slot_atom(slots_b[s.name]) for s in src_a.slots}
-
-
-def compose(first: PointTransformation, second: PointTransformation) -> PointTransformation:
-    """The composite transformation: apply ``second``'s substitution to ``first``.
-
-    Equivalence transformations of a family are closed under this operation.
-    """
-    return first.compose(second)
 
 
 def catalog_names() -> tuple[str, ...]:

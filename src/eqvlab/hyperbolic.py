@@ -189,9 +189,8 @@ class HyperbolicEquation:
         return cls(**report.coefficients, t=t, x=x, u=u), report.lead_coefficient
 
     def expression(self) -> Expression:
-        fam = _template(self.t, self.x, self.u)
-        # the coefficients are the attributes named after the template's slots
-        return sum((getattr(self, s.name) * s.monomial for s in fam.slots), start=fam.lead)
+        return _template(self.t, self.x, self.u).equation(
+            {"a1": self.a1, "a2": self.a2, "a3": self.a3})
 
     def _image(self, tr: PointTransformation) -> tuple["HyperbolicEquation", Expression]:
         """The equation transformed by ``tr``, read back in its target variables."""

@@ -86,6 +86,8 @@ from .expressions import (
 
 __all__ = [
     "DEFAULT_SEED",
+    "DEFAULT_TOL",
+    "DEFAULT_POINTS",
     "ASSUMPTION_FLOOR",
     "MODULUS",
     "RATIONALS",
@@ -97,11 +99,12 @@ __all__ = [
     "fd_total",
     "CheckResult",
     "check_identity",
-    "check_zero",
     "read_tables",
 ]
 
 DEFAULT_SEED = 1729
+DEFAULT_TOL = 1e-6  # decides float-path checks only
+DEFAULT_POINTS = 10
 ASSUMPTION_FLOOR = Fraction(1, 10**6)
 FD_STEP = Fraction(1, 10**5)
 MODULUS = 2**61 - 1  # a Mersenne prime
@@ -1152,19 +1155,14 @@ class CheckResult:
         return self.ok
 
 
-def _arithmetic(inv: _Inventory) -> _Arithmetic:
-    """GF(p) unless an exp or log needs real values or a coefficient is 0 mod p."""
-    return MODULAR if inv.modular else RATIONALS
-
-
 def check_identity(
     lhs: ExpressionLike | Mapping,
     rhs: ExpressionLike | Mapping,
     dep_vars: Mapping[str, Sequence[str]],
     *,
     seed: int | None = None,
-    points: int = 10,
-    tol: float = 1e-6,
+    points: int = DEFAULT_POINTS,
+    tol: float = DEFAULT_TOL,
     assumptions: Sequence[ExpressionLike | Mapping] = (),
 ) -> CheckResult:
     """Compare two expressions at random admissible points.
@@ -1193,7 +1191,8 @@ def check_identity(
     rng = Random(DEFAULT_SEED if seed is None else seed)
     inv = _Inventory(prog)
     li, ri, *assumed = prog.roots
-    ar = _arithmetic(inv)
+    # GF(p) unless an exp or log needs real values or a coefficient is 0 mod p
+    ar = MODULAR if inv.modular else RATIONALS
     rules = inv.float_rules
     if ar is MODULAR and _p_divides_difference(prog, li, ri):
         # nonzero, yet zero at every GF(p) point
@@ -1249,11 +1248,3 @@ def read_tables(tables: Sequence) -> None:
     """Raise ``ValueError`` unless each of ``tables`` is an atom table of
     :meth:`Expression.to_tree` that describes an expression."""
     _Program(tables)
-
-
-def check_zero(
-    e: ExpressionLike,
-    dep_vars: Mapping[str, Sequence[str]],
-    **kwargs,
-) -> CheckResult:
-    return check_identity(e, 0, dep_vars, **kwargs)

@@ -11,10 +11,10 @@ A session file declares names, then uses them:
 Statements end with ``;``.  Expressions use ``+ - * / ^`` (integer exponents),
 ``exp(...)``, ``log(...)``, ``int(expr, var)`` for antiderivatives, ``D[u,t,x]``
 for jets, and ``D[a1,1](t,x)`` for slot derivatives of function symbols.  A
-family can also be written inline, ``family F: <expression> = 0;``, in which
-case each term must be a declared function symbol times a jet monomial, plus a
-single bare lead monomial.  Every name must be declared before use; errors
-carry line and column.
+family can also be written inline, ``family F: <expression> = 0;``: a template
+that ``EquationFamily.from_template`` reads, each of its refusals a
+``ParseError`` at the family's name.  Every name must be declared before use;
+errors carry line and column.
 """
 
 from __future__ import annotations
@@ -23,24 +23,19 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError, UnknownFamilyError, UnsupportedAtomError
+from .errors import EqvError, ParseError, UnknownFamilyError
 from .expressions import (
     Expression,
-    Func,
-    Jet,
-    Var,
     antiderivative,
-    as_atom,
     as_expression,
     exp,
-    from_monomial,
     func,
     jet,
     log,
     param,
     var,
 )
-from .families import CoefficientSlot, EquationFamily, catalog
+from .families import EquationFamily, catalog
 from .prolongation import PointTransformation
 
 __all__ = ["Session", "parse", "parse_expression", "Token"]
@@ -266,7 +261,11 @@ class _Parser:
         self.expect("sym", "=")
         rhs = self.expression()
         self.expect("sym", ";")
-        fam = self._family_from_expression(name_tok, lhs - rhs)
+        try:
+            fam = EquationFamily.from_template(name_tok.value, lhs - rhs,
+                                               self.session.indep_vars)
+        except (ValueError, EqvError) as exc:
+            self.fail(str(exc), name_tok)
         self._register_family(fam, name_tok)
 
     def _register_family(self, fam: EquationFamily, tok: Token):
@@ -292,59 +291,6 @@ class _Parser:
                         f"slot {s.name!r} conflicts with the declared "
                         f"function {s.name}({', '.join(known)})", tok)
         self.session.families[fam.name] = fam
-
-    def _family_from_expression(self, name_tok: Token, e: Expression) -> EquationFamily:
-        if not e.denominator().is_one():
-            self.fail("a family template must be polynomial", name_tok)
-        lead = None
-        slots = []
-        used: set[str] = set()
-        deps: set[str] = set()
-        for c, m in reversed(e.num_terms()):
-            if m.exparg is not None:
-                self.fail("exponential factors cannot appear in a family template", name_tok)
-            fn = [a for a, _k in m.atoms if isinstance(a, Func)]
-            rest = [(a, k) for a, k in m.atoms if not isinstance(a, Func)]
-            for a, _k in rest:
-                if not isinstance(a, Jet):
-                    self.fail(
-                        f"family term factor {a.text} is neither a coefficient "
-                        "function nor a jet", name_tok)
-                deps.add(a.dep)
-                used.update(a.index)
-            if not fn:
-                if c != 1:
-                    self.fail("the lead monomial must have coefficient 1", name_tok)
-                if lead is not None:
-                    self.fail("two terms without a coefficient function", name_tok)
-                lead = from_monomial(m)
-                continue
-            if len(fn) > 1 or dict(m.atoms)[fn[0]] != 1:
-                self.fail("each term may carry one coefficient function, once", name_tok)
-            f = fn[0]
-            if f.dindex:
-                self.fail("a family template cannot differentiate its coefficients", name_tok)
-            if c != 1:
-                self.fail(f"slot {f.name!r} must have coefficient 1", name_tok)
-            args = []
-            for arg in f.args:
-                atom = _single_atom(arg)
-                if atom is None:
-                    self.fail(
-                        f"slot {f.name!r} arguments must be plain variables or jets",
-                        name_tok)
-                args.append(atom)
-                used.update(atom.index if isinstance(atom, Jet) else (atom.name,))
-            slots.append(CoefficientSlot(f.name, args, from_monomial(m.without({f: 1}))))
-        if lead is None:
-            self.fail("a family template needs a bare lead monomial", name_tok)
-        if len(deps) != 1:
-            self.fail("a family template must use exactly one dependent variable", name_tok)
-        dep = deps.pop()
-        used.discard(dep)
-        indep = tuple(v for v in self.session.indep_vars if v in used)
-        slots.sort(key=lambda s: s.name)
-        return EquationFamily(name_tok.value, indep, dep, lead, slots)
 
     def stmt_transform(self):
         kw_tok = self.next()
@@ -550,15 +496,6 @@ class _Parser:
         if kind == "func":
             self.fail(f"function {t.value!r} needs an argument list", t)
         self.fail(f"{t.value!r} is not declared", t)
-
-
-def _single_atom(e: Expression):
-    """The atom when ``e`` is a bare variable or jet, else None."""
-    try:
-        a = as_atom(e)
-    except UnsupportedAtomError:
-        return None
-    return a if isinstance(a, (Jet, Var)) else None
 
 
 def parse(text: str) -> Session:

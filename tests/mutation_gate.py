@@ -62,6 +62,7 @@ ONE_SPLIT = f"{FAMILIES}::test_one_split_match_equals_the_two_pass_match_bulk"
 KERNEL = "tests/test_expr_kernel.py"
 # a power inside an exp or log argument, at a size the unbounded path survives
 ARG_CAP = "tests/test_cli.py::test_float_replay_of_a_high_power_in_an_argument_exits_2_at_once"
+TEMPLATES = "tests/test_cli.py::test_family_template_terms_need_coefficient_one"
 
 MUTANTS = (
     # the table reader's normal form, which atom identity in GF(p) rests on
@@ -218,6 +219,25 @@ MUTANTS = (
     Mutant("an affected atom stored as unaffected in values", "expressions.py",
            "        state.values[a] = got\n", "        state.values[a] = None\n",
            (f"{KERNEL}::test_substitution_matches_per_term_assembly_bulk",)),
+    Mutant("a zero exponential argument kept after substitution", "expressions.py",
+           "        if ea is not None and ea.is_zero():\n            ea = None\n", "",
+           (f"{KERNEL}::test_exp_of_zero_vanishes_structurally",)),
+    Mutant("a negative power keeps numerator and denominator in place", "expressions.py",
+           "return Expression(_ppow(self._den, -k), _ppow(self._num, -k))",
+           "return Expression(_ppow(self._num, -k), _ppow(self._den, -k))",
+           (f"{KERNEL}::test_power_expansion_matches_repeated_product",)),
+    # the session parser and the template reader it positions the errors of
+    Mutant("binary minus parsed as plus", "parser.py",
+           "                e = e - self.term()\n", "                e = e + self.term()\n",
+           ("tests/test_cli.py::test_long_sign_runs_parse_without_recursion",)),
+    Mutant("the template reader accepts a differentiated coefficient", "families.py",
+           "            if f.dindex:\n", "            if False:\n",
+           (f"{TEMPLATES}[D[u,t,x] + D[a1,1](t,x)*D[u,t] = 0-"
+            "a family template cannot differentiate its coefficients]",)),
+    Mutant("template errors leave the parser unpositioned", "parser.py",
+           "        except (ValueError, EqvError) as exc:\n",
+           "        except ParseError as exc:\n",
+           (TEMPLATES,)),
 )
 
 # mutant name -> why it survives and what will catch it; empty today

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from eqvlab import (
-    Expression, Param, ParseError, Session, antiderivative, exp, jet, log, parse,
+    Expression, Param, ParseError, Session, antiderivative, catalog, exp, jet, log, parse,
     parse_expression, var)
 from eqvlab import cli, prolongation
 from eqvlab.cli import main
@@ -391,6 +391,12 @@ def test_long_sign_runs_parse_without_recursion():
     x = parse_expression("x", session)
     assert parse_expression("-" * 3001 + "x^2", session) == -(x ** 2)
     assert parse_expression("+-" * 3000 + "x", session) == x
+    # binary minus, left to right, beside prefix signs
+    y, z = var("y"), var("z")
+    session = Session(indep_vars=("x", "y", "z"))
+    assert parse_expression("x - y - z", session) == (x - y) - z
+    assert parse_expression("x - -y", session) == x + y
+    assert parse_expression("-x^2 - 1", session) == -(x ** 2) - 1
 
 
 def test_malformed_state_file_exits_2_with_json(capsys, tmp_path):
@@ -667,10 +673,41 @@ def test_help_still_exits_0(capsys):
 @pytest.mark.parametrize("template, message", [
     ("1/2*D[u,t,x] + a1(t,x)*D[u,t] = 0", "the lead monomial must have coefficient 1"),
     ("D[u,t,x] + 1/3*a1(t,x)*D[u,t] = 0", "slot 'a1' must have coefficient 1"),
+    # every other refusal of an inline template, the reader's and the family's
+    ("D[u,t,x]/t + a1(t,x)*D[u,t] = 0", "a family template must be polynomial"),
+    ("D[u,t,x] + D[u,t] + a1(t,x)*u = 0", "two terms without a coefficient function"),
+    ("a1(t,x)*D[u,t] + a(t)*u = 0", "a family template needs a bare lead monomial"),
+    ("D[u,t,x] + a(t)*a1(t,x)*D[u,t] = 0", "each term may carry one coefficient function, once"),
+    ("D[u,t,x] + a(t)^2*D[u,t] = 0", "each term may carry one coefficient function, once"),
+    ("D[u,t,x] + D[a1,1](t,x)*D[u,t] = 0",
+     "a family template cannot differentiate its coefficients"),
+    ("D[u,t,x] + a(t)*D[w,t] = 0", "a family template must use exactly one dependent variable"),
+    ("D[u,t,x] + b(t,w)*D[u,t] = 0", "a family template must use exactly one dependent variable"),
+    ("D[u,t,x] + a1(t,x+t)*D[u,t] = 0", "slot 'a1' argument x + t is not a bare atom"),
+    ("D[u,t,x] + a1(t,k)*D[u,t] = 0", "slot 'a1' argument k must be a variable or jet"),
+    ("exp(t)*D[u,t,x] + a1(t,x)*D[u,t] = 0",
+     "lead D[u,t,x]*exp(t) is not a coefficient-one jet monomial"),
+    ("D[u,t,x] + a1(t,x)*exp(t)*D[u,t] = 0",
+     "slot 'a1' monomial D[u,t]*exp(t) is not a coefficient-one jet monomial"),
+    ("x*D[u,t,x] + a1(t,x)*D[u,t] = 0", "lead x*D[u,t,x] contains x, not a jet of 'u'"),
+    ("D[u,t,x] + a1(t,x)*x*D[u,t] = 0", "slot 'a1' monomial x*D[u,t] contains x, not a jet"),
+    ("D[u,t,x] + a(t)*D[u,t] + a(t)*D[u,x] = 0", "duplicate slot name 'a'"),
+    ("D[u,t,x] + a(t)*D[u,t] + b(t,u)*D[u,t] = 0", "slot 'b' monomial D[u,t] repeats"),
+    ("D[u,t,x] + a(t)*D[u,t,x] = 0", "slot 'a' monomial D[u,t,x] repeats"),
 ])
 def test_family_template_terms_need_coefficient_one(template, message):
-    with pytest.raises(ParseError, match=re.escape(message)):
-        parse(f"indep t x; dep u; func a1(t,x); family F: {template};")
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse("indep t x; dep u w; param k; func a1(t,x); func a(t); func b(t,u);\n"
+              f"  family F: {template};")
+    # at the family's name
+    assert (exc.value.line, exc.value.column) == (2, 10)
+
+
+def test_an_inline_template_reads_as_its_catalog_family():
+    # laplace.eqv writes catalog(hyperxp) inline: slots in name order, arguments in call order
+    fam, want = laplace_session().families["F"], catalog("hyperxp")
+    assert (fam.name, fam.indep_vars, fam.dep, fam.lead) == ("F", ("t", "x"), "u", want.lead)
+    assert fam.slots == want.slots
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.eqv")))

@@ -545,6 +545,9 @@ def test_exp_of_zero_vanishes_structurally():
     assert exp(ZERO) == ONE
     assert exp(y - y) == ONE
     assert (exp(y) * exp(-y)) == ONE
+    # an argument that substitution sends to zero
+    x = var("x")
+    assert substitute(exp(y - z) * x, {Var("y"): z}) == x
 
 
 def test_log_and_exp_derivatives():
@@ -680,6 +683,7 @@ def test_power_expansion_matches_repeated_product():
     e = (y + 2 * z + 1)
     assert (e ** 4 - e * e * e * e).is_zero()
     assert e ** 0 == ONE
+    assert e ** -2 * e ** 2 == ONE
     with pytest.raises((ValueError, ZeroDivisionError)):
         ZERO ** -1
 

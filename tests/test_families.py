@@ -29,7 +29,6 @@ from eqvlab import (
     catalog_names,
     check_equivalence,
     collect_numerators,
-    compose,
     dependency_closure,
     exp,
     from_monomial,
@@ -348,7 +347,7 @@ def test_composition_of_equivalence_maps_is_one():
         ("r",), "v", ("z",), "w", {"r": z + 4}, exp(z) * jet("w"))
     assert check_equivalence(g, tr1).verdict == EQUIVALENCE
     assert check_equivalence(g.rename(("r",), "v"), tr2).verdict == EQUIVALENCE
-    both = compose(tr1, tr2)
+    both = tr1.compose(tr2)
     assert both.old_vars == ("x",) and both.new_vars == ("z",)
     assert check_equivalence(g, both).verdict == EQUIVALENCE
 

@@ -16,7 +16,6 @@ from eqvlab import (
     VariableMismatchError,
     as_expression,
     check_identity,
-    compose,
     draw_point,
     closure_jets,
     evaluate,
@@ -148,7 +147,7 @@ def test_composition_matches_sequential_application():
     second = PointTransformation(
         ("r", "s"), "v", ("y", "z"), "w",
         {"r": y * y + 1, "s": z - y}, exp(z) * jet("w"))
-    both = compose(first, second)
+    both = first.compose(second)
     assert both.old_vars == ("t", "x") and both.new_vars == ("y", "z")
     e = jet("u", "t", "x") + var("t") * jet("u", "x") + var("x") * jet("u")
     once = transform_equation(transform_equation(e, first), second)

@@ -27,7 +27,6 @@ from eqvlab import (
     antiderivative,
     as_expression,
     check_identity,
-    check_zero,
     draw_point,
     evaluate,
     exp,
@@ -156,7 +155,7 @@ def test_check_identity_accepts_true_identities():
     assert res.ok and res.points == 12 and res.max_error <= 1e-6
     assert bool(res)
     f = func("F", y, z)
-    res2 = check_zero(f * (y + 1) - f * y - f, DEP, seed=2)
+    res2 = check_identity(f * (y + 1) - f * y - f, 0, DEP, seed=2)
     assert res2.ok
 
 
@@ -287,10 +286,16 @@ def on_both_paths(monkeypatch, lhs, rhs, dep_vars=DEP, **kwargs):
     """``check_identity`` as routed (GF(p) here), then forced onto the float path;
     an evaluation error stands in for the verdict."""
     out = []
+    init = oracle._Inventory.__init__
+
+    def float_init(inv, *args):
+        init(inv, *args)
+        inv.modular = False
+
     for forced in (False, True):
         with monkeypatch.context() as m:
             if forced:
-                m.setattr(oracle, "_arithmetic", lambda inv: RATIONALS)
+                m.setattr(oracle._Inventory, "__init__", float_init)
             try:
                 out.append(check_identity(lhs, rhs, dep_vars, **kwargs))
             except EvaluationError as exc:
@@ -377,9 +382,9 @@ def test_coefficients_divisible_by_p_take_the_float_path():
     q = y / MODULUS
     res = check_identity(q, q, {}, seed=1)
     assert res.ok and res.miss_bound is None
-    res = check_zero(MODULUS * y, {}, seed=1)
+    res = check_identity(MODULUS * y, 0, {}, seed=1)
     assert not res.ok and res.miss_bound is None
-    res = check_zero((MODULUS + 1) * y - y - MODULUS * y, {}, seed=1)
+    res = check_identity((MODULUS + 1) * y - y - MODULUS * y, 0, {}, seed=1)
     assert res.ok
     assert check_identity(y / (MODULUS + 1), y / (MODULUS + 1), {}, seed=1).miss_bound
     # no coefficient of either side is a multiple of p, but their difference
