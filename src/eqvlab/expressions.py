@@ -1355,24 +1355,40 @@ def rename_atoms(e: ExpressionLike, mapping: Mapping[Atom, Atom]) -> Expression:
     against every other atom of ``e`` as its key does.  Raises
     ``ValueError`` when a renamed monomial's atoms are out of ``_skey`` order
     or two monomials become one, which a mapping that breaks it can cause.
+
+    One pass per polynomial looks each atom of each monomial up once.  A
+    monomial none of whose atoms is a key goes into the result as it is; one
+    that carries a key is rebuilt, and only its rebuilt atom tuple is checked
+    for order, since the atoms of a monomial are strictly ascending before
+    the rename.  Both refusals are unchanged: a check of every monomial's
+    whole tuple refuses exactly the same mappings.
     """
     e = as_expression(e)
     if not mapping:
         return e
 
     # keyed by the identity key, which hashes without a Python call
-    by_key = {a._skey: b for a, b in mapping.items()}
+    get = {a._skey: b for a, b in mapping.items()}.get
 
     def rename(p: dict) -> dict:
         out = {}
         for m, c in p.items():
             atoms = m.atoms
-            if any(a._skey in by_key for a, _ in atoms):
-                atoms = tuple((by_key.get(a._skey, a), k) for a, k in atoms)
-                if any(atoms[i][0]._skey >= atoms[i + 1][0]._skey
-                       for i in range(len(atoms) - 1)):
-                    raise ValueError(f"renaming {m!r} breaks the atom order")
-                m = Monomial._raw(atoms, m.exparg)
+            new = None
+            for i, (a, k) in enumerate(atoms):
+                b = get(a._skey)
+                if b is not None:
+                    if new is None:
+                        new = list(atoms)
+                    new[i] = (b, k)
+            if new is not None:
+                prev = None
+                for a, _ in new:
+                    key = a._skey
+                    if prev is not None and prev >= key:
+                        raise ValueError(f"renaming {m!r} breaks the atom order")
+                    prev = key
+                m = Monomial._raw(tuple(new), m.exparg)
             out[m] = c
         if len(out) != len(p):
             raise ValueError("renaming merges two monomials")

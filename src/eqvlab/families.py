@@ -43,7 +43,6 @@ from .expressions import (
     jet,
     partial,
     polynomial_jets,
-    rename_atoms,
     sign_canonical,
 )
 from .prolongation import PointTransformation, ProlongedMap, transform_derivatives
@@ -611,7 +610,7 @@ def theorem_instance_check(
         rep_b = _check_prolonged(famB, pm)
     else:
         def renamed(e: Expression) -> Expression:
-            return rename_atoms(e, renames)
+            return expressions.rename_atoms(e, renames)
 
         fam_b = famB.rename(tr.new_vars, tr.new_dep)
         rep_b = _found_lead_report(
@@ -627,7 +626,8 @@ def theorem_instance_check(
 
 def _slot_renames(famA: EquationFamily, famB: EquationFamily, pm: ProlongedMap) -> dict | None:
     """Each slot atom of famA's image to famB's, ``a_j(phi(args_A))`` to
-    ``a_j(phi(args_B))``; None when a function of the map has a slot's name."""
+    ``a_j(phi(args_B))``, leaving out the slots whose atom stays the same;
+    None when a function of the map has a slot's name."""
     tr = pm.transformation
     src_a = famA.rename(tr.old_vars, tr.old_dep)
     names = {s.name for s in src_a.slots}
@@ -644,7 +644,8 @@ def _slot_renames(famA: EquationFamily, famB: EquationFamily, pm: ProlongedMap) 
         return Func(s.name, [arg_image(a) for a in s.args])
 
     slots_b = {s.name: s for s in famB.rename(tr.old_vars, tr.old_dep).slots}
-    return {slot_atom(s): slot_atom(slots_b[s.name]) for s in src_a.slots}
+    pairs = ((slot_atom(s), slot_atom(slots_b[s.name])) for s in src_a.slots)
+    return {a: b for a, b in pairs if a != b}
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -60,6 +60,8 @@ SHAPES = f"{FAMILIES}::test_each_enlargement_shape_is_refused_or_accepted"
 SWEEP = f"{FAMILIES}::test_every_catalog_family_enlarged_keeps_its_maps_bulk"
 ONE_SPLIT = f"{FAMILIES}::test_one_split_match_equals_the_two_pass_match_bulk"
 KERNEL = "tests/test_expr_kernel.py"
+RENAME = f"{KERNEL}::test_rename_atoms_keeps_terms_and_refuses_a_reordering_map"
+RENAME_BULK = f"{KERNEL}::test_rename_atoms_matches_the_full_order_check_bulk"
 # a power inside an exp or log argument, at a size the unbounded path survives
 ARG_CAP = "tests/test_cli.py::test_float_replay_of_a_high_power_in_an_argument_exits_2_at_once"
 TEMPLATES = "tests/test_cli.py::test_family_template_terms_need_coefficient_one"
@@ -201,7 +203,8 @@ MUTANTS = (
     Mutant("the table evicts its most recently used entry", "families.py",
            "del _WRITTEN[next(iter(_WRITTEN))]", "del _WRITTEN[next(reversed(_WRITTEN))]",
            (f"{FAMILIES}::test_the_written_table_drops_its_least_recently_used_entry",)),
-    # the kernel: raw sums, bare arguments and powers in a substitution pass
+    # the kernel: raw sums, bare arguments and powers in a substitution pass,
+    # the order check of a rename
     Mutant("a linear fold in _sum_terms", "expressions.py",
            "Expression(_pairwise([_pscale(num, k // d) for (num, _), d in zip(terms, ks)], _padd),",
            'Expression(__import__("functools").reduce('
@@ -226,6 +229,13 @@ MUTANTS = (
            "return Expression(_ppow(self._den, -k), _ppow(self._num, -k))",
            "return Expression(_ppow(self._num, -k), _ppow(self._den, -k))",
            (f"{KERNEL}::test_power_expansion_matches_repeated_product",)),
+    Mutant("a rebuilt atom tuple not checked for order", "expressions.py",
+           "                    if prev is not None and prev >= key:\n",
+           "                    if False:\n",
+           (RENAME, RENAME_BULK)),
+    Mutant("the rename's order check lets an atom equal its neighbour", "expressions.py",
+           "prev is not None and prev >= key", "prev is not None and prev > key",
+           (RENAME, RENAME_BULK)),
     # the session parser and the template reader it positions the errors of
     Mutant("binary minus parsed as plus", "parser.py",
            "                e = e - self.term()\n", "                e = e + self.term()\n",

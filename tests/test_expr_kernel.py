@@ -455,8 +455,115 @@ def test_rename_atoms_keeps_terms_and_refuses_a_reordering_map():
     # a variable sorts before the jet w, which f(y) sorts after
     with pytest.raises(ValueError, match="order"):
         rename_atoms(e, {f: Var("z")})
+    # g(y) sent onto the y beside it in g(y)*y^2: one atom twice
+    with pytest.raises(ValueError, match="order"):
+        rename_atoms(e, {h: Var("y")})
     with pytest.raises(ValueError, match="merges"):
         rename_atoms(as_expression(f) + as_expression(h), {f: h})
+
+
+def _rename_with_the_full_order_check(e, mapping):
+    """``rename_atoms`` as first written, the reference: every monomial is
+    scanned for a key, and each renamed one's whole atom tuple is checked
+    for order.  Returns ``(num, den, lc)``."""
+    by_key = {a._skey: b for a, b in mapping.items()}
+
+    def rename(p):
+        out = {}
+        for m, c in p.items():
+            atoms = m.atoms
+            if any(a._skey in by_key for a, _ in atoms):
+                atoms = tuple((by_key.get(a._skey, a), k) for a, k in atoms)
+                if any(atoms[i][0]._skey >= atoms[i + 1][0]._skey
+                       for i in range(len(atoms) - 1)):
+                    raise ValueError("renaming breaks the atom order")
+                m = Monomial._raw(atoms, m.exparg)
+            out[m] = c
+        if len(out) != len(p):
+            raise ValueError("renaming merges two monomials")
+        return out
+
+    num, den, lc = e.integer_form()
+    return rename(num), rename(den), lc
+
+
+def _rename_outcome(rename, e, mapping):
+    """``("order" | "merges", None)`` for a refusal, else ``(None, (num, den,
+    lc))`` with each polynomial as its list of items, in key order."""
+    try:
+        got = rename(e, mapping)
+    except ValueError as exc:
+        return ("order" if "order" in str(exc) else "merges"), None
+    num, den, lc = got if isinstance(got, tuple) else got.integer_form()
+    return None, (list(num.items()), list(den.items()), lc)
+
+
+@pytest.mark.hashseed
+def test_rename_atoms_matches_the_full_order_check_bulk():
+    # b < d < f < h are the atoms the expressions are made of; a, c, e, g, i
+    # sort between and around them, and the jet w and the function k(y)
+    # after all of them
+    b, d, f, h = (var(n) for n in "bdfh")
+    a_, c_, e_, g_, i_ = (Var(n) for n in "acegi")
+    k = func("k", Var("y"))
+    B, D, F, H = (as_atom(x) for x in (b, d, f, h))
+    w = Jet("w", ())
+    fixed = [
+        # (expression, mapping, expected refusal or None)
+        (b * d * f * h + 3 * d * h, {B: a_}, None),                    # first
+        (b * d * f * h + 3 * d * h, {D: c_}, None),                    # middle
+        (b * d * f * h + 3 * d * h, {H: i_}, None),                    # last
+        (b * d * f * h + b ** 2 * h, {D: c_, F: e_}, None),            # adjacent
+        (b * d * f * h + b ** 2 * h, {D: e_, F: c_}, "order"),         # passes a renamed neighbour
+        (b * d * f * h + b ** 2 * h, {D: g_}, "order"),                # passes an unrenamed one
+        (b * d * f * h + b ** 2 * h, {D: F}, "order"),                 # equals an unrenamed atom
+        (b * d * f * h + b ** 2 * h, {F: Var("f1")}, None),            # sorts just after its key
+        (2 * b * h + 5 * d * h + f, {B: c_, D: c_}, "merges"),         # two monomials merge
+        (b * h + d * h, {B: D}, "merges"),
+        ((b * exp(b + d) + d * f * exp(d) + h) / (b + k), {B: a_, D: c_}, None),  # exp untouched
+        ((b * exp(b + d) + d * f * exp(d) + h) / (d * w + 1), {D: e_, F: g_}, None),
+        ((b * exp(b + d) + d * f * exp(d) + h) / (d * w + f), {D: g_}, "order"),  # in the denominator
+    ]
+    for e, mapping, refusal in fixed:
+        want = _rename_outcome(_rename_with_the_full_order_check, e, mapping)
+        assert want[0] == refusal, (e.text, mapping)
+        assert _rename_outcome(rename_atoms, e, mapping) == want, (e.text, mapping)
+        if refusal is None:
+            # exponential factors keep their argument, the same object
+            got = rename_atoms(e, mapping)
+            for p, q in zip(got.integer_form()[:2], e.integer_form()[:2]):
+                assert [m.exparg for m in p] == [m.exparg for m in q]
+                assert all(m.exparg is n.exparg for m, n in zip(p, q))
+    # seeded expressions over the same atoms, renamed by seeded mappings
+    rng = Random(3131)
+    pool = (b, d, f, h, as_expression(k), jet("w"))
+    keys, values = (B, D, F, H, as_atom(k), w), (B, D, F, H, a_, c_, e_, g_, i_, as_atom(k), w,
+                                                Func("k", (z,)), Jet("w", ("y",)))
+    outcomes = {"order": 0, "merges": 0, None: 0}
+    for _ in range(600):
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            t = as_expression(rng.randint(-5, 5) or 1)
+            for x in rng.sample(pool, rng.randint(0, 4)):
+                t = t * x ** rng.randint(1, 2)
+            if rng.random() < 0.3:
+                t = t * exp(rng.choice(pool) + rng.randint(0, 2))
+            terms.append(t)
+        mapping = dict(zip(rng.sample(keys, rng.randint(1, 3)), rng.sample(values, 3)))
+        if rng.random() < 0.6:
+            # a term and its image under the mapping, which merge when the
+            # image keeps the order
+            t = rng.choice(terms)
+            terms.append(rng.randint(1, 3) * substitute(
+                t, {a: as_expression(v) for a, v in mapping.items()}))
+        e = expr_sum(terms)
+        if rng.random() < 0.4:
+            e = e / (rng.choice(pool) * rng.choice(pool) + rng.randint(1, 3))
+        want = _rename_outcome(_rename_with_the_full_order_check, e, mapping)
+        assert _rename_outcome(rename_atoms, e, mapping) == want, (e.text, mapping)
+        outcomes[want[0]] += 1
+    # all three outcomes are drawn often
+    assert min(outcomes.values()) >= 40, outcomes
 
 
 def test_collect_separates_coefficients():

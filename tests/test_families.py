@@ -644,6 +644,40 @@ def test_enlarged_image_transforms_one_member_unless_a_slot_name_clashes(monkeyp
 
 
 @pytest.mark.hashseed
+def test_a_family_enlarged_to_its_own_arguments_renames_nothing(monkeypatch):
+    # glin enlarged to order -1 and hyperu to order 0 are themselves: every
+    # slot atom of famB's image is famA's, so no pair is left to rename
+    mappings = []
+    rename = expressions.rename_atoms
+    monkeypatch.setattr(expressions, "rename_atoms",
+                        lambda e, mapping: mappings.append(dict(mapping)) or rename(e, mapping))
+    orders = {"glin": -1, "hyper": -1, "gliny": 0, "hyperu": 0}
+    checked = set()
+    for famA, _, tr in _enlargement_instances()[:-2]:
+        if famA.name not in orders:
+            continue
+        famB = famA.enlarged(orders[famA.name])
+        assert famB == famA
+        mappings.clear()
+        res = theorem_instance_check(famA, famB, tr)
+        assert res.holds
+        # the image, the three coefficients, the lead and the residual
+        assert mappings == [{}] * 6, (famA.name, tr)
+        got, src = res.target_report, res.source_report
+        assert list(got.coefficients) == list(src.coefficients)
+        for name, c in got.coefficients.items():
+            assert _same_layout(c, src.coefficients[name]), (famA.name, tr, name)
+        for mine, theirs in ((got.expression, src.expression), (got.residual, src.residual),
+                             (got.lead_coefficient, src.lead_coefficient)):
+            assert _same_layout(mine, theirs), (famA.name, tr)
+        assert got.absorbed_slot == src.absorbed_slot
+        # and it is the report the direct match gives
+        _assert_direct_report(famA, famB, tr)
+        checked.add(famA.name)
+    assert checked == set(orders)
+
+
+@pytest.mark.hashseed
 @pytest.mark.parametrize("names", [("a1x", "a"), ("a3x", "a2_"), ("a0", "a4")])
 def test_map_functions_named_next_to_a_slot_take_the_renamed_path(monkeypatch, names):
     # a name that extends a slot's, or sorts just before or after it, keeps
