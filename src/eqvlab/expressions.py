@@ -37,8 +37,9 @@ atoms an expression reaches (inside function arguments, integrands, log and
 exp arguments) from one iterative walk; composite atoms cache their insides.
 Substitution and differentiation build their terms as raw integer
 polynomials; terms over integer denominators are added raw and normalized
-once per sum, other terms once each.  A total derivative is one derivation,
-:func:`derive`, with one quotient rule.
+once per sum, other terms once each.  A total derivative is one derivation
+with one quotient rule.  It answers each atom as the differentiation meets
+it, so it walks no closure, and each jet keeps its next-higher jets.
 
 Equality (``==``) is structural identity of normal forms.  Semantic equality
 of two expressions is decided by subtracting them and asking
@@ -175,16 +176,19 @@ class Jet(Atom):
     """A dependent variable differentiated by a multi-index of variable names.
 
     The index is stored sorted, so mixed derivatives have one representative.
-    An empty index is the dependent variable itself.
+    An empty index is the dependent variable itself.  A jet keeps its
+    next-higher jets once asked for them (:meth:`higher`); like ``_below``,
+    this cache is filled in a benign race.
     """
 
-    __slots__ = ("dep", "index")
+    __slots__ = ("dep", "index", "_next")
     rank = 1
 
     def __init__(self, dep: str, index: Iterable[str] = ()):
         self.dep = _check_name(dep, "dependent variable")
         self.index = tuple(sorted(_check_name(i, "jet index") for i in index))
         self._text = self.dep if not self.index else "D[%s,%s]" % (self.dep, ",".join(self.index))
+        self._next = None  # next-higher jets by variable name, filled by higher()
         self._seal()
 
     @property
@@ -194,6 +198,17 @@ class Jet(Atom):
     def extended(self, name: str) -> "Jet":
         """The jet one order higher, differentiated additionally by ``name``."""
         return Jet(self.dep, self.index + (name,))
+
+    def higher(self, name: str) -> "Expression":
+        """:meth:`extended` as an expression, built once per ``name`` and
+        kept on this jet.  Two threads may both build it; the jets are equal."""
+        nxt = self._next
+        if nxt is None:
+            nxt = self._next = {}
+        got = nxt.get(name)
+        if got is None:
+            got = nxt[name] = as_expression(self.extended(name))
+        return got
 
 
 class Param(Atom):
@@ -1132,9 +1147,14 @@ def _reach(e: Expression) -> set:
 # Differentiation
 
 
-def _atom_derivative(a: Atom, d: dict) -> Expression:
-    """The derivation ``d`` (Var, Jet or Param atom -> coefficient) applied
-    to one atom."""
+def _atom_derivative(a: Atom, d) -> Expression:
+    """The derivation ``d`` applied to one atom.
+
+    ``d`` is a dict (Var, Jet or Param atom -> coefficient) or a derivation
+    that answers one atom at a time: ``d.get(atom, ZERO)`` gives an atom's
+    coefficient, and ``d.entries(integrand)`` lists, in a fixed order, the
+    atoms and coefficients an antiderivative's integrand can meet.
+    """
     if isinstance(a, (Var, Jet, Param)):
         return d.get(a, ZERO)
     if isinstance(a, Func):
@@ -1149,7 +1169,7 @@ def _atom_derivative(a: Atom, d: dict) -> Expression:
         # that may depend on the integration variable
         v = Var(a.var)
         terms = []
-        for x, c in d.items():
+        for x, c in (d.items() if isinstance(d, dict) else d.entries(a.integrand)):
             t = a.integrand if x == v else antiderivative(_derive(a.integrand, {x: ONE}), a.var)
             terms.append(c * t)
         return expr_sum(terms)
@@ -1161,9 +1181,10 @@ def _atom_derivative(a: Atom, d: dict) -> Expression:
     raise UnsupportedAtomError(f"cannot differentiate atom {a!r}")
 
 
-def _poly_partial(p: dict, d: dict, cache: dict) -> Expression:
-    """The derivation ``d`` applied to the polynomial ``p``; ``cache`` holds
-    the derivatives of the atoms met so far in one derivation."""
+def _poly_partial(p: dict, d, cache: dict) -> Expression:
+    """The derivation ``d`` (see :func:`_atom_derivative`) applied to the
+    polynomial ``p``; ``cache`` holds the derivatives of the atoms met so far
+    in one derivation."""
     terms = []
     for m, c in p.items():
         for a, k in m.atoms:
@@ -1199,7 +1220,7 @@ def _sum_terms(terms: list) -> Expression:
                       {_ONE_M: k})
 
 
-def _derive(e: Expression, d: dict) -> Expression:
+def _derive(e: Expression, d) -> Expression:
     # the quotient rule, once; a denominator d leaves unchanged is not squared
     cache: dict[Atom, Expression] = {}
     dn = _poly_partial(e._num, d, cache)

@@ -56,14 +56,15 @@ from .errors import (
     VariableMismatchError,
 )
 from .expressions import (
+    ONE,
     Expression,
     ExpressionLike,
     Jet,
     Var,
+    _derive,
     as_expression,
     closure_jets,
     dependency_closure,
-    derive,
     expr_sum,
     jet,
     substitute,
@@ -89,12 +90,36 @@ def total_derivative(e: ExpressionLike, variable: str, dep: str) -> Expression:
     derivative ``D_v = d/dv + sum_J u_{J,v} d/du_J`` (Olver 1986, Thm. 2.36)
     is applied as one derivation, so the quotient rule runs once over the
     numerator and denominator of ``e``, not once per jet.
+
+    The derivation answers one atom at a time, as the differentiation meets
+    it, so ``e``'s jets are never collected first.  A jet's next-higher jet
+    is kept on the jet (:meth:`Jet.higher`); filling it is a benign race, as
+    for the atoms cached inside composite atoms.
     """
-    e = as_expression(e)
-    derivation = {Var(variable): 1}
-    for j in sorted(closure_jets(e, dep), key=lambda a: a.text):
-        derivation[j] = j.extended(variable)
-    return derive(e, derivation)
+    return _derive(as_expression(e), _TotalDerivation(variable, dep))
+
+
+class _TotalDerivation:
+    """``D_v`` as a derivation: ``1`` for ``Var(v)``, its next-higher jet
+    along ``v`` for a jet of ``dep``, ``0`` for any other atom."""
+
+    __slots__ = ("variable", "dep", "_var")
+
+    def __init__(self, variable: str, dep: str):
+        self.variable, self.dep, self._var = variable, dep, Var(variable)
+
+    def get(self, a, default):
+        if isinstance(a, Jet):
+            return a.higher(self.variable) if a.dep == self.dep else default
+        return ONE if a == self._var else default
+
+    def entries(self, integrand: Expression) -> list:
+        """The entries an antiderivative's ``integrand`` can meet:
+        ``Var(v)`` first, then the integrand's jets of ``dep`` by text.
+        Listing every jet of ``dep`` in the whole expression instead would
+        add only zero terms."""
+        jets = sorted(closure_jets(integrand, self.dep), key=lambda a: a.text)
+        return [(self._var, ONE), *((j, j.higher(self.variable)) for j in jets)]
 
 
 class PointTransformation:

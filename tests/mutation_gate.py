@@ -53,6 +53,7 @@ LAZY = f"{JETS}::test_lazy_entries_equal_the_level_loop_bulk"
 DIAGONAL = f"{JETS}::test_diagonal_maps_solve_each_jet_over_its_own_factor_bulk"
 CRAMER = f"{JETS}::test_maps_that_are_not_diagonal_keep_cramers_rule"
 ONE_TERM = f"{JETS}::test_one_term_factors_follow_the_known_power_rule"
+CLOSURE_WALK = f"{JETS}::test_total_derivative_matches_the_closure_walk_bulk"
 FAMILIES = "tests/test_families.py"
 ENLARGED = f"{FAMILIES}::test_enlarged_image_equals_the_direct_image_bulk"
 WRITTEN = f"{FAMILIES}::test_a_written_family_keeps_its_name_and_slot_order"
@@ -132,6 +133,19 @@ MUTANTS = (
     Mutant("mixed jets solved from the other parent", "prolongation.py",
            "            K = key.index\n", "            K = key.index[::-1]\n",
            (LAZY,)),
+    # the total derivative, answering one atom at a time
+    Mutant("a jet of another dependent variable extended", "prolongation.py",
+           "return a.higher(self.variable) if a.dep == self.dep else default",
+           "return a.higher(self.variable)",
+           (CLOSURE_WALK,)),
+    Mutant("the antiderivative rule differentiates along the variable only",
+           "prolongation.py",
+           "return [(self._var, ONE), *((j, j.higher(self.variable)) for j in jets)]",
+           "return [(self._var, ONE)]",
+           (CLOSURE_WALK,)),
+    Mutant("a jet's next-higher jets ignore the variable", "expressions.py",
+           "        got = nxt.get(name)\n", "        got = next(iter(nxt.values()), None)\n",
+           (CLOSURE_WALK,)),
     # families: the enlargement and the shape check, famB's report renamed
     # from famA's, match, the hyperbolic reader, the table
     Mutant("enlarged stops one order short", "families.py",

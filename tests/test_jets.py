@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import eqvlab.expressions as expressions
 import eqvlab.prolongation as prolongation
 from eqvlab import (
     Instantiation,
@@ -14,10 +15,12 @@ from eqvlab import (
     PointTransformation,
     SingularTransformationError,
     VariableMismatchError,
+    antiderivative,
     as_expression,
     check_identity,
     draw_point,
     closure_jets,
+    derive,
     evaluate,
     exp,
     expr_sum,
@@ -55,6 +58,13 @@ def triangular_map() -> PointTransformation:
         func("L", y, z) * jet("w"))
 
 
+def tgen_map() -> PointTransformation:
+    w = jet("w")
+    return PointTransformation(("t", "x"), "u", ("y", "z"), "w",
+                               {"t": func("R", y, z, w), "x": func("S", y, z, w)},
+                               func("T", y, z, w))
+
+
 def every_entry(pm, order):
     """Every entry up to ``order``, solving those not yet solved."""
     old = pm.transformation.old_vars
@@ -82,17 +92,93 @@ def per_atom_total_derivative(e, variable, dep):
 
 def test_total_derivative_equals_the_per_atom_sum_bulk():
     w, wy = jet("w"), jet("w", "y")
-    R = func("R", y, z, w)
-    tgen = PointTransformation(("t", "x"), "u", ("y", "z"), "w",
-                               {"t": R, "x": func("S", y, z, w)}, func("T", y, z, w))
     cases = [e for _, e in seeded_cases(707, 120)]
     # denominators that carry jets, bare and inside function arguments
-    cases += [e / (w + wy * R) for e in cases[:40]]
-    cases += every_entry(transform_derivatives(tgen), 1)
+    cases += [e / (w + wy * func("R", y, z, w)) for e in cases[:40]]
+    cases += every_entry(transform_derivatives(tgen_map()), 1)
     for e in cases:
         for v in ("y", "z"):
             new = total_derivative(e, v, "w")
             assert (new - per_atom_total_derivative(e, v, "w")).is_zero(), (e.text, v)
+
+
+def closure_walk_total_derivative(e, variable, dep):
+    # the earlier assembly: every jet of dep in e's closure, sorted by text,
+    # in one dict over the variable, then one derivation
+    derivation = {Var(variable): 1}
+    for j in sorted(closure_jets(e, dep), key=lambda a: a.text):
+        derivation[j] = j.extended(variable)
+    return derive(e, derivation)
+
+
+def total_derivative_cases(monkeypatch):
+    """Expressions over jets of w and v: seeded, over jet-bearing
+    denominators, with jets of v, under antiderivatives (nested too), inside
+    function and exp arguments, and Tgen's: its order-1 entries and every
+    expression solving its entries up to order 2 differentiates.  The second
+    list holds the ones free of antiderivatives."""
+    w, wy, wz = jet("w"), jet("w", "y"), jet("w", "z")
+    v, vy, vyz = jet("v"), jet("v", "y"), jet("v", "y", "z")
+    seeded = [e for _, e in seeded_cases(707, 300)]
+    cases = seeded + [e / (w + wy * func("R", y, z, w)) for e in seeded]
+    cases += [e * vy + v for e in seeded[:150]]
+    cases += [antiderivative(e * wz + vyz, "y") for e in seeded[:70]]
+    cases += [antiderivative(e * wy, "z") * v for e in seeded[70:140]]
+    cases += [antiderivative(antiderivative(wy * e, "y") * vy + w, "z")
+              for e in seeded[140:210]]
+    cases += [func("F", y, wz * e) + exp(z * vy) * e for e in seeded[210:290]]
+    cases.append(func("G", exp(y * w), v) / (1 + func("H", wy, vy) ** 2))
+    # differentiating the order-2 entries is order 3's work, most of a minute
+    seen = []
+    derive = prolongation.total_derivative
+    with monkeypatch.context() as m:
+        m.setattr(prolongation, "total_derivative",
+                  lambda e, variable, dep: seen.append(e) or derive(e, variable, dep))
+        pm = transform_derivatives(tgen_map())
+        every_entry(pm, 2)
+    cases += dict.fromkeys(seen)
+    cases += [pm[("t",)], pm[("x",)]]
+    free = [e for e in cases if not any(
+        isinstance(a, expressions.Antideriv) for a in expressions._reach(e))]
+    return cases, free
+
+
+@pytest.mark.hashseed
+def test_total_derivative_matches_the_closure_walk_bulk(monkeypatch):
+    cases, free = total_derivative_cases(monkeypatch)
+    assert len(cases) - len(free) >= 210
+    for e in cases:
+        for variable in ("y", "z"):
+            for dep in ("w", "v"):
+                got = total_derivative(e, variable, dep)
+                want = closure_walk_total_derivative(e, variable, dep)
+                where = (e.text, variable, dep)
+                assert got.text == want.text, where
+                num, den, lc = got.integer_form()
+                w_num, w_den, w_lc = want.integer_form()
+                assert list(num.items()) == list(w_num.items()), where
+                assert list(den.items()) == list(w_den.items()), where
+                assert lc == w_lc, where
+
+
+def test_total_derivative_walks_no_closure(monkeypatch):
+    # built before the walks are patched; Tgen's are among them
+    _, free = total_derivative_cases(monkeypatch)
+
+    def walk(*args):
+        raise AssertionError("a total derivative walked a closure")
+
+    for module in (expressions, prolongation):
+        for name in ("dependency_closure", "closure_jets"):
+            monkeypatch.setattr(module, name, walk)
+    for e in free:
+        for variable in ("y", "z"):
+            total_derivative(e, variable, "w")
+    monkeypatch.undo()
+    wz = Jet("w", ("z",))
+    assert wz.higher("y") is wz.higher("y") == jet("w", "y", "z")
+    assert wz.higher("z") is not wz.higher("y")
+    assert wz.higher("z") == jet("w", "z", "z")
 
 
 def test_identity_prolongation_is_trivial():
@@ -287,9 +373,7 @@ def eager_entries(tr, order):
 @pytest.mark.hashseed
 def test_lazy_entries_equal_the_level_loop_bulk():
     w = jet("w")
-    tgen = PointTransformation(("t", "x"), "u", ("y", "z"), "w",
-                               {"t": func("R", y, z, w), "x": func("S", y, z, w)},
-                               func("T", y, z, w))
+    tgen = tgen_map()
     tri = triangular_map()
     # source variables listed out of sorted order
     swapped = PointTransformation(("x", "t"), "u", ("y", "z"), "w",
