@@ -107,7 +107,7 @@ class CoefficientSlot:
 class EquationFamily:
     """A quasilinear template over one dependent variable."""
 
-    __slots__ = ("name", "indep_vars", "dep", "lead", "slots", "_monomials")
+    __slots__ = ("name", "indep_vars", "dep", "lead", "slots", "_monomials", "_key")
 
     def __init__(
         self,
@@ -148,6 +148,7 @@ class EquationFamily:
                         f"slot {s.name!r} argument {a!r} must be a variable or jet")
         # the template's jet monomials, lead first, for rename and match
         self._monomials = tuple(monos)
+        self._key = None  # the template key, built by _template_key()
 
     @classmethod
     def from_template(cls, name: str, expression: ExpressionLike,
@@ -216,6 +217,21 @@ class EquationFamily:
         return hash((self.indep_vars, self.dep, self.lead,
                      tuple(sorted(self.slots, key=lambda s: s.name))))
 
+    def _template_key(self) -> tuple:
+        """Everything the family's template is, in strings and ints, so that
+        it hashes and compares in C: the name, the variables, the dependent
+        variable, the lead monomial as ``((rank, text), power)`` pairs, then
+        per slot, in order, its name, its arguments' ``(rank, text)`` keys and
+        its monomial's pairs.  Built once, on first use."""
+        key = self._key
+        if key is None:
+            lead, *monos = [tuple((a._skey, k) for a, k in m.atoms) for m in self._monomials]
+            key = self._key = (
+                self.name, self.indep_vars, self.dep, lead,
+                tuple((s.name, tuple(a._skey for a in s.args), m)
+                      for s, m in zip(self.slots, monos)))
+        return key
+
     def equation(self, coefficients: Mapping[str, ExpressionLike]) -> Expression:
         """``lead + sum_j c_j * M_j`` over the slots ``coefficients`` names,
         in slot order."""
@@ -274,31 +290,43 @@ class EquationFamily:
                               [CoefficientSlot(s.name, args, s.monomial) for s in self.slots])
 
 
-# (template, new variables, new dependent variable) -> (written family, its
-# generic member), least recently used first.  A batch of checks meets few
+# Two tables, each least recently used first.  _WRITTEN: (template key, new
+# variables, new dependent variable) -> (written family, its generic member).
+# _ENLARGEMENTS: (famA's template key, famB's) -> True, for each pair that
+# passed the shape check; a refusal is not kept.  A batch of checks meets few
 # templates in few variable sets; the bound keeps a long run from holding
 # every family it was given.
 _WRITTEN: dict = {}
+_ENLARGEMENTS: dict = {}
 _WRITTEN_SIZE = 128
+
+
+def _kept(table: dict, key: tuple, build):
+    """``table[key]``, made the most recently used entry; when absent, the
+    value of ``build()``, kept unless it raises, after the least recently
+    used entry of a full table goes."""
+    entry = table.pop(key, None)
+    if entry is None:
+        entry = build()
+        if len(table) >= _WRITTEN_SIZE:
+            del table[next(iter(table))]
+    table[key] = entry
+    return entry
 
 
 def _written(family: EquationFamily, new_vars: tuple, new_dep: str) -> tuple:
     """``family`` written in ``new_vars`` and ``new_dep``, and its generic member.
 
-    The key is everything the two depend on.  ``EquationFamily.__eq__``
-    ignores the name and the slot order, so it cannot be the key: the slot
-    order fixes the order of a report's induced action.
+    The key is everything the two depend on: the family's template key and
+    the new names.  ``EquationFamily.__eq__`` ignores the name and the slot
+    order, so it cannot be the key: the slot order fixes the order of a
+    report's induced action.
     """
-    key = (family.name, family.indep_vars, family.dep, family.lead, family.slots,
-           new_vars, new_dep)
-    entry = _WRITTEN.pop(key, None)
-    if entry is None:
+    def build():
         fam = family._renamed(new_vars, new_dep)
-        entry = fam, fam.equation({s.name: s.func_expr() for s in fam.slots})
-        if len(_WRITTEN) >= _WRITTEN_SIZE:
-            del _WRITTEN[next(iter(_WRITTEN))]
-    _WRITTEN[key] = entry
-    return entry
+        return fam, fam.equation({s.name: s.func_expr() for s in fam.slots})
+
+    return _kept(_WRITTEN, (family._template_key(), new_vars, new_dep), build)
 
 
 @dataclass
@@ -554,20 +582,47 @@ def _enlarged_args(indep_vars: Sequence[str], dep: str, order: int) -> tuple:
 def _validate_enlargement(famA: EquationFamily, famB: EquationFamily) -> None:
     """Raise unless ``famB`` is ``famA.enlarged(r)``, each slot's arguments in
     any order, for ``r`` the highest jet order among ``famB``'s arguments, and
-    every argument of ``famA`` is one of ``famB``'s."""
+    every argument of ``famA`` is one of ``famB``'s.  A pair of templates
+    that passed is not checked again while the table keeps it."""
+    _kept(_ENLARGEMENTS, (famA._template_key(), famB._template_key()),
+          lambda: _check_enlargement(famA, famB))
+
+
+def _check_enlargement(famA: EquationFamily, famB: EquationFamily) -> bool:
+    """:func:`_validate_enlargement` without the table: True, or a
+    :class:`VariableMismatchError` naming the first part that differs."""
     if famA.indep_vars != famB.indep_vars or famA.dep != famB.dep:
-        raise VariableMismatchError("families live over different variables")
-    r = max((a.order for s in famB.slots for a in s.args if isinstance(a, Jet)), default=-1)
-    # famA.enlarged(r), compared without building it
-    args = frozenset(_enlarged_args(famA.indep_vars, famA.dep, r))
-    if famB.lead != famA.lead or ({s.name: (s.monomial, frozenset(s.args)) for s in famB.slots}
-                                  != {s.name: (s.monomial, args) for s in famA.slots}):
         raise VariableMismatchError(
-            f"{famB.name} is not {famA.name} with its arguments enlarged to order {r}")
+            f"{famB.name} lives over {', '.join(famB.indep_vars)} and {famB.dep}, "
+            f"{famA.name} over {', '.join(famA.indep_vars)} and {famA.dep}")
+    if famB.lead != famA.lead:
+        raise VariableMismatchError(
+            f"{famB.name} leads with {famB.lead.text}, {famA.name} with {famA.lead.text}")
+    slots_b = {s.name: s for s in famB.slots}
+    if slots_b.keys() != {s.name for s in famA.slots}:
+        raise VariableMismatchError(
+            f"{famB.name} has slots {', '.join(sorted(slots_b))}, "
+            f"{famA.name} {', '.join(sorted(s.name for s in famA.slots))}")
+    for s in famA.slots:
+        if slots_b[s.name].monomial != s.monomial:
+            raise VariableMismatchError(
+                f"{famB.name}'s slot {s.name!r} multiplies {slots_b[s.name].monomial.text}, "
+                f"{famA.name}'s {s.monomial.text}")
+    r = max((a.order for s in famB.slots for a in s.args if isinstance(a, Jet)), default=-1)
+    # famA.enlarged(r)'s arguments, compared without building it
+    enlarged = _enlarged_args(famA.indep_vars, famA.dep, r)
+    args = frozenset(enlarged)
+    for s in famB.slots:
+        if frozenset(s.args) != args:
+            raise VariableMismatchError(
+                f"{famB.name}'s slot {s.name!r} takes {', '.join(a.text for a in s.args)}, "
+                f"not {famA.name}'s arguments enlarged to order {r}: "
+                + ", ".join(a.text for a in enlarged))
     missing = {a for s in famA.slots for a in s.args}.difference(args)
     if missing:
         raise VariableMismatchError(f"{famB.name} lacks arguments of {famA.name}: "
                                     + ", ".join(sorted(a.text for a in missing)))
+    return True
 
 
 def theorem_instance_check(

@@ -58,6 +58,9 @@ FAMILIES = "tests/test_families.py"
 ENLARGED = f"{FAMILIES}::test_enlarged_image_equals_the_direct_image_bulk"
 WRITTEN = f"{FAMILIES}::test_a_written_family_keeps_its_name_and_slot_order"
 SHAPES = f"{FAMILIES}::test_each_enlargement_shape_is_refused_or_accepted"
+TEMPLATE_KEY = f"{FAMILIES}::test_each_change_to_a_template_writes_a_family_of_its_own"
+SHARED_CHECK = f"{FAMILIES}::test_equal_template_pairs_built_apart_share_one_enlargement_check"
+WARM_LOOKUPS = f"{FAMILIES}::test_warm_lookups_compare_no_expressions_slots_or_atoms"
 SWEEP = f"{FAMILIES}::test_every_catalog_family_enlarged_keeps_its_maps_bulk"
 ONE_SPLIT = f"{FAMILIES}::test_one_split_match_equals_the_two_pass_match_bulk"
 KERNEL = "tests/test_expr_kernel.py"
@@ -147,15 +150,12 @@ MUTANTS = (
            "        got = nxt.get(name)\n", "        got = next(iter(nxt.values()), None)\n",
            (CLOSURE_WALK,)),
     # families: the enlargement and the shape check, famB's report renamed
-    # from famA's, match, the hyperbolic reader, the table
+    # from famA's, match, the hyperbolic reader, the two tables
     Mutant("enlarged stops one order short", "families.py",
            "for r in range(order + 1)", "for r in range(order)",
            (f"{SHAPES}[order-1]", SWEEP)),
     Mutant("the shape check compares argument tuples, not sets", "families.py",
-           "    args = frozenset(_enlarged_args(famA.indep_vars, famA.dep, r))\n"
-           "    if famB.lead != famA.lead or ({s.name: (s.monomial, frozenset(s.args)) ",
-           "    args = _enlarged_args(famA.indep_vars, famA.dep, r)\n"
-           "    if famB.lead != famA.lead or ({s.name: (s.monomial, s.args) ",
+           "        if frozenset(s.args) != args:\n", "        if s.args != enlarged:\n",
            (f"{SHAPES}[arguments-reordered]",)),
     Mutant("the shape check skips the missing-argument refusal", "families.py",
            "    if missing:\n", "    if False:\n",
@@ -202,21 +202,27 @@ MUTANTS = (
            '        return cls(c["a2"], c["a1"], c["a3"], t=t, x=x, u=u)',
            ("tests/test_hyperbolic.py::test_from_expression_round_trip",
             "tests/test_hyperbolic.py::test_template_reader_equals_the_collect_reader_bulk")),
-    Mutant("the table's key leaves out the name", "families.py",
-           "key = (family.name, family.indep_vars,", "key = (family.indep_vars,",
-           (f"{WRITTEN}[H-a1-a2-a3]",)),
-    Mutant("the table keys the slots in sorted order", "families.py",
-           "family.lead, family.slots,",
-           "family.lead, tuple(sorted(family.slots, key=lambda s: s.name)),",
-           (f"{WRITTEN}[hyper-a3-a1-a2]",)),
+    Mutant("the template key leaves out the name", "families.py",
+           "                self.name, self.indep_vars, self.dep, lead,\n",
+           "                self.indep_vars, self.dep, lead,\n",
+           (f"{WRITTEN}[H-a1-a2-a3]", TEMPLATE_KEY)),
+    Mutant("the template key puts the slots in name order", "families.py",
+           "for s, m in zip(self.slots, monos)))",
+           "for s, m in sorted(zip(self.slots, monos), key=lambda sm: sm[0].name)))",
+           (f"{WRITTEN}[hyper-a3-a1-a2]", TEMPLATE_KEY)),
+    Mutant("the template key leaves out the slot arguments", "families.py",
+           "tuple((s.name, tuple(a._skey for a in s.args), m)", "tuple((s.name, m)",
+           (TEMPLATE_KEY,)),
     Mutant("the table keys the family through its __eq__", "families.py",
-           "    key = (family.name, family.indep_vars, family.dep, family.lead, family.slots,\n"
-           "           new_vars, new_dep)\n",
-           "    key = (family, new_vars, new_dep)\n",
-           (WRITTEN,)),
-    Mutant("the table evicts its most recently used entry", "families.py",
-           "del _WRITTEN[next(iter(_WRITTEN))]", "del _WRITTEN[next(reversed(_WRITTEN))]",
+           "(family._template_key(), new_vars, new_dep)", "(family, new_vars, new_dep)",
+           (WRITTEN, WARM_LOOKUPS)),
+    Mutant("the tables evict their most recently used entry", "families.py",
+           "del table[next(iter(table))]", "del table[next(reversed(table))]",
            (f"{FAMILIES}::test_the_written_table_drops_its_least_recently_used_entry",)),
+    Mutant("the enlargement outcome is kept per famA alone", "families.py",
+           "(famA._template_key(), famB._template_key())", "famA._template_key()",
+           (f"{SHAPES}[lead]", f"{SHAPES}[argument-sets]", f"{SHAPES}[famA-argument-missing]",
+            SHARED_CHECK)),
     # the kernel: raw sums, bare arguments and powers in a substitution pass,
     # the order check of a rename
     Mutant("a linear fold in _sum_terms", "expressions.py",

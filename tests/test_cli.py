@@ -137,6 +137,15 @@ def test_theorem_check_refuses_non_member_maps(capsys, tmp_path):
     assert out["error"]["type"] == "TheoremPreconditionError"
 
 
+def test_theorem_check_names_the_part_where_famb_is_no_enlargement(capsys, tmp_path):
+    # gliny(4) enlarges glin(4), not glin(3): the leads differ, not the order
+    code, out = run(capsys, "theorem-check", *session_args("ode_shift.eqv", tmp_path),
+                    "--family-a", "glin(3)", "--family-b", "gliny(4)", "--transform", "Tscale")
+    assert code == 2
+    assert out["error"] == {"type": "VariableMismatchError",
+                            "message": "gliny leads with D[y,x,x,x,x], glin with D[y,x,x,x]"}
+
+
 def test_transform_emits_normalized_equation_and_state(capsys, tmp_path):
     out_file = tmp_path / "report.json"
     code, out = run(capsys, "transform", *session_args("ode_scale.eqv", tmp_path),

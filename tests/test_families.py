@@ -184,6 +184,94 @@ def test_the_written_table_drops_its_least_recently_used_entry(monkeypatch):
     assert (fam.name, fam.indep_vars, fam.dep) == ("hyper", ("p1", "q1"), "w")
 
 
+def _hyper_variants():
+    """A template like hyper's and, by label, each template one change away
+    from it; the last two differ in the dependent variable alone."""
+    T, X = Var("t"), Var("x")
+    ut = jet("u", "t")
+    a1, a2, a3 = ("a1", (T, X), ut), ("a2", (T, X), jet("u", "x")), ("a3", (T, X), jet("u"))
+
+    def fam(name="F", variables=("t", "x"), lead=jet("u", "t", "x"), slots=(a1, a2, a3)):
+        return EquationFamily(name, variables, "u", lead,
+                              [CoefficientSlot(*s) for s in slots])
+
+    return {
+        "base": fam(),
+        "name": fam(name="G"),
+        "variable-order": fam(variables=("x", "t")),
+        "lead": fam(lead=jet("u", "t", "t")),
+        "slot-name": fam(slots=(("b1", (T, X), ut), a2, a3)),
+        "argument-list": fam(slots=(("a1", (T,), ut), a2, a3)),
+        "argument-order": fam(slots=(("a1", (X, T), ut), a2, a3)),
+        "slot-monomial": fam(slots=(("a1", (T, X), jet("u", "t", "t")), a2, a3)),
+        "slot-order": fam(slots=(a2, a1, a3)),
+        "dep-u": EquationFamily("F", ("t", "x"), "u", 1, []),
+        "dep-v": EquationFamily("F", ("t", "x"), "v", 1, []),
+    }
+
+
+@pytest.mark.hashseed
+def test_each_change_to_a_template_writes_a_family_of_its_own(monkeypatch):
+    monkeypatch.setattr(families, "_WRITTEN", {})
+    variants = _hyper_variants()
+    written = {label: families._written(f, ("y", "z"), "w") for label, f in variants.items()}
+    assert len(families._WRITTEN) == len(variants)
+    for label, f in variants.items():
+        fam = written[label][0]
+        assert (fam.name, [s.name for s in fam.slots]) == (f.name, [s.name for s in f.slots])
+        assert fam == f._renamed(("y", "z"), "w")
+    # built apart, an equal template is written from the table
+    for label, f in _hyper_variants().items():
+        assert families._written(f, ("y", "z"), "w") is written[label], label
+    assert len(families._WRITTEN) == len(variants)
+
+
+@pytest.mark.hashseed
+def test_equal_template_pairs_built_apart_share_one_enlargement_check(monkeypatch):
+    monkeypatch.setattr(families, "_ENLARGEMENTS", {})
+    checks = []
+    check = families._check_enlargement
+    monkeypatch.setattr(families, "_check_enlargement",
+                        lambda *a: checks.append(a) or check(*a))
+    tr = PointTransformation(
+        ("t", "x"), "u", ("y", "z"), "w",
+        {"t": y ** 3 + y, "x": 2 * z + 1}, (1 + y * y) * jet("w"))
+    for _ in range(2):
+        assert theorem_instance_check(catalog("hyper"), catalog("hyperu"), tr).holds
+    assert len(checks) == 1 and len(families._ENLARGEMENTS) == 1
+    # another famB, with the same famA, is checked on its own
+    assert theorem_instance_check(catalog("hyper"), catalog("hyper"), tr).holds
+    assert len(checks) == 2 and len(families._ENLARGEMENTS) == 2
+
+
+def test_warm_lookups_compare_no_expressions_slots_or_atoms(monkeypatch):
+    # families built fresh for each instance, as a batch builds them, meet
+    # warm tables: each lookup hashes and compares strings and ints only
+    def batch():
+        return [(catalog("glin", 3), catalog("gliny", 3)), (catalog("hyper"), catalog("hyperu")),
+                (catalog("hyperxp"), catalog("hyperu")), (catalog("hypertt"), catalog("hyperu"))]
+
+    def lookups(fam_a, fam_b):
+        families._validate_enlargement(fam_a, fam_b)
+        new_vars = ("z",) if fam_a.indep_vars == ("x",) else ("y", "z")
+        for f in (fam_a, fam_b):
+            f.member()
+            f.rename(new_vars, "w").member()
+
+    for fam_a, fam_b in batch():
+        lookups(fam_a, fam_b)
+    fresh = batch()
+
+    def compared(*args):
+        raise AssertionError("a lookup compared or hashed an expression, slot or atom")
+
+    for cls in (Expression, CoefficientSlot, expressions.Atom):
+        for name in ("__eq__", "__hash__"):
+            monkeypatch.setattr(cls, name, compared)
+    for fam_a, fam_b in fresh:
+        lookups(fam_a, fam_b)
+
+
 @pytest.mark.hashseed
 def test_reports_are_the_same_with_the_table_cold_or_warm_bulk(monkeypatch):
     monkeypatch.setattr(families, "_WRITTEN", {})
@@ -452,29 +540,51 @@ def _glin3(*args, lead=jet("y", "x", "x", "x"), names=("a1", "a2", "a3"),
 _XA, _Y0, _YX = Var("x"), Jet("y", ()), Jet("y", ("x",))
 
 
-# (famA, famB, whether famB is famA's enlargement)
-@pytest.mark.parametrize("famA, famB, legal", [
-    (catalog("glin", 3), catalog("glin", 3).rename(("t",), "y"), False),
-    (catalog("glin", 3), _glin3((_XA, _Y0), lead=jet("y", "x", "x", "x", "x")), False),
-    (catalog("glin", 3), _glin3((_XA, _Y0), names=("a1", "a2", "b3")), False),
+def _enlargement_named(famA, name):
+    """famA enlarged to order 1, under ``name``."""
+    e = famA.enlarged(1)
+    return EquationFamily(name, e.indep_vars, e.dep, e.lead, e.slots)
+
+
+# (famA, famB, the refusal's message, or None when famB is famA's enlargement)
+@pytest.mark.parametrize("famA, famB, refusal", [
+    (catalog("glin", 3), catalog("glin", 3).rename(("t",), "y"),
+     "glin lives over t and y, glin over x and y"),
+    (catalog("glin", 3), _glin3((_XA, _Y0), lead=jet("y", "x", "x", "x", "x")),
+     "g leads with D[y,x,x,x,x], glin with D[y,x,x,x]"),
+    (catalog("glin", 3), catalog("gliny", 4),
+     "gliny leads with D[y,x,x,x,x], glin with D[y,x,x,x]"),
+    (catalog("glin", 3), _glin3((_XA, _Y0), names=("a1", "a2", "b3")),
+     "g has slots a1, a2, b3, glin a1, a2, a3"),
     (catalog("glin", 3), _glin3((_XA, _Y0), monos=(jet("y", "x", "x"), jet("y"), jet("y", "x"))),
-     False),
-    (catalog("glin", 3), _glin3((_XA, _Y0), (_XA, _Y0), (_XA,)), False),
-    (catalog("glin", 3), _glin3((_XA, _YX)), False),
-    (catalog("glin0y", 3), catalog("glin", 3), False),
-    (_glin3((_XA, _Y0, _YX)), catalog("gliny", 3), False),
-    (catalog("glin", 3), _glin3((_Y0, _XA)), True),
-    (catalog("glin", 3), _glin3((_XA, _Y0, _YX)), True),
-], ids=["variables", "lead", "slot-names", "slot-monomial", "argument-sets",
+     "g's slot 'a2' multiplies y, glin's D[y,x]"),
+    (catalog("glin", 3), _glin3((_XA, _Y0), (_XA, _Y0), (_XA,)),
+     "g's slot 'a3' takes x, not glin's arguments enlarged to order 0: x, y"),
+    (catalog("glin", 3), _glin3((_XA, _YX)),
+     "g's slot 'a1' takes x, D[y,x], not glin's arguments enlarged to order 1: x, y, D[y,x]"),
+    (catalog("glin0y", 3), catalog("glin", 3), "glin lacks arguments of glin0y: y"),
+    (_glin3((_XA, _Y0, _YX)), catalog("gliny", 3), "gliny lacks arguments of g: D[y,x]"),
+    (catalog("glin", 3), _glin3((_Y0, _XA)), None),
+    (catalog("glin", 3), _glin3((_XA, _Y0, _YX)), None),
+], ids=["variables", "lead", "lead-and-order", "slot-names", "slot-monomial", "argument-sets",
         "jets-skip-an-order", "famA-argument-missing", "famA-jet-missing",
         "arguments-reordered", "order-1"])
-def test_each_enlargement_shape_is_refused_or_accepted(famA, famB, legal):
+def test_each_enlargement_shape_is_refused_or_accepted(monkeypatch, famA, famB, refusal):
+    monkeypatch.setattr(families, "_ENLARGEMENTS", {})
     tr = PointTransformation(("x",), "y", ("z",), "w", {"x": 2 * z + 1}, 3 * jet("w"))
-    if legal:
+    if refusal is None:
         assert theorem_instance_check(famA, famB, tr).holds
-    else:
-        with pytest.raises(VariableMismatchError):
-            theorem_instance_check(famA, famB, tr)
+        return
+    with pytest.raises(VariableMismatchError) as exc:
+        theorem_instance_check(famA, famB, tr)
+    assert str(exc.value) == refusal
+    # a pair of families with the same names that passed is no pass for this one
+    assert theorem_instance_check(famA, _enlargement_named(famA, famB.name), tr).holds
+    with pytest.raises(VariableMismatchError) as exc:
+        theorem_instance_check(famA, famB, tr)
+    assert str(exc.value) == refusal
+    assert list(families._ENLARGEMENTS) == [
+        (famA._template_key(), _enlargement_named(famA, famB.name)._template_key())]
 
 
 def test_match_report_json_shape():
