@@ -25,7 +25,8 @@ from .expressions import (
     polynomial_jets)
 from .families import EQUIVALENCE, EquationFamily, catalog, check_equivalence, theorem_instance_check
 from .hyperbolic import HyperbolicEquation
-from .oracle import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, check_identity, read_tables
+from .oracle import (
+    DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, MODULUS, check_identity, read_tables)
 from .parser import Session, parse, parse_expression
 from .prolongation import transform_derivatives
 
@@ -350,10 +351,14 @@ def _cmd_oracle(args):
             assumptions=state["assumptions"])
         results.append({"ok": r.ok, "max_error": r.max_error, "points": r.points,
                         "miss_bound": r.miss_bound})
-        if r.miss_bound is None:
-            why = "; ".join(_FLOAT_RULES[rule] for rule in r.float_rules)
-            print(f"oracle: check {i} has no miss bound ({why}), so it was evaluated in "
-                  f"rationals and floating point and judged by tol", file=sys.stderr)
+        if r.prime is None:
+            print(f"oracle: check {i} has no miss bound (it reaches "
+                  f"{' and '.join(r.float_rules)}), so it was evaluated in rationals and "
+                  "floating point and judged by tol", file=sys.stderr)
+        elif r.prime != MODULUS:
+            print(f"oracle: check {i} was evaluated in GF(2^{r.prime.bit_length()} - 1): each "
+                  "smaller prime divides an integer coefficient of it or the nonzero difference "
+                  "of its sides", file=sys.stderr)
         all_ok = all_ok and r.ok
     print(f"oracle: {sum(1 for r in results if r['ok'])}/{len(results)} checks passed",
           file=sys.stderr)
@@ -366,15 +371,6 @@ def _cmd_oracle(args):
         "tol": cfg["tol"],
         "points": cfg["points"],
     }, all_ok
-
-
-# why a replayed check has no miss bound, by the rule that sent it to the float path
-_FLOAT_RULES = {
-    "exp": "it reaches exp",
-    "log": "it reaches log",
-    "coefficient": "an integer coefficient is divisible by p",
-    "difference": "p divides every coefficient of the nonzero difference of its sides",
-}
 
 
 def _read_state(path: Path) -> dict:

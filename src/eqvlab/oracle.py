@@ -17,20 +17,18 @@ expression and does no kernel arithmetic, and it also sees what the kernel's
 normal form would hide.  One pass over that program (``_Inventory``)
 classifies the atoms, decides every stand-in's degree (``degree`` for
 functions, at least 2 for dependents; the rule is stated there and nowhere
-else), picks one of two arithmetics for the evaluator, and bounds the degree
-of every value the evaluator will form.  Every point then evaluates the same
-program (``_Run``) in the check's arithmetic, each value once, in the order
-the expressions ask for it; a slot derivative of a stand-in is its terms
-scaled by a table of multipliers the program keeps per derivative.  The
-draws do not depend on the program: one instantiation and one point per
-attempt.
+else), finds what needs real values, and bounds the degree of every value
+the evaluator will form.  Every point then evaluates the same program
+(``_Run``) in the check's arithmetic, each value once, in the order the
+expressions ask for it; a slot derivative of a stand-in is its terms scaled
+by a table of multipliers the program keeps per derivative.  The draws do
+not depend on the program: one instantiation and one point per attempt.
 
-* With no ``exp``, no ``log``, no integer coefficient that is a multiple
-  of p, and a cross-multiplied difference ``N_L*D_R - N_R*D_L`` of the
-  sides' term lists that is zero or that p does not divide
-  (:func:`_p_divides_difference`), the check runs in GF(p), p = 2^61 - 1
-  (:data:`MODULUS`).  Stand-ins are dense
-  polynomials of the decided degrees, and their coefficients, the
+* With no ``exp`` and no ``log``, the check runs in GF(p) for the first
+  prime p of :data:`PRIMES` that divides no integer coefficient of the check
+  and not every coefficient of the nonzero difference of its sides
+  (:func:`_field`): nearly always 2^61 - 1 (:data:`MODULUS`).  Stand-ins are
+  dense polynomials of the decided degrees, and their coefficients, the
   parameters and the point coordinates are uniform mod p.  A draw on which
   a denominator or an assumption is 0 mod p is redrawn.  The check passes
   only if both sides are equal at every point; ``tol`` plays no part.  What
@@ -42,16 +40,16 @@ attempt.
   certify nothing, errors out instead.  The statement is about stand-ins of
   those degrees: a difference that only shows for functions of higher degree
   is outside it.
-* Otherwise the check runs in exact :class:`fractions.Fraction`
-  arithmetic, with floats from any exp or log on, at rational points in
-  [-2, 2] and with sparse small-rational stand-ins.  A point fails when
+* With an ``exp`` or a ``log``, the check runs in exact
+  :class:`fractions.Fraction` arithmetic, with floats from the exp or log
+  on, at rational points in [-2, 2] and with sparse small-rational
+  stand-ins.  A point fails when
   ``|L - R| / (1 + max(|L|, |R|))`` exceeds ``tol``.  Denominators,
   assumptions and ``log`` arguments are guarded by a magnitude floor; a draw
   that violates it is redrawn.  A degree bound above 2^16, by the same
   count as in GF(p) and for each exp or log argument too, and values beyond
   the range of floating point are errors.  There is no miss bound; the
-  result names the rules that sent the check here
-  (``CheckResult.float_rules``).
+  result names what sent the check here (``CheckResult.float_rules``).
 
 An antiderivative symbol is evaluated by running the same program on its
 integrand, as a univariate polynomial in the integration variable over the
@@ -89,6 +87,7 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_POINTS",
     "ASSUMPTION_FLOOR",
+    "PRIMES",
     "MODULUS",
     "RATIONALS",
     "PolyFunc",
@@ -107,7 +106,8 @@ DEFAULT_TOL = 1e-6  # decides float-path checks only
 DEFAULT_POINTS = 10
 ASSUMPTION_FLOOR = Fraction(1, 10**6)
 FD_STEP = Fraction(1, 10**5)
-MODULUS = 2**61 - 1  # a Mersenne prime
+PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)  # Mersenne: 2^bit_length - 1
+MODULUS = PRIMES[0]
 MAX_ATTEMPTS = 100  # draws in a row that may miss before a check errors out
 _MAX_FLOAT_DEGREE = 2**16  # beyond it, exact rationals take seconds per point
 
@@ -126,8 +126,10 @@ class _Arithmetic:
     ``vanishes`` says when a denominator or assumption rules a point out, and
     ``exp``/``log`` give those atoms' values.  The two base arithmetics also
     take an int or ``Fraction`` in (``scalar``) and draw stand-in
-    coefficients, parameters and coordinates.
+    coefficients, parameters and coordinates.  ``p`` is a field's prime.
     """
+
+    p = None
 
     def stand_in(self, terms, args):
         """``sum(c * prod(args^e))`` over the ``(e, c)`` of ``terms``: each
@@ -188,33 +190,31 @@ class _Rationals(_Arithmetic):
 
 
 class _Modular(_Arithmetic):
-    """GF(p) for p = :data:`MODULUS`: values are ints in [0, p).  Every draw
-    is uniform, so stand-ins are dense."""
+    """GF(p) for a prime ``p`` of :data:`PRIMES`: values are ints in [0, p).
+    Every draw is uniform, so stand-ins are dense."""
 
     zero, one = 0, 1
 
-    @staticmethod
-    def add(a, b):
-        return (a + b) % MODULUS
+    def __init__(self, p: int):
+        self.p = p
 
-    @staticmethod
-    def mul(a, b):
-        return a * b % MODULUS
+    def add(self, a, b):
+        return (a + b) % self.p
 
-    @staticmethod
-    def power(a, k):
-        return pow(a, k, MODULUS)
+    def mul(self, a, b):
+        return a * b % self.p
 
-    @staticmethod
-    def div(a, b):
-        return a * pow(b, -1, MODULUS) % MODULUS
+    def power(self, a, k):
+        return pow(a, k, self.p)
 
-    @staticmethod
-    def scalar(c):
+    def div(self, a, b):
+        return a * pow(b, -1, self.p) % self.p
+
+    def scalar(self, c):
         if type(c) is int:
-            return c % MODULUS
+            return c % self.p
         c = Fraction(c)
-        return c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
+        return c.numerator * pow(c.denominator, -1, self.p) % self.p
 
     def stand_in(self, terms, args):
         # the values are below p and the degrees small: reduce once, at the end
@@ -224,11 +224,10 @@ class _Modular(_Arithmetic):
                 if k:
                     c *= a if k == 1 else a ** k
             total += c
-        return total % MODULUS
+        return total % self.p
 
-    @staticmethod
-    def vanishes(v, scale=1) -> bool:
-        return v % MODULUS == 0
+    def vanishes(self, v, scale=1) -> bool:
+        return v % self.p == 0
 
     @staticmethod
     def exp(v):
@@ -238,9 +237,8 @@ class _Modular(_Arithmetic):
     def log(v):
         raise EvaluationError("log has no value in GF(p)")
 
-    @staticmethod
-    def coefficient(rng: Random):
-        return rng.randrange(MODULUS)
+    def coefficient(self, rng: Random):
+        return rng.randrange(self.p)
 
     constant = coordinate = coefficient
 
@@ -313,7 +311,8 @@ class _Polynomials(_Arithmetic):
 
 
 RATIONALS = _Rationals()
-MODULAR = _Modular()
+_FIELDS = tuple(map(_Modular, PRIMES))
+MODULAR = _FIELDS[0]
 
 
 # ---------------------------------------------------------------------------
@@ -690,16 +689,15 @@ class _Inventory:
     The pass records each function's arity and stand-in degree
     (``functions``), the parameters (``params``, sorted), each dependent's
     stand-in degree (``deps``), the variables (free ones, jet indices,
-    integration variables), and whether GF(p) evaluates the expressions
-    faithfully (``modular``): no exp, no log, and no integer coefficient that
-    is a multiple of p.  ``float_rules`` names, in that order, the rules that
-    do not hold: ``"exp"``, ``"log"`` and ``"coefficient"``.  The same pass
-    bounds the degrees of every value the evaluator forms, for
-    :meth:`miss_bound`, and then, where exp or log occur, those of their
-    arguments (``arg_degree``, the highest), for the float path.
+    integration variables), and what needs real values (``float_rules``, in
+    that order): ``"exp"`` and ``"log"``; a finite field evaluates the
+    expressions only when it is empty.  The same pass bounds the degrees of
+    every value the evaluator forms, for :meth:`miss_bound`, and then, where
+    exp or log occur, those of their arguments (``arg_degree``, the highest),
+    for the float path.
     """
 
-    __slots__ = ("program", "functions", "params", "deps", "variables", "modular",
+    __slots__ = ("program", "functions", "params", "deps", "variables",
                  "float_rules", "degrees", "rejected", "arg_degree")
 
     def __init__(self, exprs: "Iterable[ExpressionLike] | _Program", degree: int = 2):
@@ -721,12 +719,10 @@ class _Inventory:
         def poly(terms) -> tuple[int, int]:
             powers: dict[int, int] = {}
             lifts = []
-            for c, factors, exp in terms:
+            for _c, factors, exp in terms:
                 if exp is not None:
                     rules.add("exp")
                     exp_log_args.append(exp)
-                if not c % MODULUS:
-                    rules.add("coefficient")
                 lift = 0
                 for s, k in factors:
                     n, d = atom_deg[s]
@@ -780,8 +776,7 @@ class _Inventory:
                     f"function {name} used with {' and '.join(map(str, sorted(ns)))} arguments")
         for i in prog.roots:
             of(i)
-        self.float_rules = tuple(r for r in ("exp", "log", "coefficient") if r in rules)
-        self.modular = not rules
+        self.float_rules = tuple(r for r in ("exp", "log") if r in rules)
         # read after the rules, which they leave as they are; the list grows
         # as the arguments' own exp arguments are read, and their denominators
         # join ``rejected``, since a draw where one vanishes is redrawn
@@ -815,12 +810,12 @@ class _Inventory:
                 f"the degree bound of an exp or log argument ({self.arg_degree}) {beyond}")
         return d, rejected
 
-    def miss_bound(self, li: int, ri: int, assumed: Sequence[int], points: int) -> float:
+    def miss_bound(self, li: int, ri: int, assumed: Sequence[int], points: int, p: int) -> float:
         """Upper bound on the chance that ``points`` GF(p) points all agree
         although the sides differ, rounded up to a float; an
         :class:`EvaluationError` when the degree bound reaches p.  ``li``,
         ``ri`` and ``assumed`` are the program's indices of the sides and the
-        assumptions.
+        assumptions, and ``p`` is the prime :func:`_field` chose.
 
         Every value the evaluator forms is a quotient N/D of polynomials in the
         drawn values: stand-in coefficients, parameters and coordinates.  The
@@ -847,52 +842,56 @@ class _Inventory:
         lists over the atoms.  If they differ, C = N_L*D_R - N_R*D_L is a
         nonzero polynomial of degree at most d = max(n_L + d_R, n_R + d_L),
         and at a point where no D vanishes the sides agree only where C does.
-        GF(p) sees C only if p does not divide every coefficient of C.  A check
-        with an integer coefficient that is a multiple of p is on the float
-        path already, so D_L and D_R are nonzero mod p; for C,
-        :func:`_p_divides_difference` decides it on the term lists.  When
-        ``|N_L|_1 * |D_R|_1 + |N_R|_1 * |D_L|_1 < p`` (sums of absolute
-        coefficients) every coefficient of C is below p in absolute value, so
-        a nonzero C stays nonzero mod p.  Otherwise C is formed, and a nonzero
-        C that p divides, as for ``(1 - p)*y`` against ``y``, sends the check
-        to the float path.
-        By Schwartz-Zippel a uniform point finds a zero of a nonzero
-        polynomial mod p with probability at most d/p.  A point is redrawn
+        :func:`_field` chose a p that divides no integer coefficient of the
+        check and not every coefficient of a nonzero C, so D_L, D_R and C stay
+        nonzero mod p.  By Schwartz-Zippel a uniform point finds a zero of a
+        nonzero polynomial mod p with probability at most d/p.  A point is redrawn
         where the numerator of some expression's denominator, or of an
         assumption, vanishes: polynomials whose degrees sum to at most e, so
         an admissible point is at most d/p / (1 - e/p) = d/(p - e) likely to
         miss.  The points are independent, so the bound is that to the power
         ``points``.
         """
-        d, rejected = self.degree_bound(li, ri, assumed, MODULUS - 1, "reaches p = 2^61 - 1, "
-                                        "so a GF(p) pass would certify nothing")
-        bound = Fraction(d, MODULUS - rejected) ** points
+        d, rejected = self.degree_bound(li, ri, assumed, p - 1, f"reaches p = 2^{p.bit_length()} "
+                                        "- 1, so a GF(p) pass would certify nothing")
+        bound = Fraction(d, p - rejected) ** points
         rounded = float(bound)
         return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)
 
 
-def _p_divides_difference(prog: _Program, li: int, ri: int) -> bool:
-    """Whether the cross-multiplied difference C = N_L*D_R - N_R*D_L of the
-    compiled expressions ``li`` and ``ri`` is nonzero with every coefficient
-    a multiple of p: zero at every GF(p) point, yet not zero.  The term lists
-    must be free of exponentials, as on the GF(p) path."""
+def _field(prog: _Program, li: int, ri: int) -> _Modular:
+    """The field of the first prime p of :data:`PRIMES` that divides no
+    integer coefficient of the program, unlike 2^61 - 1 for ``f(p*y) - f(0)``,
+    and not every coefficient of a nonzero C = N_L*D_R - N_R*D_L of the
+    compiled sides ``li`` and ``ri``, unlike 2^61 - 1 for ``(1 - p)*y``
+    against ``y``.  When ``|N_L|_1 * |D_R|_1 + |N_R|_1 * |D_L|_1 < 2^61 - 1``
+    (sums of absolute coefficients), no prime divides a nonzero coefficient
+    of C, which is not formed.  An :class:`EvaluationError` when no prime
+    qualifies: a coefficient of about 2^384 or more, or multiples of each."""
     (nl, dl, _), (nr, dr, _) = prog.exprs[li], prog.exprs[ri]
 
     def norm(terms) -> int:
         return sum(abs(c) for c, _f, _e in terms)
 
-    if norm(nl) * norm(dr) + norm(nr) * norm(dl) < MODULUS:
-        return False  # every coefficient of C is below p in absolute value
     diff: dict = {}
-    for sign, a, b in ((1, nl, dr), (-1, nr, dl)):
-        for ca, fa, _e in a:
-            for cb, fb, _e in b:
-                powers = dict(fa)
-                for s, k in fb:
-                    powers[s] = powers.get(s, 0) + k
-                m = frozenset(powers.items())
-                diff[m] = diff.get(m, 0) + sign * ca * cb
-    return any(diff.values()) and not any(c % MODULUS for c in diff.values())
+    if norm(nl) * norm(dr) + norm(nr) * norm(dl) >= MODULUS:
+        for sign, a, b in ((1, nl, dr), (-1, nr, dl)):
+            for ca, fa, _e in a:
+                for cb, fb, _e in b:
+                    powers = dict(fa)
+                    for s, k in fb:
+                        powers[s] = powers.get(s, 0) + k
+                    m = frozenset(powers.items())
+                    diff[m] = diff.get(m, 0) + sign * ca * cb
+    g = gcd(*diff.values())  # 0 when C is zero or not formed
+    for field in _FIELDS:
+        p = field.p
+        if all(c % p for num, den, _lc in prog.exprs for c, _f, _e in chain(num, den)) and (
+                g % p or not g):
+            return field
+    raise EvaluationError(
+        "each of 2^61 - 1, 2^89 - 1, 2^107 - 1 and 2^127 - 1 divides an integer coefficient "
+        "of this check or the nonzero difference of its sides, so no GF(p) evaluates it")
 
 
 @dataclass
@@ -988,18 +987,18 @@ class _Run:
         # walk of the expression would.  GF(p) is exact, so it is inlined
         # with the reductions where they are cheapest.
         ar, vals = self.ar, self.atoms
-        if ar is MODULAR:
+        if (p := ar.p) is not None:
             total = 0
             for c, factors, exp in terms:
                 for s, k in factors:
                     x = vals[s]
                     if x is None:
                         x = self.atom(s)
-                    c = c * (x if k == 1 else pow(x, k, MODULUS)) % MODULUS
+                    c = c * (x if k == 1 else pow(x, k, p)) % p
                 if exp is not None:
                     ar.exp(self.expr(exp))  # raises: GF(p) has no exp
                 total += c
-            return total % MODULUS
+            return total % p
         add, mul, power = ar.add, ar.mul, ar.power
         total = ar.zero
         for c, factors, exp in terms:
@@ -1138,11 +1137,11 @@ def fd_total(
 class CheckResult:
     """``max_error`` is the largest relative error on the float path, and the
     share of disagreeing points in GF(p); ``worst_point`` is the point of the
-    largest error, or the first disagreeing one.  ``miss_bound`` is ``None``
-    on the float path, and ``float_rules`` names the rules that sent the check
-    there: ``"exp"``, ``"log"``, ``"coefficient"`` (an integer coefficient
-    divisible by p) or ``"difference"`` (a nonzero difference that p divides);
-    it is empty in GF(p)."""
+    largest error, or the first disagreeing one.  ``prime`` is the p of a
+    GF(p) check, one of :data:`PRIMES`, and ``None`` on the float path.
+    ``miss_bound`` is ``None`` on the float path, and ``float_rules`` names
+    what sent the check there, ``"exp"`` and ``"log"``; it is empty in
+    GF(p)."""
 
     ok: bool
     points: int
@@ -1150,6 +1149,7 @@ class CheckResult:
     worst_point: dict[str, Number] | None = None
     miss_bound: float | None = None
     float_rules: tuple[str, ...] = ()
+    prime: int | None = None
 
     def __bool__(self):
         return self.ok
@@ -1177,7 +1177,8 @@ def check_identity(
     within the magnitude floor on the float path); after :data:`MAX_ATTEMPTS`
     discards in a row the check errors out.  ``points`` must be at least 1
     and ``tol`` finite and non-negative, so a pass means something was
-    compared; ``tol`` decides only on the float path.  A GF(p) check whose
+    compared; ``tol`` decides only on the float path, for checks with exp or
+    log.  A check for which :func:`_field` finds no prime, a GF(p) check whose
     degree bound reaches p, a float-path check whose degree bound, or that
     of an exp or log argument, exceeds 2^16, and one whose values exceed
     floating point, error out.  See the module docstring.
@@ -1191,16 +1192,13 @@ def check_identity(
     rng = Random(DEFAULT_SEED if seed is None else seed)
     inv = _Inventory(prog)
     li, ri, *assumed = prog.roots
-    # GF(p) unless an exp or log needs real values or a coefficient is 0 mod p
-    ar = MODULAR if inv.modular else RATIONALS
-    rules = inv.float_rules
-    if ar is MODULAR and _p_divides_difference(prog, li, ri):
-        # nonzero, yet zero at every GF(p) point
-        ar, rules = RATIONALS, ("difference",)
-    if ar is not MODULAR:
+    if inv.float_rules:  # an exp or log needs real values
+        ar, bound = RATIONALS, None
         inv.degree_bound(li, ri, assumed, _MAX_FLOAT_DEGREE, "exceeds 2^16, beyond what "
                          "exact rational evaluation reaches in reasonable time")
-    bound = inv.miss_bound(li, ri, assumed, points) if ar is MODULAR else None
+    else:
+        ar = _field(prog, li, ri)
+        bound = inv.miss_bound(li, ri, assumed, points, ar.p)
     names = inv.point_names(tuple(dep_vars[d]) for d in inv.deps if d in dep_vars)
     failed = 0
     max_err = 0.0
@@ -1216,7 +1214,7 @@ def check_identity(
                         raise AssumptionViolationError("assumption vanishes at this point")
                 v1 = run.expr(li)
                 v2 = run.expr(ri)
-                if ar is not MODULAR:
+                if ar is RATIONALS:
                     err = abs(v1 - v2) / (1 + max(abs(v1), abs(v2)))
             except (AssumptionViolationError, ZeroDivisionError):
                 continue
@@ -1227,7 +1225,7 @@ def check_identity(
         else:
             raise EvaluationError(
                 f"no admissible point found in {MAX_ATTEMPTS} attempts")
-        if ar is MODULAR:
+        if ar is not RATIONALS:
             if v1 != v2:
                 failed += 1
                 if worst is None:
@@ -1238,10 +1236,10 @@ def check_identity(
             worst = pt
         if err > tol:
             failed += 1
-    if ar is MODULAR:
+    if ar is not RATIONALS:
         max_err = failed / points
     return CheckResult(ok=not failed, points=points, max_error=max_err, worst_point=worst,
-                       miss_bound=bound, float_rules=rules)
+                       miss_bound=bound, float_rules=inv.float_rules, prime=ar.p)
 
 
 def read_tables(tables: Sequence) -> None:

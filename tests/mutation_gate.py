@@ -69,6 +69,7 @@ RENAME_BULK = f"{KERNEL}::test_rename_atoms_matches_the_full_order_check_bulk"
 # a power inside an exp or log argument, at a size the unbounded path survives
 ARG_CAP = "tests/test_cli.py::test_float_replay_of_a_high_power_in_an_argument_exits_2_at_once"
 TEMPLATES = "tests/test_cli.py::test_family_template_terms_need_coefficient_one"
+ORACLE = "tests/test_oracle.py"
 
 MUTANTS = (
     # the table reader's normal form, which atom identity in GF(p) rests on
@@ -100,16 +101,18 @@ MUTANTS = (
            "fdeg, ddeg = degree, max(degree, 2)", "fdeg, ddeg = degree, degree",
            ("tests/test_oracle.py::test_one_walk_matches_the_reference_rules_bulk",)),
     Mutant("the float-path degree cap never applies", "oracle.py",
-           "    if ar is not MODULAR:\n        inv.degree_bound(",
-           "    if False:\n        inv.degree_bound(",
+           "assumed, _MAX_FLOAT_DEGREE,", "assumed, math.inf,",
            ("tests/test_cli.py::test_float_replay_of_a_high_power_exits_2_at_once[70000]",)),
     Mutant("the float-path cap skips exp and log arguments", "oracle.py",
            "        for i in exp_log_args:\n", "        for i in ():\n",
            (f"{ARG_CAP}[exp-70000]", f"{ARG_CAP}[log-70000]")),
     Mutant("difference guard off", "oracle.py",
-           "    (nl, dl, _), (nr, dr, _) = prog.exprs[li], prog.exprs[ri]\n",
-           "    return False\n",
-           ("tests/test_oracle.py::test_coefficients_divisible_by_p_take_the_float_path",)),
+           "                g % p or not g):\n", "                True):\n",
+           (f"{ORACLE}::test_coefficients_divisible_by_p_move_to_the_next_prime",
+            f"{ORACLE}::test_the_difference_guard_decides_as_the_kernel_subtraction_did_bulk")),
+    Mutant("the prime choice skips the coefficient test", "oracle.py",
+           "if all(c % p for num, den", "if all(True for num, den",
+           (f"{ORACLE}::test_a_coefficient_divisible_by_p_inside_an_argument_moves_the_check",)),
     # prolongation: Cramer's rule over det, and the diagonal rule over each d_i
     Mutant("free-of-x_i rule dropped", "prolongation.py",
            "        if not m or self._free_of(i):\n", "        if not m:\n",

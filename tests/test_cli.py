@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON output, state files, oracle replay."""
 
 import json
+import math
 import re
 import time
 
@@ -11,7 +12,7 @@ from eqvlab import (
     parse_expression, var)
 from eqvlab import cli, prolongation
 from eqvlab.cli import main
-from eqvlab.oracle import MODULUS
+from eqvlab.oracle import MODULUS, PRIMES
 
 from conftest import CORPUS
 
@@ -756,17 +757,32 @@ def test_oracle_note_names_the_rule_that_sent_a_check_to_tol(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 0
     assert "oracle: check 1 has no miss bound (it reaches exp), so it was evaluated" in err
+    # a check that 2^61 - 1 cannot see keeps its verdict and gets a miss
+    # bound in the next prime, which stderr names
     y = var("y")
-    for lhs, rhs, why, want in (
-            ((1 - MODULUS) * y, y,
-             "p divides every coefficient of the nonzero difference of its sides", 1),
-            (MODULUS * y, MODULUS * y, "an integer coefficient is divisible by p", 0)):
+    for lhs, rhs, want in (((1 - MODULUS) * y, y, 1), (MODULUS * y, MODULUS * y, 0)):
         path = write_state(tmp_path, [(lhs, rhs)])
         code = main(["oracle", "--state", str(path)])
         captured = capsys.readouterr()
         assert code == want
-        assert json.loads(captured.out)["checks"][0]["miss_bound"] is None
-        assert f"oracle: check 1 has no miss bound ({why}), so" in captured.err
+        assert json.loads(captured.out)["checks"][0]["miss_bound"] is not None
+        assert ("oracle: check 1 was evaluated in GF(2^89 - 1): each smaller prime divides"
+                in captured.err)
+        assert "no miss bound" not in captured.err
+
+
+def test_a_check_no_prime_evaluates_exits_2(capsys, tmp_path):
+    y = var("y")
+    path = write_state(tmp_path, [(math.prod(PRIMES) * y, 0 * y)])
+    code = main(["oracle", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == {
+        "type": "EvaluationError",
+        "message": "each of 2^61 - 1, 2^89 - 1, 2^107 - 1 and 2^127 - 1 divides an integer "
+                   "coefficient of this check or the nonzero difference of its sides, so no "
+                   "GF(p) evaluates it"}
+    assert "Traceback" not in captured.err
 
 
 def test_oracle_names_an_antiderivative_it_cannot_evaluate(capsys, tmp_path):

@@ -28,6 +28,7 @@ import pytest
 
 from eqvlab import Expression, Var, partial
 from eqvlab.cli import main
+from eqvlab.oracle import MODULUS, check_identity
 
 from conftest import CORPUS, seeded_cases
 
@@ -157,6 +158,26 @@ def test_replay_does_not_touch_the_kernel(tmp_path, monkeypatch):
                 m.setattr(Expression, name, broken)
             code, out = _run(["oracle", "--state", str(state), "--seed", ORACLE_SEED])
         assert (code, _sha(out)) == (want["oracle_exit"], want["oracle_stdout_sha256"]), want
+
+
+def test_every_corpus_check_runs_in_the_first_prime(tmp_path, monkeypatch):
+    # the common path is the one it was: only the exp-bearing maps leave
+    # GF(2^61 - 1), for the float path
+    monkeypatch.chdir(tmp_path)
+    state = tmp_path / "state.json"
+    seen = {}
+    for session, argv in COMMANDS:
+        _run([argv[0], "--session", str(CORPUS / f"{session}.eqv"), "--state", str(state),
+              *argv[1:]])
+        data = json.loads(state.read_text(encoding="utf-8"))
+        dep_vars = {k: tuple(v) for k, v in data["dep_vars"].items()}
+        for lhs, rhs in data["checks"]:
+            r = check_identity(lhs, rhs, dep_vars, seed=int(ORACLE_SEED),
+                               assumptions=data["assumptions"])
+            want = (None, ("exp",)) if argv[-1] in ("Texp", "Taff") else (MODULUS, ())
+            assert (r.prime, r.float_rules) == want, (session, argv)
+            seen[want] = seen.get(want, 0) + 1
+    assert len(seen) == 2, seen
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import pytest
 
 from eqvlab import oracle
 from eqvlab.expressions import _below, _reach
-from eqvlab.oracle import MODULAR, MODULUS, RATIONALS
+from eqvlab.oracle import MODULAR, MODULUS, PRIMES, RATIONALS
 from eqvlab import (
     Antideriv,
     AssumptionViolationError,
@@ -283,14 +283,14 @@ def test_instantiation_matches_reference_walk_bulk():
 
 
 def on_both_paths(monkeypatch, lhs, rhs, dep_vars=DEP, **kwargs):
-    """``check_identity`` as routed (GF(p) here), then forced onto the float path;
-    an evaluation error stands in for the verdict."""
+    """``check_identity`` as routed (GF(p) here), then forced onto the float path
+    as if it reached exp; an evaluation error stands in for the verdict."""
     out = []
     init = oracle._Inventory.__init__
 
     def float_init(inv, *args):
         init(inv, *args)
-        inv.modular = False
+        inv.float_rules = ("exp",)
 
     for forced in (False, True):
         with monkeypatch.context() as m:
@@ -311,7 +311,7 @@ def test_modular_and_rational_paths_agree_bulk(monkeypatch):
     f = jet("w", "y") + z
     compared = 0
     for i, e in seeded_cases(505, 300):
-        if not oracle._Inventory([e]).modular or e.is_zero():
+        if oracle._Inventory([e]).float_rules or e.is_zero():
             continue
         compared += 1
         for lhs, rhs, want in (
@@ -374,32 +374,47 @@ def test_antiderivatives_integrate_in_gf_p():
     assert not check_identity(nested, y * y * z * z / 3, {}, seed=4).ok
 
 
-def test_coefficients_divisible_by_p_take_the_float_path():
+def test_coefficients_divisible_by_p_move_to_the_next_prime():
     # y/p keeps the integer denominator p, which is 0 mod p, and p*y the
     # numerator coefficient p: in GF(p) the first would reject every draw and
-    # the second would pass against 0
+    # the second would pass against 0.  Both are exact in GF(2^89 - 1)
     y = var("y")
     q = y / MODULUS
     res = check_identity(q, q, {}, seed=1)
-    assert res.ok and res.miss_bound is None
+    assert res.ok and res.miss_bound is not None and res.prime == PRIMES[1]
     res = check_identity(MODULUS * y, 0, {}, seed=1)
-    assert not res.ok and res.miss_bound is None
+    assert not res.ok and res.miss_bound is not None and res.prime == PRIMES[1]
+    res = check_identity(MODULUS * y, MODULUS * y, {}, seed=1)
+    assert res.ok and res.miss_bound is not None and res.prime == PRIMES[1]
     res = check_identity((MODULUS + 1) * y - y - MODULUS * y, 0, {}, seed=1)
-    assert res.ok
-    assert check_identity(y / (MODULUS + 1), y / (MODULUS + 1), {}, seed=1).miss_bound
+    assert res.ok and res.prime == MODULUS
+    res = check_identity(y / (MODULUS + 1), y / (MODULUS + 1), {}, seed=1)
+    assert res.miss_bound and res.prime == MODULUS
     # no coefficient of either side is a multiple of p, but their difference
-    # -p*y is: every GF(p) point would agree
+    # -p*y is: every GF(p) point would agree, and none in GF(2^89 - 1)
     res = check_identity((1 - MODULUS) * y, y, {}, seed=1)
-    assert not res.ok and res.miss_bound is None
+    assert not res.ok and res.miss_bound is not None and res.prime == PRIMES[1]
     # p divides only some coefficients of -p*y + z: GF(p) sees the difference
     res = check_identity((1 - MODULUS) * y, y - z, {}, seed=1)
-    assert not res.ok and res.miss_bound is not None
+    assert not res.ok and res.miss_bound is not None and res.prime == MODULUS
+    # each prime in turn: the difference is a multiple of the first three
+    res = check_identity((1 - math.prod(PRIMES[:3])) * y, y, {}, seed=1)
+    assert not res.ok and res.prime == PRIMES[3]
     # an ordinary polynomial check stays in GF(p) with its bound
     res = check_identity((y + 1) ** 2, y * y + 2 * y + 1, {}, seed=1)
     assert res.ok and res.miss_bound == pytest.approx(
         float(Fraction(2, MODULUS) ** 10), rel=1e-15)
     res = check_identity((y + 1) ** 2, y * y + 2 * y + 2, {}, seed=1)
     assert not res.ok and res.miss_bound is not None
+
+
+def test_a_coefficient_divisible_by_p_inside_an_argument_moves_the_check():
+    # f(p*y) - f(0) is 0 at every GF(p) point and its difference has the
+    # coefficients 1 and -1: only the coefficient test sees it
+    res = check_identity(func("f", MODULUS * y) - func("f", 0), 0, {}, seed=1)
+    assert not res.ok and res.miss_bound is not None and res.prime == PRIMES[1]
+    res = check_identity(func("f", MODULUS * y), func("f", MODULUS * y), {}, seed=1)
+    assert res.ok and res.prime == PRIMES[1]
 
 
 def test_a_degree_bound_at_p_is_an_error_not_a_pass():
@@ -415,15 +430,14 @@ def test_a_degree_bound_at_p_is_an_error_not_a_pass():
 
 
 def reference_modular(exprs):
-    # the routing rule as a separate walk: no log, and no exponential or
-    # coefficient divisible by p in any expression evaluated
+    # the routing rule as a separate walk: no log, and no exponential in any
+    # expression evaluated
     atoms = set().union(*map(_reach, exprs))
     if any(isinstance(a, Log) for a in atoms):
         return False
     inner = (x for a in atoms for x in a.children())
-    return all(m.exparg is None and c % MODULUS
-               for x in chain(exprs, inner) for p in x.integer_form()[:2]
-               for m, c in p.items())
+    return all(m.exparg is None
+               for x in chain(exprs, inner) for p in x.integer_form()[:2] for m in p)
 
 
 def reference_miss_bound(lhs, rhs, assumptions, degree, points):
@@ -506,8 +520,8 @@ def test_one_walk_matches_the_reference_rules_bulk():
         exprs = (lhs, rhs, *assumptions)
         for degree in degrees:
             inv = oracle._Inventory(exprs, degree)
-            assert inv.modular == reference_modular(exprs), lhs.text
-            if not inv.modular:
+            assert (not inv.float_rules) == reference_modular(exprs), lhs.text
+            if inv.float_rules:
                 continue
             modular += 1
             want = reference_miss_bound(lhs, rhs, assumptions, degree, 4)
@@ -515,9 +529,9 @@ def test_one_walk_matches_the_reference_rules_bulk():
             sides = li, ri, assumed
             if want is None:
                 with pytest.raises(EvaluationError, match="certify nothing"):
-                    inv.miss_bound(*sides, 4)
+                    inv.miss_bound(*sides, 4, MODULUS)
             else:
-                assert inv.miss_bound(*sides, 4) == want, lhs.text
+                assert inv.miss_bound(*sides, 4, MODULUS) == want, lhs.text
             inst = Instantiation.for_expressions(inv, Random(n), DEP, arith=MODULAR)
             assert all(stand_in_degree(g) == degree for g in inst.functions.values())
             assert all(stand_in_degree(g) == max(degree, 2)
@@ -810,23 +824,25 @@ def written_apart(t):
 
 
 def test_the_difference_guard_decides_as_the_kernel_subtraction_did_bulk():
-    # the guard reads the compiled term lists; the rule it replaced formed
-    # lhs - rhs in the kernel.  Both must send the same checks to the float
-    # path
-    routed = {True: 0, False: 0}
+    # the prime choice reads the compiled term lists; the reference forms
+    # lhs - rhs in the kernel and reads the program's coefficients.  Both
+    # must pick the same prime
+    picked = Counter()
     for _i, e in seeded_cases(505, 300):
         if e.is_zero():
             continue
         for lhs, rhs in ((e * (1 - MODULUS), e), (e * (1 - MODULUS), e + y),
-                         (e * (MODULUS + 1), e), (e * 3, e * 2 + e)):
-            if not oracle._Inventory([lhs, rhs]).modular:
-                continue
-            diff = (lhs - rhs).integer_form()[0]
-            want = bool(diff) and not any(c % MODULUS for c in diff.values())
+                         (e * (MODULUS + 1), e), (e * 3, e * 2 + e), (e * MODULUS, e)):
             prog = oracle._Program(tables_of(lhs, rhs))
-            assert oracle._p_divides_difference(prog, *prog.roots) == want, e.text
-            routed[want] += 1
-    assert all(n > 50 for n in routed.values()), routed
+            if oracle._Inventory(prog).float_rules:
+                continue
+            diff = (lhs - rhs).integer_form()[0].values()
+            coeffs = [c for num, den, _lc in prog.exprs for c, _f, _e in chain(num, den)]
+            want = next(p for p in PRIMES if all(c % p for c in coeffs)
+                        and (not diff or any(c % p for c in diff)))
+            assert oracle._field(prog, *prog.roots).p == want, e.text
+            picked[want] += 1
+    assert picked[MODULUS] > 50 and picked[PRIMES[1]] > 50, picked
 
 
 VAR_Y = {"kind": "var", "name": "y"}
@@ -868,11 +884,18 @@ def test_a_table_repeating_an_atom_in_one_monomial_reads_as_its_power():
 
 def test_a_table_repeating_a_monomial_reads_as_their_sum():
     # y + (p - 1)*y is p*y: a coefficient that p divides, so GF(p) would pass
-    # it against 0; merged, it is routed to the float path as the kernel's is
+    # it against 0; merged, it moves to the next prime as the kernel's does
     split = table([term(1, (0, 1)), term(MODULUS - 1, (0, 1))])
     got, want = both_forms(split, ZERO_TABLE)
     assert got == want
-    assert not got.ok and got.miss_bound is None and got.float_rules == ("coefficient",)
+    assert not got.ok and got.miss_bound is not None and got.prime == PRIMES[1]
+    # inside an argument: f(y + (p - 1)*y) - f(0) is f(p*y) - f(0), and not a
+    # GF(p) pass against 0
+    atoms = [VAR_Y, {"kind": "func", "name": "f", "d": [], "args": [arg(split["num"])]},
+             {"kind": "func", "name": "f", "d": [], "args": [arg([])]}]
+    got, want = both_forms(table([term(1, (1, 1)), term(-1, (2, 1))], atoms=atoms), ZERO_TABLE)
+    assert got == want
+    assert not got.ok and got.miss_bound is not None and got.prime == PRIMES[1]
     # y - y is 0
     got, want = both_forms(table([term(1, (0, 1)), term(-1, (0, 1))]), ZERO_TABLE)
     assert got == want and got.ok and got.miss_bound is not None
@@ -901,8 +924,8 @@ def test_equal_arguments_written_apart_are_one_atom(first, second):
     # the table reader repeats the kernel's normal-form rules, and atom
     # identity rests on them agreeing: the table as written and as the
     # kernel normalizes it both intern one f here.
-    # f(first) + (p - 1)*f(second) is p*f(first), as the kernel reads it, and
-    # not a GF(p) pass against 0.  (The kernel drops an atom that cancels,
+    # f(first) + (p - 1)*f(second) is p*f(first), as the kernel reads it: it
+    # moves to the next prime and fails there.  (The kernel drops an atom that cancels,
     # the table still lists it, and a listed variable is drawn, so the
     # points differ.)
     atoms = [VAR_Y, VAR_Z, {"kind": "func", "name": "f", "d": [], "args": [first]},
@@ -911,7 +934,7 @@ def test_equal_arguments_written_apart_are_one_atom(first, second):
     for prog in (oracle._Program([lhs]), oracle._Program([normalized(lhs)])):
         assert sum(step[0] == oracle._FUNC for step in prog.atoms) == 1
     for r in both_forms(lhs, ZERO_TABLE):
-        assert (r.ok, r.miss_bound, r.float_rules) == (False, None, ("coefficient",))
+        assert (r.ok, r.float_rules, r.prime) == (False, (), PRIMES[1]) and r.miss_bound
 
 
 def test_an_exponential_of_zero_is_one():
@@ -928,9 +951,10 @@ def test_a_table_power_below_one_is_refused(power):
 
 
 def test_the_difference_guard_routes_tables_like_expressions():
-    for lhs, rhs, rules in (((1 - MODULUS) * y, y, ("difference",)),
-                            (MODULUS * y, y, ("coefficient",)),
-                            (exp(y) * log(1 + z * z), y, ("exp", "log"))):
+    for lhs, rhs, prime, rules in (((1 - MODULUS) * y, y, PRIMES[1], ()),
+                                   (MODULUS * y, y, PRIMES[1], ()),
+                                   (exp(y) * log(1 + z * z), y, None, ("exp", "log"))):
         got = check_identity(*tables_of(lhs, rhs), {}, seed=3)
         want = check_identity(lhs, rhs, {}, seed=3)
-        assert got == want and got.miss_bound is None and got.float_rules == rules
+        assert got == want and (got.prime, got.float_rules) == (prime, rules)
+        assert (got.miss_bound is None) == (prime is None)
