@@ -2,8 +2,10 @@
 
 The package provides an exact expression kernel, jet prolongation of point
 transformations, form-preservation checks with induced coefficient actions,
-and the Laplace and contact invariants of the linear hyperbolic equation,
-plus a small session-file language and a command line front end.
+a check that an expression in a family's coefficients is a relative
+invariant of the family's group, the Laplace and contact invariants of the
+linear hyperbolic equation, plus a small session-file language and a command
+line front end.
 """
 
 from .errors import (
@@ -14,7 +16,6 @@ from .errors import (
     ParseError,
     SingularTransformationError,
     TheoremPreconditionError,
-    UndefinedInvariantError,
     UnknownFamilyError,
     UnsupportedAtomError,
     VariableMismatchError,
@@ -80,11 +81,11 @@ from .families import (
     catalog,
     catalog_names,
     check_equivalence,
+    invariant_check,
     match,
     theorem_instance_check,
 )
 from .hyperbolic import (
-    ContactInvarianceResult,
     HyperbolicEquation,
     InvariantReport,
     Reduction,

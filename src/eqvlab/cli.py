@@ -70,15 +70,17 @@ def _parser() -> argparse.ArgumentParser:
         description="Equivalence transformations and invariants of equation families.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--session", help="session file (.eqv)")
-        sp.add_argument("--state", default=DEFAULT_STATE,
-                        help="where to record check pairs for the oracle command")
+    def common(sp, state_help):
+        sp.add_argument("--state", default=DEFAULT_STATE, help=state_help)
         sp.add_argument("--json-out", help="also write the JSON report to this path")
-        sp.add_argument("--config", help="JSON config with seed/tol/points defaults")
 
-    sp = sub.add_parser("transform", help="apply a transformation and lead-normalize")
-    common(sp)
+    def symbolic(name, help_text):
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--session", help="session file (.eqv)")
+        common(sp, "where to record check pairs for the oracle command")
+        return sp
+
+    sp = symbolic("transform", "apply a transformation and lead-normalize")
     sp.add_argument("--transform", required=True)
     sp.add_argument("--family")
     sp.add_argument("--equation")
@@ -86,23 +88,19 @@ def _parser() -> argparse.ArgumentParser:
     for name, help_text in (
             ("check", "decide whether a transformation preserves a family's form"),
             ("induced-action", "extract the coefficient action of a form-preserving map")):
-        sp = sub.add_parser(name, help=help_text)
-        common(sp)
+        sp = symbolic(name, help_text)
         sp.add_argument("--family", required=True)
         sp.add_argument("--transform", required=True)
 
-    sp = sub.add_parser("theorem-check",
-                        help="containment of equivalence maps under argument enlargement")
-    common(sp)
+    sp = symbolic("theorem-check", "containment of equivalence maps under argument enlargement")
     sp.add_argument("--family-a", required=True)
     sp.add_argument("--family-b", required=True)
     sp.add_argument("--transform", required=True)
 
-    for name in ("invariants", "reduce"):
-        sp = sub.add_parser(name, help={
-            "invariants": "Laplace and derived invariants of a hyperbolic-shaped family",
-            "reduce": "remove first-order terms by an exponential weight"}[name])
-        common(sp)
+    for name, help_text in (
+            ("invariants", "Laplace and derived invariants of a hyperbolic-shaped family"),
+            ("reduce", "remove first-order terms by an exponential weight")):
+        sp = symbolic(name, help_text)
         sp.add_argument("--family")
         sp.add_argument("--equation")
         sp.add_argument("--vars", help="comma-separated t,x,u names for --equation")
@@ -110,7 +108,8 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{slot}", help=f"override the {slot} coefficient")
 
     sp = sub.add_parser("oracle", help="re-validate the last symbolic result numerically")
-    common(sp)
+    common(sp, "the state file of check pairs to replay")
+    sp.add_argument("--config", help="JSON config with seed/tol/points defaults")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--tol", type=float)
     sp.add_argument("--points", type=int)

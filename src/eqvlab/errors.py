@@ -42,17 +42,6 @@ class TheoremPreconditionError(EqvError):
         self.report = report
 
 
-class UndefinedInvariantError(EqvError):
-    """A derived invariant is undefined because a divisor vanishes identically.
-
-    ``certificate`` holds the expression that normalized to zero.
-    """
-
-    def __init__(self, message: str, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
-
-
 class EvaluationError(EqvError):
     """Numeric evaluation hit an atom or a value outside the evaluator's domain."""
 

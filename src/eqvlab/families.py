@@ -44,6 +44,8 @@ from .expressions import (
     partial,
     polynomial_jets,
     sign_canonical,
+    substitute,
+    substitute_functions,
 )
 from .prolongation import PointTransformation, ProlongedMap, transform_derivatives
 
@@ -58,6 +60,7 @@ __all__ = [
     "match",
     "check_equivalence",
     "theorem_instance_check",
+    "invariant_check",
     "catalog",
     "catalog_names",
 ]
@@ -682,25 +685,64 @@ def theorem_instance_check(
 def _slot_renames(famA: EquationFamily, famB: EquationFamily, pm: ProlongedMap) -> dict | None:
     """Each slot atom of famA's image to famB's, ``a_j(phi(args_A))`` to
     ``a_j(phi(args_B))``, leaving out the slots whose atom stays the same;
-    None when a function of the map has a slot's name."""
+    None when a function of the map has a slot's name.  The slots are read in
+    the families' own names, each variable taken positionally to the map's
+    source variable, as :meth:`EquationFamily.rename` would write them."""
     tr = pm.transformation
-    src_a = famA.rename(tr.old_vars, tr.old_dep)
-    names = {s.name for s in src_a.slots}
+    names = {s.name for s in famA.slots}
     if any(names & dependency_closure(e).functions
            for e in (*tr.indep_map.values(), tr.dep_map)):
         return None
+    source = dict(zip(famA.indep_vars, tr.old_vars))
 
     def arg_image(a: Atom) -> Expression:
         if isinstance(a, Var):
-            return tr.indep_map[a.name]
-        return pm[a.index] if a.index else tr.dep_map
+            return tr.indep_map[source[a.name]]
+        return pm[tuple(source[i] for i in a.index)] if a.index else tr.dep_map
 
     def slot_atom(s: CoefficientSlot) -> Func:
         return Func(s.name, [arg_image(a) for a in s.args])
 
-    slots_b = {s.name: s for s in famB.rename(tr.old_vars, tr.old_dep).slots}
-    pairs = ((slot_atom(s), slot_atom(slots_b[s.name])) for s in src_a.slots)
+    slots_b = {s.name: s for s in famB.slots}
+    pairs = ((slot_atom(s), slot_atom(slots_b[s.name])) for s in famA.slots)
     return {a: b for a, b in pairs if a != b}
+
+
+def invariant_check(family: EquationFamily, tr: PointTransformation,
+                    invariant: ExpressionLike, weight: int) -> Expression:
+    """The defect of ``invariant`` as a relative invariant of ``weight``
+    under ``tr``: zero exactly when the claim holds.
+
+    ``invariant`` is an expression in the family's slot atoms, their slot
+    derivatives and the family's variables.  ``tr`` must be an equivalence
+    transformation of ``family``; otherwise a :class:`TheoremPreconditionError`
+    carries the failing report.  The invariant of the image is ``invariant``
+    written in the target variables with each slot put in as its induced
+    action; the returned defect is that minus ``det**weight`` times
+    ``invariant`` composed with the map, ``det`` the map's Jacobian.  The
+    family's variables are taken positionally to the map's, as
+    :func:`check_equivalence` writes the family.  A family whose slots take
+    jets is refused with :class:`VariableMismatchError`: its slot atoms would
+    be bound to expressions in more than the variables.
+    """
+    jetted = [s.name for s in family.slots if s.allowed_jets()]
+    if jetted:
+        raise VariableMismatchError(
+            f"{family.name}'s slots {', '.join(jetted)} take jets; an invariant is checked "
+            "only over slots that take variables")
+    pm = transform_derivatives(tr)
+    rep = _check_prolonged(family, pm)
+    if rep.verdict != EQUIVALENCE:
+        raise TheoremPreconditionError(
+            f"transformation is not an equivalence transformation of {family.name}",
+            report=rep)
+    written = substitute(invariant, {Var(v): Var(n)
+                                     for v, n in zip(family.indep_vars, tr.new_vars)})
+    image = substitute_functions(written, {
+        s.name: ([a.name for a in s.args], rep.action[s.name]) for s in rep.family.slots})
+    pulled = substitute(invariant, {Var(v): tr.indep_map[o]
+                                    for v, o in zip(family.indep_vars, tr.old_vars)})
+    return image - pm.det ** weight * pulled
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -7,9 +7,10 @@ combinations
 
 and, where defined, the derived quantities ``P = H/K`` and
 ``Q = (H*H_tx - H_t*H_x)/H^3``, the latter being the mixed second derivative
-of ``log H`` divided by ``H``.  ``P`` and ``Q`` are unchanged under the
-variable rescalings ``t = R(y)``, ``x = S(z)``, ``u = L(y,z)*w``; the check
-for that is :meth:`HyperbolicEquation.contact_invariance_check`.
+of ``log H`` divided by ``H``.  Under the maps ``t = R(y)``, ``x = S(z)``,
+``u = L(y,z)*w`` of the family's group, ``H`` and ``K`` are relative
+invariants of weight 1 and ``P`` and ``Q`` absolute ones; the check for that
+is :func:`~eqvlab.families.invariant_check`, run on ``catalog("hyper")``.
 
 The template is the family ``catalog("hyper")`` in the equation's variable
 names, read with :func:`~eqvlab.families.match`.
@@ -25,16 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateTransformationError,
-    EqvError,
-    UndefinedInvariantError,
-    VariableMismatchError,
-)
+from .errors import DegenerateTransformationError, EqvError, VariableMismatchError
 from .expressions import (
     Expression,
     ExpressionLike,
-    Jet,
     Var,
     antiderivative,
     as_expression,
@@ -52,7 +47,6 @@ __all__ = [
     "HyperbolicEquation",
     "InvariantReport",
     "Reduction",
-    "ContactInvarianceResult",
 ]
 
 
@@ -60,9 +54,8 @@ __all__ = [
 class InvariantReport:
     """Laplace invariants plus the derived contact quantities.
 
-    ``p`` and ``q`` are ``None`` exactly when their divisor vanishes
-    identically; :meth:`require_p` and :meth:`require_q` turn that into
-    :class:`UndefinedInvariantError` with the vanishing combination attached.
+    ``p`` is ``None`` exactly when ``k`` vanishes identically, ``q`` exactly
+    when ``h`` does; the flags ``k_zero`` and ``h_zero`` say so.
     """
 
     h: Expression
@@ -72,20 +65,6 @@ class InvariantReport:
     h_zero: bool
     k_zero: bool
     wave_reducible: bool
-
-    def require_p(self) -> Expression:
-        if self.p is None:
-            raise UndefinedInvariantError(
-                "second Laplace combination normalizes to zero; the ratio is undefined",
-                certificate=self.k)
-        return self.p
-
-    def require_q(self) -> Expression:
-        if self.q is None:
-            raise UndefinedInvariantError(
-                "first Laplace combination normalizes to zero; its logarithm has no "
-                "mixed derivative", certificate=self.h)
-        return self.q
 
     def to_json(self):
         return {
@@ -123,17 +102,6 @@ class Reduction:
                 tr.old_dep: tr.dep_map.text,
             },
         }
-
-
-@dataclass
-class ContactInvarianceResult:
-    """Outcome of checking that ``P`` and ``Q`` survive a transformation."""
-
-    holds: bool
-    p_difference: Expression
-    q_difference: Expression
-    transformed: "HyperbolicEquation"
-    lead_coefficient: Expression
 
 
 class HyperbolicEquation:
@@ -192,11 +160,6 @@ class HyperbolicEquation:
         return _template(self.t, self.x, self.u).equation(
             {"a1": self.a1, "a2": self.a2, "a3": self.a3})
 
-    def _image(self, tr: PointTransformation) -> tuple["HyperbolicEquation", Expression]:
-        """The equation transformed by ``tr``, read back in its target variables."""
-        te = transform_equation(self.expression(), tr)
-        return HyperbolicEquation.from_expression(te, *tr.new_vars, tr.new_dep)
-
     def laplace_h(self) -> Expression:
         return partial(self.a1, Var(self.t)) + self.a1 * self.a2 - self.a3
 
@@ -250,7 +213,8 @@ class HyperbolicEquation:
             (self.t, self.x), self.u, (y, z), new_dep,
             {self.t: var(y), self.x: var(z)}, exp(f + g) * jet(new_dep))
         try:
-            reduced, _ = self._image(tr)
+            reduced, _ = HyperbolicEquation.from_expression(
+                transform_equation(self.expression(), tr), y, z, new_dep)
         except VariableMismatchError:
             raise EqvError("reduction produced an unexpected shape") from None
         if not reduced.a1.is_zero() or not reduced.a2.is_zero():
@@ -265,54 +229,6 @@ class HyperbolicEquation:
             reduced=reduced.expression(),
             wave=b.is_zero(),
             b_closed=b_closed,
-        )
-
-    def contact_invariance_check(
-        self,
-        tr: PointTransformation,
-    ) -> ContactInvarianceResult:
-        """Verify that ``P`` and ``Q`` are unchanged by ``tr``.
-
-        ``tr`` must reparametrize each variable separately and rescale the
-        dependent variable: first target variable only in the ``t`` map,
-        second only in the ``x`` map, and a dependent map that is a multiple
-        of the bare target dependent variable.  The transformed equation's
-        invariants are compared against the originals composed with the
-        variable maps; both differences must normalize to zero.
-        """
-        if tuple(tr.old_vars) != (self.t, self.x) or tr.old_dep != self.u:
-            raise VariableMismatchError(
-                f"transformation source is {tr.old_vars}/{tr.old_dep}, "
-                f"equation uses ({self.t}, {self.x})/{self.u}")
-        y, z = tr.new_vars
-        for name, allowed in ((self.t, {y}), (self.x, {z})):
-            deps = dependency_closure(tr.indep_map[name])
-            if not deps.variables <= allowed or deps.jets:
-                raise DegenerateTransformationError(
-                    f"map for {name!r} must involve only {sorted(allowed)}")
-        wj = Jet(tr.new_dep, ())
-        scale = partial(tr.dep_map, wj)
-        if scale.is_zero() or not (tr.dep_map - scale * as_expression(wj)).is_zero():
-            raise DegenerateTransformationError(
-                "dependent map must be a multiple of the target dependent variable")
-        if dependency_closure(scale).jets:
-            raise DegenerateTransformationError("the multiplier must not involve the target")
-
-        transformed, _lead = self._image(tr)
-
-        binds = {Var(self.t): tr.indep_map[self.t], Var(self.x): tr.indep_map[self.x]}
-        inv_src = self.invariants()
-        inv_tgt = transformed.invariants()
-        p_src = substitute(inv_src.require_p(), binds)
-        q_src = substitute(inv_src.require_q(), binds)
-        p_diff = inv_tgt.require_p() - p_src
-        q_diff = inv_tgt.require_q() - q_src
-        return ContactInvarianceResult(
-            holds=p_diff.is_zero() and q_diff.is_zero(),
-            p_difference=p_diff,
-            q_difference=q_diff,
-            transformed=transformed,
-            lead_coefficient=_lead,
         )
 
 

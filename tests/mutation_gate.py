@@ -70,6 +70,8 @@ RENAME_BULK = f"{KERNEL}::test_rename_atoms_matches_the_full_order_check_bulk"
 ARG_CAP = "tests/test_cli.py::test_float_replay_of_a_high_power_in_an_argument_exits_2_at_once"
 TEMPLATES = "tests/test_cli.py::test_family_template_terms_need_coefficient_one"
 ORACLE = "tests/test_oracle.py"
+CONTACT = "tests/test_hyperbolic.py::test_contact_invariance_generic"
+THETA3 = f"{FAMILIES}::test_theta3_is_a_relative_invariant_of_weight_3_and_p2_is_not"
 
 MUTANTS = (
     # the table reader's normal form, which atom identity in GF(p) rests on
@@ -199,6 +201,15 @@ MUTANTS = (
            "Expression(groups.pop(m), lead_n) if m in groups",
            "Expression(lead_n, groups.pop(m)) if m in groups",
            (ONE_SPLIT,)),
+    # the invariant check: the image's invariant against det**weight times
+    # the invariant composed with the map
+    Mutant("weight ignored", "families.py",
+           "pm.det ** weight", "pm.det ** 0",
+           (CONTACT, THETA3)),
+    Mutant("invariant not pulled back through the map", "families.py",
+           "    pulled = substitute(invariant, ",
+           "    pulled = written if True else substitute(invariant, ",
+           (CONTACT, THETA3)),
     Mutant("a1 and a2 swapped in the hyperbolic reader", "hyperbolic.py",
            "return cls(**report.coefficients, t=t, x=x, u=u)",
            'c = report.coefficients\n'

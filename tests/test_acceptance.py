@@ -21,6 +21,7 @@ from eqvlab import (
     collect,
     exp,
     func,
+    invariant_check,
     jet,
     param,
     partial,
@@ -303,10 +304,10 @@ def test_criterion_6_invariants_and_reduction():
     """Contact quantities survive the generic map; reduction closed form."""
     t0 = time.perf_counter()
 
-    res = HyperbolicEquation.generic().contact_invariance_check(
-        _hyper_tr(func("L", y, z) * w))
-    assert res.holds
-    assert res.p_difference.is_zero() and res.q_difference.is_zero()
+    inv = HyperbolicEquation.generic().invariants()
+    tr = _hyper_tr(func("L", y, z) * w)
+    assert invariant_check(catalog("hyper"), tr, inv.p, 0).is_zero()
+    assert invariant_check(catalog("hyper"), tr, inv.q, 0).is_zero()
 
     sep = HyperbolicEquation(func("a1", x), func("a2", t), func("a3", t, x))
     red = sep.reduce_to_canonical()

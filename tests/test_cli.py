@@ -673,6 +673,21 @@ def test_usage_errors_exit_2_with_json(capsys, argv):
     assert "usage: eqvlab" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "F", "--transform", "Tscale", "--config", "c.json"],
+    ["oracle", "--session", "s.eqv"],
+], ids=["check-config", "oracle-session"])
+def test_an_option_its_command_does_not_read_is_a_usage_error(capsys, tmp_path, argv):
+    # only oracle reads a config, and oracle loads no session
+    code = main(argv[:1] + ["--state", str(tmp_path / "state.json")] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ValueError" and "unrecognized arguments" in error["message"]
+    assert "usage: eqvlab" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "state.json").exists()
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--help"])

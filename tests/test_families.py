@@ -1,6 +1,7 @@
 """Family templates, matching, induced actions, and the containment check."""
 
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -33,6 +34,7 @@ from eqvlab import (
     exp,
     from_monomial,
     func,
+    invariant_check,
     jet,
     jet_split,
     match,
@@ -441,9 +443,10 @@ def test_composition_of_equivalence_maps_is_one():
 
 
 def test_a_family_renames_into_each_variable_set_once(monkeypatch):
-    # families written in other variables than the map's: famA and famB are
-    # each renamed into the source and the target variables, four renames;
-    # the slot renames reuse famA's source rename instead of making a fifth
+    # families written in other variables than the map's: famA is renamed
+    # into the source and the target variables, famB into the target ones,
+    # three renames; the slot renames read the slots in the families' own
+    # names, so famB is never written in the source variables
     monkeypatch.setattr(families, "_WRITTEN", {})
     fam_a = catalog("hyper").rename(("p", "q"), "v")
     fam_b = catalog("hyperu").rename(("p", "q"), "v")
@@ -455,13 +458,30 @@ def test_a_family_renames_into_each_variable_set_once(monkeypatch):
         ("t", "x"), "u", ("y", "z"), "w",
         {"t": y ** 3 + y, "x": 2 * z + 1}, (1 + y * y) * jet("w"))
     assert theorem_instance_check(fam_a, fam_b, tr).holds
-    assert sorted(built) == [(("t", "x"), "u")] * 2 + [(("y", "z"), "w")] * 2
+    assert sorted(built) == [(("t", "x"), "u")] + [(("y", "z"), "w")] * 2
     # equal families, built again, are written from the table
     fam_a = catalog("hyper").rename(("p", "q"), "v")
     fam_b = catalog("hyperu").rename(("p", "q"), "v")
     built.clear()
     assert theorem_instance_check(fam_a, fam_b, tr).holds
     assert built == []
+
+
+def test_a_warm_containment_instance_renames_its_families_three_times(monkeypatch):
+    # famA into the source and the target variables for its match, famB into
+    # the target variables for its report; the slot renames take the slots
+    # positionally and rename neither family
+    calls = []
+    rename = families.EquationFamily.rename
+    monkeypatch.setattr(families.EquationFamily, "rename",
+                        lambda self, *a: calls.append(a) or rename(self, *a))
+    instances = _enlargement_instances()[:-2]
+    for famA, famB, tr in instances:
+        theorem_instance_check(famA, famB, tr)
+    calls.clear()
+    for famA, famB, tr in instances:
+        assert theorem_instance_check(famA, famB, tr).holds
+    assert len(calls) == 3 * len(instances)
 
 
 def test_theorem_instance_holds_for_a_member_map(monkeypatch):
@@ -983,3 +1003,35 @@ def test_a_positive_match_forms_no_quotient(monkeypatch):
             positive += 1
             assert not calls, (fam.name, e.text[:80])
     assert positive > 10
+
+
+def _laguerre_forsyth():
+    """``P2`` and ``Theta3 = P3 - (3/2)*P2'`` of ``glin(3)``, with ``p1 = a1/3``,
+    ``p2 = a2/3``, ``p3 = a3``, ``P2 = p2 - p1^2 - p1'`` and ``P3 = p3 -
+    3*p1*p2 + 2*p1^3 - p1''``."""
+    X = Var("x")
+    a1, a2, a3 = (func(f"a{j}", x) for j in (1, 2, 3))
+    p1, p2, p3 = a1 / 3, a2 / 3, a3
+    P2 = p2 - p1 * p1 - partial(p1, X)
+    P3 = p3 - 3 * p1 * p2 + 2 * p1 ** 3 - partial(partial(p1, X), X)
+    return P2, P3 - Fraction(3, 2) * partial(P2, X)
+
+
+def test_theta3_is_a_relative_invariant_of_weight_3_and_p2_is_not():
+    tr = PointTransformation(("x",), "y", ("z",), "w",
+                             {"x": func("S", z)}, func("L", z) * jet("w"))
+    P2, theta3 = _laguerre_forsyth()
+    glin = catalog("glin", 3)
+    assert invariant_check(glin, tr, theta3, 3).is_zero()
+    # the negative control: P2 picks up a Schwarzian term
+    assert not invariant_check(glin, tr, P2, 2).is_zero()
+    assert not invariant_check(glin, tr, theta3, 2).is_zero()
+
+
+def test_an_invariant_is_checked_only_over_slots_that_take_variables():
+    # a slot that takes a jet would be bound to an expression in more than
+    # its variables, which substitute_functions cannot bind
+    tr = PointTransformation(("t", "x"), "u", ("y", "z"), "w",
+                             {"t": func("R", y), "x": func("S", z)}, func("L", y, z) * jet("w"))
+    with pytest.raises(VariableMismatchError, match="hyperu's slots a1, a2, a3 take jets"):
+        invariant_check(catalog("hyperu"), tr, func("a3", t, x), 1)

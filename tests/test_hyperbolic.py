@@ -1,4 +1,4 @@
-"""Laplace invariants, canonical reduction, and contact invariance."""
+"""Laplace invariants, canonical reduction, and their invariance under ``hyper``'s group."""
 
 from random import Random
 
@@ -8,13 +8,15 @@ from eqvlab import (
     DegenerateTransformationError,
     HyperbolicEquation,
     PointTransformation,
-    UndefinedInvariantError,
+    TheoremPreconditionError,
     Var,
     VariableMismatchError,
     antiderivative,
+    catalog,
     collect_numerators,
     exp,
     func,
+    invariant_check,
     jet,
     partial,
     transform_equation,
@@ -31,11 +33,11 @@ def test_laplace_combinations_on_the_generic_equation():
     assert (eq.laplace_k() - (partial(a2, Var("x")) + a1 * a2 - a3)).is_zero()
     inv = eq.invariants()
     assert not inv.h_zero and not inv.k_zero and not inv.wave_reducible
-    assert (inv.require_p() - inv.h / inv.k).is_zero()
+    assert (inv.p - inv.h / inv.k).is_zero()
     h = inv.h
     ht, hx = partial(h, Var("t")), partial(h, Var("x"))
     q_closed = (h * partial(ht, Var("x")) - ht * hx) / h ** 3
-    assert (inv.require_q() - q_closed).is_zero()
+    assert (inv.q - q_closed).is_zero()
 
 
 def test_concrete_invariants_unit_ratio():
@@ -56,11 +58,7 @@ def test_degenerate_invariants_both_zero():
     inv = eq.invariants()
     assert inv.h_zero and inv.k_zero and inv.wave_reducible
     assert inv.p is None and inv.q is None
-    with pytest.raises(UndefinedInvariantError) as exc:
-        inv.require_p()
-    assert exc.value.certificate is not None
-    with pytest.raises(UndefinedInvariantError):
-        inv.require_q()
+    assert inv.to_json()["P"] is None and inv.to_json()["Q"] is None
 
 
 def test_one_sided_degeneracy():
@@ -71,9 +69,6 @@ def test_one_sided_degeneracy():
     assert (inv.h - (2 * t - 1)).is_zero()
     assert inv.p is None
     assert inv.q is not None
-    inv.require_q()
-    with pytest.raises(UndefinedInvariantError):
-        inv.require_p()
 
 
 def test_reduction_removes_first_order_terms():
@@ -149,44 +144,63 @@ def test_equation_constructor_validation():
         HyperbolicEquation(x, t, t * x, t="s", x="s", u="u")
 
 
+HYPER = catalog("hyper")
+GENERIC = HyperbolicEquation.generic().invariants()
+# each Laplace combination is multiplied by the Jacobian, their ratio and
+# the mixed log-derivative over h are unchanged
+WEIGHTS = {"h": 1, "k": 1, "p": 0, "q": 0}
+
+
+def _separated(old=("t", "x"), swap=False):
+    """``t = R(y), x = S(z), u = L(y,z)*w`` over the source names ``old``;
+    with ``swap``, ``t = S(z)`` and ``x = R(y)``, also in ``hyper``'s group."""
+    R, S = func("R", y), func("S", z)
+    return PointTransformation(old, "u", ("y", "z"), "w",
+                               dict(zip(old, (S, R) if swap else (R, S))),
+                               func("L", y, z) * jet("w"))
+
+
 def test_contact_invariance_concrete():
-    eq = HyperbolicEquation(x, t, t * x + 1)
     tr = PointTransformation(
         ("t", "x"), "u", ("y", "z"), "w",
         {"t": y ** 3 + y, "x": 2 * z}, exp(y + z) * jet("w"))
-    res = eq.contact_invariance_check(tr)
-    assert res.holds
-    assert res.p_difference.is_zero() and res.q_difference.is_zero()
-    assert res.transformed.t == "y" and res.transformed.u == "w"
+    for name, weight in WEIGHTS.items():
+        assert invariant_check(HYPER, tr, getattr(GENERIC, name), weight).is_zero(), name
 
 
 def test_contact_invariance_generic():
-    eq = HyperbolicEquation.generic()
-    tr = PointTransformation(
-        ("t", "x"), "u", ("y", "z"), "w",
-        {"t": func("R", y), "x": func("S", z)}, func("L", y, z) * jet("w"))
-    res = eq.contact_invariance_check(tr)
-    assert res.holds
+    # the family's variables are taken positionally: source names (a, b)
+    # read as (t, x)
+    for old in (("t", "x"), ("a", "b")):
+        for name, weight in WEIGHTS.items():
+            assert invariant_check(HYPER, _separated(old), getattr(GENERIC, name),
+                                   weight).is_zero(), (name, old)
+
+
+def test_the_wrong_weight_or_the_swap_breaks_the_claim():
+    assert not invariant_check(HYPER, _separated(), GENERIC.h, 0).is_zero()
+    # the swap is in hyper's group but exchanges h and k: neither h nor p is
+    # kept, so each is a negative control, not a defect
+    assert not invariant_check(HYPER, _separated(swap=True), GENERIC.h, 1).is_zero()
+    assert not invariant_check(HYPER, _separated(swap=True), GENERIC.p, 0).is_zero()
 
 
 def test_contact_invariance_shape_violations():
-    eq = HyperbolicEquation(x, t, t * x + 1)
-    mixing = PointTransformation(
-        ("t", "x"), "u", ("y", "z"), "w", {"t": y + z, "x": z}, jet("w"))
-    with pytest.raises(DegenerateTransformationError):
-        eq.contact_invariance_check(mixing)
-    offset = PointTransformation(
-        ("t", "x"), "u", ("y", "z"), "w", {"t": y, "x": z}, jet("w") + 1)
-    with pytest.raises(DegenerateTransformationError):
-        eq.contact_invariance_check(offset)
-    square = PointTransformation(
-        ("t", "x"), "u", ("y", "z"), "w", {"t": y, "x": z}, jet("w") ** 2)
-    with pytest.raises(DegenerateTransformationError):
-        eq.contact_invariance_check(square)
+    # a map outside hyper's group is refused with its not-equivalence report
+    for indep_map, dep_map, kind in (
+            ({"t": y + z, "x": z}, jet("w"), "unmatched-term"),   # mixing
+            ({"t": y, "x": z}, jet("w") + 1, "unmatched-term"),   # offset
+            ({"t": y, "x": z}, jet("w") ** 2, "missing-lead")):   # square
+        tr = PointTransformation(("t", "x"), "u", ("y", "z"), "w", indep_map, dep_map)
+        with pytest.raises(TheoremPreconditionError) as exc:
+            invariant_check(HYPER, tr, GENERIC.p, 0)
+        report = exc.value.report
+        assert report.verdict == "not-equivalence"
+        assert [f.kind for f in report.failures] == [kind], kind
+    # other source names are no shape violation
     renamed = PointTransformation(
         ("a", "b"), "c", ("y", "z"), "w", {"a": y, "b": z}, jet("w"))
-    with pytest.raises(VariableMismatchError):
-        eq.contact_invariance_check(renamed)
+    assert invariant_check(HYPER, renamed, GENERIC.p, 0).is_zero()
 
 
 def test_weight_antiderivative_agrees_with_closed_form():
