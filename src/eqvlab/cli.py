@@ -26,7 +26,7 @@ from .expressions import (
 from .families import EQUIVALENCE, EquationFamily, catalog, check_equivalence, theorem_instance_check
 from .hyperbolic import HyperbolicEquation
 from .oracle import (
-    DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, MODULUS, check_identity, read_tables)
+    DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, check_identity, read_tables)
 from .parser import Session, parse, parse_expression
 from .prolongation import transform_derivatives
 
@@ -354,10 +354,6 @@ def _cmd_oracle(args):
             print(f"oracle: check {i} has no miss bound (it reaches "
                   f"{' and '.join(r.float_rules)}), so it was evaluated in rationals and "
                   "floating point and judged by tol", file=sys.stderr)
-        elif r.prime != MODULUS:
-            print(f"oracle: check {i} was evaluated in GF(2^{r.prime.bit_length()} - 1): each "
-                  "smaller prime divides an integer coefficient of it or the nonzero difference "
-                  "of its sides", file=sys.stderr)
         all_ok = all_ok and r.ok
     print(f"oracle: {sum(1 for r in results if r['ok'])}/{len(results)} checks passed",
           file=sys.stderr)

@@ -24,22 +24,23 @@ expressions ask for it; a slot derivative of a stand-in is its terms scaled
 by a table of multipliers the program keeps per derivative.  The draws do
 not depend on the program: one instantiation and one point per attempt.
 
-* With no ``exp`` and no ``log``, the check runs in GF(p) for the first
-  prime p of :data:`PRIMES` that divides no integer coefficient of the check
-  and not every coefficient of the nonzero difference of its sides
-  (:func:`_field`): nearly always 2^61 - 1 (:data:`MODULUS`).  Stand-ins are
-  dense polynomials of the decided degrees, and their coefficients, the
-  parameters and the point coordinates are uniform mod p.  A draw on which
-  a denominator or an assumption is 0 mod p is redrawn.  The check passes
-  only if both sides are equal at every point; ``tol`` plays no part.  What
-  a pass means: if the two sides differ as rational functions of the drawn
-  values, all ``points`` points agree with probability at most
-  ``miss_bound`` (Schwartz, J. ACM 1980; Zippel, EUROSAM 1979).
-  ``_Inventory.miss_bound`` says how the degree behind it is bounded and
-  what it assumes; a check whose degree bound reaches p, so that a pass would
-  certify nothing, errors out instead.  The statement is about stand-ins of
-  those degrees: a difference that only shows for functions of higher degree
-  is outside it.
+* With no ``exp`` and no ``log``, the check runs in GF(p) for a prime p
+  drawn from the check's seed, uniformly among the primes in [2^61, 2^62)
+  (:func:`_draw_prime`).  Stand-ins are dense polynomials of the decided
+  degrees, and their coefficients, the parameters and the point coordinates
+  are uniform mod p.  A draw on which a denominator or an assumption is 0
+  mod p is redrawn.  The check passes only if both sides are equal at every
+  point; ``tol`` plays no part.  What a pass means: if the two sides differ
+  as rational functions of the drawn values, the prime and all ``points``
+  points miss it with probability at most ``miss_bound``: a term for a prime
+  that divides the difference (Karp & Rabin, IBM J. Res. Dev. 1987) plus
+  one for points that all agree (Schwartz, J. ACM 1980; Zippel, EUROSAM
+  1979).  ``_Inventory.miss_bound`` derives both from degree and height
+  bounds; it assumes nothing of how the tables are written, so two atoms
+  the tables keep apart may be equal in value.  A check whose bound reaches
+  1, so that a pass would certify nothing, errors out instead.  The
+  statement is about stand-ins of those degrees: a difference that only
+  shows for functions of higher degree is outside it.
 * With an ``exp`` or a ``log``, the check runs in exact
   :class:`fractions.Fraction` arithmetic, with floats from the exp or log
   on, at rational points in [-2, 2] and with sparse small-rational
@@ -68,7 +69,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
@@ -87,8 +88,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_POINTS",
     "ASSUMPTION_FLOOR",
-    "PRIMES",
-    "MODULUS",
     "RATIONALS",
     "PolyFunc",
     "Instantiation",
@@ -106,8 +105,12 @@ DEFAULT_TOL = 1e-6  # decides float-path checks only
 DEFAULT_POINTS = 10
 ASSUMPTION_FLOOR = Fraction(1, 10**6)
 FD_STEP = Fraction(1, 10**5)
-PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)  # Mersenne: 2^bit_length - 1
-MODULUS = PRIMES[0]
+_PRIME_BITS = 61  # GF(p) primes are drawn from [2^61, 2^62)
+# fewer primes than lie there: x/ln x < pi(x) < 1.25506 x/ln x (Rosser &
+# Schoenfeld, Illinois J. Math. 6, 1962) gives above 3.88e16
+_PRIME_COUNT = 38 * 10**15
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the first 12 primes
+_LCM_BITS = 1.03883 / math.log(2)  # log2 lcm(1..m) < 1.03883 m/ln 2 (the same)
 MAX_ATTEMPTS = 100  # draws in a row that may miss before a check errors out
 _MAX_FLOAT_DEGREE = 2**16  # beyond it, exact rationals take seconds per point
 
@@ -190,7 +193,7 @@ class _Rationals(_Arithmetic):
 
 
 class _Modular(_Arithmetic):
-    """GF(p) for a prime ``p`` of :data:`PRIMES`: values are ints in [0, p).
+    """GF(p) for the prime ``p`` a check drew: values are ints in [0, p).
     Every draw is uniform, so stand-ins are dense."""
 
     zero, one = 0, 1
@@ -311,8 +314,28 @@ class _Polynomials(_Arithmetic):
 
 
 RATIONALS = _Rationals()
-_FIELDS = tuple(map(_Modular, PRIMES))
-MODULAR = _FIELDS[0]
+
+
+def _is_prime(n: int) -> bool:
+    """Whether ``n`` is prime: trial division by :data:`_BASES`, then a
+    strong probable-prime test to each, which decides every n below 3.1e23
+    (Sorenson & Webster, Math. Comp. 86, 2017)."""
+    if n < 2 or any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    for b in _BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and x != n - 1 and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
+
+
+def _draw_prime(rng: Random) -> int:
+    """A prime drawn uniformly from those in [2^61, 2^62): uniform odd
+    candidates until one is prime."""
+    while not _is_prime(n := rng.randrange(1 << _PRIME_BITS, 2 << _PRIME_BITS) | 1):
+        pass
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +494,13 @@ class _Program:
     exponent (:func:`_derivative`).
 
     Each table's atoms and expressions are hash-consed across all the tables:
-    an atom by its step, an expression by its term lists.  A table the kernel
-    wrote is read back to the kernel's integer form, the monic coefficients
-    cleared with one lcm.  Any other table is brought to the same form where
-    identity depends on it: repeated factors and monomials merge, the content
-    goes, the leading denominator coefficient is made positive, atom powers
-    shared by numerator and denominator cancel, and a numerator proportional
-    to its denominator becomes a constant.  Exponential factors are not
-    shifted: a check with one is judged on the float path, where no verdict
-    rests on identity.  Every atom a table lists gets its slot, so one that
-    such a cancellation leaves unreached is still drawn for.
+    an atom by its step, an expression by its term lists.  A table is read as
+    it stands, repeated factors and monomials merged and its coefficients
+    cleared with one lcm, so a table the kernel wrote is read back to the
+    kernel's integer form; ``lc`` is the absolute value of the first
+    denominator coefficient, the kernel's leading one.  Nothing else is
+    normalized: equal atoms written apart take two slots and are drawn for
+    alike, and no bound rests on their being one.
     """
 
     __slots__ = ("atoms", "slots", "exprs", "index", "roots", "tables")
@@ -546,35 +566,19 @@ class _Program:
         num, den = self._table_poly(t["num"], local), self._table_poly(t["den"], local)
         if not den:
             raise ValueError("denominator normalizes to zero")
-        if any(type(t[0]) is not int for t in chain(num, den)):
-            scale = lcm(*(t[0].denominator for t in chain(num, den)))
-            for t in chain(num, den):
-                t[0] = int(t[0] * scale)
-        if not num:
-            den = [[1, (), None, ((), -1)]]
-        elif len(den) > 1 or den[0][1] or den[0][2] is not None:
-            num, den = _cancel_common(num, den)
-        g = gcd(*(t[0] for t in chain(num, den)))
-        if den[0][0] < 0:
-            g = -g
-        if g != 1:
-            for t in chain(num, den):
-                t[0] //= g
-        # the key is blind to term order and to the sign, so equal expressions
-        # meet whatever the order or orientation of their tables
-        sign = -1 if len(den) > 1 and min(den, key=lambda t: t[3])[0] < 0 else 1
-        key = (frozenset((m, sign * c) for c, _f, _e, m in num),
-               frozenset((m, sign * c) for c, _f, _e, m in den))
+        if any(type(c) is not int for c, _f, _e in chain(num, den)):
+            scale = lcm(*(c.denominator for c, _f, _e in chain(num, den)))
+            num, den = ([(int(c * scale), f, e) for c, f, e in p] for p in (num, den))
+        key = tuple(num), tuple(den)
         i = self.index.get(key)
         if i is None:
             i = self.index[key] = len(self.exprs)
-            self.exprs.append((tuple((c, f, e) for c, f, e, _m in num),
-                               tuple((c, f, e) for c, f, e, _m in den), den[0][0]))
+            self.exprs.append((*key, abs(den[0][0])))
         return i
 
     def _table_poly(self, terms, local: list[int]) -> list:
-        """The terms ``[c, factors, exp, monomial key]`` of a table's term
-        list, repeated factors and monomials merged, in first-seen order."""
+        """The terms ``(c, factors, exp)`` of a table's term list, repeated
+        factors and monomials merged, in first-seen order."""
         out: dict = {}
         for term in terms:
             c = _coefficient(term["coeff"])
@@ -596,10 +600,10 @@ class _Program:
                  -1 if exp is None else exp)
             hit = out.get(m)
             if hit is None:
-                out[m] = [c, factors, exp, m]
+                out[m] = [c, factors, exp]
             else:
                 hit[0] += c
-        return [t for t in out.values() if t[0]]
+        return [tuple(t) for t in out.values() if t[0]]
 
 
 def _coefficient(c) -> int | Fraction:
@@ -613,39 +617,6 @@ def _coefficient(c) -> int | Fraction:
         except ValueError:
             pass
     raise ValueError(f"coefficient {c!r} is not an integer or a fraction")
-
-
-def _cancel_common(num: list, den: list) -> tuple[list, list]:
-    """Cancel the atom powers that every monomial of a table's numerator and
-    denominator shares, and make a numerator proportional to the denominator
-    a constant, as the kernel's normal form does.
-
-    These rules, with the content and sign in :meth:`_Program._table_expr`,
-    repeat those of ``expressions._canonical``; atom identity, and so GF(p)
-    soundness, rests on their agreeing.  A change to the kernel's normal form
-    must be made here too."""
-    common = dict(den[0][1])
-    for t in chain(den, num):
-        if not common:
-            break
-        powers = dict(t[1])
-        common = {s: min(k, powers[s]) for s, k in common.items() if s in powers}
-    if common:
-        num, den = ([_without(t, common) for t in p] for p in (num, den))
-    if len(num) == len(den):
-        d0 = den[0][0]
-        c = {t[3]: t[0] for t in num}
-        c0 = c.get(den[0][3])
-        if c0 is not None and all(c.get(t[3], 0) * d0 == c0 * t[0] for t in den):
-            one = (), None, ((), -1)
-            return [[c0, *one]], [[d0, *one]]
-    return num, den
-
-
-def _without(term: list, common: dict) -> list:
-    c, factors, exp, m = term
-    factors = tuple((s, k - common.get(s, 0)) for s, k in factors if k != common.get(s, 0))
-    return [c, factors, exp, (tuple(sorted(factors)), m[1])]
 
 
 class _TableAtom:
@@ -681,6 +652,27 @@ def _derivative(expo: tuple[int, ...], dindex: tuple[int, ...]):
     return tuple(e), mult
 
 
+def _log2_sum(logs: list) -> float:
+    """log2 of the sum of 2^x over ``logs``, and 0 for none: no norm's bound
+    is below 1."""
+    top = max(logs, default=0.0)
+    return top + math.log2(math.fsum([2.0 ** (x - top) for x in logs]) or 1.0)
+
+
+def _stand_in_height(degree: int, dindex: tuple[int, ...], args) -> tuple[float, float]:
+    """log2 of the 1-norms (numerator, denominator) of a stand-in of
+    ``degree`` after the slot derivatives ``dindex``, at arguments whose
+    norms are ``args`` in log2, as :meth:`_Inventory.miss_bound` states them."""
+    logs = []
+    for expo in _exponents(len(args), degree):
+        hit = _derivative(expo, dindex)
+        if hit is not None:
+            f, k = hit
+            logs.append(math.log2(k) + sum(e * (hn - hd) for e, (hn, hd) in zip(f, args)))
+    den = max(0, degree - len(dindex)) * sum(hd for _hn, hd in args)
+    return den + _log2_sum(logs), den
+
+
 class _Inventory:
     """What a set of expressions reaches, read off one pass over the atoms of
     their compiled :class:`_Program` (``program``, or one given instead of
@@ -691,16 +683,19 @@ class _Inventory:
     stand-in degree (``deps``), the variables (free ones, jet indices,
     integration variables), and what needs real values (``float_rules``, in
     that order): ``"exp"`` and ``"log"``; a finite field evaluates the
-    expressions only when it is empty.  The same pass bounds the degrees of
-    every value the evaluator forms, for :meth:`miss_bound`, and then, where
-    exp or log occur, those of their arguments (``arg_degree``, the highest),
-    for the float path.
+    expressions only when it is empty.  The same pass bounds the degrees
+    (``degrees``) and the coefficient norms (``heights``) of every value the
+    evaluator forms, for :meth:`miss_bound`, and then, where exp or log
+    occur, the degrees of their arguments (``arg_degree``, the highest), for
+    the float path.  A jet's norm counts the variables ``dep_vars`` gives its
+    dependent; a dependent without them has no draw.
     """
 
     __slots__ = ("program", "functions", "params", "deps", "variables",
-                 "float_rules", "degrees", "rejected", "arg_degree")
+                 "float_rules", "degrees", "heights", "rejected", "arg_degree")
 
-    def __init__(self, exprs: "Iterable[ExpressionLike] | _Program", degree: int = 2):
+    def __init__(self, exprs: "Iterable[ExpressionLike] | _Program", degree: int = 2,
+                 dep_vars: Mapping[str, Sequence[str]] | None = None):
         self.program = prog = exprs if isinstance(exprs, _Program) else _Program(
             [as_expression(e).to_tree() for e in exprs])
         # the stand-ins' degrees, decided here only: ``degree`` for functions,
@@ -709,37 +704,44 @@ class _Inventory:
         arities: dict[str, set[int]] = {}
         params, deps, variables = set(), set(), set()
         atom_deg: list[tuple[int, int]] = [(0, 0)] * len(prog.atoms)
+        atom_height: list[tuple[float, float]] = [(0.0, 0.0)] * len(prog.atoms)
         # per compiled expression; every expression outside exp and log
         # arguments is read, so the rules found do not depend on slot order
         self.degrees: list[tuple[int, int] | None] = [None] * len(prog.exprs)
+        self.heights: list[tuple[float, float] | None] = [None] * len(prog.exprs)
         self.rejected = 0
         rules: set[str] = set()
         exp_log_args: list[int] = []  # in the order the pass meets them
 
-        def poly(terms) -> tuple[int, int]:
+        def poly(terms) -> tuple[int, int, float, float]:
             powers: dict[int, int] = {}
-            lifts = []
-            for _c, factors, exp in terms:
+            lifts, hlifts = [], []
+            for c, factors, exp in terms:
                 if exp is not None:
                     rules.add("exp")
                     exp_log_args.append(exp)
-                lift = 0
+                lift, hlift = 0, math.log2(abs(c))
                 for s, k in factors:
                     n, d = atom_deg[s]
+                    hn, hd = atom_height[s]
                     lift += k * (n - d)
+                    hlift += k * (hn - hd)
                     if k > powers.get(s, 0):
                         powers[s] = k
                 lifts.append(lift)
+                hlifts.append(hlift)
             den = sum(k * atom_deg[s][1] for s, k in powers.items())
-            return den + max(lifts, default=0), den
+            hden = sum(k * atom_height[s][1] for s, k in powers.items())
+            return den + max(lifts, default=0), den, hden + _log2_sum(hlifts), hden
 
         def of(i: int) -> tuple[int, int]:
             hit = self.degrees[i]
             if hit is None:
                 num, den, _lc = prog.exprs[i]
-                (nn, nd), (dn, dd) = poly(num), poly(den)
+                (nn, nd, hnn, hnd), (dn, dd, hdn, hdd) = poly(num), poly(den)
                 self.rejected += dn
                 hit = self.degrees[i] = (nn + dd, nd + dn)
+                self.heights[i] = (hnn + hdd, hnd + hdn)
             return hit
 
         for s, (kind, *step) in enumerate(prog.atoms):
@@ -755,6 +757,10 @@ class _Inventory:
                 variables.update(index)
                 r = len(index)
                 atom_deg[s] = (ddeg + 1 - r, 0) if r <= ddeg else (0, 0)
+                slots = tuple((dep_vars or {}).get(dep, ()))
+                if set(index) <= set(slots):  # else the draw or the value fails
+                    atom_height[s] = _stand_in_height(
+                        ddeg, tuple(slots.index(v) + 1 for v in index), [(0.0, 0.0)] * len(slots))
             elif kind == _FUNC:
                 name, dindex, arg_indices = step
                 arities.setdefault(name, set()).add(len(arg_indices))
@@ -763,10 +769,14 @@ class _Inventory:
                 dsum = sum(d for _n, d in args)
                 atom_deg[s] = (0, 0) if g < 0 else (
                     1 + g * dsum + g * max(0, *(n - d for n, d in args)), g * dsum)
+                atom_height[s] = _stand_in_height(
+                    fdeg, dindex, [self.heights[i] for i in arg_indices])
             elif kind == _INT:
                 variables.add(step[0])
                 n, d = of(step[1])
                 atom_deg[s] = (n + 1, d)
+                clear = _LCM_BITS * (n + 1)  # lcm(1, ..., n + 1), the divisors cleared
+                atom_height[s] = tuple(h + clear for h in self.heights[step[1]])
             else:
                 rules.add("log")
                 exp_log_args.append(step[0])
@@ -810,88 +820,75 @@ class _Inventory:
                 f"the degree bound of an exp or log argument ({self.arg_degree}) {beyond}")
         return d, rejected
 
+    def height(self, li: int, ri: int) -> int:
+        """H: a bound in bits on the 1-norm of C = N_L*D_R - N_R*D_L of the
+        sides ``li`` and ``ri``, as :meth:`miss_bound` derives it."""
+        (nl, dl), (nr, dr) = self.heights[li], self.heights[ri]
+        # the pass sums norms in floating point: a relative margin and one
+        # bit to spare lie far above its rounding
+        return math.ceil(_log2_sum([nl + dr, nr + dl]) * (1 + 2**-20)) + 1
+
     def miss_bound(self, li: int, ri: int, assumed: Sequence[int], points: int, p: int) -> float:
-        """Upper bound on the chance that ``points`` GF(p) points all agree
-        although the sides differ, rounded up to a float; an
-        :class:`EvaluationError` when the degree bound reaches p.  ``li``,
-        ``ri`` and ``assumed`` are the program's indices of the sides and the
-        assumptions, and ``p`` is the prime :func:`_field` chose.
+        """Upper bound on the chance that the drawn prime ``p`` and ``points``
+        GF(p) points all agree although the sides differ, rounded up to a
+        float; an :class:`EvaluationError` when it reaches 1 or the degree
+        bound reaches p.  ``li``, ``ri`` and ``assumed`` are the program's
+        indices of the sides and the assumptions.
 
-        Every value the evaluator forms is a quotient N/D of polynomials in the
-        drawn values: stand-in coefficients, parameters and coordinates.  The
-        inventory's pass, inner atoms first, bounds (deg N, deg D) for each
-        value, for the quotient the evaluator actually forms:
+        Every value the evaluator forms is a quotient N/D of polynomials with
+        integer coefficients in the drawn values: stand-in coefficients,
+        parameters and coordinates.  The inventory's pass, inner atoms first,
+        bounds the degrees (deg N, deg D) and the 1-norms (|N|, |D|, sums of
+        absolute coefficients, in log2) of the quotient the evaluator forms:
 
-        * a variable or a parameter is (1, 0); a jet of order r of a dependent
-          whose stand-in has degree D is a coefficient times coordinates,
-          (D + 1 - r, 0), and (0, 0) once r > D;
+        * a variable or a parameter is (1, 0), of norms (1, 1); a jet of order
+          r of a dependent whose stand-in has degree D is a sum of
+          coefficients times coordinates, (D + 1 - r, 0), and (0, 0) once
+          r > D, of norm the sum of the falling factorials its derivatives
+          bring down, one per coefficient;
         * a function's stand-in after r slot derivatives has degree g = G - r
           in its arguments n_i/d_i, where G is the stand-in's degree.  Over
-          the common denominator prod d_i^g a term c_e * prod (n_i/d_i)^e_i
-          has degree at most 1 + g*sum_i(d_i) + g*max(0, max_i(n_i - d_i)),
-          over g*sum_i(d_i);
-        * an antiderivative adds 1 to its integrand's numerator degree: the
+          the common denominator prod d_i^g a term k_e * c_e * prod
+          (n_i/d_i)^f_i, k_e the falling factorials, has degree at most
+          1 + g*sum_i(d_i) + g*max(0, max_i(n_i - d_i)), over g*sum_i(d_i),
+          and norm at most k_e * prod |n_i|^f_i |d_i|^(g - f_i), over
+          prod |d_i|^g;
+        * an antiderivative adds 1 to its integrand's numerator degree n: the
           integrand's denominator is free of the integration variable, or its
-          evaluation fails;
+          evaluation fails.  Its divisors 1, ..., n + 1 are cleared with
+          their lcm, which multiplies both norms;
         * a polynomial in atoms with highest powers K_a has the denominator
-          prod d_a^K_a, of degree sum K_a d_a; a monomial prod a^k_a adds
-          sum k_a (n_a - d_a) to that in the numerator.  An expression
-          num/den is (n_num + d_den, d_num + n_den).
+          prod d_a^K_a; a term c * prod a^k_a adds sum k_a (n_a - d_a) to its
+          degree in the numerator, and its norm is at most |c| * prod
+          |n_a|^k_a |d_a|^(K_a - k_a).  An expression num/den is (n_num +
+          d_den, d_num + n_den), degrees and norms alike.
 
-        The sides are compiled as L = N_L/D_L and R = N_R/D_R, integer term
-        lists over the atoms.  If they differ, C = N_L*D_R - N_R*D_L is a
-        nonzero polynomial of degree at most d = max(n_L + d_R, n_R + d_L),
-        and at a point where no D vanishes the sides agree only where C does.
-        :func:`_field` chose a p that divides no integer coefficient of the
-        check and not every coefficient of a nonzero C, so D_L, D_R and C stay
-        nonzero mod p.  By Schwartz-Zippel a uniform point finds a zero of a
-        nonzero polynomial mod p with probability at most d/p.  A point is redrawn
-        where the numerator of some expression's denominator, or of an
-        assumption, vanishes: polynomials whose degrees sum to at most e, so
-        an admissible point is at most d/p / (1 - e/p) = d/(p - e) likely to
-        miss.  The points are independent, so the bound is that to the power
-        ``points``.
+        The sides are compiled as L = N_L/D_L and R = N_R/D_R.  If they
+        differ, C = N_L*D_R - N_R*D_L is a nonzero polynomial of degree at
+        most d = max(n_L + d_R, n_R + d_L), with coefficients at most
+        |N_L| |D_R| + |N_R| |D_L| <= 2^H (:meth:`height`).  A nonzero one has
+        at most H/61 prime factors in [2^61, 2^62), where p is drawn
+        uniformly from more than N = 3.8e16 primes, so p divides it with
+        probability at most ceil(H/61)/N.  Otherwise C is nonzero mod p, and
+        at a point where no D vanishes the sides agree only where C does (a
+        p that divides a whole denominator rejects every draw, and the check
+        errors out).  By Schwartz-Zippel a uniform point finds a zero of a
+        nonzero polynomial mod p with probability at most d/p.  A point is
+        redrawn where the numerator of some expression's denominator, or of
+        an assumption, vanishes: polynomials whose degrees sum to at most e,
+        so an admissible point is at most d/p / (1 - e/p) = d/(p - e) likely
+        to miss.  The points are independent given p: the bound is
+        ceil(H/61)/N + (d/(p - e))^points.
         """
-        d, rejected = self.degree_bound(li, ri, assumed, p - 1, f"reaches p = 2^{p.bit_length()} "
-                                        "- 1, so a GF(p) pass would certify nothing")
-        bound = Fraction(d, p - rejected) ** points
+        d, rejected = self.degree_bound(
+            li, ri, assumed, p - 1, f"reaches p = {p}, so a GF(p) pass would certify nothing")
+        bound = (Fraction(-(-self.height(li, ri) // _PRIME_BITS), _PRIME_COUNT)
+                 + Fraction(d, p - rejected) ** points)
+        if bound >= 1:
+            raise EvaluationError(
+                "the miss bound of this check reaches 1, so a GF(p) pass would certify nothing")
         rounded = float(bound)
         return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)
-
-
-def _field(prog: _Program, li: int, ri: int) -> _Modular:
-    """The field of the first prime p of :data:`PRIMES` that divides no
-    integer coefficient of the program, unlike 2^61 - 1 for ``f(p*y) - f(0)``,
-    and not every coefficient of a nonzero C = N_L*D_R - N_R*D_L of the
-    compiled sides ``li`` and ``ri``, unlike 2^61 - 1 for ``(1 - p)*y``
-    against ``y``.  When ``|N_L|_1 * |D_R|_1 + |N_R|_1 * |D_L|_1 < 2^61 - 1``
-    (sums of absolute coefficients), no prime divides a nonzero coefficient
-    of C, which is not formed.  An :class:`EvaluationError` when no prime
-    qualifies: a coefficient of about 2^384 or more, or multiples of each."""
-    (nl, dl, _), (nr, dr, _) = prog.exprs[li], prog.exprs[ri]
-
-    def norm(terms) -> int:
-        return sum(abs(c) for c, _f, _e in terms)
-
-    diff: dict = {}
-    if norm(nl) * norm(dr) + norm(nr) * norm(dl) >= MODULUS:
-        for sign, a, b in ((1, nl, dr), (-1, nr, dl)):
-            for ca, fa, _e in a:
-                for cb, fb, _e in b:
-                    powers = dict(fa)
-                    for s, k in fb:
-                        powers[s] = powers.get(s, 0) + k
-                    m = frozenset(powers.items())
-                    diff[m] = diff.get(m, 0) + sign * ca * cb
-    g = gcd(*diff.values())  # 0 when C is zero or not formed
-    for field in _FIELDS:
-        p = field.p
-        if all(c % p for num, den, _lc in prog.exprs for c, _f, _e in chain(num, den)) and (
-                g % p or not g):
-            return field
-    raise EvaluationError(
-        "each of 2^61 - 1, 2^89 - 1, 2^107 - 1 and 2^127 - 1 divides an integer coefficient "
-        "of this check or the nonzero difference of its sides, so no GF(p) evaluates it")
 
 
 @dataclass
@@ -1137,8 +1134,8 @@ def fd_total(
 class CheckResult:
     """``max_error`` is the largest relative error on the float path, and the
     share of disagreeing points in GF(p); ``worst_point`` is the point of the
-    largest error, or the first disagreeing one.  ``prime`` is the p of a
-    GF(p) check, one of :data:`PRIMES`, and ``None`` on the float path.
+    largest error, or the first disagreeing one.  ``prime`` is the p a GF(p)
+    check drew, and ``None`` on the float path.
     ``miss_bound`` is ``None`` on the float path, and ``float_rules`` names
     what sent the check there, ``"exp"`` and ``"log"``; it is empty in
     GF(p)."""
@@ -1178,10 +1175,11 @@ def check_identity(
     discards in a row the check errors out.  ``points`` must be at least 1
     and ``tol`` finite and non-negative, so a pass means something was
     compared; ``tol`` decides only on the float path, for checks with exp or
-    log.  A check for which :func:`_field` finds no prime, a GF(p) check whose
-    degree bound reaches p, a float-path check whose degree bound, or that
-    of an exp or log argument, exceeds 2^16, and one whose values exceed
-    floating point, error out.  See the module docstring.
+    log.  A GF(p) check draws its prime from ``seed`` first, so the same seed
+    gives the same prime and the same points.  A GF(p) check whose miss
+    bound reaches 1, a float-path check whose degree bound, or that of an
+    exp or log argument, exceeds 2^16, and one whose values exceed floating
+    point, error out.  See the module docstring.
     """
     prog = _Program([x if isinstance(x, Mapping) else as_expression(x).to_tree()
                      for x in (lhs, rhs, *assumptions)])
@@ -1190,14 +1188,14 @@ def check_identity(
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     rng = Random(DEFAULT_SEED if seed is None else seed)
-    inv = _Inventory(prog)
+    inv = _Inventory(prog, dep_vars=dep_vars)
     li, ri, *assumed = prog.roots
     if inv.float_rules:  # an exp or log needs real values
         ar, bound = RATIONALS, None
         inv.degree_bound(li, ri, assumed, _MAX_FLOAT_DEGREE, "exceeds 2^16, beyond what "
                          "exact rational evaluation reaches in reasonable time")
     else:
-        ar = _field(prog, li, ri)
+        ar = _Modular(_draw_prime(rng))
         bound = inv.miss_bound(li, ri, assumed, points, ar.p)
     names = inv.point_names(tuple(dep_vars[d]) for d in inv.deps if d in dep_vars)
     failed = 0

@@ -44,10 +44,14 @@ class Mutant:
     tests: tuple[str, ...]
 
 
-ONE_ATOM = "tests/test_oracle.py::test_equal_arguments_written_apart_are_one_atom"
+ORACLE = "tests/test_oracle.py"
 # state tables, written as the kernel writes them and apart, against a walk
 # of the kernel's reading of them
-REPLAY = "tests/test_oracle.py::test_state_tables_replay_as_their_expressions_bulk"
+REPLAY = f"{ORACLE}::test_state_tables_replay_as_their_expressions_bulk"
+# the inventory's degrees and heights against a reference walk, and the
+# height against the difference the kernel expands
+REFERENCE = f"{ORACLE}::test_one_walk_matches_the_reference_rules_bulk"
+HEIGHT = f"{ORACLE}::test_the_height_bounds_the_expanded_difference_bulk"
 JETS = "tests/test_jets.py"
 LAZY = f"{JETS}::test_lazy_entries_equal_the_level_loop_bulk"
 DIAGONAL = f"{JETS}::test_diagonal_maps_solve_each_jet_over_its_own_factor_bulk"
@@ -69,52 +73,50 @@ RENAME_BULK = f"{KERNEL}::test_rename_atoms_matches_the_full_order_check_bulk"
 # a power inside an exp or log argument, at a size the unbounded path survives
 ARG_CAP = "tests/test_cli.py::test_float_replay_of_a_high_power_in_an_argument_exits_2_at_once"
 TEMPLATES = "tests/test_cli.py::test_family_template_terms_need_coefficient_one"
-ORACLE = "tests/test_oracle.py"
 CONTACT = "tests/test_hyperbolic.py::test_contact_invariance_generic"
 THETA3 = f"{FAMILIES}::test_theta3_is_a_relative_invariant_of_weight_3_and_p2_is_not"
 
 MUTANTS = (
-    # the table reader's normal form, which atom identity in GF(p) rests on
-    Mutant("no negative-lc flip", "oracle.py",
-           "        if den[0][0] < 0:\n            g = -g\n", "",
-           (f"{ONE_ATOM}[negative-denominator]",)),
-    Mutant("no proportional collapse", "oracle.py",
-           "    if len(num) == len(den):\n", "    if False:\n",
-           (f"{ONE_ATOM}[proportional]",)),
-    Mutant("no shared-power cancellation", "oracle.py",
-           "    if common:\n        num, den =", "    if False:\n        num, den =",
-           (f"{ONE_ATOM}[shared-power]", REPLAY)),
-    Mutant("orientation-blind key off", "oracle.py",
-           "sign = -1 if len(den) > 1 and min(den, key=lambda t: t[3])[0] < 0 else 1",
-           "sign = 1",
-           (f"{ONE_ATOM}[reoriented-denominator]",)),
+    # the table reader: what it merges, and the drawn prime with its bound
     Mutant("repeated monomials not merged", "oracle.py",
            "            else:\n                hit[0] += c\n",
-           "            else:\n                out[len(out), m] = [c, factors, exp, m]\n",
+           "            else:\n                out[len(out), m] = [c, factors, exp]\n",
            ("tests/test_oracle.py::test_a_table_repeating_a_monomial_reads_as_their_sum",)),
     Mutant("exp(0) kept as a factor", "oracle.py",
            "                exp = None  # exp(0) is 1\n", "                pass\n",
            ("tests/test_oracle.py::test_an_exponential_of_zero_is_one", REPLAY)),
+    Mutant("a composite passes the primality test", "oracle.py",
+           "            return False\n    return True\n",
+           "            pass\n    return True\n",
+           (f"{ORACLE}::test_primality_agrees_with_trial_division",)),
+    Mutant("prime-miss term left out of miss_bound", "oracle.py",
+           "bound = (Fraction(-(-self.height(li, ri) // _PRIME_BITS), _PRIME_COUNT)\n"
+           "                 + Fraction(d, p - rejected) ** points)",
+           "bound = Fraction(d, p - rejected) ** points",
+           (f"{ORACLE}::test_miss_bound_follows_the_stated_degree_bound", REFERENCE)),
+    Mutant("a bound of 1 or more reported with a pass", "oracle.py",
+           "        if bound >= 1:\n", "        if False:\n",
+           (f"{ORACLE}::test_a_degree_bound_at_p_is_an_error_not_a_pass",)),
+    Mutant("height skips a stand-in's coefficients", "oracle.py",
+           "    for expo in _exponents(len(args), degree):\n",
+           "    for expo in _exponents(len(args), degree)[:1]:\n",
+           (REFERENCE, HEIGHT)),
+    Mutant("an antiderivative's divisors left uncleared", "oracle.py",
+           "clear = _LCM_BITS * (n + 1)", "clear = 0",
+           (REFERENCE, HEIGHT)),
     # evaluation, stand-in degrees and routing
     Mutant("slot-derivative multiplier dropped", "oracle.py",
            "terms.append((expo, c if k == 1 else mul(c, k)))", "terms.append((expo, c))",
            ("tests/test_oracle.py::test_jets_evaluate_as_partials_of_the_dependent_polynomial",)),
     Mutant("dependents' degree floor dropped", "oracle.py",
            "fdeg, ddeg = degree, max(degree, 2)", "fdeg, ddeg = degree, degree",
-           ("tests/test_oracle.py::test_one_walk_matches_the_reference_rules_bulk",)),
+           (REFERENCE,)),
     Mutant("the float-path degree cap never applies", "oracle.py",
            "assumed, _MAX_FLOAT_DEGREE,", "assumed, math.inf,",
            ("tests/test_cli.py::test_float_replay_of_a_high_power_exits_2_at_once[70000]",)),
     Mutant("the float-path cap skips exp and log arguments", "oracle.py",
            "        for i in exp_log_args:\n", "        for i in ():\n",
            (f"{ARG_CAP}[exp-70000]", f"{ARG_CAP}[log-70000]")),
-    Mutant("difference guard off", "oracle.py",
-           "                g % p or not g):\n", "                True):\n",
-           (f"{ORACLE}::test_coefficients_divisible_by_p_move_to_the_next_prime",
-            f"{ORACLE}::test_the_difference_guard_decides_as_the_kernel_subtraction_did_bulk")),
-    Mutant("the prime choice skips the coefficient test", "oracle.py",
-           "if all(c % p for num, den", "if all(True for num, den",
-           (f"{ORACLE}::test_a_coefficient_divisible_by_p_inside_an_argument_moves_the_check",)),
     # prolongation: Cramer's rule over det, and the diagonal rule over each d_i
     Mutant("free-of-x_i rule dropped", "prolongation.py",
            "        if not m or self._free_of(i):\n", "        if not m:\n",

@@ -8,11 +8,10 @@ import time
 import pytest
 
 from eqvlab import (
-    Expression, Param, ParseError, Session, antiderivative, catalog, exp, jet, log, parse,
+    Expression, Param, ParseError, Session, antiderivative, catalog, exp, func, jet, log, parse,
     parse_expression, var)
 from eqvlab import cli, prolongation
 from eqvlab.cli import main
-from eqvlab.oracle import MODULUS, PRIMES
 
 from conftest import CORPUS
 
@@ -484,10 +483,11 @@ def test_nested_replay_cost_stays_flat(capsys, tmp_path):
 
 
 def test_replay_past_the_degree_bound_exits_2(capsys, tmp_path):
-    # at 60 nested levels the GF(p) degree bound reaches p: a pass would
-    # certify nothing, so the replay is an error report and not "ok"
+    # at 61 nested levels the GF(p) degree bound reaches 2^62 - 1, above any
+    # drawn p: a pass would certify nothing, so the replay is an error report
+    # and not "ok"
     deep = "x"
-    for _ in range(60):
+    for _ in range(61):
         deep = f"a1({deep})"
     code, _out = run(capsys, "reduce", *session_args("laplace.eqv", tmp_path),
                      "--family", "F", "--a3", deep)
@@ -772,32 +772,34 @@ def test_oracle_note_names_the_rule_that_sent_a_check_to_tol(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 0
     assert "oracle: check 1 has no miss bound (it reaches exp), so it was evaluated" in err
-    # a check that 2^61 - 1 cannot see keeps its verdict and gets a miss
-    # bound in the next prime, which stderr names
-    y = var("y")
-    for lhs, rhs, want in (((1 - MODULUS) * y, y, 1), (MODULUS * y, MODULUS * y, 0)):
+    # GF(p) checks get no note, whatever their coefficients: here multiples
+    # of 2^61 - 1, which a drawn prime never is
+    y, p = var("y"), 2**61 - 1
+    for lhs, rhs, want in (((1 - p) * y, y, 1), (p * y, p * y, 0)):
         path = write_state(tmp_path, [(lhs, rhs)])
         code = main(["oracle", "--state", str(path)])
         captured = capsys.readouterr()
         assert code == want
         assert json.loads(captured.out)["checks"][0]["miss_bound"] is not None
-        assert ("oracle: check 1 was evaluated in GF(2^89 - 1): each smaller prime divides"
-                in captured.err)
-        assert "no miss bound" not in captured.err
+        assert captured.err == f"oracle: {1 - want}/1 checks passed\n"
 
 
-def test_a_check_no_prime_evaluates_exits_2(capsys, tmp_path):
-    y = var("y")
-    path = write_state(tmp_path, [(math.prod(PRIMES) * y, 0 * y)])
-    code = main(["oracle", "--state", str(path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert json.loads(captured.out)["error"] == {
-        "type": "EvaluationError",
-        "message": "each of 2^61 - 1, 2^89 - 1, 2^107 - 1 and 2^127 - 1 divides an integer "
-                   "coefficient of this check or the nonzero difference of its sides, so no "
-                   "GF(p) evaluates it"}
-    assert "Traceback" not in captured.err
+def test_a_replay_of_multiples_of_old_fixed_primes_keeps_its_verdict(capsys, tmp_path):
+    # f((x^2-1)/(x-1)) + (p-1)*f(x+1) is p*f(x+1), not 0: its two atoms are
+    # equal in value, and a fixed p = 2^61 - 1 would pass it against 0.  A
+    # product of four fixed primes is no longer an error either
+    x, y = var("x"), var("y")
+    p = 2**61 - 1
+    four = math.prod((p, 2**89 - 1, 2**107 - 1, 2**127 - 1))
+    for lhs, rhs, want in ((func("f", (x * x - 1) / (x - 1)) + (p - 1) * func("f", x + 1),
+                            0 * y, 1), (four * y, 0 * y, 1), (four * y, four * y, 0)):
+        path = write_state(tmp_path, [(lhs, rhs)])
+        code = main(["oracle", "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == want, lhs.text
+        check, = json.loads(captured.out)["checks"]
+        assert check["ok"] is (want == 0) and 0 < check["miss_bound"] < 1e-15
+        assert "Traceback" not in captured.err
 
 
 def test_oracle_names_an_antiderivative_it_cannot_evaluate(capsys, tmp_path):

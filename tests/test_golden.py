@@ -28,7 +28,7 @@ import pytest
 
 from eqvlab import Expression, Var, partial
 from eqvlab.cli import main
-from eqvlab.oracle import MODULUS, check_identity
+from eqvlab.oracle import check_identity
 
 from conftest import CORPUS, seeded_cases
 
@@ -160,9 +160,9 @@ def test_replay_does_not_touch_the_kernel(tmp_path, monkeypatch):
         assert (code, _sha(out)) == (want["oracle_exit"], want["oracle_stdout_sha256"]), want
 
 
-def test_every_corpus_check_runs_in_the_first_prime(tmp_path, monkeypatch):
-    # the common path is the one it was: only the exp-bearing maps leave
-    # GF(2^61 - 1), for the float path
+def test_every_corpus_check_outside_texp_and_taff_runs_in_gf_p(tmp_path, monkeypatch):
+    # only the exp-bearing maps leave GF(p), for the float path; every other
+    # check draws its prime from [2^61, 2^62), the same one for the same seed
     monkeypatch.chdir(tmp_path)
     state = tmp_path / "state.json"
     seen = {}
@@ -174,10 +174,12 @@ def test_every_corpus_check_runs_in_the_first_prime(tmp_path, monkeypatch):
         for lhs, rhs in data["checks"]:
             r = check_identity(lhs, rhs, dep_vars, seed=int(ORACLE_SEED),
                                assumptions=data["assumptions"])
-            want = (None, ("exp",)) if argv[-1] in ("Texp", "Taff") else (MODULUS, ())
-            assert (r.prime, r.float_rules) == want, (session, argv)
-            seen[want] = seen.get(want, 0) + 1
-    assert len(seen) == 2, seen
+            if argv[-1] in ("Texp", "Taff"):
+                assert (r.prime, r.float_rules, r.miss_bound) == (None, ("exp",), None)
+            else:
+                assert 2**61 <= r.prime < 2**62 and r.float_rules == () and r.miss_bound
+            seen[r.prime] = seen.get(r.prime, 0) + 1
+    assert len(seen) == 2 and seen[None] == 2, seen
 
 
 if __name__ == "__main__":

@@ -2,16 +2,17 @@
 
 import json
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from random import Random
 
 import pytest
 
 from eqvlab import oracle
-from eqvlab.expressions import _below, _reach
-from eqvlab.oracle import MODULAR, MODULUS, PRIMES, RATIONALS
+from eqvlab.expressions import _below, _reach, expr_prod, expr_sum, from_monomial, substitute
+from eqvlab.oracle import RATIONALS
 from eqvlab import (
     Antideriv,
     AssumptionViolationError,
@@ -45,6 +46,12 @@ pytestmark = pytest.mark.hashseed
 
 y, z = var("y"), var("z")
 DEP = {"w": ("y", "z")}
+# the fixed primes of an earlier design, and a drawn one for tests of GF(p)
+OLD_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+P61 = OLD_PRIMES[0]
+GF = oracle._Modular(oracle._draw_prime(Random(0)))
+# the count of primes in [2^61, 2^62) that the miss bound assumes
+N = oracle._PRIME_COUNT
 
 
 def test_upoly_arithmetic():
@@ -288,8 +295,8 @@ def on_both_paths(monkeypatch, lhs, rhs, dep_vars=DEP, **kwargs):
     out = []
     init = oracle._Inventory.__init__
 
-    def float_init(inv, *args):
-        init(inv, *args)
+    def float_init(inv, *args, **kwargs):
+        init(inv, *args, **kwargs)
         inv.float_rules = ("exp",)
 
     for forced in (False, True):
@@ -334,7 +341,8 @@ def test_modular_path_rejects_a_near_miss_the_tol_path_accepts(monkeypatch):
     assert rational.ok and 0 < rational.max_error <= 1e-6
     assert not modular.ok
     assert modular.max_error == 1.0 and modular.worst_point is not None
-    assert all(isinstance(v, int) and 0 <= v < MODULUS for v in modular.worst_point.values())
+    assert all(isinstance(v, int) and 0 <= v < modular.prime
+               for v in modular.worst_point.values())
 
 
 def test_miss_bound_is_reported_only_on_the_modular_path():
@@ -346,24 +354,73 @@ def test_miss_bound_is_reported_only_on_the_modular_path():
         assert res.ok and res.miss_bound is None
 
 
+def stated_bound(res, d, e, height):
+    """The miss bound of a GF(p) result with degree bound d, redraw degrees
+    e and height H: ceil(H/61)/N + (d/(p - e))^points, as an exact Fraction."""
+    return Fraction(-(-height // 61), N) + Fraction(d, res.prime - e) ** res.points
+
+
 def test_miss_bound_follows_the_stated_degree_bound():
-    # y*z against z*y: each side is (2, 0), so d = 2 and nothing is redrawn
-    res = check_identity(y * z, z * y, {}, seed=1, points=3)
-    assert res.miss_bound >= Fraction(2, MODULUS) ** 3
-    assert res.miss_bound == pytest.approx(float(Fraction(2, MODULUS) ** 3), rel=1e-15)
+    # y*z against z*y: each side is (2, 0), so d = 2 and nothing is redrawn;
+    # each side has norm 1, so |C| <= 2, H = 3 with the margin, and at one
+    # point the degree term shows beside the prime term
+    res = check_identity(y * z, z * y, {}, seed=1, points=1)
+    assert Fraction(res.miss_bound) >= stated_bound(res, 2, 0, 3)
+    assert res.miss_bound == pytest.approx(float(stated_bound(res, 2, 0, 3)), rel=1e-15)
     # 1/(1 + y^2) is (0, 2): d = 2, and the denominator's numerator (degree 2)
     # is what a redraw rejects on, so one point misses at most 2/(p - 2)
     q = 1 / (1 + y * y)
-    assert check_identity(q, q, {}, seed=1, points=1).miss_bound == pytest.approx(
-        2 / (MODULUS - 2), rel=1e-15)
+    res = check_identity(q, q, {}, seed=1, points=1)
+    assert res.miss_bound == pytest.approx(float(stated_bound(res, 2, 2, 3)), rel=1e-15)
     # F(y/(1 + z^2)) with a degree-2 stand-in: the argument is (1, 2), so the
     # value is (1 + 2*2 + 2*0, 2*2) = (5, 4) and the cleared difference has degree 9
     g = func("F", y / (1 + z * z))
-    assert check_identity(g, g, {}, seed=1, points=1).miss_bound == pytest.approx(
-        9 / (MODULUS - 2), rel=1e-15)
-    # a bound too small for a float is rounded up, never printed as zero
+    res = check_identity(g, g, {}, seed=1, points=1)
+    assert res.miss_bound == pytest.approx(float(stated_bound(res, 9, 2, 61)), rel=1e-15)
+    # at 40 points the prime term is all that shows, rounded up
     tiny = check_identity(y * z, z * y, {}, seed=1, points=40).miss_bound
-    assert tiny == math.nextafter(0.0, 1.0)
+    assert Fraction(tiny) >= Fraction(1, N) and tiny == pytest.approx(1 / N, rel=1e-15)
+
+
+def test_the_prime_is_drawn_from_the_seed():
+    # the same seed draws the same prime, whatever the check, from the
+    # primes in [2^61, 2^62): never 2^61 - 1
+    drawn = {seed: check_identity(y * z, z * y, {}, seed=seed).prime for seed in range(40)}
+    for seed, p in drawn.items():
+        assert 2**61 <= p < 2**62 and oracle._is_prime(p)
+        assert check_identity((y + 1) ** 2, y * y + 2 * y + 1, DEP, seed=seed).prime == p
+        assert oracle._draw_prime(Random(seed)) == p
+    assert len(set(drawn.values())) == 40
+
+
+def test_primality_agrees_with_trial_division():
+    sieve = bytearray([1]) * 10**5
+    sieve[:2] = b"\0\0"
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, 10**5, i)))
+    assert [n for n in range(10**5) if oracle._is_prime(n)] == [
+        n for n in range(10**5) if sieve[n]]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine primes
+    for n in (3215031751, 3825123056546413051):
+        assert not oracle._is_prime(n)
+    assert oracle._is_prime(2**61 - 1) and oracle._is_prime(2**127 - 1)
+
+
+def test_primality_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = Random(61)
+
+    def prime(bits):
+        while not sympy.isprime(n := rng.randrange(2 ** (bits - 1), 2**bits) | 1):
+            pass
+        return n
+
+    # odd numbers of the drawn primes' range, and products of two 31-bit primes
+    cases = [rng.randrange(2**61, 2**62) | 1 for _ in range(3000)]
+    cases += [prime(31) * prime(31) for _ in range(20)]
+    for n in cases:
+        assert oracle._is_prime(n) == sympy.isprime(n), n
 
 
 def test_antiderivatives_integrate_in_gf_p():
@@ -374,58 +431,69 @@ def test_antiderivatives_integrate_in_gf_p():
     assert not check_identity(nested, y * y * z * z / 3, {}, seed=4).ok
 
 
-def test_coefficients_divisible_by_p_move_to_the_next_prime():
-    # y/p keeps the integer denominator p, which is 0 mod p, and p*y the
-    # numerator coefficient p: in GF(p) the first would reject every draw and
-    # the second would pass against 0.  Both are exact in GF(2^89 - 1)
-    y = var("y")
-    q = y / MODULUS
-    res = check_identity(q, q, {}, seed=1)
-    assert res.ok and res.miss_bound is not None and res.prime == PRIMES[1]
-    res = check_identity(MODULUS * y, 0, {}, seed=1)
-    assert not res.ok and res.miss_bound is not None and res.prime == PRIMES[1]
-    res = check_identity(MODULUS * y, MODULUS * y, {}, seed=1)
-    assert res.ok and res.miss_bound is not None and res.prime == PRIMES[1]
-    res = check_identity((MODULUS + 1) * y - y - MODULUS * y, 0, {}, seed=1)
-    assert res.ok and res.prime == MODULUS
-    res = check_identity(y / (MODULUS + 1), y / (MODULUS + 1), {}, seed=1)
-    assert res.miss_bound and res.prime == MODULUS
-    # no coefficient of either side is a multiple of p, but their difference
-    # -p*y is: every GF(p) point would agree, and none in GF(2^89 - 1)
-    res = check_identity((1 - MODULUS) * y, y, {}, seed=1)
-    assert not res.ok and res.miss_bound is not None and res.prime == PRIMES[1]
-    # p divides only some coefficients of -p*y + z: GF(p) sees the difference
-    res = check_identity((1 - MODULUS) * y, y - z, {}, seed=1)
-    assert not res.ok and res.miss_bound is not None and res.prime == MODULUS
-    # each prime in turn: the difference is a multiple of the first three
-    res = check_identity((1 - math.prod(PRIMES[:3])) * y, y, {}, seed=1)
-    assert not res.ok and res.prime == PRIMES[3]
+def test_multiples_of_the_old_fixed_primes_get_their_verdicts():
+    # mod the p it names, each of these agrees at every point or rejects
+    # every draw; a drawn prime judges them all
+    for p in OLD_PRIMES:
+        q = y / p
+        res = check_identity(q, q, {}, seed=1)
+        assert res.ok and res.miss_bound < 1e-15
+        for lhs, rhs, want in ((p * y, 0, False), (p * y, p * y, True),
+                               ((1 - p) * y, y, False), ((1 - p) * y, y - z, False),
+                               ((p + 1) * y - y - p * y, 0, True)):
+            res = check_identity(lhs, rhs, {}, seed=1)
+            assert res.ok is want and 0 < res.miss_bound < 1e-15, (p, lhs, rhs)
+            assert 2**61 <= res.prime < 2**62
+    # the difference is a multiple of the first three, or each coefficient
+    # of another prime: the last exited 2, and now passes with a bound
+    res = check_identity((1 - math.prod(OLD_PRIMES[:3])) * y, y, {}, seed=1)
+    assert not res.ok and res.miss_bound < 1e-15
+    v, w = var("v"), var("w")
+    e = sum((p * a for p, a in zip(OLD_PRIMES, (y, z, w, v))), as_expression(0))
+    res = check_identity(e, e, {}, seed=1)
+    assert res.ok and 0 < res.miss_bound < 1e-15
+    # f((x^2-1)/(x-1)) + (p-1)*f(x+1) is p*f(x+1): the kernel keeps its two
+    # atoms apart, yet they are equal in value, so GF(p) would pass it
+    x = var("x")
+    lhs = func("f", (x * x - 1) / (x - 1)) + (P61 - 1) * func("f", x + 1)
+    assert len(lhs.num_terms()) == 2
+    res = check_identity(lhs, 0, {})
+    assert not res.ok and res.max_error == 1.0 and 0 < res.miss_bound < 1e-15
+    assert check_identity(lhs, P61 * func("f", x + 1), {}).ok
     # an ordinary polynomial check stays in GF(p) with its bound
-    res = check_identity((y + 1) ** 2, y * y + 2 * y + 1, {}, seed=1)
+    lhs, rhs = (y + 1) ** 2, y * y + 2 * y + 1
+    res = check_identity(lhs, rhs, {}, seed=1)
+    inv = oracle._Inventory([lhs, rhs])
     assert res.ok and res.miss_bound == pytest.approx(
-        float(Fraction(2, MODULUS) ** 10), rel=1e-15)
+        float(stated_bound(res, 2, 0, inv.height(*inv.program.roots))), rel=1e-15)
     res = check_identity((y + 1) ** 2, y * y + 2 * y + 2, {}, seed=1)
     assert not res.ok and res.miss_bound is not None
 
 
 def test_a_coefficient_divisible_by_p_inside_an_argument_moves_the_check():
-    # f(p*y) - f(0) is 0 at every GF(p) point and its difference has the
-    # coefficients 1 and -1: only the coefficient test sees it
-    res = check_identity(func("f", MODULUS * y) - func("f", 0), 0, {}, seed=1)
-    assert not res.ok and res.miss_bound is not None and res.prime == PRIMES[1]
-    res = check_identity(func("f", MODULUS * y), func("f", MODULUS * y), {}, seed=1)
-    assert res.ok and res.prime == PRIMES[1]
+    # f(p*y) - f(0) is 0 at every GF(p) point for p = 2^61 - 1, and its
+    # difference has the coefficients 1 and -1: the drawn prime is never p
+    res = check_identity(func("f", P61 * y) - func("f", 0), 0, {}, seed=1)
+    assert not res.ok and res.miss_bound is not None and res.prime != P61
+    res = check_identity(func("f", P61 * y), func("f", P61 * y), {}, seed=1)
+    assert res.ok and res.miss_bound < 1e-15
 
 
 def test_a_degree_bound_at_p_is_an_error_not_a_pass():
-    # each nested degree-2 stand-in doubles the degree bound: 59 levels still
-    # certify something, 60 reach p and are refused before any draw
+    # each nested degree-2 stand-in doubles the degree bound and about the
+    # bits of the height: 59 levels still certify something, though the
+    # prime term is a quarter; 60 levels at one point sum past 1; and 61
+    # reach 2^62 - 1, above any drawn p.  Each refusal comes before any
+    # point is drawn
     e = var("x")
     for _ in range(59):
         e = func("a1", e)
-    assert 0 < check_identity(e, e, {}, seed=1).miss_bound < 1e-3
+    assert 0.2 < check_identity(e, e, {}, seed=1).miss_bound < 0.3
     e = func("a1", e)
-    with pytest.raises(EvaluationError, match="certify nothing"):
+    with pytest.raises(EvaluationError, match="miss bound of this check reaches 1"):
+        check_identity(e, e, {}, seed=1, points=1)
+    e = func("a1", e)
+    with pytest.raises(EvaluationError, match="reaches p = .*certify nothing"):
         check_identity(e, e, {}, seed=1)
 
 
@@ -440,58 +508,93 @@ def reference_modular(exprs):
                for x in chain(exprs, inner) for p in x.integer_form()[:2] for m in p)
 
 
-def reference_miss_bound(lhs, rhs, assumptions, degree, points):
-    # the degree rules as a second walk of their own, with the stand-in
-    # degrees written out again: `degree` for functions, max(degree, 2) for
-    # dependents
+def log2_sum(logs):
+    logs = list(logs)
+    if not logs:
+        return 0.0
+    top = max(logs)
+    return top + math.log2(math.fsum([2.0 ** (x - top) for x in logs]))
+
+
+def reference_stand_in(degree, counts, args):
+    # sum over the exponents e of total degree <= `degree`: the falling
+    # factorials the derivatives `counts` bring down, times prod |n_i|^f_i
+    # |d_i|^(g - f_i) with f = e - counts, over prod |d_i|^g; log2 norms
+    logs = [math.log2(math.prod(map(math.perm, e, counts)))
+            + sum((ei - ci) * (hn - hd) for ei, ci, (hn, hd) in zip(e, counts, args))
+            for e in product(range(degree + 1), repeat=len(args))
+            if sum(e) <= degree and all(map(operator.ge, e, counts))]
+    if not logs:
+        return 0.0, 0.0
+    den = (degree - sum(counts)) * sum(hd for _hn, hd in args)
+    return den + log2_sum(logs), den
+
+
+def reference_miss_bound(lhs, rhs, assumptions, degree, points, p):
+    # the degree and height rules as a second walk of their own, with the
+    # stand-in degrees written out again: `degree` for functions, max(degree,
+    # 2) for dependents, of the variables DEP names.  Returns the bound, or
+    # None where a GF(p) pass would certify nothing, and the height H
     dep_degree = max(degree, 2)
-    atom_deg, expr_deg = {}, {}
+    atom_deg, expr_deg = {}, {}  # (deg N, deg D, log2 |N|, log2 |D|)
     rejected = 0
 
-    def poly_degree(p):
+    def poly_degree(poly):
         powers = {}
-        for m in p:
+        for m in poly:
             for a, k in m.atoms:
                 if k > powers.get(a, 0):
                     powers[a] = k
         den = sum(k * atom_deg[a][1] for a, k in powers.items())
+        hden = sum(k * atom_deg[a][3] for a, k in powers.items())
         lift = max((sum(k * (atom_deg[a][0] - atom_deg[a][1]) for a, k in m.atoms)
-                    for m in p), default=0)
-        return den + lift, den
+                    for m in poly), default=0)
+        hlifts = [math.log2(abs(c)) + sum(k * (atom_deg[a][2] - atom_deg[a][3])
+                                          for a, k in m.atoms) for m, c in poly.items()]
+        return den + lift, den, hden + log2_sum(hlifts), hden
 
     def of(x):
         nonlocal rejected
         if x not in expr_deg:
             num, den, _lc = x.integer_form()
-            (nn, nd), (dn, dd) = poly_degree(num), poly_degree(den)
+            (nn, nd, hnn, hnd), (dn, dd, hdn, hdd) = poly_degree(num), poly_degree(den)
             rejected += dn
-            expr_deg[x] = (nn + dd, nd + dn)
+            expr_deg[x] = (nn + dd, nd + dn, hnn + hdd, hnd + hdn)
         return expr_deg[x]
 
     atoms = set().union(*map(_reach, (lhs, rhs, *assumptions)))
     for a in sorted(atoms, key=lambda a: (len(_below(a)), a.text)):
         if isinstance(a, (Var, Param)):
-            atom_deg[a] = (1, 0)
+            atom_deg[a] = (1, 0, 0.0, 0.0)
         elif isinstance(a, Jet):
             r = len(a.index)
-            atom_deg[a] = (dep_degree + 1 - r, 0) if r <= dep_degree else (0, 0)
+            slots = DEP[a.dep]
+            atom_deg[a] = ((dep_degree + 1 - r, 0) if r <= dep_degree else (0, 0)) + (
+                reference_stand_in(dep_degree, [a.index.count(v) for v in slots],
+                                   [(0.0, 0.0)] * len(slots)))
         elif isinstance(a, Func):
             args = [of(x) for x in a.args]
             g = degree - len(a.dindex)
-            dsum = sum(d for _n, d in args)
-            atom_deg[a] = (0, 0) if g < 0 else (
-                1 + g * dsum + g * max(0, *(n - d for n, d in args)), g * dsum)
+            dsum = sum(d for _n, d, _hn, _hd in args)
+            atom_deg[a] = ((0, 0) if g < 0 else (
+                1 + g * dsum + g * max(0, *(n - d for n, d, _hn, _hd in args)), g * dsum)) + (
+                reference_stand_in(degree, [a.dindex.count(i + 1) for i in range(len(args))],
+                                   [x[2:] for x in args]))
         else:
-            n, d = of(a.integrand)
-            atom_deg[a] = (n + 1, d)
-    (nl, dl), (nr, dr) = of(lhs), of(rhs)
+            n, d, hn, hd = of(a.integrand)
+            clear = 1.03883 / math.log(2) * (n + 1)  # log2 lcm(1, ..., n + 1)
+            atom_deg[a] = (n + 1, d, hn + clear, hd + clear)
+    (nl, dl, hnl, hdl), (nr, dr, hnr, hdr) = of(lhs), of(rhs)
     rejected += sum(of(x)[0] for x in assumptions)
     d = max(nl + dr, nr + dl)
-    if d + rejected >= MODULUS:
-        return None
-    bound = Fraction(d, MODULUS - rejected) ** points
+    height = math.ceil(log2_sum((hnl + hdr, hnr + hdl)) * (1 + 2**-20)) + 1
+    if d + rejected >= p:
+        return None, height
+    bound = Fraction(-(-height // 61), N) + Fraction(d, p - rejected) ** points
+    if bound >= 1:
+        return None, height
     rounded = float(bound)
-    return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)
+    return (rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)), height
 
 
 def stand_in_degree(f):
@@ -499,9 +602,9 @@ def stand_in_degree(f):
 
 
 def test_one_walk_matches_the_reference_rules_bulk():
-    # the inventory's routing, bound and drawn stand-in degrees against a
-    # separate walk per rule; degrees 1 and 3 tell the function rule from
-    # the dependent rule, so changing either in one place fails here
+    # the inventory's routing, bound, height and drawn stand-in degrees
+    # against a separate walk per rule; degrees 1 and 3 tell the function
+    # rule from the dependent rule, so changing either in one place fails here
     f = jet("w", "y") + z
     cases = []
     for i, e in seeded_cases(505, 300):
@@ -519,27 +622,90 @@ def test_one_walk_matches_the_reference_rules_bulk():
     for n, (lhs, rhs, assumptions, degrees) in enumerate(cases):
         exprs = (lhs, rhs, *assumptions)
         for degree in degrees:
-            inv = oracle._Inventory(exprs, degree)
+            inv = oracle._Inventory(exprs, degree, DEP)
             assert (not inv.float_rules) == reference_modular(exprs), lhs.text
             if inv.float_rules:
                 continue
             modular += 1
-            want = reference_miss_bound(lhs, rhs, assumptions, degree, 4)
+            want, height = reference_miss_bound(lhs, rhs, assumptions, degree, 4, GF.p)
             li, ri, *assumed = inv.program.roots
             sides = li, ri, assumed
+            assert inv.height(li, ri) == height, lhs.text
             if want is None:
                 with pytest.raises(EvaluationError, match="certify nothing"):
-                    inv.miss_bound(*sides, 4, MODULUS)
+                    inv.miss_bound(*sides, 4, GF.p)
             else:
-                assert inv.miss_bound(*sides, 4, MODULUS) == want, lhs.text
-            inst = Instantiation.for_expressions(inv, Random(n), DEP, arith=MODULAR)
+                assert inv.miss_bound(*sides, 4, GF.p) == want, lhs.text
+            inst = Instantiation.for_expressions(inv, Random(n), DEP, arith=GF)
             assert all(stand_in_degree(g) == degree for g in inst.functions.values())
             assert all(stand_in_degree(g) == max(degree, 2)
                        for _slots, g in inst.dependents.values())
     assert modular > 300
-    # check_identity reports the same bound
-    assert check_identity(chain_e, chain_e, {}, seed=1).miss_bound == reference_miss_bound(
-        chain_e, chain_e, (), 2, 10)
+    # check_identity reports the same bound, in the prime it draws
+    res = check_identity(chain_e, chain_e, {}, seed=1)
+    assert res.miss_bound == reference_miss_bound(chain_e, chain_e, (), 2, 10, res.prime)[0]
+
+
+def generic(e):
+    """``e`` with its stand-ins written out as the evaluator forms them:
+    each function and dependent a polynomial of degree 2 whose coefficients
+    are parameters, each antiderivative integrated.  No exp and no log."""
+    num, den, _lc = e.integer_form()
+
+    def poly(p):
+        assert all(m.exparg is None for m in p)
+        return expr_sum(c * expr_prod(generic_atom(a) ** k for a, k in m.atoms)
+                        for m, c in p.items())
+
+    return poly(num) / poly(den)
+
+
+def generic_polynomial(name, slots):
+    return expr_sum(param(f"{name}_{'_'.join(map(str, ex))}")
+                    * expr_prod(var(s) ** k for s, k in zip(slots, ex))
+                    for ex in product(range(3), repeat=len(slots)) if sum(ex) <= 2)
+
+
+def generic_atom(a):
+    if isinstance(a, (Var, Param)):
+        return as_expression(a)
+    if isinstance(a, Jet):
+        g = generic_polynomial(a.dep, DEP[a.dep])
+        for v in a.index:
+            g = partial(g, var(v))
+        return g
+    if isinstance(a, Func):
+        slots = [f"slot{i}" for i in range(len(a.args))]
+        g = generic_polynomial(a.name, slots)
+        for j in a.dindex:
+            g = partial(g, var(slots[j - 1]))
+        return substitute(g, {var(s): generic(x) for s, x in zip(slots, a.args)})
+    assert isinstance(a, Antideriv)
+    integrand, t = generic(a.integrand), Var(a.var)
+    assert t not in _reach(integrand.denominator())
+    return expr_sum(from_monomial(m, c / (dict(m.atoms).get(t, 0) + 1)) * var(a.var)
+                    for c, m in integrand.num_terms()) / integrand.denominator()
+
+
+def test_the_height_bounds_the_expanded_difference_bulk():
+    # C = N_L*D_R - N_R*D_L expanded over the integers by the kernel, with
+    # every stand-in written out in parameters: each coefficient fits in the
+    # H bits that the inventory and the reference walk agree on
+    f = jet("w", "y") + z
+    cases = [(antiderivative(func("F", y, z) * jet("w", "z") * param("c1"), "y"),
+              func("F", y, z) * y), (antiderivative(y * z * f, "z"), f * f)]
+    for i, e in seeded_cases(606, 40, transcendental=False):
+        d2 = partial(partial(e, y), z)  # slot derivatives of F, jets of order 3
+        cases.append((d2 + param("k") * e, e * f))
+    checked = 0
+    for lhs, rhs in cases:
+        inv = oracle._Inventory((lhs, rhs), 2, DEP)
+        height = inv.height(*inv.program.roots)
+        assert height == reference_miss_bound(lhs, rhs, (), 2, 1, GF.p)[1], lhs.text
+        num = (generic(lhs) - generic(rhs)).integer_form()[0]
+        assert max(map(abs, num.values()), default=0) <= 2**height, lhs.text
+        checked += bool(num)
+    assert checked > 30
 
 
 def test_antiderivative_that_is_not_a_polynomial_says_why():
@@ -568,11 +734,11 @@ class ReferenceWalk:
 
     def lincomb(self, items, value):
         ar = self.ar
-        if ar is MODULAR:
+        if isinstance(ar, oracle._Modular):
             total = 0
             for m, c in items:
                 total += c * value(m)
-            return total % MODULUS
+            return total % ar.p
         total = ar.zero
         for m, c in items:
             total = ar.add(total, ar.mul(c, value(m)))
@@ -703,7 +869,7 @@ def test_compiled_program_matches_the_walk_bulk():
         exprs = [e, d2 + func("G", e, k) * jet("w", "y", "y", "z") - as_expression(g) ** 2,
                  e / (y - z)]
         inv = oracle._Inventory(exprs, 3)
-        for ar in (RATIONALS, MODULAR):
+        for ar in (RATIONALS, GF):
             rng = Random(i)
             inst = Instantiation.for_expressions(inv, rng, DEP, arith=ar)
             pt = draw_point(rng, inv.point_names([DEP["w"]]), ar)
@@ -775,22 +941,25 @@ def replay_against_the_walk(tables, seed):
     (``Expression.from_tree``) and :class:`ReferenceWalk` walks it.  The
     tables are read as written and written apart (:func:`written_apart`), in
     both arithmetics, at a drawn point and at the same point with ``y = 0``,
-    where the denominators written apart vanish unless their shared ``y**2``
-    cancels.  Returns the outcomes by kind."""
+    where the denominators written apart vanish: the reader cancels no
+    shared ``y**2``.  Returns the outcomes by kind."""
+    apart = len(tables)
     tables = [*tables, *map(written_apart, tables)]
     prog = oracle._Program(tables)
     inv = oracle._Inventory(prog)
     exprs = [Expression.from_tree(t) for t in tables]
     seen = Counter()
-    for ar in (RATIONALS, MODULAR):
+    for ar in (RATIONALS, GF):
         rng = Random(seed)
         inst = Instantiation.for_expressions(inv, rng, DEP, arith=ar)
         pt = draw_point(rng, inv.point_names([DEP["w"]]), ar)
         for point in (pt, {**pt, "y": ar.zero}):
             run, walk = oracle._Run(prog, inst, point), ReferenceWalk(inst, point)
-            for j, x in zip(prog.roots, exprs):
+            for n, (j, x) in enumerate(zip(prog.roots, exprs)):
                 (got,), (want,) = outcomes([lambda: run.expr(j)]), outcomes([lambda: walk.expr(x)])
-                if isinstance(want, tuple) and want[0] is float:
+                if isinstance(want, tuple) and n >= apart and point["y"] == 0:
+                    assert got is AssumptionViolationError, (x.text, ar)
+                elif isinstance(want, tuple) and want[0] is float:
                     # a table written apart sums its terms in another order
                     assert got[0] is float, (x.text, ar)
                     assert math.isclose(float.fromhex(got[1]), float.fromhex(want[1]),
@@ -823,26 +992,21 @@ def written_apart(t):
     return {"atoms": atoms, "num": num, "den": den}
 
 
-def test_the_difference_guard_decides_as_the_kernel_subtraction_did_bulk():
-    # the prime choice reads the compiled term lists; the reference forms
-    # lhs - rhs in the kernel and reads the program's coefficients.  Both
-    # must pick the same prime
-    picked = Counter()
-    for _i, e in seeded_cases(505, 300):
+def test_multiples_of_an_old_prime_get_the_kernel_subtractions_verdict_bulk():
+    # each pair's tables pass exactly where the kernel's lhs - rhs is zero,
+    # though 2^61 - 1 divides each difference or all of its coefficients
+    verdicts = Counter()
+    for i, e in seeded_cases(505, 150):
         if e.is_zero():
             continue
-        for lhs, rhs in ((e * (1 - MODULUS), e), (e * (1 - MODULUS), e + y),
-                         (e * (MODULUS + 1), e), (e * 3, e * 2 + e), (e * MODULUS, e)):
-            prog = oracle._Program(tables_of(lhs, rhs))
-            if oracle._Inventory(prog).float_rules:
+        for lhs, rhs in ((e * (1 - P61), e), (e * (1 - P61), e + y), (e * (P61 + 1), e),
+                         (e * 3, e * 2 + e), (e * P61, e)):
+            got = replayed(lambda: check_identity(*tables_of(lhs, rhs), DEP, seed=i, points=2))
+            if isinstance(got, type) or got.float_rules:
                 continue
-            diff = (lhs - rhs).integer_form()[0].values()
-            coeffs = [c for num, den, _lc in prog.exprs for c, _f, _e in chain(num, den)]
-            want = next(p for p in PRIMES if all(c % p for c in coeffs)
-                        and (not diff or any(c % p for c in diff)))
-            assert oracle._field(prog, *prog.roots).p == want, e.text
-            picked[want] += 1
-    assert picked[MODULUS] > 50 and picked[PRIMES[1]] > 50, picked
+            assert got.ok == (lhs - rhs).is_zero() and got.miss_bound < 1e-15, e.text
+            verdicts[got.ok] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 100, verdicts
 
 
 VAR_Y = {"kind": "var", "name": "y"}
@@ -883,22 +1047,28 @@ def test_a_table_repeating_an_atom_in_one_monomial_reads_as_its_power():
 
 
 def test_a_table_repeating_a_monomial_reads_as_their_sum():
-    # y + (p - 1)*y is p*y: a coefficient that p divides, so GF(p) would pass
-    # it against 0; merged, it moves to the next prime as the kernel's does
-    split = table([term(1, (0, 1)), term(MODULUS - 1, (0, 1))])
+    # y + (p - 1)*y is p*y for p = 2^61 - 1: merged, it is the kernel's p*y,
+    # and fails against 0 with the same bound
+    split = table([term(1, (0, 1)), term(P61 - 1, (0, 1))])
     got, want = both_forms(split, ZERO_TABLE)
     assert got == want
-    assert not got.ok and got.miss_bound is not None and got.prime == PRIMES[1]
-    # inside an argument: f(y + (p - 1)*y) - f(0) is f(p*y) - f(0), and not a
-    # GF(p) pass against 0
+    assert not got.ok and got.miss_bound is not None
+    # inside an argument: f(y + (p - 1)*y) - f(0) is f(p*y) - f(0)
     atoms = [VAR_Y, {"kind": "func", "name": "f", "d": [], "args": [arg(split["num"])]},
              {"kind": "func", "name": "f", "d": [], "args": [arg([])]}]
     got, want = both_forms(table([term(1, (1, 1)), term(-1, (2, 1))], atoms=atoms), ZERO_TABLE)
     assert got == want
-    assert not got.ok and got.miss_bound is not None and got.prime == PRIMES[1]
-    # y - y is 0
-    got, want = both_forms(table([term(1, (0, 1)), term(-1, (0, 1))]), ZERO_TABLE)
+    assert not got.ok and got.miss_bound is not None
+    # y - y is 0, and refused as a denominator or a log argument, as the
+    # kernel refuses it
+    zero = [term(1, (0, 1)), term(-1, (0, 1))]
+    got, want = both_forms(table(zero), ZERO_TABLE)
     assert got == want and got.ok and got.miss_bound is not None
+    with pytest.raises(ValueError, match="denominator normalizes to zero"):
+        check_identity(table(ONE_TERMS, zero), ZERO_TABLE, {})
+    logged = [VAR_Y, {"kind": "log", "arg": arg(zero)}]
+    with pytest.raises(ValueError, match="log of an expression that normalizes to zero"):
+        check_identity(table([term(1, (1, 1))], atoms=logged), ZERO_TABLE, {})
 
 
 def arg(num, den=ONE_TERMS):
@@ -921,20 +1091,20 @@ def arg(num, den=ONE_TERMS):
 ], ids=["order-and-scale", "shared-power", "proportional", "negative-denominator",
         "reoriented-denominator"])
 def test_equal_arguments_written_apart_are_one_atom(first, second):
-    # the table reader repeats the kernel's normal-form rules, and atom
-    # identity rests on them agreeing: the table as written and as the
-    # kernel normalizes it both intern one f here.
-    # f(first) + (p - 1)*f(second) is p*f(first), as the kernel reads it: it
-    # moves to the next prime and fails there.  (The kernel drops an atom that cancels,
-    # the table still lists it, and a listed variable is drawn, so the
-    # points differ.)
+    # the table reader copies no normal-form rule, so as written f(first) and
+    # f(second) take two slots; their stand-ins take one value at every
+    # point, and verdicts and bounds rest on values only.  f(first) -
+    # f(second) is 0, and f(first) + (p - 1)*f(second) is p*f(first), which
+    # 2^61 - 1 would pass against 0.  Both fail or pass as the kernel's
+    # normalized tables do, with a bound no tighter than theirs
     atoms = [VAR_Y, VAR_Z, {"kind": "func", "name": "f", "d": [], "args": [first]},
              {"kind": "func", "name": "f", "d": [], "args": [second]}]
-    lhs = table([term(1, (2, 1)), term(MODULUS - 1, (3, 1))], atoms=atoms)
-    for prog in (oracle._Program([lhs]), oracle._Program([normalized(lhs)])):
-        assert sum(step[0] == oracle._FUNC for step in prog.atoms) == 1
-    for r in both_forms(lhs, ZERO_TABLE):
-        assert (r.ok, r.float_rules, r.prime) == (False, (), PRIMES[1]) and r.miss_bound
+    for coeff, ok in ((-1, True), (P61 - 1, False)):
+        lhs = table([term(1, (2, 1)), term(coeff, (3, 1))], atoms=atoms)
+        written, normalized = both_forms(lhs, ZERO_TABLE)
+        for r in (written, normalized):
+            assert (r.ok, r.float_rules) == (ok, ()) and 0 < r.miss_bound < 1e-15
+        assert written.miss_bound >= normalized.miss_bound
 
 
 def test_an_exponential_of_zero_is_one():
@@ -950,9 +1120,10 @@ def test_a_table_power_below_one_is_refused(power):
         check_identity(table([term(1, (0, power))]), ZERO_TABLE, {})
 
 
-def test_the_difference_guard_routes_tables_like_expressions():
-    for lhs, rhs, prime, rules in (((1 - MODULUS) * y, y, PRIMES[1], ()),
-                                   (MODULUS * y, y, PRIMES[1], ()),
+def test_tables_route_like_expressions():
+    # the prime seed 3 draws, or the float path, for a table as for its expression
+    gf = oracle._draw_prime(Random(3))
+    for lhs, rhs, prime, rules in (((1 - P61) * y, y, gf, ()), (P61 * y, y, gf, ()),
                                    (exp(y) * log(1 + z * z), y, None, ("exp", "log"))):
         got = check_identity(*tables_of(lhs, rhs), {}, seed=3)
         want = check_identity(lhs, rhs, {}, seed=3)
