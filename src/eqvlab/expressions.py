@@ -41,9 +41,17 @@ once per sum, other terms once each.  A total derivative is one derivation
 with one quotient rule.  It answers each atom as the differentiation meets
 it, so it walks no closure, and each jet keeps its next-higher jets.
 
-Equality (``==``) is structural identity of normal forms.  Semantic equality
-of two expressions is decided by subtracting them and asking
-:meth:`Expression.is_zero`; the subtraction brings both sides over one
+Atoms are interned: each constructor returns the one stored atom of its kind,
+names and child expressions, so atom equality and hashing are those of the
+object, and atoms that print alike (``f(y)`` over a variable and over a
+dependent variable) stay apart.  A set of atoms iterates in the order of
+their ids, which changes from run to run; whatever reaches an output sorts
+by the ordering key ``_skey`` or by text first.
+
+Equality (``==``) of expressions is structural identity of normal forms, and
+``<`` is a total order of normal forms by structure, not of values.
+Semantic equality of two expressions is decided by subtracting them and
+asking :meth:`Expression.is_zero`; the subtraction brings both sides over one
 denominator exactly, so it is an exact zero test in the field of fractions
 freely generated by the atoms.
 
@@ -54,8 +62,11 @@ objects and are safe to share between threads.
 from __future__ import annotations
 
 import operator
+import threading
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import total_ordering
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -114,40 +125,68 @@ def _check_name(name: str, what: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Atoms
+#
+# Hash-consed (Filliatre & Conchon 2006): one table, keyed by each atom's
+# structure, holds every live atom, so per-atom caches (``_below``,
+# ``Jet._next``) are shared too.  Leaf atoms look themselves up before
+# anything is built.  The table holds weak references and keeps no atom
+# alive; a store happens under a lock, so two threads that build one atom
+# get one object.
+
+_ATOMS = weakref.WeakValueDictionary()
+_TABLE = _ATOMS.data  # key -> weak reference, read without the lock
+_LOCK = threading.Lock()
+
+
+def _interned(key: tuple, atom: "Atom") -> "Atom":
+    """The atom stored under ``key``, after storing ``atom`` there if none is."""
+    with _LOCK:
+        ref = _TABLE.get(key)
+        if ref is not None:
+            old = ref()
+            if old is not None:
+                return old
+        _ATOMS[key] = atom
+    return atom
 
 
 class Atom:
-    """A generator of the polynomial layer.  Immutable.
+    """A generator of the polynomial layer.  Immutable and interned.
 
-    Atoms of different kinds are mutually independent for differentiation.
-    The ``text`` form is injective within a kind, so ``(rank, text)`` is a
-    faithful identity; it doubles as the deterministic ordering key.
+    Two atoms are equal exactly when they are one object: the constructors
+    return the stored atom of the same kind, names and child expressions.
+    The ``text`` form is not injective: ``f(y)`` over the variable ``y`` and
+    over the dependent variable ``y`` print alike.  The ordering key
+    ``_skey`` is ``(rank, text)``, and for atoms with children also the
+    children, which order such twins by structure (``Expression.__lt__``),
+    so it is total and never depends on object ids.
     """
 
-    __slots__ = ("_text", "_hash", "_skey", "_below")
+    __slots__ = ("_text", "_skey", "_below", "__weakref__")
     rank = -1
+    _fields: tuple = ()  # the constructor's arguments, by attribute name
 
-    def _seal(self):
-        # every subclass calls this last: freezes the (rank, text) identity
-        # key that monomial merging and sorting read straight off the slot
-        self._hash = hash((self.rank, self._text))
-        self._skey = (self.rank, self._text)
+    def _seal(self, key: tuple) -> "Atom":
+        # every subclass calls this last on a miss: the ordering key, then
+        # the stored atom of this structure, which is this one unless another
+        # thread stored it first
+        children = self.children()
+        self._skey = (self.rank, self._text, children) if children else (
+            self.rank, self._text)
         self._below = None  # atoms inside, cached for composite atoms only
+        return _interned(key, self)
 
     @property
     def text(self) -> str:
         return self._text
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Atom) and self.rank == other.rank and self._text == other._text
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return self._text
+
+    def __reduce__(self):
+        # through the constructor, so a copy or an unpickled atom is the one
+        # stored atom, not a twin that would compare unequal
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def children(self) -> tuple:
         """Inner expressions (function arguments, integrands, log arguments)."""
@@ -165,11 +204,15 @@ class Var(Atom):
 
     __slots__ = ("name",)
     rank = 0
+    _fields = ("name",)
 
-    def __init__(self, name: str):
-        self.name = _check_name(name, "variable")
-        self._text = name
-        self._seal()
+    def __new__(cls, name: str):
+        ref = _TABLE.get((0, name))
+        if ref is not None and (got := ref()) is not None:
+            return got
+        self = object.__new__(cls)
+        self.name = self._text = _check_name(name, "variable")
+        return self._seal((0, name))
 
 
 class Jet(Atom):
@@ -183,13 +226,23 @@ class Jet(Atom):
 
     __slots__ = ("dep", "index", "_next")
     rank = 1
+    _fields = ("dep", "index")
 
-    def __init__(self, dep: str, index: Iterable[str] = ()):
+    def __new__(cls, dep: str, index: Iterable[str] = ()):
+        index = tuple(index)
+        try:
+            key = (1, dep, tuple(sorted(index)))
+            ref = _TABLE.get(key)
+        except TypeError:  # names of no stored jet; the checks below refuse them
+            ref = None
+        if ref is not None and (got := ref()) is not None:
+            return got
+        self = object.__new__(cls)
         self.dep = _check_name(dep, "dependent variable")
         self.index = tuple(sorted(_check_name(i, "jet index") for i in index))
         self._text = self.dep if not self.index else "D[%s,%s]" % (self.dep, ",".join(self.index))
         self._next = None  # next-higher jets by variable name, filled by higher()
-        self._seal()
+        return self._seal(key)
 
     @property
     def order(self) -> int:
@@ -216,11 +269,15 @@ class Param(Atom):
 
     __slots__ = ("name",)
     rank = 2
+    _fields = ("name",)
 
-    def __init__(self, name: str):
-        self.name = _check_name(name, "parameter")
-        self._text = name
-        self._seal()
+    def __new__(cls, name: str):
+        ref = _TABLE.get((2, name))
+        if ref is not None and (got := ref()) is not None:
+            return got
+        self = object.__new__(cls)
+        self.name = self._text = _check_name(name, "parameter")
+        return self._seal((2, name))
 
 
 class Func(Atom):
@@ -233,21 +290,28 @@ class Func(Atom):
 
     __slots__ = ("name", "arity", "dindex", "args")
     rank = 3
+    _fields = ("name", "args", "dindex")
 
-    def __init__(self, name: str, args: Sequence[ExpressionLike], dindex: Iterable[int] = ()):
+    def __new__(cls, name: str, args: Sequence[ExpressionLike], dindex: Iterable[int] = ()):
+        args = tuple(map(as_expression, args))
+        dindex = tuple(sorted(dindex))
+        key = (3, name, dindex, args)
+        ref = _TABLE.get(key)
+        if ref is not None and (got := ref()) is not None:
+            return got
+        self = object.__new__(cls)
         self.name = _check_name(name, "function")
-        self.args = tuple(as_expression(a) for a in args)
-        self.arity = len(self.args)
+        self.args = args
+        self.arity = len(args)
         if self.arity == 0:
             raise ValueError(f"function {name!r} needs at least one argument")
-        self.dindex = tuple(sorted(dindex))
-        for s in self.dindex:
+        self.dindex = dindex
+        for s in dindex:
             if not isinstance(s, int) or not 1 <= s <= self.arity:
                 raise ValueError(f"derivative slot {s!r} outside 1..{self.arity} for {name!r}")
-        head = self.name if not self.dindex else "D[%s,%s]" % (
-            self.name, ",".join(str(s) for s in self.dindex))
-        self._text = head + "(" + ",".join(a.text for a in self.args) + ")"
-        self._seal()
+        head = name if not dindex else "D[%s,%s]" % (name, ",".join(str(s) for s in dindex))
+        self._text = head + "(" + ",".join(a.text for a in args) + ")"
+        return self._seal(key)
 
     def children(self):
         return self.args
@@ -268,12 +332,19 @@ class Antideriv(Atom):
 
     __slots__ = ("integrand", "var")
     rank = 4
+    _fields = ("integrand", "var")
 
-    def __init__(self, integrand: ExpressionLike, var: str):
-        self.integrand = as_expression(integrand)
+    def __new__(cls, integrand: ExpressionLike, var: str):
+        integrand = as_expression(integrand)
+        key = (4, var, integrand)
+        ref = _TABLE.get(key)
+        if ref is not None and (got := ref()) is not None:
+            return got
+        self = object.__new__(cls)
+        self.integrand = integrand
         self.var = _check_name(var, "integration variable")
-        self._text = "int(%s,%s)" % (self.integrand.text, self.var)
-        self._seal()
+        self._text = "int(%s,%s)" % (integrand.text, var)
+        return self._seal(key)
 
     def children(self):
         return (self.integrand,)
@@ -287,13 +358,20 @@ class Log(Atom):
 
     __slots__ = ("arg",)
     rank = 5
+    _fields = ("arg",)
 
-    def __init__(self, arg: ExpressionLike):
-        self.arg = as_expression(arg)
-        if self.arg.is_zero():
+    def __new__(cls, arg: ExpressionLike):
+        arg = as_expression(arg)
+        key = (5, arg)
+        ref = _TABLE.get(key)
+        if ref is not None and (got := ref()) is not None:
+            return got
+        self = object.__new__(cls)
+        self.arg = arg
+        if arg.is_zero():
             raise ZeroDenominatorError("log of an expression that normalizes to zero")
-        self._text = "log(%s)" % self.arg.text
-        self._seal()
+        self._text = "log(%s)" % arg.text
+        return self._seal(key)
 
     def children(self):
         return (self.arg,)
@@ -346,10 +424,12 @@ class Monomial:
         return m
 
     def order_key(self):
-        # a print order, not a monomial order: x*z < y^2 but x^2*z > x*y^2
+        # a print order, not a monomial order: x*z < y^2 but x^2*z > x*y^2.
+        # Total: exponential arguments that print alike compare by structure
         if self._key is None:
-            ek = "" if self.exparg is None else self.exparg.text
-            self._key = (tuple((a.rank, a.text, p) for a, p in self.atoms), ek)
+            ea = self.exparg
+            ek = () if ea is None else (ea.text, ea)
+            self._key = (tuple((a._skey, p) for a, p in self.atoms), ek)
         return self._key
 
     def __eq__(self, other):
@@ -365,6 +445,10 @@ class Monomial:
     def __repr__(self):
         return "Monomial(%s)" % self.text("1")
 
+    def __reduce__(self):
+        # the hash is of atom ids: a copy hashes afresh
+        return Monomial, (self.atoms, self.exparg)
+
     def __mul__(self, other: "Monomial") -> "Monomial":
         a, b = self.atoms, other.atoms
         if not a:
@@ -376,20 +460,20 @@ class Monomial:
                 return self
             merged = a
         else:
-            # both sides are sorted by the atom identity key; merge them
+            # both sides are sorted by the atom ordering key; merge them,
+            # adding the powers of one atom, which is one object
             out = []
             i = j = 0
             na, nb = len(a), len(b)
             while i < na and j < nb:
                 pa = a[i]
                 pb = b[j]
-                ka = pa[0]._skey
-                kb = pb[0]._skey
-                if ka == kb:
-                    out.append((pa[0], pa[1] + pb[1]))
+                xa = pa[0]
+                if xa is pb[0]:
+                    out.append((xa, pa[1] + pb[1]))
                     i += 1
                     j += 1
-                elif ka < kb:
+                elif xa._skey < pb[0]._skey:
                     out.append(pa)
                     i += 1
                 else:
@@ -539,14 +623,14 @@ def _pdiv_exact(b: dict, a: dict) -> tuple[dict, int] | None:
         if cb and all(ca * b.get(m, 0) == cb * c for m, c in a.items()):
             g = gcd(ca, cb) if ca > 0 else -gcd(ca, cb)
             return {_ONE_M: cb // g}, ca // g
-    atoms: dict = {}  # _skey -> atom; keys hash in C, atoms through Atom.__hash__
+    atoms = set()
     deg_b = 0
     for m in b:
         if m.exparg is not None:
             return None
         d = 0
         for x, p in m.atoms:
-            atoms[x._skey] = x
+            atoms.add(x)
             d += p
         deg_b = max(deg_b, d)
     for m in a:
@@ -554,23 +638,23 @@ def _pdiv_exact(b: dict, a: dict) -> tuple[dict, int] | None:
             return None
         d = 0
         for x, p in m.atoms:
-            if x._skey not in atoms:
+            if x not in atoms:
                 return None
             d += p
         if d > deg_b:
             return None
     # no exponent or degree met in the division exceeds deg_b, so fields hold
     width = deg_b.bit_length() + 1
-    order = sorted(atoms)
+    order = sorted(atoms, key=lambda x: x._skey)
     n = len(order)
-    shift = {key: width * (n - 1 - i) for i, key in enumerate(order)}
+    shift = {x: width * (n - 1 - i) for i, x in enumerate(order)}
     deg_shift = width * n
     guards = sum(1 << (width * i + width - 1) for i in range(n + 1))
 
     def pack(m):
         t = 0
         for x, p in m.atoms:
-            t += (p << shift[x._skey]) + (p << deg_shift)
+            t += (p << shift[x]) + (p << deg_shift)
         return t
 
     r = {pack(m): c for m, c in b.items()}
@@ -601,8 +685,8 @@ def _pdiv_exact(b: dict, a: dict) -> tuple[dict, int] | None:
             else:
                 del r[u]
     mask = (1 << width) - 1
-    return {Monomial._raw(tuple((atoms[key], p) for key in order
-                                if (p := t >> shift[key] & mask)), None): c
+    return {Monomial._raw(tuple((x, p) for x in order
+                                if (p := t >> shift[x] & mask)), None): c
             for t, c in q.items()}, k
 
 
@@ -617,6 +701,7 @@ def _monic(p: dict, lc: int) -> dict:
 # Expressions
 
 
+@total_ordering
 class Expression:
     """A normal-form quotient of two polynomials over the atoms.
 
@@ -736,6 +821,18 @@ class Expression:
                 frozenset(self._den.items()),
             ))
         return self._hash
+
+    def __lt__(self, other):
+        # by the text of the atom tables, which are exactly invertible;
+        # atoms that print alike compare their children by it in ``_skey``
+        if not isinstance(other, Expression):
+            return NotImplemented
+        return repr(self.to_tree()) < repr(other.to_tree())
+
+    def __reduce__(self):
+        # hashes are of atom ids, so a copy, above all one unpickled in
+        # another process, rebuilds its monomials and hashes afresh
+        return Expression, (self._num, self._den)
 
     # -- arithmetic
 
@@ -1121,7 +1218,8 @@ def _atoms_of(exprs):
 
 def _below(a: Atom) -> tuple:
     """The distinct atoms inside ``a`` at any depth, cached on composite atoms
-    (filled children first from an explicit stack); ``()`` for a leaf atom."""
+    (filled children first from an explicit stack); ``()`` for a leaf atom.
+    The order is that of a set, of ids: callers use it as a set."""
     if a._below is None and a.children():
         stack = [a]
         while stack:
@@ -1388,8 +1486,7 @@ def rename_atoms(e: ExpressionLike, mapping: Mapping[Atom, Atom]) -> Expression:
     if not mapping:
         return e
 
-    # keyed by the identity key, which hashes without a Python call
-    get = {a._skey: b for a, b in mapping.items()}.get
+    get = mapping.get
 
     def rename(p: dict) -> dict:
         out = {}
@@ -1397,7 +1494,7 @@ def rename_atoms(e: ExpressionLike, mapping: Mapping[Atom, Atom]) -> Expression:
             atoms = m.atoms
             new = None
             for i, (a, k) in enumerate(atoms):
-                b = get(a._skey)
+                b = get(a)
                 if b is not None:
                     if new is None:
                         new = list(atoms)

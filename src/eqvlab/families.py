@@ -221,18 +221,18 @@ class EquationFamily:
                      tuple(sorted(self.slots, key=lambda s: s.name))))
 
     def _template_key(self) -> tuple:
-        """Everything the family's template is, in strings and ints, so that
-        it hashes and compares in C: the name, the variables, the dependent
-        variable, the lead monomial as ``((rank, text), power)`` pairs, then
-        per slot, in order, its name, its arguments' ``(rank, text)`` keys and
-        its monomial's pairs.  Built once, on first use."""
+        """Everything the family's template is, in strings, ints and atoms,
+        so that it hashes and compares in C (an atom is interned: it hashes
+        and compares as an object): the name, the variables, the dependent
+        variable, the lead monomial as ``(atom, power)`` pairs, then per
+        slot, in order, its name, its argument atoms and its monomial's
+        pairs.  Built once, on first use."""
         key = self._key
         if key is None:
-            lead, *monos = [tuple((a._skey, k) for a, k in m.atoms) for m in self._monomials]
+            lead, *monos = [m.atoms for m in self._monomials]
             key = self._key = (
                 self.name, self.indep_vars, self.dep, lead,
-                tuple((s.name, tuple(a._skey for a in s.args), m)
-                      for s, m in zip(self.slots, monos)))
+                tuple((s.name, s.args, m) for s, m in zip(self.slots, monos)))
         return key
 
     def equation(self, coefficients: Mapping[str, ExpressionLike]) -> Expression:

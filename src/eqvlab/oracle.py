@@ -333,9 +333,43 @@ def _is_prime(n: int) -> bool:
 def _draw_prime(rng: Random) -> int:
     """A prime drawn uniformly from those in [2^61, 2^62): uniform odd
     candidates until one is prime."""
+    return _counted_prime(rng)[0]
+
+
+def _counted_prime(rng: Random) -> tuple[int, int]:
+    """:func:`_draw_prime`'s prime and the number of candidates it drew."""
+    count = 1
     while not _is_prime(n := rng.randrange(1 << _PRIME_BITS, 2 << _PRIME_BITS) | 1):
-        pass
-    return n
+        count += 1
+    return n, count
+
+
+# (type, seed) -> (prime, candidates): the draw of a generator fresh from
+# that seed; the type keeps apart seeds that are equal but seed apart, 2**70
+# and 2.0**70
+_SEEDED_PRIMES: dict = {}
+_SEEDED_PRIMES_MAX = 1024
+
+
+def _seeded_prime(rng: Random, seed) -> int:
+    """``_draw_prime(rng)`` for ``rng`` fresh from ``seed``, leaving ``rng``
+    where that draw leaves it.  Each seed's draw is kept: a later check of
+    the seed replays its candidates without a primality test."""
+    key = (type(seed), seed)
+    try:
+        got = _SEEDED_PRIMES.get(key)
+    except TypeError:  # an unhashable seed, a bytearray: drawn each time
+        return _draw_prime(rng)
+    if got is None:
+        got = _counted_prime(rng)
+        if len(_SEEDED_PRIMES) >= _SEEDED_PRIMES_MAX:
+            del _SEEDED_PRIMES[next(iter(_SEEDED_PRIMES))]
+        _SEEDED_PRIMES[key] = got
+        return got[0]
+    p, count = got
+    for _ in range(count):
+        rng.randrange(1 << _PRIME_BITS, 2 << _PRIME_BITS)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -1187,7 +1221,8 @@ def check_identity(
         raise ValueError(f"points must be at least 1, got {points!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    rng = Random(DEFAULT_SEED if seed is None else seed)
+    seed = DEFAULT_SEED if seed is None else seed
+    rng = Random(seed)
     inv = _Inventory(prog, dep_vars=dep_vars)
     li, ri, *assumed = prog.roots
     if inv.float_rules:  # an exp or log needs real values
@@ -1195,7 +1230,7 @@ def check_identity(
         inv.degree_bound(li, ri, assumed, _MAX_FLOAT_DEGREE, "exceeds 2^16, beyond what "
                          "exact rational evaluation reaches in reasonable time")
     else:
-        ar = _Modular(_draw_prime(rng))
+        ar = _Modular(_seeded_prime(rng, seed))
         bound = inv.miss_bound(li, ri, assumed, points, ar.p)
     names = inv.point_names(tuple(dep_vars[d]) for d in inv.deps if d in dep_vars)
     failed = 0

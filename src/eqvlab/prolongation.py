@@ -166,11 +166,12 @@ class PointTransformation:
             if stray:
                 raise DegenerateTransformationError(
                     f"map for {name!r} uses undeclared variables {sorted(stray)}")
-            for j in deps.jets:
-                if j.dep != self.new_dep or j.order != 0:
-                    raise DegenerateTransformationError(
-                        f"map for {name!r} involves the jet {j.text}; "
-                        "a point transformation may only use the bare dependent variable")
+            # the first by text: a set of atoms iterates in the order of their ids
+            bad = sorted(j.text for j in deps.jets if j.dep != self.new_dep or j.order != 0)
+            if bad:
+                raise DegenerateTransformationError(
+                    f"map for {name!r} involves the jet {bad[0]}; "
+                    "a point transformation may only use the bare dependent variable")
 
     def __repr__(self):
         pieces = ["%s = %s" % (n, self.indep_map[n].text) for n in self.old_vars]
@@ -349,12 +350,12 @@ class ProlongedMap:
         if stray_vars:
             raise VariableMismatchError(
                 f"expression uses variables {sorted(stray_vars)} outside {tr.old_vars}")
-        for j in deps.jets:
-            if j.dep != tr.old_dep:
-                raise VariableMismatchError(
-                    f"expression involves jets of {j.dep!r}; transformation handles {tr.old_dep!r}")
+        others = {j.dep for j in deps.jets} - {tr.old_dep}
+        if others:
+            raise VariableMismatchError(f"expression involves jets of {min(others)!r}; "
+                                        f"transformation handles {tr.old_dep!r}")
         binds = tr.as_bindings()
-        # in order of the jets, so that ``entries`` does not follow the hash seed
+        # in order of the jets, so that ``entries`` does not follow the atom ids
         for j in sorted(deps.jets, key=lambda a: (a.order, a.index)):
             if j.order:
                 binds[j] = self[j.index]

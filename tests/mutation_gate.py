@@ -70,6 +70,8 @@ ONE_SPLIT = f"{FAMILIES}::test_one_split_match_equals_the_two_pass_match_bulk"
 KERNEL = "tests/test_expr_kernel.py"
 RENAME = f"{KERNEL}::test_rename_atoms_keeps_terms_and_refuses_a_reordering_map"
 RENAME_BULK = f"{KERNEL}::test_rename_atoms_matches_the_full_order_check_bulk"
+ATOMS = "tests/test_atoms.py"
+TWINS = f"{ATOMS}::test_atoms_that_print_alike_are_apart_when_their_structure_is"
 # a power inside an exp or log argument, at a size the unbounded path survives
 ARG_CAP = "tests/test_cli.py::test_float_replay_of_a_high_power_in_an_argument_exits_2_at_once"
 TEMPLATES = "tests/test_cli.py::test_family_template_terms_need_coefficient_one"
@@ -104,6 +106,12 @@ MUTANTS = (
     Mutant("an antiderivative's divisors left uncleared", "oracle.py",
            "clear = _LCM_BITS * (n + 1)", "clear = 0",
            (REFERENCE, HEIGHT)),
+    Mutant("the prime memo ignores the seed", "oracle.py",
+           "got = _SEEDED_PRIMES.get(key)", "got = next(iter(_SEEDED_PRIMES.values()), None)",
+           (f"{ORACLE}::test_a_seed_draws_its_prime_once_and_replays_it",)),
+    Mutant("a replayed draw leaves the generator one candidate short", "oracle.py",
+           "    for _ in range(count):\n", "    for _ in range(count - 1):\n",
+           (f"{ORACLE}::test_a_seed_draws_its_prime_once_and_replays_it",)),
     # evaluation, stand-in degrees and routing
     Mutant("slot-derivative multiplier dropped", "oracle.py",
            "terms.append((expo, c if k == 1 else mul(c, k)))", "terms.append((expo, c))",
@@ -227,7 +235,7 @@ MUTANTS = (
            "for s, m in sorted(zip(self.slots, monos), key=lambda sm: sm[0].name)))",
            (f"{WRITTEN}[hyper-a3-a1-a2]", TEMPLATE_KEY)),
     Mutant("the template key leaves out the slot arguments", "families.py",
-           "tuple((s.name, tuple(a._skey for a in s.args), m)", "tuple((s.name, m)",
+           "tuple((s.name, s.args, m)", "tuple((s.name, m)",
            (TEMPLATE_KEY,)),
     Mutant("the table keys the family through its __eq__", "families.py",
            "(family._template_key(), new_vars, new_dep)", "(family, new_vars, new_dep)",
@@ -272,6 +280,23 @@ MUTANTS = (
     Mutant("the rename's order check lets an atom equal its neighbour", "expressions.py",
            "prev is not None and prev >= key", "prev is not None and prev > key",
            (RENAME, RENAME_BULK)),
+    # interned atoms: the key, the store, the merge and the order of twins
+    Mutant("the intern key is the text alone", "expressions.py",
+           "        return _interned(key, self)\n",
+           "        return _interned((self.rank, self._text), self)\n",
+           (f"{TWINS}[f-of-y]", f"{TWINS}[f-of-c]")),
+    Mutant("a miss builds a fresh atom without storing it", "expressions.py",
+           "        _ATOMS[key] = atom\n", "        pass\n",
+           (f"{ATOMS}::test_equal_atoms_are_one_object",
+            f"{ATOMS}::test_four_threads_building_the_same_atoms_get_the_same_objects")),
+    Mutant("the monomial merge keys atoms by rank and text", "expressions.py",
+           "                if xa is pb[0]:\n",
+           "                if xa._skey[:2] == pb[0]._skey[:2]:\n",
+           (f"{TWINS}[f-of-y]",)),
+    Mutant("twins that print alike left unordered", "expressions.py",
+           "        return repr(self.to_tree()) < repr(other.to_tree())\n",
+           "        return False\n",
+           (f"{ATOMS}::test_twins_sort_by_structure_whichever_is_built_first",)),
     # the session parser and the template reader it positions the errors of
     Mutant("binary minus parsed as plus", "parser.py",
            "                e = e - self.term()\n", "                e = e + self.term()\n",

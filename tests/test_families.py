@@ -248,7 +248,8 @@ def test_equal_template_pairs_built_apart_share_one_enlargement_check(monkeypatc
 
 def test_warm_lookups_compare_no_expressions_slots_or_atoms(monkeypatch):
     # families built fresh for each instance, as a batch builds them, meet
-    # warm tables: each lookup hashes and compares strings and ints only
+    # warm tables: each lookup hashes and compares strings, ints and atoms,
+    # and an interned atom hashes and compares as an object, in C
     def batch():
         return [(catalog("glin", 3), catalog("gliny", 3)), (catalog("hyper"), catalog("hyperu")),
                 (catalog("hyperxp"), catalog("hyperu")), (catalog("hypertt"), catalog("hyperu"))]
@@ -267,9 +268,11 @@ def test_warm_lookups_compare_no_expressions_slots_or_atoms(monkeypatch):
     def compared(*args):
         raise AssertionError("a lookup compared or hashed an expression, slot or atom")
 
-    for cls in (Expression, CoefficientSlot, expressions.Atom):
+    for cls in (Expression, CoefficientSlot):
         for name in ("__eq__", "__hash__"):
             monkeypatch.setattr(cls, name, compared)
+    assert expressions.Atom.__hash__ is object.__hash__
+    monkeypatch.setattr(expressions.Atom, "__eq__", compared)
     for fam_a, fam_b in fresh:
         lookups(fam_a, fam_b)
 

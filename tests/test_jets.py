@@ -284,6 +284,11 @@ def test_point_transformation_rejects_jets_in_maps():
         PointTransformation(
             ("t", "x"), "u", ("y", "z"), "w",
             {"t": y, "x": z}, jet("w", "y"))
+    # of several, the message names the first by text, whatever the atom ids
+    with pytest.raises(Exception, match=r"the jet D\[w,y\];"):
+        PointTransformation(
+            ("t", "x"), "u", ("y", "z"), "w",
+            {"t": y, "x": z}, jet("w", "z") + jet("w", "y") + jet("v"))
 
 
 def test_assumptions_record_only_the_jacobian_determinant():
@@ -305,6 +310,8 @@ def test_apply_rejects_foreign_jets_and_variables():
     pm = transform_derivatives(tr)
     with pytest.raises(VariableMismatchError):
         pm.apply(jet("q", "t"))
+    with pytest.raises(VariableMismatchError, match="jets of 'p'"):
+        pm.apply(jet("u", "t") + jet("r", "x") + jet("q", "t") + jet("p"))
     with pytest.raises(VariableMismatchError):
         pm.apply(var("elsewhere"))
     # a jet's index names count as variables of the expression

@@ -393,6 +393,41 @@ def test_the_prime_is_drawn_from_the_seed():
     assert len(set(drawn.values())) == 40
 
 
+SEEDS = (0, 1, 3, 7, 1729, -1, 2**70, 2.0**70, "seed")
+
+
+def test_a_seed_draws_its_prime_once_and_replays_it(monkeypatch):
+    monkeypatch.setattr(oracle, "_SEEDED_PRIMES", {})
+    for _ in range(2):  # drawn, then replayed from the memo
+        for seed in SEEDS:
+            rng, fresh = Random(seed), Random(seed)
+            assert oracle._seeded_prime(rng, seed) == oracle._draw_prime(fresh)
+            assert rng.getstate() == fresh.getstate()
+    assert len(oracle._SEEDED_PRIMES) == len(SEEDS)
+    # a full memo drops its oldest entry for each new one
+    monkeypatch.setattr(oracle, "_SEEDED_PRIMES_MAX", len(SEEDS))
+    for seed in range(100, 110):
+        oracle._seeded_prime(Random(seed), seed)
+    assert list(oracle._SEEDED_PRIMES) == [(int, s) for s in range(101, 110)]
+
+
+def test_checks_are_the_same_with_the_prime_memo_cold_warm_or_off(monkeypatch):
+    cases = [(y * z, z * y, ()), ((y + 1) ** 2, y * y + 2 * y + 1, ()),
+             (func("f", y) * y, y * func("f", y) + 1, ()),
+             (jet("w", "y") / y, jet("w", "y") / y, (y,))]
+
+    def results():
+        return [check_identity(lhs, rhs, DEP, seed=seed, assumptions=a)
+                for seed in SEEDS[:6] for lhs, rhs, a in cases]
+
+    monkeypatch.setattr(oracle, "_SEEDED_PRIMES", {})
+    cold = results()
+    assert results() == cold
+    monkeypatch.setattr(oracle, "_seeded_prime", lambda rng, seed: oracle._draw_prime(rng))
+    assert results() == cold
+    assert [r.ok for r in cold] == [True, True, False, True] * 6
+
+
 def test_primality_agrees_with_trial_division():
     sieve = bytearray([1]) * 10**5
     sieve[:2] = b"\0\0"
