@@ -41,12 +41,13 @@ once per sum, other terms once each.  A total derivative is one derivation
 with one quotient rule.  It answers each atom as the differentiation meets
 it, so it walks no closure, and each jet keeps its next-higher jets.
 
-Atoms are interned: each constructor returns the one stored atom of its kind,
-names and child expressions, so atom equality and hashing are those of the
-object, and atoms that print alike (``f(y)`` over a variable and over a
-dependent variable) stay apart.  A set of atoms iterates in the order of
-their ids, which changes from run to run; whatever reaches an output sorts
-by the ordering key ``_skey`` or by text first.
+Atoms and monomials are interned: each constructor returns the one stored
+atom of its kind, names and child expressions, and the one stored monomial of
+its atom powers and exponential argument, so their equality and hashing are
+those of the object and run in C, and atoms that print alike (``f(y)`` over a
+variable and over a dependent variable) stay apart.  A set of atoms iterates
+in the order of their ids, which changes from run to run; whatever reaches an
+output sorts by the ordering key ``_skey`` or by text first.
 
 Equality (``==``) of expressions is structural identity of normal forms, and
 ``<`` is a total order of normal forms by structure, not of values.
@@ -64,6 +65,7 @@ from __future__ import annotations
 import operator
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
@@ -124,30 +126,59 @@ def _check_name(name: str, what: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Atoms
+# Hash-consing (Filliatre & Conchon 2006)
 #
-# Hash-consed (Filliatre & Conchon 2006): one table, keyed by each atom's
-# structure, holds every live atom, so per-atom caches (``_below``,
-# ``Jet._next``) are shared too.  Leaf atoms look themselves up before
-# anything is built.  The table holds weak references and keeps no atom
-# alive; a store happens under a lock, so two threads that build one atom
-# get one object.
+# Atoms and monomials are each stored in one table keyed by their structure,
+# so equal ones are one object and per-object caches (``_below``,
+# ``Jet._next``, a monomial's order key and cofactors) are shared too.  A
+# table maps a key to a weak reference that carries the key; it keeps no
+# object alive, and when an object dies the reference's callback drops the
+# entry, but only while it is still dead, so a live successor stays.  A miss
+# stores with ``dict.setdefault``, so threads that build one object get one
+# object; only replacing a dead entry takes the lock.
 
-_ATOMS = weakref.WeakValueDictionary()
-_TABLE = _ATOMS.data  # key -> weak reference, read without the lock
+_TABLE: dict = {}  # atom key -> _AtomRef
+_MONOMIALS: dict = {}  # monomial key -> _MonomialRef
 _LOCK = threading.Lock()
 
 
-def _interned(key: tuple, atom: "Atom") -> "Atom":
-    """The atom stored under ``key``, after storing ``atom`` there if none is."""
-    with _LOCK:
-        ref = _TABLE.get(key)
-        if ref is not None:
-            old = ref()
-            if old is not None:
-                return old
-        _ATOMS[key] = atom
-    return atom
+def _dead(ref, remove=_remove_dead_weakref):
+    # a default argument, so the callback still works while the module is
+    # torn down at exit
+    remove(ref.table, ref.key)
+
+
+class _AtomRef(weakref.ref):
+    __slots__ = ("key",)
+    table = _TABLE
+
+
+class _MonomialRef(weakref.ref):
+    __slots__ = ("key",)
+    table = _MONOMIALS
+
+
+def _interned(kind: type, key, obj):
+    """The object stored under ``key`` in ``kind.table``, after storing ``obj``
+    there if none is."""
+    ref = kind(obj, _dead)
+    ref.key = key
+    table = kind.table
+    while True:
+        got = table.setdefault(key, ref)
+        if got is ref:
+            return obj
+        old = got()
+        if old is not None:
+            return old
+        with _LOCK:
+            _remove_dead_weakref(table, key)
+
+
+# ---------------------------------------------------------------------------
+# Atoms
+#
+# Leaf atoms look themselves up before anything is built.
 
 
 class Atom:
@@ -174,7 +205,7 @@ class Atom:
         self._skey = (self.rank, self._text, children) if children else (
             self.rank, self._text)
         self._below = None  # atoms inside, cached for composite atoms only
-        return _interned(key, self)
+        return _interned(_AtomRef, key, self)
 
     @property
     def text(self) -> str:
@@ -391,11 +422,17 @@ class Monomial:
     powers, sorted by the atom ordering key.  ``exparg`` is the exponential's
     argument expression, or ``None`` when there is no exponential factor.
     The constructor adds up the powers of an atom given more than once.
+
+    Monomials are hash-consed like atoms: every way of building one returns
+    the one stored monomial of its atoms and exponential argument, so two
+    monomials are equal exactly when they are one object, and they compare
+    and hash as objects.  The print order key and the cofactors are kept on
+    the monomial.
     """
 
-    __slots__ = ("atoms", "exparg", "_hash", "_key")
+    __slots__ = ("atoms", "exparg", "_key", "_cof", "__weakref__")
 
-    def __init__(self, atoms: Iterable[tuple[Atom, int]] = (), exparg: "Expression | None" = None):
+    def __new__(cls, atoms: Iterable[tuple[Atom, int]] = (), exparg: "Expression | None" = None):
         powers: dict[Atom, int] = {}
         for a, p in atoms:
             if type(p) is not int:
@@ -405,23 +442,24 @@ class Monomial:
         if any(p < 0 for _, p in pairs):
             raise ValueError("monomial powers must be positive")
         pairs.sort(key=lambda ap: ap[0]._skey)
-        self.atoms = tuple(pairs)
         if exparg is not None and exparg.is_zero():
             exparg = None
-        self.exparg = exparg
-        self._hash = hash((self.atoms, self.exparg))
-        self._key = None
+        return Monomial._raw(tuple(pairs), exparg)
 
     @staticmethod
     def _raw(atoms: tuple, exparg: "Expression | None") -> "Monomial":
         # trusted constructor: atoms already sorted, powers positive, exparg
         # already None when zero; skips all validation on the hot paths
+        key = atoms if exparg is None else (atoms, exparg)
+        ref = _MONOMIALS.get(key)
+        if ref is not None and (m := ref()) is not None:
+            return m
         m = object.__new__(Monomial)
         m.atoms = atoms
         m.exparg = exparg
-        m._hash = hash((atoms, exparg))
         m._key = None
-        return m
+        m._cof = None  # cofactors by atom, filled by cofactor()
+        return _interned(_MonomialRef, key, m)
 
     def order_key(self):
         # a print order, not a monomial order: x*z < y^2 but x^2*z > x*y^2.
@@ -432,21 +470,12 @@ class Monomial:
             self._key = (tuple((a._skey, p) for a, p in self.atoms), ek)
         return self._key
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Monomial)
-            and self.atoms == other.atoms
-            and self.exparg == other.exparg
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return "Monomial(%s)" % self.text("1")
 
     def __reduce__(self):
-        # the hash is of atom ids: a copy hashes afresh
+        # through the constructor, so a copy or an unpickled monomial is the
+        # stored one
         return Monomial, (self.atoms, self.exparg)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
@@ -493,15 +522,34 @@ class Monomial:
         return Monomial._raw(merged, ea)
 
     def without(self, powers: Mapping[Atom, int]) -> "Monomial":
-        """The monomial divided by the given atom powers (must divide exactly)."""
+        """The monomial divided by the given atom powers, which must divide
+        it exactly; raises ``ValueError`` otherwise."""
         out = []
+        met = 0
         for a, p in self.atoms:
-            q = p - powers.get(a, 0)
-            if q < 0:
-                raise ValueError("monomial division is not exact")
-            if q:
-                out.append((a, q))
+            q = powers.get(a)
+            if q is not None:
+                met += 1
+                p -= q
+                if p < 0:
+                    raise ValueError("monomial division is not exact")
+            if p:
+                out.append((a, p))
+        if met != len(powers):  # a divisor atom this monomial lacks
+            raise ValueError("monomial division is not exact")
         return Monomial._raw(tuple(out), self.exparg)
+
+    def cofactor(self, atom: Atom) -> "Monomial":
+        """The monomial divided by ``atom`` once, which it must contain; kept
+        on this monomial once asked for.  Two threads may both build it; the
+        monomials are one object."""
+        cof = self._cof
+        if cof is None:
+            cof = self._cof = {}
+        got = cof.get(atom)
+        if got is None:
+            got = cof[atom] = self.without({atom: 1})
+        return got
 
     def shifted_exp(self, delta: "Expression") -> "Monomial":
         """The monomial with ``delta`` added to its exponential argument."""
@@ -830,7 +878,7 @@ class Expression:
         return repr(self.to_tree()) < repr(other.to_tree())
 
     def __reduce__(self):
-        # hashes are of atom ids, so a copy, above all one unpickled in
+        # hashes are of monomial ids, so a copy, above all one unpickled in
         # another process, rebuilds its monomials and hashes afresh
         return Expression, (self._num, self._den)
 
@@ -1290,7 +1338,7 @@ def _poly_partial(p: dict, d, cache: dict) -> Expression:
             if da is None:
                 da = cache[a] = _atom_derivative(a, d)
             if da._num:
-                terms.append((_pmul(da._num, {m.without({a: 1}): c * k}), da._den))
+                terms.append((_pmul(da._num, {m.cofactor(a): c * k}), da._den))
         if m.exparg is not None:
             de = _derive(m.exparg, d)
             if de._num:

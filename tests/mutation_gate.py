@@ -72,6 +72,7 @@ RENAME = f"{KERNEL}::test_rename_atoms_keeps_terms_and_refuses_a_reordering_map"
 RENAME_BULK = f"{KERNEL}::test_rename_atoms_matches_the_full_order_check_bulk"
 ATOMS = "tests/test_atoms.py"
 TWINS = f"{ATOMS}::test_atoms_that_print_alike_are_apart_when_their_structure_is"
+EVERY_WAY = f"{ATOMS}::test_equal_monomials_built_every_way_are_one_object"
 # a power inside an exp or log argument, at a size the unbounded path survives
 ARG_CAP = "tests/test_cli.py::test_float_replay_of_a_high_power_in_an_argument_exits_2_at_once"
 TEMPLATES = "tests/test_cli.py::test_family_template_terms_need_coefficient_one"
@@ -280,15 +281,29 @@ MUTANTS = (
     Mutant("the rename's order check lets an atom equal its neighbour", "expressions.py",
            "prev is not None and prev >= key", "prev is not None and prev > key",
            (RENAME, RENAME_BULK)),
-    # interned atoms: the key, the store, the merge and the order of twins
+    # interned atoms and monomials: the keys, the store, the callback, the
+    # cofactors, the merge and the order of twins
     Mutant("the intern key is the text alone", "expressions.py",
-           "        return _interned(key, self)\n",
-           "        return _interned((self.rank, self._text), self)\n",
+           "        return _interned(_AtomRef, key, self)\n",
+           "        return _interned(_AtomRef, (self.rank, self._text), self)\n",
            (f"{TWINS}[f-of-y]", f"{TWINS}[f-of-c]")),
     Mutant("a miss builds a fresh atom without storing it", "expressions.py",
-           "        _ATOMS[key] = atom\n", "        pass\n",
+           "        got = table.setdefault(key, ref)\n", "        got = ref\n",
            (f"{ATOMS}::test_equal_atoms_are_one_object",
             f"{ATOMS}::test_four_threads_building_the_same_atoms_get_the_same_objects")),
+    Mutant("a monomial miss built without storing it", "expressions.py",
+           "        return _interned(_MonomialRef, key, m)\n", "        return m\n",
+           (EVERY_WAY, f"{ATOMS}::test_four_threads_building_the_same_monomials_get_the_same_objects")),
+    Mutant("the monomial key leaves out the exponential argument", "expressions.py",
+           "        key = atoms if exparg is None else (atoms, exparg)\n",
+           "        key = atoms\n",
+           (EVERY_WAY,)),
+    Mutant("a dead monomial's callback removes its live successor", "expressions.py",
+           "    remove(ref.table, ref.key)\n", "    ref.table.pop(ref.key, None)\n",
+           (f"{ATOMS}::test_a_live_entry_that_replaced_a_dead_one_survives_the_dead_ones_callback",)),
+    Mutant("the cofactor cache ignores the atom", "expressions.py",
+           "        got = cof.get(atom)\n", "        got = next(iter(cof.values()), None)\n",
+           (f"{ATOMS}::test_cofactors_are_kept_per_atom",)),
     Mutant("the monomial merge keys atoms by rank and text", "expressions.py",
            "                if xa is pb[0]:\n",
            "                if xa._skey[:2] == pb[0]._skey[:2]:\n",

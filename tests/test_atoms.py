@@ -1,7 +1,8 @@
-"""Interned atoms: one object per atom structure, equality by identity.
+"""Interned atoms and monomials: one object per structure, equality by identity.
 
 Two atoms that print alike are still two atoms when their structure differs:
-``f(y)`` over the variable ``y`` and over the dependent variable ``y``.
+``f(y)`` over the variable ``y`` and over the dependent variable ``y``.  A
+monomial is one object per atom powers and exponential argument.
 """
 
 import copy
@@ -24,6 +25,7 @@ from eqvlab import (
     Func,
     Jet,
     Log,
+    Monomial,
     Param,
     Var,
     ZeroDenominatorError,
@@ -32,11 +34,13 @@ from eqvlab import (
     as_expression,
     dependency_closure,
     exp,
+    from_monomial,
     func,
     jet,
     log,
     param,
     partial,
+    rename_atoms,
     var,
 )
 
@@ -205,17 +209,143 @@ def test_copies_and_unpickled_atoms_are_the_stored_atom():
 
 
 def test_an_expression_pickled_in_another_process_hashes_afresh():
-    # atom hashes are object ids, so an unpickled expression must not keep
-    # the hashes of the process that wrote it
+    # atom and monomial hashes are object ids, so an unpickled expression
+    # must not keep the hashes of the process that wrote it, and its
+    # monomials, exponentials and all, are the stored ones
     code = ("import pickle, sys\n"
             "from eqvlab import func, jet, var, exp\n"
             "y = var('y')\n"
-            "e = (func('f', y) * jet('w', 'y') + exp(y)) / (1 + func('f', jet('y')))\n"
+            "e = (func('f', y) * jet('w', 'y') + exp(y) + jet('w') * exp(2 * y)) / (\n"
+            "    1 + func('f', jet('y')) * exp(y))\n"
             "hash(e)\n"
             "sys.stdout.buffer.write(pickle.dumps(e))\n")
     src = str(Path(expressions.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     got = pickle.loads(out)
-    want = (func("f", y) * jet("w", "y") + exp(y)) / (1 + func("f", jet("y")))
+    want = (func("f", y) * jet("w", "y") + exp(y) + jet("w") * exp(2 * y)) / (
+        1 + func("f", jet("y")) * exp(y))
     assert got == want and hash(got) == hash(want) and {want: 1}[got] == 1
+    for mine, theirs in zip(want.integer_form()[:2], got.integer_form()[:2]):
+        assert any(m.exparg is not None and m.atoms for m in mine)
+        assert sorted(map(id, mine)) == sorted(map(id, theirs))
+
+
+def test_equal_monomials_built_every_way_are_one_object():
+    Y, W, C = Var("y"), Jet("w", ("y",)), Param("c")
+    ea = 2 * var("y")
+    m = Monomial([(Y, 2), (W, 1)], ea)
+    # the constructor, repeated atoms in any order, an equal argument built apart
+    assert Monomial([(W, 1), (Y, 1), (Y, 1)], var("y") * 2) is m
+    assert Monomial._raw(((Y, 2), (W, 1)), var("y") + var("y")) is m
+    # products, with the exponential split between the factors or not
+    assert Monomial([(Y, 1)]) * Monomial([(Y, 1), (W, 1)], ea) is m
+    assert Monomial([(Y, 2)], var("y")) * Monomial([(W, 1)], var("y")) is m
+    # division, the cofactor, the exponential shifted
+    assert Monomial([(Y, 3), (W, 1), (C, 1)], ea).without({Y: 1, C: 1}) is m
+    assert Monomial([(Y, 2), (W, 2)], ea).cofactor(W) is m
+    assert Monomial([(Y, 2), (W, 1)], var("y")).shifted_exp(var("y")) is m
+    assert Monomial([(Y, 2), (W, 1)]).shifted_exp(ea) is m
+    assert m.shifted_exp(-ea) is Monomial([(Y, 2), (W, 1)])
+    # a rename, a table read back, copies
+    (got, _c), = rename_atoms(from_monomial(Monomial([(Y, 2), (Jet("w", ("z",)), 1)], ea)),
+                              {Jet("w", ("z",)): W}).integer_form()[0].items()
+    assert got is m
+    (got, _c), = Expression.from_tree(from_monomial(m, 3).to_tree()).integer_form()[0].items()
+    assert got is m
+    assert copy.copy(m) is m and copy.deepcopy(m) is m and pickle.loads(pickle.dumps(m)) is m
+    # the quotient of an exact division
+    n = Monomial([(Y, 2), (W, 1)])
+    a = (var("y") + jet("w", "y")).integer_form()[0]
+    q, k = expressions._pdiv_exact(expressions._pmul(a, {n: 5}), a)
+    assert k == 1 and list(q.items()) == [(n, 5)] and next(iter(q)) is n
+    # apart: another exponential argument, none, other powers
+    assert n is not m and Monomial([(Y, 2), (W, 1)], var("y")) is not m
+    assert Monomial([(Y, 2), (W, 2)], ea) is not m and Monomial((), ea) is not Monomial()
+    # one order key per monomial; equality and hashing are the object's
+    assert Monomial([(W, 1), (Y, 2)], ea).order_key() is m.order_key()
+    assert Monomial.__hash__ is object.__hash__ and Monomial.__eq__ is object.__eq__
+    assert "__eq__" not in vars(Monomial) and "__hash__" not in vars(Monomial)
+
+
+def test_cofactors_are_kept_per_atom():
+    X, Y = Var("x"), Var("y")
+    m = Monomial([(X, 2), (Y, 1)], var("z"))
+    assert m.cofactor(X) is Monomial([(X, 1), (Y, 1)], var("z"))
+    assert m.cofactor(Y) is Monomial([(X, 2)], var("z"))
+    assert m.cofactor(X) is m.cofactor(X) is Monomial([(X, 1), (Y, 1)], var("z"))
+    assert Monomial([(X, 1)]).cofactor(X) is Monomial()
+    with pytest.raises(ValueError, match="not exact"):
+        m.cofactor(Var("z"))
+
+
+def test_four_threads_building_the_same_monomials_get_the_same_objects():
+    atoms = [Var(f"thm{i}") for i in range(200)]
+    arg = var("thm_e")
+    barrier = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def build(k):
+        barrier.wait()
+        out = []
+        for a, b in zip(atoms, atoms[1:]):
+            # built and dropped at once: its callback races the other stores
+            Monomial([(a, 3), (b, 3)])
+            out.append((Monomial([(b, 1), (a, 2)], arg), Monomial([(a, 1)]) * Monomial([(a, 1)]),
+                        Monomial([(a, 2), (b, 1)]).shifted_exp(arg)))
+        results[k] = out
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for row in zip(*results):
+        for built in zip(*row):
+            assert all(m is built[0] for m in built)
+    for one, _square, shifted in results[0]:
+        assert shifted is one
+    assert Monomial([(atoms[7], 1), (atoms[6], 2)], arg) is results[2][6][0]
+    gc.collect()
+    assert all(r() is not None for r in list(expressions._MONOMIALS.values()))
+
+
+def test_a_dropped_monomial_leaves_the_table_and_keeps_no_atom_alive():
+    x, w = Var("drop_x"), Jet("drop_w", ("drop_x",))
+    arg = var("drop_x") + 1
+    m = Monomial([(x, 2), (w, 1)], arg)
+    n = m.cofactor(x)
+    assert expressions._MONOMIALS[((x, 2), (w, 1)), arg]() is m
+    assert expressions._MONOMIALS[((x, 1), (w, 1)), arg]() is n
+    refs = [weakref.ref(o) for o in (m, n, x, w)]
+    del m, n, x, w, arg
+    gc.collect()
+    assert all(r() is None for r in refs)
+    # every entry left is live: the dead ones were dropped, keys and all
+    assert all(r() is not None for r in list(expressions._MONOMIALS.values()))
+    # built again, the monomial is stored again
+    assert Monomial([(Var("drop_x"), 1)]) is Monomial([(Var("drop_x"), 1)])
+
+
+def test_a_live_entry_that_replaced_a_dead_one_survives_the_dead_ones_callback():
+    key = ((Var("succ_x"), 2),)
+    # a dead entry whose callback has not run yet: the reference, made
+    # without its callback, to a monomial that was never stored
+    ghost = object.__new__(Monomial)
+    dead = expressions._MonomialRef(ghost)
+    dead.key = key
+    assert expressions._MONOMIALS.setdefault(key, dead) is dead
+    del ghost
+    assert dead() is None
+    m = Monomial._raw(key, None)  # replaces the dead entry
+    assert expressions._MONOMIALS[key]() is m
+    expressions._dead(dead)  # the dead entry's callback, late
+    assert expressions._MONOMIALS[key]() is m
+    assert Monomial([(Var("succ_x"), 1), (Var("succ_x"), 1)]) is m
+

@@ -195,6 +195,16 @@ def test_the_monomial_constructor_merges_repeated_atoms_and_checks_powers():
             Monomial([(w, bad)])
 
 
+def test_monomial_division_must_be_exact():
+    x, z, e = Var("x"), Var("z"), var("z")
+    m = Monomial([(x, 2)], e)
+    for divisor in ({z: 1}, {x: 3}, {x: 1, z: 1}, {Jet("x", ()): 1}):
+        with pytest.raises(ValueError, match="not exact"):
+            m.without(divisor)
+    assert m.without({x: 1}) is Monomial([(x, 1)], e)
+    assert m.without({x: 2}) is Monomial((), e) and m.without({}) is m
+
+
 def test_hand_written_tables_read_back():
     # the well-formed neighbours of the unreadable tables below
     assert Expression.from_tree(table([[0, 2]], [VAR_Y], "3/2")) == fraction(3, 2) * y ** 2
